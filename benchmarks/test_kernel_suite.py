@@ -21,15 +21,20 @@ times, per dataset shape:
 
 plus the packed-vs-diffsets per-labelling times at a dense and a very
 sparse density, the measured crossover behind ``--policy auto``
-(:func:`repro.mining.diffsets.resolve_auto_policy`). Every timed pair
-is asserted equal before any number counts. Results land in the
-repo-root ``BENCH_kernels.json`` (``REPRO_BENCH_JSON`` overrides) in
-the shared envelope; the gated ratio is the enumeration join on the
-10k-record x 1k-item reference shape.
+(:func:`repro.mining.diffsets.resolve_auto_policy`), and the **p-value
+table build** of the Score stage: every ``PValueBuffer`` that Mushroom
+reaches at min_sup 2000 (n = 8124, all in the log-space regime) built
+with numpy against the scalar oracle in ``tests/stats/pvalue_oracle.py``.
+Every timed pair is asserted equal before any number counts. Results
+land in the repo-root ``BENCH_kernels.json`` (``REPRO_BENCH_JSON``
+overrides) in the shared envelope; the gated ratios are the enumeration
+join on the 10k-record x 1k-item reference shape and the p-value table
+build.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from pathlib import Path
 
@@ -37,10 +42,19 @@ import numpy as np
 
 from _scale import banner, bench_envelope, current_scale, write_bench
 from repro.bitmat import andnot_counts, superset_mask
+from repro.data import make_mushroom
 from repro.mining import PatternForest
 from repro.mining.patterns import Pattern
+from repro.mining.rules import mine_class_rules
 from repro.mining.tidsets import build_vertical_view
+from repro.stats import PValueBuffer
 from repro.tidvector import TidVector, arena_rows, pack_bool_matrix
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+if str(REPO_ROOT) not in sys.path:
+    sys.path.append(str(REPO_ROOT))  # for the tests/ oracle below
+
+from tests.stats.pvalue_oracle import oracle_pvalues  # noqa: E402
 
 SEED = 2026
 #: The acceptance-gated reference shape (records, items).
@@ -49,7 +63,9 @@ N_QUERIES = 16
 N_CLASSES = 3
 BATCH = 16
 
-DEFAULT_OUT = Path(__file__).resolve().parents[1] / "BENCH_kernels.json"
+DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
+#: Mushroom's min_sup in the Score-stage benchmark workload.
+MUSHROOM_MIN_SUP = 2000
 
 _EXTRA_SHAPES = {
     "smoke": (),
@@ -191,6 +207,29 @@ def _policy_crossover(rng, repeats):
     return out
 
 
+def _pvalue_tables(repeats):
+    """Numpy ``PValueBuffer`` builds vs the scalar oracle on every
+    (class, coverage) table Mushroom reaches at min_sup 2000."""
+    dataset = make_mushroom(seed=0)
+    n = dataset.n_records
+    ruleset = mine_class_rules(dataset, MUSHROOM_MIN_SUP)
+    tables = sorted({(dataset.class_support(rule.class_index),
+                      rule.coverage) for rule in ruleset.rules})
+    oracle_s, oracle_out = _timed(
+        lambda: [oracle_pvalues(n, n_c, supp_x) for n_c, supp_x in tables],
+        repeats)
+    kernel_s, kernel_out = _timed(
+        lambda: [PValueBuffer(n, n_c, supp_x).array
+                 for n_c, supp_x in tables], repeats)
+    for expected, built in zip(oracle_out, kernel_out):
+        assert np.array_equal(np.asarray(expected), built)
+    block = _ratio_block(oracle_s, kernel_s)
+    block.update(n_records=n, min_sup=MUSHROOM_MIN_SUP,
+                 n_tables=len(tables),
+                 n_entries=sum(len(built) for built in kernel_out))
+    return block
+
+
 def test_kernel_suite():
     scale = current_scale()
     repeats = 1 if scale.name == "smoke" else 3
@@ -201,6 +240,7 @@ def test_kernel_suite():
               in (REFERENCE_SHAPE,) + _EXTRA_SHAPES[scale.name]]
     reference = shapes[0]
     crossover = _policy_crossover(rng, repeats)
+    pvalue_tables = _pvalue_tables(repeats)
 
     record = bench_envelope(
         "kernel_suite",
@@ -209,11 +249,16 @@ def test_kernel_suite():
                 "value": reference["enumeration_join"]["speedup"],
                 "min": 3.0,
             },
+            "pvalue_table_speedup": {
+                "value": pvalue_tables["speedup"],
+                "min": 5.0,
+            },
         },
         metrics={
             "reference_shape": list(REFERENCE_SHAPE),
             "shapes": shapes,
             "policy_crossover": crossover,
+            "pvalue_tables": pvalue_tables,
         },
     )
     out_path = write_bench(record, str(DEFAULT_OUT))
@@ -233,6 +278,11 @@ def test_kernel_suite():
         lines.append(
             f"crossover {label}: packed {block['packed_ms']:.2f} ms, "
             f"diffsets {block['diffsets_ms']:.2f} ms per labelling")
+    lines.append(
+        f"p-value tables ({pvalue_tables['n_tables']} Mushroom "
+        f"coverages): {pvalue_tables['python_ms']:.0f} ms -> "
+        f"{pvalue_tables['kernel_ms']:.0f} ms "
+        f"({pvalue_tables['speedup']:.1f}x)")
     print()
     print(banner("native kernel suite vs pure-Python word loops",
                  "\n".join(lines)))
@@ -244,3 +294,8 @@ def test_kernel_suite():
     gate = reference["enumeration_join"]["speedup"]
     assert gate >= 3.0, (
         f"enumeration join only {gate:.1f}x over the Python loop")
+    # The Score-stage gate: numpy table builds must stay well ahead of
+    # the scalar per-entry fallback and two-ends walk they replaced.
+    gate = pvalue_tables["speedup"]
+    assert gate >= 5.0, (
+        f"p-value tables only {gate:.1f}x over the scalar oracle")

@@ -652,7 +652,7 @@ class _VectorizedLookup:
             key = (int(engine._classes[i]), int(engine._coverages[i]))
             if key not in placed:
                 buffer = ruleset.caches[key[0]].buffer_for(key[1])
-                segments.append(np.array(buffer.p_values()))
+                segments.append(buffer.array)
                 placed[key] = (position, buffer.low)
                 position += len(segments[-1])
             start, low = placed[key]

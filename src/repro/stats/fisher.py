@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import StatsError
-from .hypergeom import pmf_table, support_bounds
+from .hypergeom import pmf_array, support_bounds
 from .logfact import LogFactorialBuffer
 from .pvalue_buffer import PValueBuffer
 
@@ -62,12 +62,12 @@ def fisher_right_tailed(supp_r: int, n: int, n_c: int, supp_x: int,
     """P(supp >= supp_r): over-representation (positive association)."""
     _check_support(supp_r, n, n_c, supp_x)
     low, _high = support_bounds(n, n_c, supp_x)
-    table = pmf_table(n, n_c, supp_x, buffer)
+    table = pmf_array(n, n_c, supp_x, buffer)
     # Reversed cumulative sum: entry k accumulates from the far (upper)
     # tail inward, so small terms add first — the same summation order
     # (and therefore the exact same float result) as the scalar loop
     # this replaces.
-    tails = np.cumsum(np.asarray(table, dtype=np.float64)[::-1])[::-1]
+    tails = np.cumsum(table[::-1])[::-1]
     return min(float(tails[supp_r - low]), 1.0)
 
 
@@ -76,10 +76,10 @@ def fisher_left_tailed(supp_r: int, n: int, n_c: int, supp_x: int,
     """P(supp <= supp_r): under-representation (negative association)."""
     _check_support(supp_r, n, n_c, supp_x)
     low, _high = support_bounds(n, n_c, supp_x)
-    table = pmf_table(n, n_c, supp_x, buffer)
+    table = pmf_array(n, n_c, supp_x, buffer)
     # Cumulative sum from the lower tail upward: small terms first,
     # identical order (and float result) to the scalar loop.
-    tails = np.cumsum(np.asarray(table, dtype=np.float64))
+    tails = np.cumsum(table)
     return min(float(tails[supp_r - low]), 1.0)
 
 
@@ -130,10 +130,7 @@ def fisher_two_tailed_midp(supp_r: int, n: int, n_c: int, supp_x: int,
     epidemiology literature and a useful sensitivity check here.
     """
     _check_support(supp_r, n, n_c, supp_x)
-    low, _high = support_bounds(n, n_c, supp_x)
-    table = pmf_table(n, n_c, supp_x, buffer)
-    p_two = PValueBuffer(n, n_c, supp_x, buffer).p_value(supp_r)
-    return max(0.0, p_two - 0.5 * table[supp_r - low])
+    return PValueBuffer(n, n_c, supp_x, buffer, midp=True).p_value(supp_r)
 
 
 def log_odds_ratio(supp_r: int, n: int, n_c: int, supp_x: int) -> float:

@@ -6,7 +6,9 @@ width float long before the dataset sizes used here, the buffer holds
 *logarithms* of factorials, exactly as the paper prescribes ("we store
 the logarithm of the factorials in the buffer"). The buffer grows
 incrementally and is shared process-wide through
-:func:`default_buffer`.
+:func:`default_buffer`. A float64 mirror of the same values
+(:meth:`LogFactorialBuffer.as_array`) feeds the vectorized pmf table
+builds.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import math
 import threading
 from typing import List
+
+import numpy as np
 
 from ..errors import StatsError
 
@@ -31,6 +35,10 @@ class LogFactorialBuffer:
         if initial_capacity < 0:
             raise StatsError("initial capacity must be non-negative")
         self._table: List[float] = [0.0]
+        # The same values as a float64 array. It is replaced, never
+        # written in place, so a reference taken once stays consistent
+        # while another thread grows the buffer.
+        self._array = _frozen([0.0])
         self._grow_lock = threading.Lock()
         self.ensure(initial_capacity)
 
@@ -63,12 +71,33 @@ class LogFactorialBuffer:
         into silently wrong entries. Reads stay lock-free — the table
         is append-only, so any index below ``len`` is immutable.
         """
-        table = self._table
-        if n < len(table):
+        if n < len(self._table):
             return
         with self._grow_lock:
-            for k in range(len(table), n + 1):
-                table.append(table[-1] + math.log(k))
+            self._grow(n)
+
+    def _grow(self, n: int) -> None:
+        """Extend the table and its array mirror; caller holds the lock."""
+        table = self._table
+        for k in range(len(table), n + 1):
+            table.append(table[-1] + math.log(k))
+        if len(self._array) < len(table):
+            self._array = _frozen(table)
+
+    def as_array(self, n: int) -> np.ndarray:
+        """``ln(k!)`` for ``k = 0..`` at least ``n`` as a float64 array.
+
+        The array holds bit for bit the values :meth:`log_factorial`
+        returns. Callers must treat it as read-only and index one
+        reference, taken once: growth installs a new array rather than
+        resizing this one.
+        """
+        array = self._array
+        if n < len(array):
+            return array
+        with self._grow_lock:
+            self._grow(n)
+            return self._array
 
     def log_factorial(self, k: int) -> float:
         """Return ``ln(k!)``, growing the table if needed."""
@@ -86,6 +115,12 @@ class LogFactorialBuffer:
             self.ensure(a)
         table = self._table
         return table[a] - table[b] - table[a - b]
+
+
+def _frozen(values: List[float]) -> np.ndarray:
+    array = np.array(values, dtype=np.float64)
+    array.flags.writeable = False
+    return array
 
 
 _DEFAULT = LogFactorialBuffer()

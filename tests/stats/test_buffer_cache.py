@@ -59,6 +59,30 @@ class TestTiers:
             cache.buffer_for(supp_x)
         assert cache.static_nbytes <= budget
 
+    def test_static_tier_footprint_is_what_it_reports(self):
+        """``static_nbytes`` is what the tier really holds: filling the
+        tier to its budget on a Mushroom-shaped null allocates at most
+        1.1x the reported bytes (each table is one float64 array)."""
+        import tracemalloc
+
+        from repro.stats import LogFactorialBuffer
+
+        logfact = LogFactorialBuffer(8124)
+        logfact.as_array(8124)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = BufferCache(8124, 3916, static_budget_bytes=4 << 20,
+                                min_sup=2000, logfact=logfact)
+            for supp_x in range(cache.min_sup, cache.max_sup + 1):
+                cache.buffer_for(supp_x)
+            allocated = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert cache.max_sup > cache.min_sup + 100
+        assert cache.static_nbytes <= 4 << 20
+        assert allocated <= 1.1 * cache.static_nbytes
+
     def test_no_optimization_mode_recomputes(self):
         cache = BufferCache(100, 40, use_static=False, use_dynamic=False)
         first = cache.buffer_for(20)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import StatsError
@@ -111,6 +112,53 @@ class TestThreadSafety:
         for k in (1, 170, 20_000, max(targets)):
             assert buf.log_factorial(k) == pytest.approx(
                 math.lgamma(k + 1), rel=1e-12)
+
+    def test_concurrent_growth_and_array_reads_match_recurrence(self):
+        """Eight threads grow the buffer and read its float64 mirror at
+        once; every entry either view returns equals the sequential
+        ``table[k-1] + log(k)`` recurrence, bit for bit."""
+        import sys
+        import threading
+
+        top = 40_000
+        expected = [0.0]
+        for k in range(1, top + 1):
+            expected.append(expected[-1] + math.log(k))
+        expected_array = np.array(expected)
+
+        buf = LogFactorialBuffer(0)
+        barrier = threading.Barrier(8)
+        failures = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            barrier.wait()
+            for n in sorted(rng.integers(1, top, size=40).tolist()):
+                array = buf.as_array(n)
+                if len(array) <= n or not np.array_equal(
+                        array, expected_array[:len(array)]):
+                    failures.append(("array", n))
+                k = int(rng.integers(0, n + 1))
+                if buf.log_factorial(k) != expected[k]:
+                    failures.append(("scalar", k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        final = buf.as_array(top)
+        assert np.array_equal(final, expected_array[:len(final)])
+        with pytest.raises(ValueError):
+            final[0] = 1.0  # read-only: growth replaces, never writes
 
     def test_buffer_pickles_without_its_lock(self):
         import pickle

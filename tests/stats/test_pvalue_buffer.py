@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import StatsError
@@ -96,7 +97,15 @@ class TestShapeProperties:
 
     def test_nbytes_accounting(self):
         buf = PValueBuffer(20, 11, 6)
-        assert buf.nbytes == 8 * 7
+        assert buf.nbytes == 8 * 7 == buf.array.nbytes
+
+    def test_table_is_a_read_only_float64_array(self):
+        buf = PValueBuffer(20, 11, 6)
+        assert buf.array.dtype == np.float64
+        with pytest.raises(ValueError):
+            buf.array[0] = 0.5
+        assert type(buf.p_value(3)) is float
+        assert all(type(p) is float for p in buf.p_values())
 
     def test_defensive_copy(self):
         buf = PValueBuffer(20, 11, 6)
