@@ -1,16 +1,13 @@
 """Per-shape timings for every kernel in the native suite.
 
-The kernel-suite PR grew :mod:`repro._native` from one fused scoring
-kernel into three — batched class supports, the subset/closure mask,
-and the andnot diffset recurrence — each consumed through a
-:mod:`repro.bitmat` wrapper with a silent numpy fallback. This bench
-times, per dataset shape:
+:mod:`repro._native` compiles three kernels — batched class supports,
+the closed-pattern walk and the andnot diffset recurrence. This bench
+times the **closed-pattern walk** (``mine_closed`` with the native
+walk against the Python walk that runs without the suite) on the Fig 6
+exploratory half, and, per dataset shape:
 
-* the **closure check** (:func:`~repro.bitmat.superset_mask` behind
-  ``VerticalView.superset_positions``) against the per-row Python
-  ``is_subset`` loop it replaced;
 * the **enumeration join** (``VerticalView.candidate_supports``, the
-  closed miner's child-support pass) against the per-candidate Python
+  Python closed walk's child-support pass) against the per-candidate Python
   ``intersection_count`` loop — the acceptance-gated ratio;
 * the **multi-class batched supports**
   (``PatternForest.class_supports_multi``, one dispatch for all
@@ -28,8 +25,8 @@ with numpy against the scalar oracle in ``tests/stats/pvalue_oracle.py``.
 Every timed pair is asserted equal before any number counts. Results
 land in the repo-root ``BENCH_kernels.json`` (``REPRO_BENCH_JSON``
 overrides) in the shared envelope; the gated ratios are the enumeration
-join on the 10k-record x 1k-item reference shape and the p-value table
-build.
+join on the 10k-record x 1k-item reference shape, the p-value table
+build and the closed-pattern walk.
 """
 
 from __future__ import annotations
@@ -41,9 +38,10 @@ from pathlib import Path
 import numpy as np
 
 from _scale import banner, bench_envelope, current_scale, write_bench
-from repro.bitmat import andnot_counts, superset_mask
-from repro.data import make_mushroom
-from repro.mining import PatternForest
+from repro import _native
+from repro.bitmat import andnot_counts
+from repro.data import GeneratorConfig, generate, make_mushroom
+from repro.mining import PatternForest, mine_closed
 from repro.mining.patterns import Pattern
 from repro.mining.rules import mine_class_rules
 from repro.mining.tidsets import build_vertical_view
@@ -66,6 +64,12 @@ BATCH = 16
 DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
 #: Mushroom's min_sup in the Score-stage benchmark workload.
 MUSHROOM_MIN_SUP = 2000
+#: The Fig 6 exploratory half the closed-walk gate mines: the first
+#: FIG6_HALF records of a null dataset, at FIG6_MIN_SUP.
+FIG6_CONFIG = GeneratorConfig(n_records=2000, n_attributes=40, n_rules=0)
+FIG6_SEED = 606
+FIG6_HALF = 1000
+FIG6_MIN_SUP = 30
 
 _EXTRA_SHAPES = {
     "smoke": (),
@@ -92,22 +96,11 @@ def _random_view(n_records, n_items, density, rng):
 
 
 def _bench_shape(n_records, n_items, repeats, rng):
-    """Time all four kernels against their Python loops on one shape."""
+    """Time three kernels against their Python loops on one shape."""
     view = _random_view(n_records, n_items, 0.1, rng)
     queries = [view.pattern_tidset([rng.integers(0, n_items)])
                & view.tidsets[int(rng.integers(0, n_items))]
                for _ in range(N_QUERIES)]
-
-    # -- closure check: superset mask vs per-row is_subset loop ------ #
-    python_s, python_out = _timed(
-        lambda: [[q.is_subset(t) for t in view.tidsets]
-                 for q in queries], repeats)
-    kernel_s, kernel_out = _timed(
-        lambda: [superset_mask(view.matrix, q.words) for q in queries],
-        repeats)
-    for py_row, k_row in zip(python_out, kernel_out):
-        assert np.array_equal(np.asarray(py_row), k_row)
-    closure = _ratio_block(python_s, kernel_s)
 
     # -- enumeration join: candidate supports vs per-candidate loop - #
     python_s, python_out = _timed(
@@ -152,7 +145,6 @@ def _bench_shape(n_records, n_items, repeats, rng):
         "n_records": n_records,
         "n_items": n_items,
         "n_queries": N_QUERIES,
-        "closure": closure,
         "enumeration_join": join,
         "multi_class_supports": multi,
         "andnot_recurrence": andnot,
@@ -230,6 +222,38 @@ def _pvalue_tables(repeats):
     return block
 
 
+def _closed_walk(repeats):
+    """``mine_closed`` with the native walk vs the Python walk (the
+    suite unloaded, as on a host without a compiler) on the Fig 6
+    exploratory half; both must emit the same nodes."""
+    dataset = generate(FIG6_CONFIG, seed=FIG6_SEED).dataset
+    half = dataset.subset(list(range(FIG6_HALF)))
+
+    def mine():
+        return mine_closed(half.item_tidsets, half.n_records,
+                           FIG6_MIN_SUP)
+
+    def nodes(patterns):
+        return [(p.node_id, p.parent_id, p.depth, p.support, p.items,
+                 p.tidset.words.tobytes()) for p in patterns]
+
+    if _native.load_suite() is None:
+        raise RuntimeError(f"native kernel suite unavailable "
+                           f"({_native.native_status()})")
+    kernel_s, kernel_out = _timed(mine, repeats)
+    suite = _native._kernel
+    _native._kernel = None
+    try:
+        python_s, python_out = _timed(mine, repeats)
+    finally:
+        _native._kernel = suite
+    assert nodes(kernel_out) == nodes(python_out)
+    block = _ratio_block(python_s, kernel_s)
+    block.update(n_records=FIG6_HALF, min_sup=FIG6_MIN_SUP,
+                 n_patterns=len(kernel_out))
+    return block
+
+
 def test_kernel_suite():
     scale = current_scale()
     repeats = 1 if scale.name == "smoke" else 3
@@ -241,6 +265,7 @@ def test_kernel_suite():
     reference = shapes[0]
     crossover = _policy_crossover(rng, repeats)
     pvalue_tables = _pvalue_tables(repeats)
+    closed_walk = _closed_walk(3)
 
     record = bench_envelope(
         "kernel_suite",
@@ -253,12 +278,17 @@ def test_kernel_suite():
                 "value": pvalue_tables["speedup"],
                 "min": 5.0,
             },
+            "closed_mining_speedup": {
+                "value": closed_walk["speedup"],
+                "min": 3.0,
+            },
         },
         metrics={
             "reference_shape": list(REFERENCE_SHAPE),
             "shapes": shapes,
             "policy_crossover": crossover,
             "pvalue_tables": pvalue_tables,
+            "closed_walk": closed_walk,
         },
     )
     out_path = write_bench(record, str(DEFAULT_OUT))
@@ -267,8 +297,8 @@ def test_kernel_suite():
     for shape in shapes:
         lines.append(f"{shape['n_records']} records x "
                      f"{shape['n_items']} items:")
-        for key in ("closure", "enumeration_join",
-                    "multi_class_supports", "andnot_recurrence"):
+        for key in ("enumeration_join", "multi_class_supports",
+                    "andnot_recurrence"):
             block = shape[key]
             lines.append(
                 f"  {key:22s} {block['python_ms']:9.2f} ms -> "
@@ -283,6 +313,11 @@ def test_kernel_suite():
         f"coverages): {pvalue_tables['python_ms']:.0f} ms -> "
         f"{pvalue_tables['kernel_ms']:.0f} ms "
         f"({pvalue_tables['speedup']:.1f}x)")
+    lines.append(
+        f"closed walk (Fig 6 half, {closed_walk['n_patterns']} "
+        f"patterns): {closed_walk['python_ms']:.0f} ms -> "
+        f"{closed_walk['kernel_ms']:.0f} ms "
+        f"({closed_walk['speedup']:.1f}x)")
     print()
     print(banner("native kernel suite vs pure-Python word loops",
                  "\n".join(lines)))
@@ -299,3 +334,8 @@ def test_kernel_suite():
     gate = pvalue_tables["speedup"]
     assert gate >= 5.0, (
         f"p-value tables only {gate:.1f}x over the scalar oracle")
+    # The Mine-stage gate: one native call per mine must stay well
+    # ahead of the per-node Python walk.
+    gate = closed_walk["speedup"]
+    assert gate >= 3.0, (
+        f"closed walk only {gate:.1f}x over the Python walk")

@@ -15,14 +15,15 @@ compiler) a small suite of fused loops and loads them through
   flattened over classes, :meth:`~repro.bitmat.BitMatrix.
   class_supports_multi`);
 
-* ``repro_subset_mask`` — the enumeration closure/subset check::
-
-      out[j] = all_w ((query[w] & ~words[j][w]) == 0)
-
-  with early exit per row, behind
-  :func:`repro.bitmat.superset_mask` and thus
-  :meth:`repro.mining.tidsets.VerticalView.superset_positions` (the
-  closed miner's closure primitive);
+* ``repro_lcm_mine`` — the whole closed-pattern walk (LCM
+  prefix-preserving closure extension) over a vertical view's item
+  matrix, node for node as the Python walk of
+  :mod:`repro.mining.closed` emits it, in one call per pass: a count
+  pass returns the node and closure-position totals, a fill pass
+  writes the tidset arena, parent/depth/support and CSR closure
+  positions. Its scratch memory grows with the deepest path (one
+  tidset and one closure bitmask per depth) and the pending
+  ``(j, depth)`` entries, never with the m(m+1)/2 worst case;
 
 * ``repro_andnot_counts`` — the diffset recurrence join::
 
@@ -36,8 +37,10 @@ Each call releases the GIL, so the kernels also scale on the
 ``threads`` backend. Everything here is best-effort: no compiler
 (``CC=/bin/false`` is the CI leg for that), a sandboxed filesystem, a
 failed compile, or ``REPRO_NATIVE=0`` all degrade silently to the
-numpy paths. Results are bit-identical either way — every kernel
-counts exact integers or compares exact words.
+numpy paths and the Python closed walk. Results are bit-identical
+either way — every kernel counts exact integers or compares exact
+words. The kernels keep no state between calls, so concurrent calls
+are safe.
 
 The shared object is cached under ``$REPRO_NATIVE_CACHE`` (default: a
 per-user directory beneath the system temp dir), keyed by a hash of
@@ -64,6 +67,7 @@ __all__ = ["KernelSuite", "load_kernel", "load_suite", "native_status"]
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
 /* Fused word kernels over packed little-endian uint64 record sets.
    The multi-array numpy pipelines are memory bound; each loop here
@@ -71,10 +75,16 @@ _SOURCE = r"""
 
 #if defined(__GNUC__) || defined(__clang__)
 #define POPCOUNT64 __builtin_popcountll
+#define CTZ64 __builtin_ctzll
 #else
 static int POPCOUNT64(uint64_t x) {
     int count = 0;
     while (x) { x &= x - 1; ++count; }
+    return count;
+}
+static int CTZ64(uint64_t x) {  /* x != 0 */
+    int count = 0;
+    while (!(x & 1)) { x >>= 1; ++count; }
     return count;
 }
 #endif
@@ -101,25 +111,6 @@ void repro_class_supports_batch(
     }
 }
 
-/* out[j] = 1 iff query is a subset of words[j] (query & ~row == 0),
-   early exit on the first uncovered word. */
-void repro_subset_mask(
-    const uint64_t *words,   /* (n_rows, n_words), row-major */
-    const uint64_t *query,   /* (n_words,) */
-    uint8_t *out,            /* (n_rows,) */
-    int64_t n_rows,
-    int64_t n_words)
-{
-    for (int64_t j = 0; j < n_rows; ++j) {
-        const uint64_t *row = words + j * n_words;
-        uint8_t covered = 1;
-        for (int64_t w = 0; w < n_words; ++w) {
-            if (query[w] & ~row[w]) { covered = 0; break; }
-        }
-        out[j] = covered;
-    }
-}
-
 /* out[j] = sum_w popcount(a[j][w] & ~b[j][w]) — the diffset size of
    row pair j. */
 void repro_andnot_counts(
@@ -138,6 +129,219 @@ void repro_andnot_counts(
         out[j] = acc;
     }
 }
+
+/* ---- closed-pattern walk ---------------------------------------------
+
+   The whole LCM prefix-preserving closure extension DFS (Uno et al.,
+   FIMI 2004) over the item matrix, node for node as the Python walk in
+   repro.mining.closed emits it. A pending child is only (j, depth): its
+   tidset is rebuilt on pop from the parent's, which sits on the path at
+   depth - 1 and stays intact until every sibling has been popped. The
+   scratch memory is therefore bounded by the deepest path (one tidset
+   and one closure bitmask per depth) plus the pending entries, never by
+   the m(m+1)/2 worst case. */
+
+typedef struct { int32_t j; int32_t depth; } lcm_entry;
+
+typedef struct {
+    uint64_t *tids;      /* (cap, n_words) tidset per path depth */
+    uint64_t *mask;      /* (cap, m_words) closure bitmask per depth */
+    int64_t *node;       /* (cap,) emitted node id per depth */
+    int64_t *len;        /* (cap,) closure length per depth */
+    int64_t cap;
+    lcm_entry *stack;    /* pending children, popped in ascending j */
+    int64_t sp;
+    int64_t stack_cap;
+} lcm_scratch;
+
+static int lcm_grow_path(lcm_scratch *s, int64_t depth,
+                         int64_t n_words, int64_t m_words)
+{
+    int64_t cap = s->cap ? s->cap : 16;
+    void *p;
+    if (depth < s->cap) return 0;
+    while (cap <= depth) cap *= 2;
+    if (!(p = realloc(s->tids, (size_t)(cap * n_words) * 8))) return -1;
+    s->tids = p;
+    if (!(p = realloc(s->mask, (size_t)(cap * m_words) * 8))) return -1;
+    s->mask = p;
+    if (!(p = realloc(s->node, (size_t)cap * 8))) return -1;
+    s->node = p;
+    if (!(p = realloc(s->len, (size_t)cap * 8))) return -1;
+    s->len = p;
+    s->cap = cap;
+    return 0;
+}
+
+static int lcm_reserve(lcm_scratch *s, int64_t extra)
+{
+    int64_t cap = s->stack_cap ? s->stack_cap : 64;
+    void *p;
+    if (s->sp + extra <= s->stack_cap) return 0;
+    while (cap < s->sp + extra) cap *= 2;
+    if (!(p = realloc(s->stack, (size_t)cap * sizeof(lcm_entry))))
+        return -1;
+    s->stack = p;
+    s->stack_cap = cap;
+    return 0;
+}
+
+/* 1 iff query & ~row == 0, early exit on the first uncovered word. */
+static int lcm_subset(const uint64_t *query, const uint64_t *row,
+                      int64_t n_words)
+{
+    for (int64_t w = 0; w < n_words; ++w)
+        if (query[w] & ~row[w]) return 0;
+    return 1;
+}
+
+#define LCM_HAS(mask, p) (((mask)[(p) >> 6] >> ((p) & 63)) & 1)
+
+/* Count pass (tids_out == NULL): counts = {nodes, closure positions}.
+   Fill pass: writes node k's tidset row, parent, depth, support and
+   its ascending closure positions pos_out[offsets[k]:offsets[k+1]],
+   refusing to write past node_cap / pos_cap. Node 0 is the root, whose
+   closure (root_pos) and guards the caller has already settled.
+   Returns 0, -1 when scratch memory cannot be allocated, or -2 when
+   the outputs are too small. */
+int64_t repro_lcm_mine(
+    const uint64_t *matrix,  /* (m, n_words) item tidsets, mining order */
+    int64_t m,
+    int64_t n_words,
+    int64_t min_sup,
+    int64_t max_length,      /* -1: no cap */
+    const uint64_t *root_tids,   /* (n_words,) */
+    const int32_t *root_pos,     /* (n_root,) ascending */
+    int64_t n_root,
+    uint64_t *tids_out,      /* (node_cap, n_words) or NULL */
+    int64_t *parent_out,     /* (node_cap,) */
+    int64_t *depth_out,      /* (node_cap,) */
+    int64_t *support_out,    /* (node_cap,) */
+    int32_t *pos_out,        /* (pos_cap,) */
+    int64_t *offsets_out,    /* (node_cap + 1,) */
+    int64_t node_cap,
+    int64_t pos_cap,
+    int64_t *counts)         /* (2,) */
+{
+    const int64_t m_words = m ? (m + 63) / 64 : 1;
+    lcm_scratch s = {0};
+    int64_t n_nodes = 0, n_pos = 0, status = 0, depth = 0, core = -1;
+
+    if (lcm_grow_path(&s, 0, n_words, m_words)) { status = -1; goto done; }
+    for (int64_t w = 0; w < n_words; ++w) s.tids[w] = root_tids[w];
+    for (int64_t w = 0; w < m_words; ++w) s.mask[w] = 0;
+    for (int64_t i = 0; i < n_root; ++i)
+        s.mask[root_pos[i] >> 6] |= (uint64_t)1 << (root_pos[i] & 63);
+    s.len[0] = n_root;
+
+    for (;;) {
+        /* Emit the node at the end of the path. */
+        const uint64_t *tids = s.tids + depth * n_words;
+        const uint64_t *mask = s.mask + depth * m_words;
+        if (tids_out) {
+            int64_t support = 0;
+            if (n_nodes >= node_cap || n_pos + s.len[depth] > pos_cap) {
+                status = -2;
+                goto done;
+            }
+            for (int64_t w = 0; w < n_words; ++w) {
+                tids_out[n_nodes * n_words + w] = tids[w];
+                support += POPCOUNT64(tids[w]);
+            }
+            parent_out[n_nodes] = depth ? s.node[depth - 1] : -1;
+            depth_out[n_nodes] = depth;
+            support_out[n_nodes] = support;
+            offsets_out[n_nodes] = n_pos;
+            for (int64_t w = 0; w < m_words; ++w)
+                for (uint64_t bits = mask[w]; bits; bits &= bits - 1)
+                    pos_out[n_pos++] =
+                        (int32_t)(w * 64 + CTZ64(bits));
+        } else {
+            n_pos += s.len[depth];
+        }
+        s.node[depth] = n_nodes++;
+
+        /* Push its frequent extensions j > core, descending so that
+           pops ascend; a child adds at least one item, so none fits
+           once the node is at the length cap. */
+        if (max_length < 0 || s.len[depth] < max_length) {
+            if (lcm_reserve(&s, m - core - 1)) { status = -1; goto done; }
+            for (int64_t j = m - 1; j > core; --j) {
+                const uint64_t *row = matrix + j * n_words;
+                int64_t acc = 0;
+                if (LCM_HAS(mask, j)) continue;
+                for (int64_t w = 0; w < n_words; ++w)
+                    acc += POPCOUNT64(tids[w] & row[w]);
+                if (acc < min_sup) continue;
+                s.stack[s.sp].j = (int32_t)j;
+                s.stack[s.sp].depth = (int32_t)(depth + 1);
+                ++s.sp;
+            }
+        }
+
+        /* Pop until a candidate survives the closure, prefix and
+           length checks; it becomes the new end of the path. */
+        for (;;) {
+            lcm_entry e;
+            const uint64_t *parent_tids, *parent_mask, *row_j;
+            uint64_t *child_tids, *child_mask;
+            int64_t len, prefix_ok = 1;
+            if (s.sp == 0) goto done;
+            e = s.stack[--s.sp];
+            if (lcm_grow_path(&s, e.depth, n_words, m_words)) {
+                status = -1;
+                goto done;
+            }
+            parent_tids = s.tids + (e.depth - 1) * n_words;
+            parent_mask = s.mask + (e.depth - 1) * m_words;
+            child_tids = s.tids + e.depth * n_words;
+            child_mask = s.mask + e.depth * m_words;
+            row_j = matrix + (int64_t)e.j * n_words;
+            for (int64_t w = 0; w < n_words; ++w)
+                child_tids[w] = parent_tids[w] & row_j[w];
+            /* The closure contains the parent's items and j. Below j
+               it must add nothing (LCM prefix preservation); above j
+               it takes every row containing the child's tidset. */
+            for (int64_t p = 0; p < e.j; ++p) {
+                if (LCM_HAS(parent_mask, p)) continue;
+                if (lcm_subset(child_tids, matrix + p * n_words, n_words)) {
+                    prefix_ok = 0;
+                    break;
+                }
+            }
+            if (!prefix_ok) continue;
+            for (int64_t w = 0; w < m_words; ++w)
+                child_mask[w] = parent_mask[w];
+            child_mask[e.j >> 6] |= (uint64_t)1 << (e.j & 63);
+            len = s.len[e.depth - 1] + 1;
+            for (int64_t p = e.j + 1; p < m; ++p) {
+                if (LCM_HAS(parent_mask, p)) continue;
+                if (lcm_subset(child_tids, matrix + p * n_words, n_words)) {
+                    child_mask[p >> 6] |= (uint64_t)1 << (p & 63);
+                    ++len;
+                }
+            }
+            if (max_length >= 0 && len > max_length) continue;
+            s.len[e.depth] = len;
+            depth = e.depth;
+            core = e.j;
+            break;
+        }
+    }
+
+done:
+    free(s.tids);
+    free(s.mask);
+    free(s.node);
+    free(s.len);
+    free(s.stack);
+    if (status == 0) {
+        counts[0] = n_nodes;
+        counts[1] = n_pos;
+        if (tids_out) offsets_out[n_nodes] = n_pos;
+    }
+    return status;
+}
 """
 
 #: Flag sets tried in order; the first successful compile wins. The
@@ -154,18 +358,21 @@ _CC_ENV = "CC"
 
 _UINT64_P = ctypes.POINTER(ctypes.c_uint64)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
-_UINT8_P = ctypes.POINTER(ctypes.c_uint8)
+_INT32_P = ctypes.POINTER(ctypes.c_int32)
 
-#: (symbol, argtypes) for every kernel the suite must export; a
-#: library missing any of them is rejected as a whole.
+#: (symbol, restype, argtypes) for every kernel the suite must export;
+#: a library missing any of them is rejected as a whole.
 _KERNEL_SIGNATURES = (
-    ("repro_class_supports_batch",
+    ("repro_class_supports_batch", None,
      [_UINT64_P, _UINT64_P, _INT64_P,
       ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]),
-    ("repro_subset_mask",
-     [_UINT64_P, _UINT64_P, _UINT8_P,
-      ctypes.c_int64, ctypes.c_int64]),
-    ("repro_andnot_counts",
+    ("repro_lcm_mine", ctypes.c_int64,
+     [_UINT64_P, ctypes.c_int64, ctypes.c_int64,
+      ctypes.c_int64, ctypes.c_int64,
+      _UINT64_P, _INT32_P, ctypes.c_int64,
+      _UINT64_P, _INT64_P, _INT64_P, _INT64_P, _INT32_P, _INT64_P,
+      ctypes.c_int64, ctypes.c_int64, _INT64_P]),
+    ("repro_andnot_counts", None,
      [_UINT64_P, _UINT64_P, _INT64_P,
       ctypes.c_int64, ctypes.c_int64]),
 )
@@ -175,19 +382,19 @@ class KernelSuite:
     """The loaded native kernels, one attribute per C entry point.
 
     Attributes are ctypes functions with argtypes/restype set:
-    ``class_supports_batch``, ``subset_mask``, ``andnot_counts``. The
+    ``class_supports_batch``, ``lcm_mine``, ``andnot_counts``. The
     whole suite loads from one shared object — either every kernel is
     native or none is, so callers never mix generations.
     """
 
-    __slots__ = ("class_supports_batch", "subset_mask", "andnot_counts",
+    __slots__ = ("class_supports_batch", "lcm_mine", "andnot_counts",
                  "_handle")
 
     def __init__(self, handle: ctypes.CDLL) -> None:
         self._handle = handle
-        for symbol, argtypes in _KERNEL_SIGNATURES:
+        for symbol, restype, argtypes in _KERNEL_SIGNATURES:
             fn = getattr(handle, symbol)  # AttributeError -> rejected
-            fn.restype = None
+            fn.restype = restype
             fn.argtypes = argtypes
             setattr(self, symbol[len("repro_"):], fn)
 

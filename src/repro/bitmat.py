@@ -27,17 +27,23 @@ Counting kernels on :class:`BitMatrix`:
   kernel dispatch, so multi-class permutation scoring no longer pays
   one kernel call (and one numpy block loop) per class.
 
-Two enumeration kernels operate on raw packed arenas (the
+Three enumeration kernels operate on raw packed arenas (the
 ``(k, n_words)`` uint64 matrices every :class:`~repro.tidvector.
-TidVector` arena and :class:`BitMatrix` share), native-accelerated
-through :mod:`repro._native` with silent numpy fallbacks:
+TidVector` arena and :class:`BitMatrix` share):
 
 * :func:`superset_mask` — which arena rows contain a query set
-  (``query & ~row == 0`` per row); the closed miner's closure check
-  (:meth:`repro.mining.tidsets.VerticalView.superset_positions`);
+  (``query & ~row == 0`` per row); the closure check of the Python
+  closed walk (:meth:`repro.mining.tidsets.VerticalView.
+  superset_positions`), numpy only — with the native suite loaded the
+  whole walk runs in C (:mod:`repro.mining.closed`);
+* :func:`intersection_counts` — ``popcount(row & query)`` per row;
+  the Python walk's candidate-support join;
 * :func:`andnot_counts` — ``popcount(a_row & ~b_row)`` per row pair;
   sizes the word-wise diffset join of
   :class:`repro.mining.diffsets.PatternForest`.
+
+The last two are native-accelerated through :mod:`repro._native`
+with silent numpy fallbacks.
 
 Every kernel counts *exact integers* or compares exact words —
 results are bit-identical to the bigint path for any input, with the
@@ -385,10 +391,10 @@ def superset_mask(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
     forest rows); ``query`` a ``(n_words,)`` uint64 row over the same
     universe. Row ``j`` is True iff ``query & ~matrix[j] == 0`` — the
     subset/closure primitive behind
-    :meth:`repro.mining.tidsets.VerticalView.superset_positions`. The
-    native kernel fuses the and-not with an early-exit scan per row;
-    the numpy fallback materialises one ``k × n_words`` intermediate.
-    Both compare exact words, so the mask is identical either way.
+    :meth:`repro.mining.tidsets.VerticalView.superset_positions`, which
+    the Python closed walk uses when the native suite is unavailable
+    (the native walk, ``repro_lcm_mine``, checks closures inside C).
+    One ``k × n_words`` numpy intermediate; exact words throughout.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.uint64)
     if matrix.ndim != 2:
@@ -401,15 +407,6 @@ def superset_mask(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
     n_rows = matrix.shape[0]
     if n_rows == 0:
         return np.zeros(0, dtype=bool)
-    suite = _native.load_suite()
-    if suite is not None and matrix.shape[1]:
-        out = np.empty(n_rows, dtype=np.uint8)
-        suite.subset_mask(
-            matrix.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)),
-            query.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)),
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-            n_rows, matrix.shape[1])
-        return out.view(bool)
     if matrix.shape[1] == 0:
         # Zero-width universe: the empty query is a subset of any row.
         return np.ones(n_rows, dtype=bool)

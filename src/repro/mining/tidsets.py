@@ -11,10 +11,10 @@ small) — while remembering original item ids.
 The view's tidsets are rows of one contiguous ``(m, n_words)`` uint64
 ``matrix``, so per-item operations are word-wise numpy ops and
 whole-view scans (closure checks, support counting) are single
-vectorized passes over the matrix — native-accelerated through the
-fused kernels of :mod:`repro.bitmat` (:func:`~repro.bitmat.
-superset_mask` for the closure check, the batched popcount kernel for
-candidate support joins) with silent numpy fallbacks.
+vectorized passes over the matrix (:func:`~repro.bitmat.superset_mask`
+for the closure check, the batched popcount kernel of
+:mod:`repro.bitmat` for candidate support joins). The native closed
+walk (:mod:`repro.mining.closed`) reads ``matrix`` directly.
 """
 
 from __future__ import annotations
@@ -70,10 +70,9 @@ class VerticalView:
     def superset_positions(self, tids: TidVector) -> np.ndarray:
         """Positions of every item whose tidset contains ``tids``.
 
-        The closure primitive: one fused word-wise pass over the whole
-        matrix (``tids & ~row == 0`` per row, the
-        :func:`~repro.bitmat.superset_mask` kernel with early exit per
-        row under the native suite), ascending order.
+        The closure primitive: one word-wise pass over the whole
+        matrix (``tids & ~row == 0`` per row,
+        :func:`~repro.bitmat.superset_mask`), ascending order.
         """
         if self.matrix.shape[0] == 0:
             return np.empty(0, dtype=np.int64)

@@ -161,6 +161,20 @@ class TestNativeKernel:
         assert (with_native == without).all()
         assert (single_native == single_numpy).all()
 
+    def test_suite_exports(self):
+        """One shared object, three entry points; the closure check
+        lives inside the closed walk, not in a kernel of its own."""
+        from repro import _native
+
+        assert [symbol for symbol, _restype, _args
+                in _native._KERNEL_SIGNATURES] == [
+            "repro_class_supports_batch", "repro_lcm_mine",
+            "repro_andnot_counts"]
+        assert "repro_subset_mask" not in _native._SOURCE
+        suite = _native.load_suite()
+        if suite is not None:
+            assert not hasattr(suite, "subset_mask")
+
     def test_kernel_unavailability_is_silent(self, monkeypatch):
         """REPRO_NATIVE=0 must disable compilation, not break."""
         from repro import _native

@@ -1,13 +1,15 @@
 """The native kernel suite ≡ the numpy fallbacks ≡ the bigint oracle.
 
-The kernel-suite PR added three fused kernels to :mod:`repro._native`
-— the subset/closure mask, multi-class batched supports, and the
-andnot diffset recurrence — each reached through a :mod:`repro.bitmat`
-wrapper that silently falls back to numpy. These tests pin the
-three-way equivalence on ragged shapes (widths under one word, exact
-word boundaries, straddling tails), the edge cases of kernel
-selection (empty forests, single-record datasets), and the ``auto``
-policy's crossover decisions.
+The packed word kernels — the subset/closure mask (numpy only; the
+native closed walk checks closures inside C), the candidate-support
+join, multi-class batched supports, and the andnot diffset recurrence
+— are reached through :mod:`repro.bitmat` wrappers that silently fall
+back to numpy. These tests pin the equivalence with the bigint oracle
+on ragged shapes (widths under one word, exact word boundaries,
+straddling tails), the edge cases of kernel selection (empty forests,
+single-record datasets), and the ``auto`` policy's crossover
+decisions. The native closed walk has its own differential suite,
+``test_closed_native.py``.
 """
 
 from __future__ import annotations
@@ -74,10 +76,7 @@ class TestSupersetMask:
         matrix = _arena(rows, n_records)
         query_words = _arena([query], n_records)[0]
         oracle = [query & ~row == 0 for row in rows]
-        native, fallback = _both_paths(
-            lambda: superset_mask(matrix, query_words))
-        assert native.tolist() == oracle
-        assert fallback.tolist() == oracle
+        assert superset_mask(matrix, query_words).tolist() == oracle
 
     def test_empty_and_single_record(self):
         empty = _arena([], 77)
@@ -176,10 +175,7 @@ class TestVerticalViewKernels:
         query = view.tidsets[1] & view.tidsets[7]
         expected = [p for p, t in enumerate(view.tidsets)
                     if query.is_subset(t)]
-        native, fallback = _both_paths(
-            lambda: view.superset_positions(query))
-        assert native.tolist() == expected
-        assert fallback.tolist() == expected
+        assert view.superset_positions(query).tolist() == expected
 
     def test_single_record_dataset(self):
         view = self._view(1, 4, seed=2, density=1.0)
