@@ -87,8 +87,8 @@ def _time_per_permutation(dataset, patterns, min_sup, arm,
 def run_ablation():
     # Warm the lazy native kernel so its one-time compile never lands
     # inside a timed region (it would be charged to the packed arm).
-    from repro._native import load_kernel
-    load_kernel()
+    from repro._native import load_suite
+    load_suite()
     scale = current_scale()
     rows = []
     for name, dataset, min_sup in _datasets():

@@ -1,10 +1,13 @@
 """Per-shape timings for every kernel in the native suite.
 
-:mod:`repro._native` compiles three kernels — batched class supports,
-the closed-pattern walk and the andnot diffset recurrence. This bench
-times the **closed-pattern walk** (``mine_closed`` with the native
-walk against the Python walk that runs without the suite) on the Fig 6
-exploratory half, and, per dataset shape:
+:mod:`repro._native` compiles four kernels — batched class supports,
+the closed-pattern walk, the andnot diffset recurrence and the
+permutation statistics. This bench times the **closed-pattern walk**
+(``mine_closed`` with the native walk against the Python walk that
+runs without the suite) on the Fig 6 exploratory half, the
+**permutation pass** (``PermutationEngine.run`` with the native
+statistics against the numpy reductions that run without the suite)
+on German, and, per dataset shape:
 
 * the **enumeration join** (``VerticalView.candidate_supports``, the
   Python closed walk's child-support pass) against the per-candidate Python
@@ -26,7 +29,7 @@ Every timed pair is asserted equal before any number counts. Results
 land in the repo-root ``BENCH_kernels.json`` (``REPRO_BENCH_JSON``
 overrides) in the shared envelope; the gated ratios are the enumeration
 join on the 10k-record x 1k-item reference shape, the p-value table
-build and the closed-pattern walk.
+build, the closed-pattern walk and the permutation pass.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ import numpy as np
 from _scale import banner, bench_envelope, current_scale, write_bench
 from repro import _native
 from repro.bitmat import andnot_counts
-from repro.data import GeneratorConfig, generate, make_mushroom
+from repro.corrections import PermutationEngine
+from repro.data import GeneratorConfig, generate, make_german, make_mushroom
 from repro.mining import PatternForest, mine_closed
 from repro.mining.patterns import Pattern
 from repro.mining.rules import mine_class_rules
@@ -70,6 +74,10 @@ FIG6_CONFIG = GeneratorConfig(n_records=2000, n_attributes=40, n_rules=0)
 FIG6_SEED = 606
 FIG6_HALF = 1000
 FIG6_MIN_SUP = 30
+#: The permutation-pass gate: German at this min_sup, this many
+#: labellings.
+PERMUTATION_MIN_SUP = 40
+PERMUTATION_COUNT = 200
 
 _EXTRA_SHAPES = {
     "smoke": (),
@@ -254,6 +262,38 @@ def _closed_walk(repeats):
     return block
 
 
+def _permutation_pass(repeats):
+    """``PermutationEngine.run`` with the native statistics kernel vs
+    the numpy reductions (the suite unloaded) on German at min_sup
+    40; both must produce the same statistics."""
+    ruleset = mine_class_rules(make_german(seed=0), PERMUTATION_MIN_SUP)
+
+    def run():
+        engine = PermutationEngine(ruleset, seed=0,
+                                   n_permutations=PERMUTATION_COUNT)
+        engine.run()
+        return (engine.min_p_distribution(), engine.empirical_p_values(),
+                engine.stepdown_adjusted_p_values())
+
+    if _native.load_suite() is None:
+        raise RuntimeError(f"native kernel suite unavailable "
+                           f"({_native.native_status()})")
+    kernel_s, kernel_out = _timed(run, repeats)
+    suite = _native._kernel
+    _native._kernel = None
+    try:
+        python_s, python_out = _timed(run, repeats)
+    finally:
+        _native._kernel = suite
+    assert np.array_equal(kernel_out[0], python_out[0])
+    assert kernel_out[1:] == python_out[1:]
+    block = _ratio_block(python_s, kernel_s)
+    block.update(min_sup=PERMUTATION_MIN_SUP,
+                 n_permutations=PERMUTATION_COUNT,
+                 n_rules=len(ruleset.rules))
+    return block
+
+
 def test_kernel_suite():
     scale = current_scale()
     repeats = 1 if scale.name == "smoke" else 3
@@ -266,6 +306,7 @@ def test_kernel_suite():
     crossover = _policy_crossover(rng, repeats)
     pvalue_tables = _pvalue_tables(repeats)
     closed_walk = _closed_walk(3)
+    permutation_pass = _permutation_pass(3)
 
     record = bench_envelope(
         "kernel_suite",
@@ -282,6 +323,10 @@ def test_kernel_suite():
                 "value": closed_walk["speedup"],
                 "min": 3.0,
             },
+            "permutation_pass_speedup": {
+                "value": permutation_pass["speedup"],
+                "min": 3.0,
+            },
         },
         metrics={
             "reference_shape": list(REFERENCE_SHAPE),
@@ -289,6 +334,7 @@ def test_kernel_suite():
             "policy_crossover": crossover,
             "pvalue_tables": pvalue_tables,
             "closed_walk": closed_walk,
+            "permutation_pass": permutation_pass,
         },
     )
     out_path = write_bench(record, str(DEFAULT_OUT))
@@ -318,6 +364,12 @@ def test_kernel_suite():
         f"patterns): {closed_walk['python_ms']:.0f} ms -> "
         f"{closed_walk['kernel_ms']:.0f} ms "
         f"({closed_walk['speedup']:.1f}x)")
+    lines.append(
+        f"permutation pass (German, {permutation_pass['n_rules']} "
+        f"rules, {PERMUTATION_COUNT} permutations): "
+        f"{permutation_pass['python_ms']:.0f} ms -> "
+        f"{permutation_pass['kernel_ms']:.0f} ms "
+        f"({permutation_pass['speedup']:.1f}x)")
     print()
     print(banner("native kernel suite vs pure-Python word loops",
                  "\n".join(lines)))
@@ -339,3 +391,8 @@ def test_kernel_suite():
     gate = closed_walk["speedup"]
     assert gate >= 3.0, (
         f"closed walk only {gate:.1f}x over the Python walk")
+    # The Correct-stage gate: the native permutation statistics must
+    # stay well ahead of the numpy reductions they replace.
+    gate = permutation_pass["speedup"]
+    assert gate >= 3.0, (
+        f"permutation pass only {gate:.1f}x over the numpy reductions")

@@ -13,7 +13,15 @@ compiler) a small suite of fused loops and loads them through
 
   behind :meth:`repro.bitmat.BitMatrix.class_supports_batch` (and,
   flattened over classes, :meth:`~repro.bitmat.BitMatrix.
-  class_supports_multi`);
+  class_supports_multi`). The node loop is outer, so each forest row
+  is read once per call while the (L1-sized) batch of labellings
+  sweeps it;
+
+* ``repro_permutation_stats`` — the permutation pass's reductions:
+  one scoring block's node supports in, the Westfall–Young min-p per
+  labelling, the pooled rank histogram and the step-down counts out,
+  in one reverse walk over the rules in observed-rank order (see
+  :mod:`repro.corrections.permutation`);
 
 * ``repro_lcm_mine`` — the whole closed-pattern walk (LCM
   prefix-preserving closure extension) over a vertical view's item
@@ -38,8 +46,8 @@ Each call releases the GIL, so the kernels also scale on the
 (``CC=/bin/false`` is the CI leg for that), a sandboxed filesystem, a
 failed compile, or ``REPRO_NATIVE=0`` all degrade silently to the
 numpy paths and the Python closed walk. Results are bit-identical
-either way — every kernel counts exact integers or compares exact
-words. The kernels keep no state between calls, so concurrent calls
+either way — every kernel counts exact integers, compares exact
+words, or copies and compares table p-values without arithmetic. The kernels keep no state between calls, so concurrent calls
 are safe.
 
 The shared object is cached under ``$REPRO_NATIVE_CACHE`` (default: a
@@ -63,9 +71,10 @@ from typing import Optional
 
 from .testing import faults
 
-__all__ = ["KernelSuite", "load_kernel", "load_suite", "native_status"]
+__all__ = ["KernelSuite", "load_suite", "native_status"]
 
 _SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -89,7 +98,12 @@ static int CTZ64(uint64_t x) {  /* x != 0 */
 }
 #endif
 
-/* out[b][j] = sum_w popcount(words[j][w] & rows[b][w]) */
+/* out[b][j] = sum_w popcount(words[j][w] & rows[b][w])
+
+   Node-outer, labelling-inner: each forest row is read from memory
+   once per call and stays in L1 while all n_batch labelling rows (kept
+   small enough by the caller to stay L1-resident themselves) sweep
+   it. */
 void repro_class_supports_batch(
     const uint64_t *words,   /* (n_rows, n_words), row-major */
     const uint64_t *rows,    /* (n_batch, n_words), row-major */
@@ -98,17 +112,83 @@ void repro_class_supports_batch(
     int64_t n_words,
     int64_t n_batch)
 {
-    for (int64_t b = 0; b < n_batch; ++b) {
-        const uint64_t *row = rows + b * n_words;
-        int64_t *dst = out + b * n_rows;
-        for (int64_t j = 0; j < n_rows; ++j) {
-            const uint64_t *node = words + j * n_words;
+    for (int64_t j = 0; j < n_rows; ++j) {
+        const uint64_t *node = words + j * n_words;
+        for (int64_t b = 0; b < n_batch; ++b) {
+            const uint64_t *row = rows + b * n_words;
             int64_t acc = 0;
             for (int64_t w = 0; w < n_words; ++w)
                 acc += POPCOUNT64(node[w] & row[w]);
-            dst[j] = acc;
+            out[b * n_rows + j] = acc;
         }
     }
+}
+
+/* ---- permutation statistics -------------------------------------------
+
+   The three Westfall-Young statistics of one scoring block, from the
+   block's node supports. Rules arrive in observed-rank order; rank[k]
+   is #{observed p-values < flat[k]}, so for the ascending observed
+   values obs, p <= obs[i] iff rank(p) <= i. Per labelling one reverse
+   pass over the rules then yields
+     min-p      the minimum of flat[offset + support];
+     pooled     hist[rank] += 1 per (rule, labelling); the caller's
+                cumulative sum of hist counts the p-values <= obs[i];
+     step-down  stepdown[i] += 1 when the running minimum rank over
+                ranks i..n_rules-1 is <= i, i.e. when the suffix
+                minimum p-value is <= obs[i].
+   The labellings advance together, rule by rule: a rule's n_batch
+   lookups land in one table, so they share cache lines.
+   Returns 0, -1 when a support falls outside its rule's table, or -2
+   when scratch memory cannot be allocated. */
+int64_t repro_permutation_stats(
+    const int64_t *supports, /* (n_slots, n_batch, n_nodes) */
+    const int64_t *coverage, /* (n_nodes,) node supports */
+    const int64_t *rule_node,    /* (n_rules,) rank order */
+    const int64_t *rule_slot,    /* (n_rules,) -1: coverage - slot 0 */
+    const int64_t *rule_offset,  /* (n_rules,) table start - low */
+    const double *flat,      /* (n_flat,) p-value tables */
+    const int32_t *rank,     /* (n_flat,) */
+    int64_t n_flat,
+    int64_t n_rules,
+    int64_t n_nodes,
+    int64_t n_batch,
+    double *min_p,           /* (n_batch,) */
+    int64_t *hist,           /* (n_rules + 1,), accumulated */
+    int64_t *stepdown)       /* (n_rules,), accumulated */
+{
+    int64_t *running = malloc((size_t)(n_batch ? n_batch : 1) * 8);
+    if (!running) return -2;
+    for (int64_t b = 0; b < n_batch; ++b) {
+        min_p[b] = HUGE_VAL;
+        running[b] = n_rules;
+    }
+    for (int64_t i = n_rules - 1; i >= 0; --i) {
+        const int64_t slot = rule_slot[i];
+        const int64_t node = rule_node[i];
+        const int64_t *column =
+            supports + (slot < 0 ? 0 : slot * n_batch * n_nodes) + node;
+        int64_t below = 0;
+        for (int64_t b = 0; b < n_batch; ++b) {
+            int64_t support = column[b * n_nodes];
+            int64_t k, r;
+            if (slot < 0) support = coverage[node] - support;
+            k = rule_offset[i] + support;
+            if (k < 0 || k >= n_flat) { free(running); return -1; }
+            r = rank[k];
+            ++hist[r];
+            if (r <= running[b]) {
+                /* A smaller rank means a smaller p-value, so only a
+                   lookup at the running minimum rank can lower min-p. */
+                if (flat[k] < min_p[b]) min_p[b] = flat[k];
+                running[b] = r;
+            }
+            below += running[b] <= i;
+        }
+        stepdown[i] += below;
+    }
+    free(running);
+    return 0;
 }
 
 /* out[j] = sum_w popcount(a[j][w] & ~b[j][w]) — the diffset size of
@@ -359,6 +439,7 @@ _CC_ENV = "CC"
 _UINT64_P = ctypes.POINTER(ctypes.c_uint64)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
 _INT32_P = ctypes.POINTER(ctypes.c_int32)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
 #: (symbol, restype, argtypes) for every kernel the suite must export;
 #: a library missing any of them is rejected as a whole.
@@ -375,6 +456,11 @@ _KERNEL_SIGNATURES = (
     ("repro_andnot_counts", None,
      [_UINT64_P, _UINT64_P, _INT64_P,
       ctypes.c_int64, ctypes.c_int64]),
+    ("repro_permutation_stats", ctypes.c_int64,
+     [_INT64_P, _INT64_P, _INT64_P, _INT64_P, _INT64_P,
+      _DOUBLE_P, _INT32_P, ctypes.c_int64,
+      ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+      _DOUBLE_P, _INT64_P, _INT64_P]),
 )
 
 
@@ -382,13 +468,14 @@ class KernelSuite:
     """The loaded native kernels, one attribute per C entry point.
 
     Attributes are ctypes functions with argtypes/restype set:
-    ``class_supports_batch``, ``lcm_mine``, ``andnot_counts``. The
+    ``class_supports_batch``, ``lcm_mine``, ``andnot_counts``,
+    ``permutation_stats``. The
     whole suite loads from one shared object — either every kernel is
     native or none is, so callers never mix generations.
     """
 
     __slots__ = ("class_supports_batch", "lcm_mine", "andnot_counts",
-                 "_handle")
+                 "permutation_stats", "_handle")
 
     def __init__(self, handle: ctypes.CDLL) -> None:
         self._handle = handle
@@ -569,17 +656,6 @@ def load_suite() -> Optional[KernelSuite]:
         return suite
     _kernel, _status = None, "compile failed (numpy fallback)"
     return None
-
-
-def load_kernel():
-    """The batched class-support kernel alone (compatibility entry).
-
-    Historical name from the single-kernel era; equivalent to
-    ``load_suite().class_supports_batch`` with the same ``None``
-    fallback contract.
-    """
-    suite = load_suite()
-    return None if suite is None else suite.class_supports_batch
 
 
 def native_status() -> str:

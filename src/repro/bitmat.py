@@ -257,8 +257,9 @@ class BitMatrix:
 
         Row ``b`` equals ``class_supports(indicators[b])``. The heavy
         lifting goes through the fused C kernel when the host can
-        compile it (:mod:`repro._native`; one pass over the packed
-        forest per labelling, no intermediates); otherwise the numpy
+        compile it (:mod:`repro._native`; node-outer, so the packed
+        forest streams past all ``B`` labellings once, no
+        intermediates); otherwise the numpy
         path processes the batch in blocks whose
         ``block × n_rows × n_words`` broadcast intermediates stay
         within ``block_bytes``. Both paths count exact integers and
@@ -363,9 +364,9 @@ class BitMatrix:
         """Intermediate bytes one batch labelling costs the numpy
         kernel: ``n_rows × n_words`` uint64 for the AND plus the same
         shape again in uint8 popcounts (9 bytes per word-cell). The
-        single source of truth for every block-sizing computation
-        (the fused C path allocates none of this, so sizing against
-        it is conservative there)."""
+        single source of truth for the numpy path's block sizing; the
+        fused C path allocates none of this, so callers that dispatch
+        to it must not charge it."""
         return max(1, self.n_rows * self.n_words * 9)
 
     def batch_block_rows(self, block_bytes: int = DEFAULT_BLOCK_BYTES,

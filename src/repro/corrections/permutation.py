@@ -18,14 +18,24 @@ Engineering, following the paper:
   which goes beyond the paper's storage optimisation and vectorizes
   the *counting* itself: a shard's labellings are drawn up front into
   a ``(B, n_records)`` label matrix, class supports for all B
-  labellings resolve through one batched hardware-popcount kernel per
-  class, and all ``B × n_rules`` p-values come back from the
-  vectorized lookup with a single 2-D fancy index. Min-p, pooled rank
-  counts and step-down suffix minima are then axis-wise numpy
-  reductions. Batches are processed in memory-bounded blocks, and
-  every quantity is an exact integer count or an identical table
+  labellings resolve through one batched hardware-popcount kernel
+  dispatch for all classes. With the native suite loaded
+  (:mod:`repro._native`), one ``repro_permutation_stats`` call per
+  block then folds the block's node supports into the min-p
+  distribution, the pooled rank counts and the step-down counts: the
+  rules are walked in observed-rank order against a per-pass table of
+  each p-value's rank among the observed ones, so pooling becomes a
+  rank histogram and the step-down suffix minima a running minimum
+  of ranks (see :class:`_NativeStats`). Without it, all
+  ``B × n_rules`` p-values come back from the vectorized lookup with
+  a single 2-D fancy index and the three statistics are axis-wise
+  numpy reductions — the fallback and the test oracle. Batches are
+  processed in memory-bounded blocks sized for the path that runs,
+  and every quantity is an exact integer count or an identical table
   lookup, so results are bit-identical to per-permutation scoring
-  under any policy, backend, and worker count.
+  under any policy, backend, worker count, and with or without the
+  native suite. One DEBUG record per pass on the
+  ``repro.corrections`` logger names the path and its block sizing.
 * **P-value buffering** (4.2.3): every rule's p-value on every
   permutation is a table lookup in the
   :class:`~repro.stats.pvalue_buffer.PValueBuffer` of its coverage.
@@ -69,12 +79,15 @@ See ``docs/parallel.md``.
 
 from __future__ import annotations
 
+import ctypes
+import logging
 import math
 import random
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import _native
 from ..bitmat import DEFAULT_BLOCK_BYTES
 from ..errors import CorrectionError
 from ..mining.diffsets import (
@@ -98,6 +111,14 @@ __all__ = ["PermutationEngine", "permutation_fwer",
            "permutation_fwer_stepdown", "permutation_fdr"]
 
 _PVALUE_MODES = ("vectorized", "cache", "direct")
+
+_LOG = logging.getLogger("repro.corrections")
+
+#: Most labellings per native scoring block. The supports kernel keeps
+#: a block's packed labellings in L1 while each forest row streams past
+#: them once; throughput is flat from 8 to 32 rows on German and wide
+#: Mushroom, and 16 keeps a 127-word (8128-record) block at 16 KiB.
+NATIVE_BATCH_ROWS = 16
 
 
 class PermutationEngine:
@@ -143,17 +164,21 @@ class PermutationEngine:
     batch_bytes:
         Memory budget for one scoring block's intermediates under the
         default ``"vectorized"`` mode: the shard's labellings are
-        scored in blocks of ``B`` permutations sized so the
+        scored in blocks of ``B`` permutations sized so what the
+        dispatched path allocates stays within this budget — the
+        block's node supports and the pass's rank table natively
+        (at most :data:`NATIVE_BATCH_ROWS` labellings), or the
         ``B × n_rules`` p-value matrices and the packed kernel's
-        broadcast stay within this budget. The budget is *per
-        worker* — concurrent shards under ``threads`` each size
-        their own blocks, so peak memory scales with ``n_jobs``.
-        Block sizing never changes results, only peak memory.
+        broadcast under numpy. The budget is *per worker* —
+        concurrent shards under ``threads`` each size their own
+        blocks, so peak memory scales with ``n_jobs``. Block sizing
+        never changes results, only peak memory.
     word_block:
         Record-range sharding of the packed scoring kernel, in uint64
         words (64 records per word). ``None`` (default) resolves
-        automatically: whole-matrix scoring unless a single
-        permutation's kernel broadcast alone would blow
+        automatically: whole-matrix scoring when the native suite is
+        loaded (its kernel allocates no broadcast) or unless a single
+        permutation's numpy broadcast alone would blow
         ``batch_bytes``, in which case the matrix is scored in
         word-column shards sized to the budget and the exact int64
         partial supports are summed at the shard boundary — the
@@ -210,6 +235,26 @@ class PermutationEngine:
         self._observed_p = np.array([r.p_value for r in rules])
         self._class_supports = [dataset.class_support(c)
                                 for c in range(dataset.n_classes)]
+        # Support slots of the node-support blocks: binary datasets
+        # count class 0 only and derive class 1 as coverage minus it
+        # (slot -1); multiclass datasets count every class that
+        # appears on a rule RHS.
+        self._binary = dataset.n_classes == 2
+        if self._binary:
+            self._slot_classes: Tuple[int, ...] = (0,)
+            self._rule_slots = np.where(self._classes == 0, 0, -1)
+        else:
+            self._slot_classes = tuple(sorted(set(
+                int(c) for c in self._classes)))
+            self._rule_slots = np.searchsorted(
+                np.array(self._slot_classes, dtype=np.int64),
+                self._classes)
+        self._n_slots = max(1, len(self._slot_classes))
+        # The native statistics kernel serves the vectorized mode under
+        # every forest policy; sizing below charges the path chosen here.
+        self._native = (pvalue_mode == "vectorized"
+                        and _native.load_suite() is not None)
+        self._native_stats: Optional[_NativeStats] = None
         if word_block is not None and word_block < 0:
             raise CorrectionError("word_block must be >= 0")
         self.word_block = (self._auto_word_block()
@@ -256,6 +301,12 @@ class PermutationEngine:
         # mode reads frozen arrays only.
         thread_unsafe = (self._executor.backend == "threads"
                          and self.pvalue_mode != "vectorized")
+        if self._native and len(order):
+            # Built before the fan-out so process workers receive it
+            # with the engine.
+            self._native_stats = _NativeStats(self, order,
+                                              observed_sorted)
+        self._log_dispatch()
         if (len(slices) <= 1 or self._executor.backend == "serial"
                 or thread_unsafe):
             parts = [self._score_shard(children, order, observed_sorted)]
@@ -271,12 +322,25 @@ class PermutationEngine:
             parts = self._executor.map_shards(
                 _score_shard_worker, shards,
                 context=(self, order, observed_sorted))
+        self._native_stats = None  # the rank table is per pass
         self._min_p = np.sort(np.concatenate([p[0] for p in parts]))
         self._pooled_counts = sum(p[1] for p in parts)
         self._stepdown_counts = sum(p[2] for p in parts)
         self._order = order
         self._observed_sorted = observed_sorted
         self._ran = True
+
+    def _log_dispatch(self) -> None:
+        """One DEBUG record per pass: the scoring path and its sizing."""
+        sizing = (self._batch_rows(), self.word_block,
+                  self._forest.n_nodes, len(self._node_ids))
+        if self._native:
+            _LOG.debug("permutation pass: native, B=%d, word_block=%d, "
+                       "%d nodes, %d rules", *sizing)
+        else:
+            _LOG.debug("permutation pass: numpy (native kernels %s), "
+                       "B=%d, word_block=%d, %d nodes, %d rules",
+                       _native.native_status(), *sizing)
 
     def _score_shard(self, seeds, order: np.ndarray,
                      observed_sorted: np.ndarray,
@@ -304,10 +368,14 @@ class PermutationEngine:
                                         np.ndarray]:
         """Batched scoring: all of a block's labellings in one shot.
 
-        The block's labellings form a ``(B, n_records)`` matrix; one
-        batched class-support kernel call per needed class yields the
-        ``(B, n_rules)`` support matrix, one 2-D fancy index resolves
-        all p-values, and the three statistics reduce axis-wise:
+        The block's labellings form a ``(B, n_records)`` matrix and one
+        batched class-support kernel call (all needed classes in one
+        dispatch) yields the block's ``(C, B, n_nodes)`` node supports.
+        With the native suite loaded, one ``repro_permutation_stats``
+        call turns them into the three statistics (see
+        :class:`_NativeStats`). Otherwise the ``(B, n_rules)`` support
+        matrix resolves all p-values with one 2-D fancy index and the
+        statistics reduce axis-wise — the fallback and the test oracle:
 
         * per-permutation minimum — a row min;
         * pooled rank counts — ``searchsorted`` of the observed
@@ -322,6 +390,9 @@ class PermutationEngine:
         min_p = np.empty(n_shard)
         pooled = np.zeros(n_rules, dtype=np.int64)
         stepdown = np.zeros(n_rules, dtype=np.int64)
+        suite = _native.load_suite() if self._native else None
+        stats = self._native_stats if suite is not None else None
+        hist = np.zeros(n_rules + 1, dtype=np.int64)
         block = self._batch_rows()
         for start in range(0, n_shard, block):
             batch = seeds[start:start + block]
@@ -332,6 +403,11 @@ class PermutationEngine:
                 labels[j] = generator.permutation(self._labels)
             if n_rules == 0:
                 min_p[start:start + len(batch)] = 1.0
+                continue
+            if stats is not None:
+                stats.accumulate(suite, self._node_supports_batch(labels),
+                                 min_p[start:start + len(batch)],
+                                 hist, stepdown)
                 continue
             supports = self._rule_supports_batch(labels)
             assert self._lookup is not None
@@ -347,6 +423,8 @@ class PermutationEngine:
                 ranked[:, ::-1], axis=1)[:, ::-1]
             stepdown += (suffix_min <= observed_sorted[None, :]).sum(
                 axis=0, dtype=np.int64)
+        if stats is not None:
+            pooled = np.cumsum(hist)[:n_rules]
         return min_p, pooled, stepdown
 
     def _score_shard_sequential(self, seeds, order: np.ndarray,
@@ -374,26 +452,43 @@ class PermutationEngine:
         return min_p, pooled, stepdown
 
     def _batch_rows(self) -> int:
-        """Permutations per scoring block under ``batch_bytes``.
+        """Permutations per scoring block — the B that actually runs.
 
-        One batch row (one permutation) costs one label row, one or
-        more ``n_nodes`` class-support rows, several ``n_rules``-wide
-        float intermediates (supports, p-values, the pooled sort, the
-        ranked copy and its suffix minima), and — under the packed
-        policy — the kernel's ``n_nodes × n_words`` broadcast cells at
-        9 bytes each (uint64 AND + uint8 popcount).
+        Sized by what the dispatched path allocates per labelling,
+        within ``batch_bytes`` and never above ``n_permutations``;
+        the ``"cache"``/``"direct"`` modes score one at a time.
+
+        * Native: one label row, and per support slot a bool indicator
+          row, its packed words and ``n_nodes`` int64 supports, after
+          the pass's int32 rank table (one entry per p-value table
+          entry) — and at most :data:`NATIVE_BATCH_ROWS`, so the
+          block's packed labellings stay L1-resident while the forest
+          streams past them.
+        * NumPy: one label row, one ``n_nodes`` support row per class
+          array, several ``n_rules``-wide float intermediates
+          (supports, p-values, the pooled sort, the ranked copy and
+          its suffix minima), and — under the packed policy — the
+          kernel's ``n_nodes × n_words`` broadcast cells at 9 bytes
+          each (uint64 AND + uint8 popcount).
         """
+        if self.pvalue_mode != "vectorized":
+            return 1
         n_rules = len(self._node_ids)
         n_nodes = self._forest.n_nodes
+        per_row = 8 * self.n
+        if self._native:
+            n_words = (self.n + 63) // 64
+            per_row += self._n_slots * (self.n + 16 * n_words
+                                        + 8 * n_nodes)
+            # The pass's int32 rank table comes out of the same budget.
+            assert self._lookup is not None
+            spare = self.batch_bytes - 4 * len(self._lookup._flat)
+            rows = min(NATIVE_BATCH_ROWS, spare // per_row)
+            return max(1, min(rows, self.n_permutations))
         # Binary datasets hold two class-support arrays (one computed,
         # one derived); multiclass runs hold one per class that
         # actually appears on a rule RHS, all alive at once.
-        if self.ruleset.dataset.n_classes == 2:
-            class_arrays = 2
-        else:
-            class_arrays = max(1, len(set(int(c)
-                                          for c in self._classes)))
-        per_row = 8 * self.n
+        class_arrays = 2 if self._binary else self._n_slots
         per_row += class_arrays * 8 * n_nodes
         per_row += 6 * 8 * n_rules
         matrix = self._forest.matrix
@@ -405,21 +500,24 @@ class PermutationEngine:
                 per_row += max(1, matrix.n_rows * self.word_block * 9)
             else:
                 per_row += matrix.batch_row_bytes
-        return max(1, self.batch_bytes // max(per_row, 1))
+        rows = self.batch_bytes // per_row
+        return max(1, min(rows, self.n_permutations))
 
     def _auto_word_block(self) -> int:
         """Resolve ``word_block=None``: shard only when forced.
 
-        Whole-matrix scoring (``0``) unless one permutation's packed
-        broadcast (``n_nodes × n_words × 9`` bytes) alone exceeds
-        ``batch_bytes`` — then no block size fits the budget and the
-        kernel must shard by record range. The shard width is sized so
-        a single shard's broadcast consumes at most half the budget,
-        leaving the other half for the block's labellings and p-value
-        intermediates.
+        Whole-matrix scoring (``0``) unless the numpy fallback runs and
+        one permutation's packed broadcast (``n_nodes × n_words × 9``
+        bytes) alone exceeds ``batch_bytes`` — then no block size fits
+        the budget and the kernel must shard by record range. The
+        shard width is sized so a single shard's broadcast consumes at
+        most half the budget, leaving the other half for the block's
+        labellings and p-value intermediates. The native kernels
+        allocate no broadcast, so they always score the whole matrix.
         """
         matrix = self._forest.matrix
-        if matrix is None or not matrix.n_rows or not matrix.n_words:
+        if self._native or matrix is None or not matrix.n_rows \
+                or not matrix.n_words:
             return 0
         if matrix.batch_row_bytes <= self.batch_bytes:
             return 0
@@ -474,37 +572,42 @@ class PermutationEngine:
             out[mask] = per_node[self._node_ids[mask]]
         return out
 
-    def _rule_supports_batch(self, labels: np.ndarray) -> np.ndarray:
-        """``supp(R)`` of every rule under every given labelling.
+    def _node_supports_batch(self, labels: np.ndarray) -> np.ndarray:
+        """``(C, B, n_nodes)`` node class supports of a block.
 
         ``labels`` is a ``(B, n_records)`` matrix of shuffled class
-        labels; the result is the ``(B, n_rules)`` integer support
-        matrix. Binary datasets need one batched forest kernel call
+        labels; slot ``c`` of the result holds the supports of class
+        ``self._slot_classes[c]``. Binary datasets need one slot
         (class-1 supports derive from coverage); multi-class datasets
         stack the indicators of every class that appears on a rule RHS
         into one multi-class kernel dispatch
         (:meth:`~repro.mining.diffsets.PatternForest.
         class_supports_multi`).
         """
-        n_classes = self.ruleset.dataset.n_classes
-        node_supports: Dict[int, np.ndarray] = {}
-        if n_classes == 2:
-            supp0 = self._forest.class_supports_batch(
-                labels == 0, word_block=self.word_block)
-            node_supports[0] = supp0
-            node_supports[1] = self._forest.supports[None, :] - supp0
-        else:
-            needed = sorted(set(int(c) for c in self._classes))
-            stacked = np.stack([labels == c for c in needed])
-            per_class = self._forest.class_supports_multi(
-                stacked, word_block=self.word_block)
-            for i, c in enumerate(needed):
-                node_supports[c] = per_class[i]
+        if self._binary:
+            return self._forest.class_supports_batch(
+                labels == 0, word_block=self.word_block)[None]
+        stacked = np.stack([labels == c for c in self._slot_classes])
+        return self._forest.class_supports_multi(
+            stacked, word_block=self.word_block)
+
+    def _rule_supports_batch(self, labels: np.ndarray) -> np.ndarray:
+        """``supp(R)`` of every rule under every given labelling.
+
+        The ``(B, n_rules)`` integer support matrix gathered from
+        :meth:`_node_supports_batch` (the numpy scoring path).
+        """
+        per_slot = self._node_supports_batch(labels)
         out = np.empty((labels.shape[0], len(self._node_ids)),
                        dtype=np.int64)
-        for c, per_node in node_supports.items():
-            mask = self._classes == c
-            out[:, mask] = per_node[:, self._node_ids[mask]]
+        for slot in range(per_slot.shape[0]):
+            mask = self._rule_slots == slot
+            out[:, mask] = per_slot[slot][:, self._node_ids[mask]]
+        derived = self._rule_slots < 0
+        if derived.any():
+            nodes = self._node_ids[derived]
+            out[:, derived] = (self._forest.supports[None, nodes]
+                               - per_slot[0][:, nodes])
         return out
 
     # ------------------------------------------------------------------
@@ -672,6 +775,74 @@ class _VectorizedLookup:
         :meth:`p_values` returns for row ``b``.
         """
         return self._flat[self._offsets[None, :] + supports]
+
+
+class _NativeStats:
+    """Inputs of the ``repro_permutation_stats`` kernel for one pass.
+
+    The rules' node, support slot and flat-table offset in
+    observed-rank order, and ``rank = searchsorted(observed_sorted,
+    flat, side="left")`` — ``#{observed < p}`` for every table entry,
+    built once per pass. Because the observed p-values ascend,
+    ``p <= observed_sorted[i]`` iff ``rank(p) <= i``: the pooled counts
+    become a rank histogram and the step-down suffix minima a running
+    minimum of ranks, both exact integer counts.
+    """
+
+    def __init__(self, engine: PermutationEngine, order: np.ndarray,
+                 observed_sorted: np.ndarray) -> None:
+        lookup = engine._lookup
+        assert lookup is not None
+        self.rule_node = np.ascontiguousarray(engine._node_ids[order])
+        self.rule_slot = np.ascontiguousarray(
+            engine._rule_slots[order], dtype=np.int64)
+        self.rule_offset = np.ascontiguousarray(lookup._offsets[order])
+        self.flat = np.ascontiguousarray(lookup._flat, dtype=np.float64)
+        # Ranks are at most n_rules, so int32 holds them; the table is
+        # as long as the p-value tables, so it is filled in chunks
+        # rather than through one intp temporary twice its size.
+        self.rank = np.empty(len(self.flat), dtype=np.int32)
+        for start in range(0, len(self.flat), _RANK_CHUNK):
+            stop = start + _RANK_CHUNK
+            self.rank[start:stop] = np.searchsorted(
+                observed_sorted, self.flat[start:stop], side="left")
+        self.coverage = np.ascontiguousarray(engine._forest.supports,
+                                             dtype=np.int64)
+
+    def accumulate(self, suite: _native.KernelSuite,
+                   supports: np.ndarray, min_p: np.ndarray,
+                   hist: np.ndarray, stepdown: np.ndarray) -> None:
+        """Fold one block's ``(C, B, n_nodes)`` node supports into the
+        shard's statistics: writes ``min_p`` (``(B,)``), adds to
+        ``hist`` (``(n_rules + 1,)``) and ``stepdown``."""
+        supports = np.ascontiguousarray(supports, dtype=np.int64)
+        if supports.ndim != 3 or supports.shape[2] != len(self.coverage) \
+                or min_p.shape != (supports.shape[1],) \
+                or not min_p.flags.c_contiguous:
+            raise ValueError("block shapes do not match the forest")
+        status = suite.permutation_stats(
+            _ptr(supports, _INT64), _ptr(self.coverage, _INT64),
+            _ptr(self.rule_node, _INT64), _ptr(self.rule_slot, _INT64),
+            _ptr(self.rule_offset, _INT64), _ptr(self.flat, _DOUBLE),
+            _ptr(self.rank, _INT32), len(self.flat), len(self.rule_node),
+            supports.shape[2], supports.shape[1], _ptr(min_p, _DOUBLE),
+            _ptr(hist, _INT64), _ptr(stepdown, _INT64))
+        if status == -2:
+            raise MemoryError("permutation statistics scratch")
+        if status:
+            raise CorrectionError(
+                "a permutation support fell outside its p-value table")
+
+
+#: Table entries ranked per ``searchsorted`` call.
+_RANK_CHUNK = 1 << 16
+_INT32 = ctypes.POINTER(ctypes.c_int32)
+_INT64 = ctypes.POINTER(ctypes.c_int64)
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+
+
+def _ptr(array: np.ndarray, kind):
+    return array.ctypes.data_as(kind)
 
 
 def _score_shard_worker(context, seeds):

@@ -162,14 +162,14 @@ class TestNativeKernel:
         assert (single_native == single_numpy).all()
 
     def test_suite_exports(self):
-        """One shared object, three entry points; the closure check
+        """One shared object, four entry points; the closure check
         lives inside the closed walk, not in a kernel of its own."""
         from repro import _native
 
         assert [symbol for symbol, _restype, _args
                 in _native._KERNEL_SIGNATURES] == [
             "repro_class_supports_batch", "repro_lcm_mine",
-            "repro_andnot_counts"]
+            "repro_andnot_counts", "repro_permutation_stats"]
         assert "repro_subset_mask" not in _native._SOURCE
         suite = _native.load_suite()
         if suite is not None:
@@ -181,7 +181,7 @@ class TestNativeKernel:
 
         monkeypatch.setenv("REPRO_NATIVE", "0")
         monkeypatch.setattr(_native, "_kernel", "unset")
-        assert _native.load_kernel() is None
+        assert _native.load_suite() is None
         assert "disabled" in _native.native_status()
         matrix = BitMatrix.from_tidsets([0b1011], 4)
         assert matrix.class_supports(
