@@ -7,9 +7,8 @@ spawn tree. Two constructs break that contract at the source level:
 * **no-stdlib-rng** — drawing from :mod:`random`. The stdlib
   Fisher–Yates stream cannot be spawned per work unit, so any
   ``random.Random`` in a fan-out path couples results to the schedule.
-  ``import random`` alone stays legal: the deprecation shims
-  (``Dataset.permuted``, ``sequence_from_legacy_rng``) need the name
-  for ``isinstance`` checks — only *draws* are flagged.
+  ``import random`` alone stays legal (type annotations and
+  ``isinstance`` checks need the name) — only *draws* are flagged.
 * **no-global-numpy-rng** — calling ``np.random.seed`` / module-level
   draw functions. Process-wide RNG state is invisible shared state;
   pass a ``Generator`` (``np.random.default_rng(seed)``) instead.
@@ -117,17 +116,15 @@ NO_STDLIB_RNG = register_rule(Rule(
     check_fn=_check_stdlib_rng,
     aliases=("stdlib-rng", "no-random-random"),
     description="ban stdlib random draws (random.Random, "
-                "random.shuffle, ...) outside deprecation shims",
+                "random.shuffle, ...) outside tests, benchmarks and "
+                "examples",
     invariant="bit-identical output at any worker count (PR 2): every "
               "stochastic step draws from a numpy Generator seeded "
               "per work unit via SeedSequence.spawn",
-    exclude=(
-        # The PR-5/PR-2 deprecation shims keep random.Random interop
-        # alive for one release; tests/benchmarks use it as an oracle.
-        "repro/data/dataset.py",
-        "repro/parallel/seeding.py",
-        "tests/*", "benchmarks/*", "examples/*",
-    ),
+    # Tests and benchmarks use the stdlib RNG as an oracle. The
+    # remaining streams in src/ (dataset generators, the random
+    # holdout split, frequency resampling) sit in the baseline.
+    exclude=("tests/*", "benchmarks/*", "examples/*"),
 ))
 
 NO_GLOBAL_NUMPY_RNG = register_rule(Rule(

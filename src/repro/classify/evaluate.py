@@ -14,8 +14,6 @@ confounded by fold noise.
 from __future__ import annotations
 
 import math
-import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -162,28 +160,14 @@ def stratified_folds(class_labels: Sequence[int], k: int,
 
     ``rng`` is a :class:`numpy.random.Generator` (``None`` uses
     ``numpy.random.default_rng(0)``), matching the determinism
-    contract of the parallel subsystem. Passing a
-    :class:`random.Random` is deprecated; the legacy Fisher–Yates
-    shuffle is kept as a warning shim for one release.
+    contract of the parallel subsystem.
     """
     if k < 2:
         raise EvaluationError(f"need at least 2 folds, got {k}")
     if k > len(class_labels):
         raise EvaluationError(
             f"{k} folds for only {len(class_labels)} records")
-    if isinstance(rng, random.Random):
-        warnings.warn(
-            "stratified_folds(random.Random) is deprecated; pass a "
-            "numpy.random.Generator (e.g. numpy.random.default_rng"
-            "(seed)) for the engine-consistent shuffle",
-            DeprecationWarning, stacklevel=2)
-        shuffle = rng.shuffle
-    else:
-        generator = rng if rng is not None else np.random.default_rng(0)
-
-        def shuffle(members: List[int]) -> None:
-            order = generator.permutation(len(members))
-            members[:] = [members[i] for i in order]
+    generator = rng if rng is not None else np.random.default_rng(0)
     by_class: Dict[int, List[int]] = {}
     for r, label in enumerate(class_labels):
         by_class.setdefault(label, []).append(r)
@@ -191,9 +175,8 @@ def stratified_folds(class_labels: Sequence[int], k: int,
     position = 0
     for label in sorted(by_class):
         members = by_class[label]
-        shuffle(members)
-        for r in members:
-            folds[position % k].append(r)
+        for i in generator.permutation(len(members)):
+            folds[position % k].append(members[i])
             position += 1
     return folds
 

@@ -54,7 +54,6 @@ class HoldoutRun:
                  split: str = "structured",
                  boundary: Optional[int] = None,
                  seed: Optional[int] = None,
-                 rng: Optional[random.Random] = None,
                  min_conf: float = 0.0,
                  max_length: Optional[int] = None,
                  scorer: str = "fisher",
@@ -68,15 +67,12 @@ class HoldoutRun:
             raise CorrectionError(
                 "holdout needs min_sup >= 2 (it is halved on the "
                 "exploratory dataset)")
-        if seed is not None and rng is not None:
-            raise CorrectionError("give seed or rng, not both")
         self.dataset = dataset
         self.min_sup = min_sup
         self.alpha = alpha
         self.split = split
-        split_rng = rng or random.Random(seed)
         self.exploratory, self.evaluation = dataset.split_half(
-            rng=split_rng if split == "random" else None,
+            rng=random.Random(seed) if split == "random" else None,
             boundary=boundary)
         # The paper halves min_sup on the exploratory dataset. The
         # hypothesis set comes from the registered miner, so a
@@ -219,7 +215,6 @@ class HoldoutRun:
 def holdout(dataset: Dataset, min_sup: int, alpha: float = 0.05,
             control: str = FWER, split: str = "structured",
             boundary: Optional[int] = None, seed: Optional[int] = None,
-            rng: Optional[random.Random] = None,
             min_conf: float = 0.0,
             max_length: Optional[int] = None,
             scorer: str = "fisher") -> CorrectionResult:
@@ -229,7 +224,7 @@ def holdout(dataset: Dataset, min_sup: int, alpha: float = 0.05,
     evaluation half.
     """
     run = HoldoutRun(dataset, min_sup, alpha=alpha, split=split,
-                     boundary=boundary, seed=seed, rng=rng,
+                     boundary=boundary, seed=seed,
                      min_conf=min_conf, max_length=max_length,
                      scorer=scorer)
     if control == FWER:

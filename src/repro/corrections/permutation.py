@@ -38,13 +38,11 @@ Engineering, following the paper:
   ``repro.corrections`` logger names the path and its block sizing.
 * **P-value buffering** (4.2.3): every rule's p-value on every
   permutation is a table lookup in the
-  :class:`~repro.stats.pvalue_buffer.PValueBuffer` of its coverage.
-  Three lookup modes are exposed so the Figure 4 ablation can measure
-  each tier: ``"vectorized"`` (all buffers concatenated into one numpy
-  array — this library's fastest path), ``"cache"`` (the paper's
-  static+dynamic buffer cache, one Python lookup per rule), and
-  ``"direct"`` (no buffering: every p-value recomputed from scratch;
-  the "no optimization" arm).
+  :class:`~repro.stats.pvalue_buffer.PValueBuffer` of its coverage,
+  with all buffers concatenated into one flat numpy array. The
+  paper's static+dynamic buffer cache and its unbuffered "no
+  optimization" arm are Figure 4 ablation arms, timed per
+  permutation in ``benchmarks/test_fig04_optimizations.py``.
 
 Error control (Section 4.2):
 
@@ -82,7 +80,6 @@ from __future__ import annotations
 import ctypes
 import logging
 import math
-import random
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -99,18 +96,14 @@ from ..mining.rules import RuleSet
 from ..parallel import (
     get_executor,
     root_sequence,
-    sequence_from_legacy_rng,
     shard_slices,
     slice_sequences,
     spawn_sequences,
 )
-from ..stats.fisher import fisher_two_tailed
 from .base import FDR, FWER, CorrectionResult, bh_step_up, validate_alpha
 
 __all__ = ["PermutationEngine", "permutation_fwer",
            "permutation_fwer_stepdown", "permutation_fdr"]
-
-_PVALUE_MODES = ("vectorized", "cache", "direct")
 
 _LOG = logging.getLogger("repro.corrections")
 
@@ -133,23 +126,16 @@ class PermutationEngine:
         The original-data mining result (patterns, rules, caches).
     n_permutations:
         The paper's ``N``; its experiments use 1000.
-    seed / rng:
-        Determinism controls (give at most one). ``seed`` feeds a
-        ``numpy.random.SeedSequence`` whose spawned children drive the
-        label shuffles, one independent child per permutation. ``rng``
-        is a compatibility shim for pre-migration callers holding a
-        ``random.Random``: its next 128 bits become the sequence
-        entropy (deterministic for a seeded rng, but a *different*
-        stream than the legacy in-place shuffles produced).
+    seed:
+        Feeds a ``numpy.random.SeedSequence`` whose spawned children
+        drive the label shuffles, one independent child per
+        permutation.
     n_jobs:
         Worker count for the permutation pass (``-1`` = all cores).
         Results are bit-identical for every value.
     backend:
         ``"serial"``, ``"threads"`` or ``"processes"`` — see
-        :mod:`repro.parallel`. The ``threads`` backend fans out only
-        under the default ``"vectorized"`` p-value mode; the
-        ``"cache"``/``"direct"`` modes score through shared mutable
-        caches and fall back to serial there (use ``processes``).
+        :mod:`repro.parallel`.
     policy:
         Record-id storage policy for the pattern forest; one of
         ``"packed"`` (default — the uint64 bitmap kernel),
@@ -158,17 +144,13 @@ class PermutationEngine:
         :func:`repro.mining.diffsets.resolve_auto_policy`). All
         policies return bit-identical results; see
         ``docs/performance.md``.
-    pvalue_mode:
-        ``"vectorized"``, ``"cache"`` or ``"direct"`` — see module
-        docstring.
     batch_bytes:
-        Memory budget for one scoring block's intermediates under the
-        default ``"vectorized"`` mode: the shard's labellings are
-        scored in blocks of ``B`` permutations sized so what the
-        dispatched path allocates stays within this budget — the
-        block's node supports and the pass's rank table natively
-        (at most :data:`NATIVE_BATCH_ROWS` labellings), or the
-        ``B × n_rules`` p-value matrices and the packed kernel's
+        Memory budget for one scoring block's intermediates: the
+        shard's labellings are scored in blocks of ``B`` permutations
+        sized so what the dispatched path allocates stays within this
+        budget — the block's node supports and the pass's rank table
+        natively (at most :data:`NATIVE_BATCH_ROWS` labellings), or
+        the ``B × n_rules`` p-value matrices and the packed kernel's
         broadcast under numpy. The budget is *per worker* —
         concurrent shards under ``threads`` each size their own
         blocks, so peak memory scales with ``n_jobs``. Block sizing
@@ -190,9 +172,7 @@ class PermutationEngine:
 
     def __init__(self, ruleset: RuleSet, n_permutations: int = 1000,
                  seed: Optional[int] = None,
-                 rng: Optional[random.Random] = None,
                  policy: str = DEFAULT_POLICY,
-                 pvalue_mode: str = "vectorized",
                  n_jobs: int = 1,
                  backend: str = "serial",
                  batch_bytes: int = DEFAULT_BLOCK_BYTES,
@@ -201,20 +181,14 @@ class PermutationEngine:
             raise CorrectionError("n_permutations must be >= 1")
         if policy not in POLICY_CHOICES:
             raise CorrectionError(f"unknown forest policy {policy!r}")
-        if pvalue_mode not in _PVALUE_MODES:
-            raise CorrectionError(f"unknown pvalue_mode {pvalue_mode!r}")
-        if seed is not None and rng is not None:
-            raise CorrectionError("give seed or rng, not both")
         if batch_bytes < 1:
             raise CorrectionError("batch_bytes must be >= 1")
         self.ruleset = ruleset
         self.n_permutations = n_permutations
         self.policy = policy
-        self.pvalue_mode = pvalue_mode
         self.batch_bytes = batch_bytes
         self._executor = get_executor(backend, n_jobs)
-        self._seed_seq = (sequence_from_legacy_rng(rng)
-                          if rng is not None else root_sequence(seed))
+        self._seed_seq = root_sequence(seed)
         self._ran = False
         self._min_p: Optional[np.ndarray] = None
         self._pooled_counts: Optional[np.ndarray] = None
@@ -233,8 +207,6 @@ class PermutationEngine:
         self._coverages = np.array([r.coverage for r in rules],
                                    dtype=np.int64)
         self._observed_p = np.array([r.p_value for r in rules])
-        self._class_supports = [dataset.class_support(c)
-                                for c in range(dataset.n_classes)]
         # Support slots of the node-support blocks: binary datasets
         # count class 0 only and derive class 1 as coverage minus it
         # (slot -1); multiclass datasets count every class that
@@ -250,19 +222,15 @@ class PermutationEngine:
                 np.array(self._slot_classes, dtype=np.int64),
                 self._classes)
         self._n_slots = max(1, len(self._slot_classes))
-        # The native statistics kernel serves the vectorized mode under
-        # every forest policy; sizing below charges the path chosen here.
-        self._native = (pvalue_mode == "vectorized"
-                        and _native.load_suite() is not None)
+        # The native statistics kernel serves every forest policy;
+        # sizing below charges the path chosen here.
+        self._native = _native.load_suite() is not None
         self._native_stats: Optional[_NativeStats] = None
         if word_block is not None and word_block < 0:
             raise CorrectionError("word_block must be >= 0")
         self.word_block = (self._auto_word_block()
                            if word_block is None else word_block)
-        if pvalue_mode == "vectorized":
-            self._lookup = _VectorizedLookup(self)
-        else:
-            self._lookup = None
+        self._lookup = _VectorizedLookup(self)
 
     # ------------------------------------------------------------------
     # the shared permutation pass
@@ -293,22 +261,13 @@ class PermutationEngine:
         observed_sorted = self._observed_p[order]
         children = spawn_sequences(self._seed_seq, n_perm)
         slices = shard_slices(n_perm, self._executor.n_jobs)
-        # The "cache" and "direct" modes score through shared mutable
-        # caches (BufferCache's dynamic tier, log-factorial growth)
-        # that are not thread-safe; under threads they run serially
-        # rather than risk silent p-value corruption. Processes are
-        # fine (each worker owns a copy), and the default vectorized
-        # mode reads frozen arrays only.
-        thread_unsafe = (self._executor.backend == "threads"
-                         and self.pvalue_mode != "vectorized")
         if self._native and len(order):
             # Built before the fan-out so process workers receive it
             # with the engine.
             self._native_stats = _NativeStats(self, order,
                                               observed_sorted)
         self._log_dispatch()
-        if (len(slices) <= 1 or self._executor.backend == "serial"
-                or thread_unsafe):
+        if len(slices) <= 1 or self._executor.backend == "serial":
             parts = [self._score_shard(children, order, observed_sorted)]
         else:
             # The engine (and with it the dataset/forest) is the shared
@@ -350,27 +309,11 @@ class PermutationEngine:
         Each permutation draws a fresh labelling from its own spawned
         generator (``Generator.permutation`` of the *original* labels,
         never a cumulative in-place shuffle), so its stream is
-        independent of every other permutation's placement. The
-        default ``"vectorized"`` p-value mode scores the shard in
-        memory-bounded batches; the ``"cache"``/``"direct"`` modes
-        score one permutation at a time through their Python-level
-        caches. Both paths produce bit-identical statistics.
-        """
-        if self.pvalue_mode == "vectorized":
-            return self._score_shard_batched(seeds, order,
-                                             observed_sorted)
-        return self._score_shard_sequential(seeds, order,
-                                            observed_sorted)
-
-    def _score_shard_batched(self, seeds, order: np.ndarray,
-                             observed_sorted: np.ndarray,
-                             ) -> Tuple[np.ndarray, np.ndarray,
-                                        np.ndarray]:
-        """Batched scoring: all of a block's labellings in one shot.
-
-        The block's labellings form a ``(B, n_records)`` matrix and one
-        batched class-support kernel call (all needed classes in one
-        dispatch) yields the block's ``(C, B, n_nodes)`` node supports.
+        independent of every other permutation's placement. The shard
+        is scored in memory-bounded blocks; a block's labellings form
+        a ``(B, n_records)`` matrix and one batched class-support
+        kernel call (all needed classes in one dispatch) yields the
+        block's ``(C, B, n_nodes)`` node supports.
         With the native suite loaded, one ``repro_permutation_stats``
         call turns them into the three statistics (see
         :class:`_NativeStats`). Otherwise the ``(B, n_rules)`` support
@@ -410,7 +353,6 @@ class PermutationEngine:
                                  hist, stepdown)
                 continue
             supports = self._rule_supports_batch(labels)
-            assert self._lookup is not None
             perm_p = self._lookup.p_values_batch(supports)
             min_p[start:start + len(batch)] = perm_p.min(axis=1)
             pooled += np.searchsorted(np.sort(perm_p, axis=None),
@@ -427,36 +369,11 @@ class PermutationEngine:
             pooled = np.cumsum(hist)[:n_rules]
         return min_p, pooled, stepdown
 
-    def _score_shard_sequential(self, seeds, order: np.ndarray,
-                                observed_sorted: np.ndarray,
-                                ) -> Tuple[np.ndarray, np.ndarray,
-                                           np.ndarray]:
-        """One-permutation-at-a-time scoring (cache/direct modes)."""
-        min_p = np.empty(len(seeds))
-        pooled = np.zeros(len(observed_sorted), dtype=np.int64)
-        stepdown = np.zeros(len(observed_sorted), dtype=np.int64)
-        for j, seq in enumerate(seeds):
-            generator = np.random.default_rng(seq)
-            labels = generator.permutation(self._labels)
-            perm_p = self._score_permutation(labels)
-            min_p[j] = perm_p.min() if len(perm_p) else 1.0
-            pooled += np.searchsorted(np.sort(perm_p), observed_sorted,
-                                      side="right")
-            if len(perm_p):
-                # Suffix minima in observed-rank order: entry i is the
-                # minimum permutation p-value over rules ranked i..m-1,
-                # the step-down minP statistic for rank i.
-                suffix_min = np.minimum.accumulate(
-                    perm_p[order][::-1])[::-1]
-                stepdown += suffix_min <= observed_sorted
-        return min_p, pooled, stepdown
-
     def _batch_rows(self) -> int:
         """Permutations per scoring block — the B that actually runs.
 
         Sized by what the dispatched path allocates per labelling,
-        within ``batch_bytes`` and never above ``n_permutations``;
-        the ``"cache"``/``"direct"`` modes score one at a time.
+        within ``batch_bytes`` and never above ``n_permutations``.
 
         * Native: one label row, and per support slot a bool indicator
           row, its packed words and ``n_nodes`` int64 supports, after
@@ -471,8 +388,6 @@ class PermutationEngine:
           kernel's ``n_nodes × n_words`` broadcast cells at 9 bytes
           each (uint64 AND + uint8 popcount).
         """
-        if self.pvalue_mode != "vectorized":
-            return 1
         n_rules = len(self._node_ids)
         n_nodes = self._forest.n_nodes
         per_row = 8 * self.n
@@ -481,7 +396,6 @@ class PermutationEngine:
             per_row += self._n_slots * (self.n + 16 * n_words
                                         + 8 * n_nodes)
             # The pass's int32 rank table comes out of the same budget.
-            assert self._lookup is not None
             spare = self.batch_bytes - 4 * len(self._lookup._flat)
             rows = min(NATIVE_BATCH_ROWS, spare // per_row)
             return max(1, min(rows, self.n_permutations))
@@ -523,54 +437,6 @@ class PermutationEngine:
             return 0
         return max(1, min(matrix.n_words - 1,
                           self.batch_bytes // (matrix.n_rows * 9 * 2)))
-
-    def _score_permutation(self, labels: np.ndarray) -> np.ndarray:
-        """P-values of every rule under one shuffled labelling."""
-        supports = self._rule_supports(labels)
-        if self.pvalue_mode == "vectorized":
-            assert self._lookup is not None
-            return self._lookup.p_values(supports)
-        if self.pvalue_mode == "cache":
-            caches = self.ruleset.caches
-            classes = self._classes
-            coverages = self._coverages
-            return np.array([
-                caches[int(classes[i])].p_value(int(supports[i]),
-                                                int(coverages[i]))
-                for i in range(len(supports))
-            ])
-        # "direct": no buffering at all — the Fig 4 baseline.
-        n = self.n
-        class_supports = self._class_supports
-        return np.array([
-            fisher_two_tailed(int(supports[i]), n,
-                              class_supports[int(self._classes[i])],
-                              int(self._coverages[i]))
-            for i in range(len(supports))
-        ])
-
-    def _rule_supports(self, labels: np.ndarray) -> np.ndarray:
-        """``supp(R)`` for every rule under the given labelling.
-
-        Binary datasets need one forest pass (class-1 supports derive
-        from coverage); multi-class datasets need one pass per class
-        that actually appears on a rule RHS.
-        """
-        n_classes = self.ruleset.dataset.n_classes
-        node_supports: Dict[int, np.ndarray] = {}
-        if n_classes == 2:
-            supp0 = self._forest.class_supports(labels == 0)
-            node_supports[0] = supp0
-            node_supports[1] = self._forest.supports - supp0
-        else:
-            needed = sorted(set(int(c) for c in self._classes))
-            for c in needed:
-                node_supports[c] = self._forest.class_supports(labels == c)
-        out = np.empty(len(self._node_ids), dtype=np.int64)
-        for c, per_node in node_supports.items():
-            mask = self._classes == c
-            out[mask] = per_node[self._node_ids[mask]]
-        return out
 
     def _node_supports_batch(self, labels: np.ndarray) -> np.ndarray:
         """``(C, B, n_nodes)`` node class supports of a block.
@@ -657,7 +523,6 @@ class PermutationEngine:
                 "n_permutations": self.n_permutations,
                 "min_p_quantiles": _quantiles(self._min_p),
                 "policy": self.policy,
-                "pvalue_mode": self.pvalue_mode,
             },
         )
 
@@ -705,7 +570,6 @@ class PermutationEngine:
                 "n_permutations": self.n_permutations,
                 "n_rejected": k,
                 "policy": self.policy,
-                "pvalue_mode": self.pvalue_mode,
             },
         )
 
@@ -728,7 +592,6 @@ class PermutationEngine:
                 "n_permutations": self.n_permutations,
                 "empirical_cutoff": cut,
                 "policy": self.policy,
-                "pvalue_mode": self.pvalue_mode,
             },
         )
 
@@ -763,16 +626,12 @@ class _VectorizedLookup:
         self._flat = np.concatenate(segments) if segments else np.empty(0)
         self._offsets = offsets
 
-    def p_values(self, supports: np.ndarray) -> np.ndarray:
-        """Look up every rule's p-value for the given supports."""
-        return self._flat[self._offsets + supports]
-
     def p_values_batch(self, supports: np.ndarray) -> np.ndarray:
         """All ``B × n_rules`` p-values with a single 2-D fancy index.
 
         ``supports`` is the ``(B, n_rules)`` support matrix of a
-        scoring block; entry ``(b, i)`` of the result is exactly what
-        :meth:`p_values` returns for row ``b``.
+        scoring block; entry ``(b, i)`` is rule ``i``'s p-value under
+        labelling ``b``.
         """
         return self._flat[self._offsets[None, :] + supports]
 
@@ -792,7 +651,6 @@ class _NativeStats:
     def __init__(self, engine: PermutationEngine, order: np.ndarray,
                  observed_sorted: np.ndarray) -> None:
         lookup = engine._lookup
-        assert lookup is not None
         self.rule_node = np.ascontiguousarray(engine._node_ids[order])
         self.rule_slot = np.ascontiguousarray(
             engine._rule_slots[order], dtype=np.int64)

@@ -20,7 +20,6 @@ construction and never reappear downstream.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -477,21 +476,10 @@ class Dataset:
 
         ``rng`` is a :class:`numpy.random.Generator` (``None`` draws a
         fresh ``numpy.random.default_rng()``), matching the permutation
-        engine's label-shuffle path. Passing a :class:`random.Random`
-        is deprecated; the legacy Fisher–Yates shuffle is kept as a
-        warning shim for one release.
+        engine's label-shuffle path.
         """
-        if isinstance(rng, random.Random):
-            warnings.warn(
-                "Dataset.permuted(random.Random) is deprecated; pass a "
-                "numpy.random.Generator (e.g. numpy.random.default_rng"
-                "(seed)) for the engine-consistent shuffle",
-                DeprecationWarning, stacklevel=2)
-            labels = list(self.class_labels)
-            rng.shuffle(labels)
-        else:
-            generator = rng if rng is not None else np.random.default_rng()
-            labels = generator.permutation(self._labels_array)
+        generator = rng if rng is not None else np.random.default_rng()
+        labels = generator.permutation(self._labels_array)
         return self.with_class_labels(labels, name=name or
                                       f"{self.name}[permuted]")
 
@@ -500,20 +488,10 @@ class Dataset:
 
         The permutation engine needs nothing but these sets, so this
         avoids constructing a full Dataset per permutation. ``rng``
-        follows :meth:`permuted` (numpy Generator preferred;
-        :class:`random.Random` deprecated).
+        follows :meth:`permuted`.
         """
-        if isinstance(rng, random.Random):
-            warnings.warn(
-                "Dataset.permuted_class_tidsets(random.Random) is "
-                "deprecated; pass a numpy.random.Generator",
-                DeprecationWarning, stacklevel=2)
-            labels_list = list(self.class_labels)
-            rng.shuffle(labels_list)
-            labels = np.asarray(labels_list, dtype=np.int64)
-        else:
-            generator = rng if rng is not None else np.random.default_rng()
-            labels = generator.permutation(self._labels_array)
+        generator = rng if rng is not None else np.random.default_rng()
+        labels = generator.permutation(self._labels_array)
         arena = pack_bool_matrix(
             labels[None, :]
             == np.arange(self.n_classes, dtype=np.int64)[:, None])

@@ -29,7 +29,6 @@ from .resilience import (
 )
 from .seeding import (
     root_sequence,
-    sequence_from_legacy_rng,
     shard_slices,
     slice_sequences,
     spawn_sequences,
@@ -49,7 +48,6 @@ __all__ = [
     "global_breaker",
     "is_transient",
     "root_sequence",
-    "sequence_from_legacy_rng",
     "shard_slices",
     "slice_sequences",
     "spawn_sequences",

@@ -13,44 +13,27 @@ spawns one child per *work unit* (e.g. per permutation), and
 :func:`shard_slices` partitions the unit index range into contiguous
 per-shard slices; a shard receives the child sequences of exactly the
 units it executes.
-
-Legacy ``random.Random`` seeding funnels through
-:func:`sequence_from_legacy_rng` so code that predates the numpy
-migration keeps a deterministic (though re-pinned) stream.
 """
 
 from __future__ import annotations
 
-import random
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ReproError
 
-__all__ = ["root_sequence", "sequence_from_legacy_rng", "shard_slices",
-           "slice_sequences", "spawn_sequences"]
+__all__ = ["root_sequence", "shard_slices", "slice_sequences",
+           "spawn_sequences"]
 
 
 def root_sequence(seed: Optional[int] = None) -> np.random.SeedSequence:
     """The root :class:`~numpy.random.SeedSequence` for ``seed``.
 
     ``None`` draws fresh OS entropy (a deliberately non-deterministic
-    run, matching ``random.Random(None)`` semantics).
+    run).
     """
     return np.random.SeedSequence(seed)
-
-
-def sequence_from_legacy_rng(rng: random.Random,
-                             ) -> np.random.SeedSequence:
-    """Derive a root sequence from a legacy ``random.Random``.
-
-    Compatibility shim for callers that still hand over a
-    ``random.Random``: the generator's next 128 bits become the
-    sequence entropy, so a seeded legacy rng still yields a fully
-    deterministic (new-scheme) stream.
-    """
-    return np.random.SeedSequence(rng.getrandbits(128))
 
 
 def spawn_sequences(root: np.random.SeedSequence,

@@ -439,16 +439,19 @@ def _fastapi_app(core: ServiceCore):
     deployment tooling); the routing and payloads stay byte-identical
     to the builtin app because both call ``core.dispatch``.
     """
+    from contextlib import asynccontextmanager
+
     from fastapi import FastAPI, Request, Response
 
-    app = FastAPI(title="repro mining service",
+    @asynccontextmanager
+    async def _lifespan(_app):
+        yield
+        core.close()
+
+    app = FastAPI(title="repro mining service", lifespan=_lifespan,
                   docs_url=None, redoc_url=None, openapi_url=None)
     app.core = core
     app.framework = "fastapi"
-
-    @app.on_event("shutdown")
-    def _shutdown() -> None:
-        core.close()
 
     @app.api_route("/{rest:path}",
                    methods=["GET", "POST", "DELETE"])

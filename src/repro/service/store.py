@@ -15,12 +15,10 @@ the read path — "rules containing item X under BH at q < 0.05, top-k
 by lift" — is one indexed SQL query, never a payload scan.
 
 Storage is stdlib ``sqlite3`` in WAL mode behind one lock-serialized
-connection; :class:`AsyncArtifactStore` wraps it for async callers,
-through ``aiosqlite``-free ``asyncio.to_thread`` dispatch so the event
-loop never blocks on a query. Worker counts and backends are *not*
-part of the key: the parallel subsystem guarantees bit-identical
-results at any worker count, so results cached at ``--jobs 1`` serve
-requests mined at ``--jobs 8`` and vice versa.
+connection. Worker counts and backends are *not* part of the key: the
+parallel subsystem guarantees bit-identical results at any worker
+count, so results cached at ``--jobs 1`` serve requests mined at
+``--jobs 8`` and vice versa.
 """
 
 from __future__ import annotations
@@ -42,8 +40,7 @@ try:  # json module is stdlib; decouple the import for monkeypatching
 except ImportError:  # pragma: no cover - stdlib
     raise
 
-__all__ = ["ArtifactStore", "AsyncArtifactStore", "CachedArtifact",
-           "run_with_busy_retry"]
+__all__ = ["ArtifactStore", "CachedArtifact", "run_with_busy_retry"]
 
 STORE_SCHEMA_VERSION = 1
 
@@ -424,37 +421,3 @@ class ArtifactStore:
                 "journal_mode": journal_mode, "path": self.path,
                 "store_schema_version": STORE_SCHEMA_VERSION}
 
-
-class AsyncArtifactStore:
-    """Async facade over :class:`ArtifactStore`.
-
-    Dispatches every call through :func:`asyncio.to_thread` so an
-    async endpoint never blocks its event loop on SQLite I/O. (When
-    ``aiosqlite`` is installed a deployment can point it at the same
-    WAL database file for fully-async access; the schema and canonical
-    payload text are identical either way.)
-    """
-
-    def __init__(self, store: ArtifactStore) -> None:
-        self.store = store
-
-    async def get(self, *args, **kwargs):
-        import asyncio
-
-        return await asyncio.to_thread(self.store.get, *args, **kwargs)
-
-    async def put(self, *args, **kwargs):
-        import asyncio
-
-        return await asyncio.to_thread(self.store.put, *args, **kwargs)
-
-    async def query_rules(self, *args, **kwargs):
-        import asyncio
-
-        return await asyncio.to_thread(self.store.query_rules,
-                                       *args, **kwargs)
-
-    async def stats(self):
-        import asyncio
-
-        return await asyncio.to_thread(self.store.stats)

@@ -32,8 +32,6 @@ handful of candidate rules, where per-rule early stopping shines.
 
 from __future__ import annotations
 
-import random
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -84,9 +82,8 @@ def sequential_p_value(
         extreme* (statistics that are p-values themselves, as in the
         permutation pipeline, already satisfy this; negate otherwise).
     sampler:
-        Draws one null statistic; receives the procedure's generator
-        (a :class:`numpy.random.Generator` unless a deprecated
-        :class:`random.Random` was passed as ``rng``).
+        Draws one null statistic; receives the procedure's
+        :class:`numpy.random.Generator`.
     h:
         Exceedance budget. Larger ``h`` lowers the estimator's
         variance for mid-range p-values at the price of later
@@ -107,16 +104,7 @@ def sequential_p_value(
         raise StatsError(f"n_max must be >= 1, got {n_max}")
     if rng is not None and seed is not None:
         raise StatsError("give rng or seed, not both")
-    if isinstance(rng, random.Random):
-        warnings.warn(
-            "sequential_p_value(rng=random.Random) is deprecated; "
-            "pass a numpy.random.Generator (e.g. "
-            "numpy.random.default_rng(seed)) for the "
-            "engine-consistent stream",
-            DeprecationWarning, stacklevel=2)
-        generator = rng
-    else:
-        generator = rng if rng is not None else np.random.default_rng(seed)
+    generator = rng if rng is not None else np.random.default_rng(seed)
     exceedances = 0
     draws = 0
     while draws < n_max:
@@ -163,17 +151,13 @@ def sequential_rule_p_value(
     pattern_tids = as_tidvector(pattern.tidset, dataset.n_records)
     coverage = rule.coverage
     cache = ruleset.caches[rule.class_index]
-    labels = list(range(n))
     class_bits = dataset.class_tidset(rule.class_index)
     n_c = class_bits.count()
 
     def shuffled_p(generator) -> float:
         # Shuffling labels == drawing which records carry class c;
         # only the pattern's overlap with that draw matters.
-        if isinstance(generator, random.Random):  # deprecated shim
-            chosen = generator.sample(labels, n_c)
-        else:
-            chosen = generator.choice(n, size=n_c, replace=False)
+        chosen = generator.choice(n, size=n_c, replace=False)
         indicator = np.zeros(n, dtype=bool)
         indicator[chosen] = True
         support = pattern_tids.intersection_count(

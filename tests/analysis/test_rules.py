@@ -48,8 +48,8 @@ class TestNoStdlibRng:
         assert len(hits) == 1
 
     def test_tn_import_for_isinstance_shim(self):
-        # `import random` + isinstance only: the deprecation-shim
-        # idiom (Dataset.permuted) must stay legal.
+        # `import random` + isinstance only: naming the type is not a
+        # draw and must stay legal.
         hits = _run(self.RULE, "repro/pkg/mod.py", """\
             import random
 
@@ -57,15 +57,6 @@ class TestNoStdlibRng:
                 if isinstance(rng, random.Random):
                     return "legacy"
                 return "generator"
-            """)
-        assert hits == []
-
-    def test_tn_whitelisted_shim_file(self):
-        hits = _run(self.RULE, "src/repro/data/dataset.py", """\
-            import random
-
-            def f(seed):
-                return random.Random(seed)
             """)
         assert hits == []
 

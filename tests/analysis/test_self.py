@@ -42,11 +42,13 @@ def test_no_stale_baseline_entries(findings):
 
 
 def test_migrated_rng_sites_stay_clean(findings):
-    # The PR that introduced the linter also migrated these files off
-    # random.Random; they must not regress into the baseline.
+    # These files draw only from numpy Generators; they must not
+    # regress into the baseline.
     migrated = ("repro/evaluation/runner.py",
                 "repro/classify/evaluate.py",
-                "repro/stats/sequential.py")
+                "repro/stats/sequential.py",
+                "repro/data/dataset.py",
+                "repro/parallel/seeding.py")
     regressions = [f for f in findings
                    if f.rule == "no-stdlib-rng" and f.path in migrated]
     assert regressions == [], [f.describe() for f in regressions]

@@ -3,8 +3,7 @@ harness."""
 
 from __future__ import annotations
 
-import random
-
+import numpy as np
 import pytest
 
 from repro.classify import (
@@ -50,19 +49,19 @@ class TestConfusionMatrix:
 class TestStratifiedFolds:
     def test_folds_partition_records(self):
         labels = [0, 1] * 25
-        folds = stratified_folds(labels, 5, random.Random(0))
+        folds = stratified_folds(labels, 5, np.random.default_rng(0))
         seen = sorted(r for fold in folds for r in fold)
         assert seen == list(range(50))
 
     def test_folds_are_balanced_in_size(self):
         labels = [0, 1] * 25
-        folds = stratified_folds(labels, 5, random.Random(0))
+        folds = stratified_folds(labels, 5, np.random.default_rng(0))
         sizes = [len(fold) for fold in folds]
         assert max(sizes) - min(sizes) <= 1
 
     def test_class_balance_within_one(self):
         labels = [0] * 30 + [1] * 20
-        folds = stratified_folds(labels, 5, random.Random(1))
+        folds = stratified_folds(labels, 5, np.random.default_rng(1))
         for fold in folds:
             zeros = sum(1 for r in fold if labels[r] == 0)
             ones = len(fold) - zeros
@@ -79,8 +78,8 @@ class TestStratifiedFolds:
 
     def test_deterministic_given_rng(self):
         labels = [0, 1, 0, 1, 0, 1, 0, 1]
-        first = stratified_folds(labels, 2, random.Random(42))
-        second = stratified_folds(labels, 2, random.Random(42))
+        first = stratified_folds(labels, 2, np.random.default_rng(42))
+        second = stratified_folds(labels, 2, np.random.default_rng(42))
         assert first == second
 
 

@@ -155,6 +155,6 @@ class TestCsvOut:
                      "--csv-out", str(target)], out=out)
         assert code == 0
         assert target.exists()
-        header = target.open().readline().strip().split(",")
+        header = target.read_text().splitlines()[0].strip().split(",")
         assert header[:2] == ["rule", "class"]
         assert "wrote" in out.getvalue()

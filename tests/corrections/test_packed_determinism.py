@@ -20,6 +20,9 @@ from repro.cli import main
 from repro.corrections import PermutationEngine
 from repro.data import GeneratorConfig, generate, save_csv
 from repro.mining import mine_class_rules
+from repro.mining.diffsets import PatternForest
+
+from .permutation_oracle import labellings, reference, rule_supports
 
 CORRECTIONS = ("Perm_FWER", "Perm_FWER_SD", "Perm_FDR")
 
@@ -41,7 +44,8 @@ def _mine_csv(dataset_csv, out_path, correction, **options):
             "--seed", "0", "--csv-out", str(out_path)]
     for flag, value in options.items():
         argv += [f"--{flag}", str(value)]
-    assert main(argv, out=open(out_path.with_suffix(".log"), "w")) == 0
+    with open(out_path.with_suffix(".log"), "w") as log:
+        assert main(argv, out=log) == 0
     return out_path
 
 
@@ -101,17 +105,15 @@ class TestEngineStatistics:
             assert tiny[2] == reference[2]
 
     def test_batched_matches_sequential_cache_mode(self, ruleset):
-        """The cache mode still scores permutation-at-a-time through
-        Python buffers; the batched packed path must reproduce its
-        statistics exactly."""
-        batched = self._statistics(
-            PermutationEngine(ruleset, 30, seed=5, policy="packed"))
-        sequential = self._statistics(
-            PermutationEngine(ruleset, 30, seed=5, policy="bitset",
-                              pvalue_mode="cache"))
-        assert (batched[0] == sequential[0]).all()
-        assert batched[1] == sequential[1]
-        assert batched[2] == sequential[2]
+        """The scalar reference scores permutation-at-a-time through
+        the buffer cache on a bigint forest; the batched packed path
+        must reproduce its statistics exactly."""
+        engine = PermutationEngine(ruleset, 30, seed=5, policy="packed")
+        engine.run()
+        sequential = reference(ruleset, 30, seed=5, policy="bitset")
+        assert np.array_equal(engine._min_p, sequential[0])
+        assert np.array_equal(engine._pooled_counts, sequential[1])
+        assert np.array_equal(engine._stepdown_counts, sequential[2])
 
     @pytest.mark.parametrize("backend", ("threads", "processes"))
     def test_policy_and_backend_cross_product(self, ruleset, backend):
@@ -134,10 +136,10 @@ class TestEngineStatistics:
                                    min_sup=15)
         engine = PermutationEngine(ruleset, 10, seed=2,
                                    policy="packed")
-        rng = np.random.default_rng(3)
-        labels = np.stack([rng.permutation(engine._labels)
-                           for _ in range(5)])
+        labels = np.stack(labellings(ruleset, 5, seed=3))
         batched = engine._rule_supports_batch(labels)
+        forest = PatternForest(ruleset.patterns,
+                               ruleset.dataset.n_records, "diffsets")
         for row in range(labels.shape[0]):
-            assert (batched[row]
-                    == engine._rule_supports(labels[row])).all()
+            assert batched[row].tolist() == rule_supports(
+                forest, ruleset, labels[row])

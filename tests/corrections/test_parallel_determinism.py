@@ -10,8 +10,6 @@ order-independent.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 import pytest
 
@@ -72,23 +70,6 @@ class TestBackendEquivalence:
         assert parallel.stepdown_adjusted_p_values() == \
             serial.stepdown_adjusted_p_values()
 
-    @pytest.mark.parametrize("mode", ("cache", "direct"))
-    def test_nondefault_pvalue_modes_stay_identical(self, ruleset, mode):
-        """The cache/direct modes score through shared mutable caches:
-        threads must fall back to serial (silent corruption otherwise)
-        and processes (per-worker copies) must still match serial."""
-        serial = PermutationEngine(ruleset, 15, seed=5,
-                                   pvalue_mode=mode)
-        threads = PermutationEngine(ruleset, 15, seed=5,
-                                    pvalue_mode=mode, n_jobs=4,
-                                    backend="threads")
-        procs = PermutationEngine(ruleset, 15, seed=5,
-                                  pvalue_mode=mode, n_jobs=4,
-                                  backend="processes")
-        reference = serial.min_p_distribution()
-        assert (threads.min_p_distribution() == reference).all()
-        assert (procs.min_p_distribution() == reference).all()
-
     def test_worker_count_does_not_matter(self, ruleset):
         baseline = None
         for n_jobs in (1, 2, 4, 16):
@@ -102,21 +83,6 @@ class TestBackendEquivalence:
 
 
 class TestSeedScheme:
-    def test_legacy_rng_shim_deterministic(self, ruleset):
-        a = PermutationEngine(ruleset, 25,
-                              rng=random.Random(7)).fwer(0.05)
-        b = PermutationEngine(ruleset, 25,
-                              rng=random.Random(7)).fwer(0.05)
-        assert _result_fingerprint(a) == _result_fingerprint(b)
-
-    def test_legacy_rng_matches_equivalent_seed_sequence(self, ruleset):
-        """The shim seeds a SeedSequence with the rng's next 128 bits."""
-        entropy = random.Random(7).getrandbits(128)
-        via_rng = PermutationEngine(ruleset, 25, rng=random.Random(7))
-        direct = PermutationEngine(ruleset, 25, seed=entropy)
-        assert (via_rng.min_p_distribution()
-                == direct.min_p_distribution()).all()
-
     def test_prefix_property(self, ruleset):
         """The first N permutations of a longer run are the same
         permutations — seeds attach to indices, not to the count."""

@@ -11,6 +11,8 @@ from repro.data import GeneratorConfig, generate
 from repro.errors import CorrectionError
 from repro.mining import mine_class_rules
 
+from .permutation_oracle import reference
+
 
 @pytest.fixture(scope="module")
 def random_ruleset():
@@ -38,13 +40,14 @@ class TestConstruction:
         with pytest.raises(CorrectionError):
             PermutationEngine(random_ruleset, policy="nope")
         with pytest.raises(CorrectionError):
-            PermutationEngine(random_ruleset, pvalue_mode="nope")
-
-    def test_seed_rng_conflict(self, random_ruleset):
-        import random as pyrandom
+            PermutationEngine(random_ruleset, batch_bytes=0)
         with pytest.raises(CorrectionError):
-            PermutationEngine(random_ruleset, seed=1,
-                              rng=pyrandom.Random(2))
+            PermutationEngine(random_ruleset, word_block=-1)
+
+    @pytest.mark.parametrize("keyword", ("rng", "pvalue_mode"))
+    def test_removed_keywords_rejected(self, random_ruleset, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            PermutationEngine(random_ruleset, **{keyword: None})
 
 
 class TestDeterminism:
@@ -63,18 +66,17 @@ class TestDeterminism:
 
 
 class TestPvalueModesAgree:
-    """vectorized, cache and direct modes must produce identical scores."""
+    """The engine's flat-table lookups reproduce the scalar reference's
+    p-values: its buffer-cache lookups exactly, its direct
+    ``fisher_two_tailed`` recomputation within rel 1e-9."""
 
     def test_modes_identical(self, random_ruleset):
-        results = {}
-        for mode in ("vectorized", "cache", "direct"):
-            engine = PermutationEngine(random_ruleset, 20, seed=5,
-                                       pvalue_mode=mode)
-            results[mode] = engine.min_p_distribution()
-        assert results["vectorized"] == pytest.approx(
-            results["cache"], rel=1e-9)
-        assert results["vectorized"] == pytest.approx(
-            results["direct"], rel=1e-9)
+        engine = PermutationEngine(random_ruleset, 20, seed=5)
+        min_p = engine.min_p_distribution()
+        cache = reference(random_ruleset, 20, seed=5, pvalue="cache")
+        direct = reference(random_ruleset, 20, seed=5, pvalue="direct")
+        assert np.array_equal(min_p, cache[0])
+        assert min_p == pytest.approx(direct[0], rel=1e-9)
 
     def test_policies_identical(self, random_ruleset):
         results = {}

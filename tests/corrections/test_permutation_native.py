@@ -30,6 +30,8 @@ from repro.corrections.permutation import NATIVE_BATCH_ROWS
 from repro.data import Dataset, make_mushroom
 from repro.mining import mine_class_rules
 
+from .permutation_oracle import reference
+
 PERMUTATION_COUNTS = (1, 5, NATIVE_BATCH_ROWS - 1, NATIVE_BATCH_ROWS,
                       2 * NATIVE_BATCH_ROWS + 3)
 
@@ -122,11 +124,21 @@ class TestSeeded:
                                     backend=backend, **options))
 
     def test_cache_mode(self, multiclass):
+        """Both paths equal the scalar reference's buffer-cache
+        scoring, one labelling and one rule at a time."""
         _require_native()
-        options = dict(n_permutations=NATIVE_BATCH_ROWS + 1, seed=2)
-        native = _statistics(multiclass, True, **options)
-        _assert_identical(native, _statistics(
-            multiclass, False, pvalue_mode="cache", **options))
+        n_permutations = NATIVE_BATCH_ROWS + 1
+        expected = reference(multiclass, n_permutations, seed=2)
+        for native in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                if not native:
+                    patch.setattr(_native, "load_suite", lambda: None)
+                engine = PermutationEngine(
+                    multiclass, n_permutations=n_permutations, seed=2)
+                engine.run()
+            assert np.array_equal(engine._min_p, expected[0])
+            assert np.array_equal(engine._pooled_counts, expected[1])
+            assert np.array_equal(engine._stepdown_counts, expected[2])
 
     def test_zero_rules(self):
         _require_native()

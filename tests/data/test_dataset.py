@@ -122,13 +122,6 @@ class TestTransformations:
         second = tiny_dataset.permuted(np.random.default_rng(7))
         assert first.class_labels == second.class_labels
 
-    def test_permuted_random_random_is_deprecated(self, tiny_dataset, rng):
-        with pytest.deprecated_call():
-            permuted = tiny_dataset.permuted(rng)
-        # The legacy shim still performs the Fisher–Yates shuffle.
-        assert sorted(permuted.class_labels) == sorted(
-            tiny_dataset.class_labels)
-
     def test_permuted_class_tidsets_counts(self, tiny_dataset):
         import numpy as np
 
@@ -137,12 +130,6 @@ class TestTransformations:
         assert [bs.popcount(t) for t in tidsets] == [4, 4]
         assert tidsets[0] & tidsets[1] == 0
         assert tidsets[0] | tidsets[1] == bs.universe(8)
-
-    def test_permuted_class_tidsets_random_random_warns(
-            self, tiny_dataset, rng):
-        with pytest.deprecated_call():
-            tidsets = tiny_dataset.permuted_class_tidsets(rng)
-        assert [bs.popcount(t) for t in tidsets] == [4, 4]
 
     def test_subset_reindexes(self, tiny_dataset):
         sub = tiny_dataset.subset([4, 5, 6, 7])

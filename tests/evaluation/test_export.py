@@ -59,7 +59,8 @@ class TestRulesToCsv:
         path = tmp_path / "rules.csv"
         written = rules_to_csv(ruleset.rules, dataset, path,
                                measures=("lift",))
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
         assert rows[0] == ["rule", "class", "length", "coverage",
                            "support", "confidence", "p_value", "lift"]
         assert len(rows) - 1 == written == len(ruleset.rules)
@@ -71,7 +72,8 @@ class TestRulesToCsv:
         written = rules_to_csv(ruleset.rules, dataset, path,
                                threshold=result.threshold)
         assert written == result.n_significant
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
         for row in rows[1:]:
             assert float(row[6]) <= result.threshold
 
@@ -79,5 +81,6 @@ class TestRulesToCsv:
         dataset, _ruleset = mined
         path = tmp_path / "empty.csv"
         assert rules_to_csv([], dataset, path) == 0
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
         assert len(rows) == 1  # header only

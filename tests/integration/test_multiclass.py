@@ -18,6 +18,9 @@ from repro import mine_significant_rules
 from repro.corrections import PermutationEngine, bonferroni
 from repro.data import GeneratorConfig, generate
 from repro.mining import mine_class_rules
+from repro.mining.diffsets import PatternForest
+
+from ..corrections.permutation_oracle import labellings, rule_supports
 
 
 @pytest.fixture(scope="module")
@@ -93,15 +96,23 @@ class TestMultiClassCorrections:
     def test_permutation_engine_multiclass_pass(self,
                                                 three_class_ruleset):
         """The engine's per-class forest passes agree with direct
-        re-scoring on the identity permutation."""
+        re-scoring on the identity permutation, and with the scalar
+        reference on shuffled ones."""
         import numpy as np
         engine = PermutationEngine(three_class_ruleset,
                                    n_permutations=10, seed=1)
         labels = np.array(three_class_ruleset.dataset.class_labels,
                           dtype=np.int64)
-        supports = engine._rule_supports(labels)
+        supports = engine._rule_supports_batch(labels[None])[0]
         for rule, support in zip(three_class_ruleset.rules, supports):
             assert rule.support == int(support)
+        forest = PatternForest(three_class_ruleset.patterns,
+                               three_class_ruleset.dataset.n_records)
+        shuffled = labellings(three_class_ruleset, 3, seed=1)
+        batched = engine._rule_supports_batch(np.stack(shuffled))
+        for row, labels in zip(batched, shuffled):
+            assert row.tolist() == rule_supports(
+                forest, three_class_ruleset, labels)
 
     def test_fwer_controlled_on_random_multiclass(self):
         config = GeneratorConfig(

@@ -1,15 +1,12 @@
 """Determinism pins for the random.Random -> numpy Generator migration.
 
 The runner, the classifier's fold builder and the sequential tester
-now draw from ``numpy.random.Generator``. These tests pin (a) the
+now draw from ``numpy.random.Generator``. These tests pin the
 rendered output byte-for-byte across worker counts and backends, and
-(b) the deprecation shims that keep ``random.Random`` callers working
-for one release.
+the seeded determinism of the fold builder and the sequential tester.
 """
 
 from __future__ import annotations
-
-import random
 
 import numpy as np
 import pytest
@@ -85,12 +82,6 @@ class TestStratifiedFoldsMigration:
         flat = sorted(r for fold in folds for r in fold)
         assert flat == list(range(len(self.LABELS)))
 
-    def test_legacy_random_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            folds = stratified_folds(self.LABELS, 4, random.Random(5))
-        flat = sorted(r for fold in folds for r in fold)
-        assert flat == list(range(len(self.LABELS)))
-
 
 class TestSequentialMigration:
     def test_seeded_runs_identical(self):
@@ -106,9 +97,3 @@ class TestSequentialMigration:
             rng=np.random.default_rng(2))
         assert 0.0 < result.p_value <= 1.0
 
-    def test_legacy_random_warns_but_works(self):
-        sampler = lambda rng: rng.random()  # noqa: E731
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            result = sequential_p_value(
-                0.5, sampler, h=5, n_max=100, rng=random.Random(2))
-        assert 0.0 < result.p_value <= 1.0

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 import pytest
 
 from repro.errors import ReproError
 from repro.parallel import (
     root_sequence,
-    sequence_from_legacy_rng,
     shard_slices,
     slice_sequences,
     spawn_sequences,
@@ -72,17 +69,3 @@ class TestSpawning:
         with pytest.raises(ReproError):
             spawn_sequences(root_sequence(0), -1)
 
-
-class TestLegacyShim:
-    def test_seeded_legacy_rng_is_deterministic(self):
-        a = sequence_from_legacy_rng(random.Random(5))
-        b = sequence_from_legacy_rng(random.Random(5))
-        assert a.entropy == b.entropy
-        ga = np.random.default_rng(a)
-        gb = np.random.default_rng(b)
-        assert (ga.permutation(30) == gb.permutation(30)).all()
-
-    def test_different_legacy_seeds_diverge(self):
-        a = sequence_from_legacy_rng(random.Random(5))
-        b = sequence_from_legacy_rng(random.Random(6))
-        assert a.entropy != b.entropy

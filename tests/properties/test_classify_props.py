@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,7 +73,7 @@ def rule_lists(draw):
 def test_folds_partition_exactly(labels, k):
     if k > len(labels):
         return
-    folds = stratified_folds(labels, k, random.Random(0))
+    folds = stratified_folds(labels, k, np.random.default_rng(0))
     seen = sorted(r for fold in folds for r in fold)
     assert seen == list(range(len(labels)))
 
@@ -81,7 +82,7 @@ def test_folds_partition_exactly(labels, k):
 def test_fold_sizes_within_one(labels, k):
     if k > len(labels):
         return
-    folds = stratified_folds(labels, k, random.Random(0))
+    folds = stratified_folds(labels, k, np.random.default_rng(0))
     sizes = [len(fold) for fold in folds]
     assert max(sizes) - min(sizes) <= 1
 
@@ -91,8 +92,8 @@ def test_fold_sizes_within_one(labels, k):
 def test_folds_deterministic(labels, k, seed):
     if k > len(labels):
         return
-    first = stratified_folds(labels, k, random.Random(seed))
-    second = stratified_folds(labels, k, random.Random(seed))
+    first = stratified_folds(labels, k, np.random.default_rng(seed))
+    second = stratified_folds(labels, k, np.random.default_rng(seed))
     assert first == second
 
 

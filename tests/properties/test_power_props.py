@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import random
-
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,7 +106,7 @@ def test_sequential_estimate_monotone_in_observed(obs_a, obs_b, h,
     def run(observed):
         return sequential_p_value(
             observed, lambda rng: rng.random(), h=h, n_max=n_max,
-            rng=random.Random(seed))
+            rng=np.random.default_rng(seed))
 
     assert run(hi).p_value >= run(lo).p_value - 1e-12
 

@@ -233,3 +233,47 @@ def test_response_json_is_deterministic(client, core):
     assert first.text == second.text
     parsed = json.loads(first.text)
     assert list(parsed) == sorted(parsed)
+
+
+def test_fastapi_adapter_closes_core_in_lifespan(monkeypatch):
+    """The FastAPI adapter closes its core from the app's lifespan
+    handler, not from the deprecated ``on_event`` hook. A stub
+    ``fastapi`` module stands in for the framework, so this runs
+    whether or not FastAPI is installed."""
+    import asyncio
+    import sys
+    import types
+
+    from repro.service.app import _fastapi_app
+
+    class StubFastAPI:
+        def __init__(self, **kwargs):
+            self.kwargs = kwargs
+
+        def on_event(self, event):
+            raise AssertionError("on_event is deprecated in FastAPI")
+
+        def api_route(self, path, methods):
+            return lambda handler: handler
+
+    stub = types.ModuleType("fastapi")
+    stub.FastAPI = StubFastAPI
+    stub.Request = stub.Response = object
+    monkeypatch.setitem(sys.modules, "fastapi", stub)
+
+    class RecordingCore:
+        closed = 0
+
+        def close(self):
+            self.closed += 1
+
+    core = RecordingCore()
+    app = _fastapi_app(core)
+    assert app.core is core and app.framework == "fastapi"
+
+    async def run_lifespan():
+        async with app.kwargs["lifespan"](app):
+            assert core.closed == 0
+        assert core.closed == 1
+
+    asyncio.run(run_lifespan())

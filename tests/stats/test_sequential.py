@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-import random
-
+import numpy as np
 import pytest
 
 from repro.errors import StatsError
 from repro.stats import sequential_p_value, sequential_rule_p_value
 
 
-def uniform_sampler(rng: random.Random) -> float:
-    return rng.random()
+def uniform_sampler(rng: np.random.Generator) -> float:
+    return float(rng.random())
 
 
 class TestSequentialPValue:
@@ -35,14 +34,14 @@ class TestSequentialPValue:
     def test_estimator_is_valid_under_the_null(self):
         """P(p <= u) <= u for uniform nulls: check at u = 0.1 over
         many replications (with slack for Monte-Carlo noise)."""
-        master = random.Random(7)
+        master = np.random.default_rng(7)
         hits = 0
         reps = 400
         for _ in range(reps):
             observed = master.random()  # a true-null observation
             result = sequential_p_value(
                 observed, uniform_sampler, h=5, n_max=80,
-                rng=random.Random(master.getrandbits(48)))
+                rng=np.random.default_rng(master.integers(1 << 48)))
             if result.p_value <= 0.1:
                 hits += 1
         assert hits / reps <= 0.15
@@ -56,7 +55,7 @@ class TestSequentialPValue:
     def test_rng_and_seed_mutually_exclusive(self):
         with pytest.raises(StatsError):
             sequential_p_value(0.5, uniform_sampler,
-                               rng=random.Random(0), seed=1)
+                               rng=np.random.default_rng(0), seed=1)
 
     def test_parameter_validation(self):
         with pytest.raises(StatsError):
