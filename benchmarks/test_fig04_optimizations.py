@@ -14,16 +14,17 @@ arm is timed per permutation (the paper's 1000-permutation cost is the
 per-permutation cost times 1000).
 
 The four paper arms live here, not in the library: :func:`_paper_pass`
-scores one labelling at a time, counting class supports on a
-:class:`~repro.mining.diffsets.PatternForest` and taking every rule's
+scores one labelling at a time, counting class supports on full
+record-id lists (:class:`_FullIdLists`) or on a Diffsets
+:class:`~repro.mining.diffsets.PatternForest`, and taking every rule's
 p-value from its :class:`~repro.stats.BufferCache` (the buffered arms)
 or recomputing it with :func:`~repro.stats.fisher_two_tailed` (no
 optimization). The buffered arms visit rules in ``(class, coverage)``
 order, the order the paper's one-slot dynamic buffer assumes: each
 coverage's buffer is then built once per labelling and class. Each
 paper arm's min-p distribution is checked against the engine's. The
-last two arms time :class:`~repro.corrections.PermutationEngine`'s
-batched pass.
+last arm times :class:`~repro.corrections.PermutationEngine`'s batched
+pass.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.evaluation import format_table
 from repro.mining import generate_rules, mine_closed
 from repro.mining.diffsets import PatternForest
 from repro.stats import fisher_two_tailed
+from repro.tidvector import as_tidvector
 
 ARMS = (
     ("no optimization", "full", "direct", dict()),
@@ -51,7 +53,6 @@ ARMS = (
      dict(use_static=False, use_dynamic=True)),
     ("16M static+Diffsets+dynamic", "diffsets", "cache",
      dict(use_static=True, use_dynamic=True)),
-    ("bitset+vectorized", "bitset", "engine", dict()),
     ("packed batch (ours)", "packed", "engine", dict()),
 )
 
@@ -75,6 +76,33 @@ def _datasets():
 
 
 _DIRECT_SAMPLE = 1200
+
+
+class _FullIdLists:
+    """The unoptimized storage: every node's full record-id list.
+
+    Class supports count each node's stored ids with one
+    ``np.add.reduceat`` over the concatenated lists.
+    """
+
+    def __init__(self, patterns, n_records):
+        ids = [as_tidvector(p.tidset, n_records).indices()
+               for p in patterns]
+        self.supports = np.array([len(i) for i in ids], dtype=np.int64)
+        self._ids = (np.concatenate(ids) if ids
+                     else np.empty(0, dtype=np.int32))
+        # reduceat needs strictly increasing starts: empty lists count
+        # zero and stay out of it.
+        self._nonempty = self.supports > 0
+        self._starts = (np.cumsum(self.supports)
+                        - self.supports)[self._nonempty]
+
+    def class_supports(self, indicator):
+        out = np.zeros(len(self.supports), dtype=np.int64)
+        if self._ids.size:
+            hits = indicator.astype(np.int64)[self._ids]
+            out[self._nonempty] = np.add.reduceat(hits, self._starts)
+        return out
 
 
 def _paper_pass(ruleset, rules, forest, mode, n_permutations, seed):
@@ -133,7 +161,11 @@ def _time_per_permutation(dataset, patterns, min_sup, arm,
         rules = rules[:_DIRECT_SAMPLE]
     if mode == "cache":
         rules = sorted(rules, key=lambda r: (r.class_index, r.coverage))
-    forest = PatternForest(ruleset.patterns, dataset.n_records, policy)
+    if policy == "full":
+        forest = _FullIdLists(ruleset.patterns, dataset.n_records)
+    else:
+        forest = PatternForest(ruleset.patterns, dataset.n_records,
+                               policy)
     start = time.perf_counter()
     min_p = _paper_pass(ruleset, rules, forest, mode, n_permutations,
                         seed=11)
@@ -198,15 +230,11 @@ def test_fig04_optimizations(benchmark):
 
     for row in rows:
         name = row[0]
-        no_opt, dynamic, diff_dyn, static_all, bitset, packed = row[2:]
+        no_opt, dynamic, diff_dyn, static_all, packed = row[2:]
         # The dynamic buffer must beat no-optimization decisively.
         assert dynamic < no_opt / 2, name
         # The static buffer adds little on top of the dynamic buffer
         # (within noise: allow up to 2x either way).
         assert static_all < dynamic * 2, name
-        # The vectorized lookups are the fastest family of arms.
-        assert bitset <= min(dynamic, diff_dyn, static_all) * 1.5, name
-        # The packed uint64 kernel never loses to the bigint loop by
-        # more than noise (on big forests it wins by an order of
-        # magnitude; tiny smoke forests are timer-bound).
-        assert packed <= bitset * 1.5, name
+        # The batched packed pass is the fastest arm.
+        assert packed <= min(dynamic, diff_dyn, static_all) * 1.5, name

@@ -1,6 +1,6 @@
-"""Out-of-core arena benchmarks: zero-copy workers, ingest, sharding.
+"""Out-of-core arena benchmarks: zero-copy workers, streaming ingest.
 
-The sharded-arena PR stakes three measurable claims, all recorded in
+The sharded-arena PR stakes two measurable claims, both recorded in
 the repo-root ``BENCH_outofcore.json`` (``REPRO_BENCH_JSON``
 overrides) in the shared envelope:
 
@@ -13,10 +13,6 @@ overrides) in the shared envelope:
   arena in bounded chunks at a throughput comparable to the in-RAM
   ``Dataset.from_records`` (gated as a dimensionless ratio so runner
   speed cancels out).
-* **sharded scoring** — permutation scoring through word-column
-  blocks (``word_block``) stays within a small factor of the whole-
-  matrix sweep while bounding the working set; results asserted
-  bit-identical before any number counts.
 """
 
 from __future__ import annotations
@@ -31,10 +27,8 @@ import numpy as np
 import pytest
 
 from _scale import banner, bench_envelope, current_scale, write_bench
-from repro.corrections.permutation import PermutationEngine
 from repro.data import Dataset, stream_records_to_arena
 from repro.data.items import ItemCatalog
-from repro.mining import mine_class_rules
 from repro.tidvector import words_for
 
 SEED = 2026
@@ -48,8 +42,6 @@ _PROBE_RECORDS = {"smoke": 1 << 16, "default": 1 << 18,
 _PROBE_ITEMS = 4096
 
 _INGEST_RECORDS = {"smoke": 5_000, "default": 50_000, "paper": 100_000}
-
-_SCORING_RECORDS = {"smoke": 8_192, "default": 32_768, "paper": 65_536}
 
 
 def _synthetic_dataset(n_records: int, n_items: int,
@@ -169,45 +161,6 @@ def _bench_ingest(tmp_path: Path, rng: np.random.Generator):
     }
 
 
-def _bench_sharded_scoring(rng: np.random.Generator):
-    scale = current_scale()
-    n_records = _SCORING_RECORDS[scale.name]
-    bits = rng.random((n_records, 12)) < 0.4
-    records = [["y" if cell else "n" for cell in row] for row in bits]
-    labels = [f"c{int(v)}" for v in rng.integers(0, 2, size=n_records)]
-    dataset = Dataset.from_records(
-        records, labels, [f"A{j}" for j in range(12)], name="score")
-    ruleset = mine_class_rules(dataset, min_sup=n_records // 4)
-    n_words = words_for(n_records)
-
-    timings = {}
-    reference = None
-    for label, word_block in (("whole", 0), ("sharded", n_words // 4)):
-        best = float("inf")
-        for _ in range(3):
-            engine = PermutationEngine(
-                ruleset, n_permutations=scale.runtime_permutations,
-                seed=0, word_block=word_block)
-            start = time.perf_counter()
-            p_values = engine.empirical_p_values()
-            best = min(best, time.perf_counter() - start)
-        timings[label] = best
-        if reference is None:
-            reference = p_values
-        else:
-            assert p_values == reference  # bit-identical scoring
-    return {
-        "n_records": n_records,
-        "n_rules": len(ruleset.rules),
-        "n_permutations": scale.runtime_permutations,
-        "word_block": n_words // 4,
-        "whole_s": timings["whole"],
-        "sharded_s": timings["sharded"],
-        "sharded_vs_whole_ratio":
-            timings["whole"] / max(timings["sharded"], 1e-9),
-    }
-
-
 def test_outofcore(tmp_path):
     if platform.system() != "Linux":  # pragma: no cover
         pytest.skip("RSS probe reads /proc; Linux only")
@@ -215,7 +168,6 @@ def test_outofcore(tmp_path):
 
     zero_copy = _bench_zero_copy(tmp_path, rng)
     ingest = _bench_ingest(tmp_path, rng)
-    scoring = _bench_sharded_scoring(rng)
 
     record = bench_envelope(
         "outofcore",
@@ -236,15 +188,10 @@ def test_outofcore(tmp_path):
                 "value": ingest["stream_vs_inram_ratio"],
                 "min": 0.05,
             },
-            "sharded_scoring_ratio": {
-                "value": scoring["sharded_vs_whole_ratio"],
-                "min": 0.2,
-            },
         },
         metrics={
             "zero_copy_workers": zero_copy,
             "streaming_ingest": ingest,
-            "sharded_scoring": scoring,
         },
     )
     out_path = write_bench(record, str(DEFAULT_OUT))
@@ -262,14 +209,10 @@ def test_outofcore(tmp_path):
         f"{ingest['inram_s']:.2f} s, streamed "
         f"{ingest['stream_s']:.2f} s "
         f"({ingest['stream_records_per_s']:.0f} rec/s)",
-        f"scoring {scoring['n_rules']} rules x "
-        f"{scoring['n_permutations']} permutations: whole "
-        f"{scoring['whole_s']:.2f} s, word_block="
-        f"{scoring['word_block']} {scoring['sharded_s']:.2f} s",
     ]
     print()
     print(banner("out-of-core arenas: zero-copy workers, streaming "
-                 "ingest, sharded scoring", "\n".join(lines)))
+                 "ingest", "\n".join(lines)))
     print(f"wrote {out_path}")
 
     # The acceptance gate: a forked worker's private memory for the

@@ -1,62 +1,71 @@
-"""Old-vs-new class-support kernels and the batched permutation pass.
+"""Old-vs-new class-support kernels.
 
 The PR-4 tentpole replaced the permutation engine's counting kernel —
 a Python loop over arbitrary-precision-int ``popcount(t & class_bits)``
-per forest node (the ``"bitset"`` policy) — with the packed uint64
+per forest node — with the packed uint64
 :class:`~repro.bitmat.BitMatrix` (the ``"packed"`` policy): the whole
 forest answers one labelling, or a whole *batch* of labellings, through
 C-level ``bitwise_and`` + ``bitwise_count`` + row sums.
 
 This bench times both kernels head-to-head on a 1000-pattern × 10k-
 record forest (the acceptance gate: the batch kernel must be >= 5x the
-bigint loop per labelling) and the end-to-end permutation pass under
-both policies, then rewrites the repo-root ``BENCH_permutation.json``
-artifact with this run's numbers — the first entry of the repo's perf
-trajectory; CI archives one per commit (``REPRO_BENCH_JSON``
-overrides the path).
+bigint loop per labelling; the loop uses the bigint oracle in
+``tests/bigint_oracle.py``), then rewrites the repo-root
+``BENCH_permutation.json`` artifact with this run's numbers; CI
+archives one per commit (``REPRO_BENCH_JSON`` overrides the path).
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from _scale import banner, bench_envelope, current_scale, write_bench
-from repro import bitset as bs
-from repro.corrections import PermutationEngine
-from repro.data import GeneratorConfig, generate
-from repro.mining import PatternForest, mine_class_rules
+from _scale import banner, bench_envelope, write_bench
+from repro.mining import PatternForest
 from repro.mining.patterns import Pattern
+from repro.tidvector import TidVector
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+if str(REPO_ROOT) not in sys.path:
+    sys.path.append(str(REPO_ROOT))  # for the tests/ oracle below
+
+from tests import bigint_oracle as bs  # noqa: E402
 
 KERNEL_PATTERNS = 1000
 KERNEL_RECORDS = 10_000
 KERNEL_BATCH = 64
 SEED = 2024
 
-DEFAULT_OUT = Path(__file__).resolve().parents[1] / \
-    "BENCH_permutation.json"
+DEFAULT_OUT = REPO_ROOT / "BENCH_permutation.json"
 
 
 def _synthetic_forest(n_patterns: int, n_records: int, seed: int):
     """A flat DFS forest of random ~10%-density tidsets.
 
     Kernel timing needs controlled shape, not mined structure: every
-    node is a root, so both policies store exactly ``n_patterns``
+    node is a root, so both kernels count exactly ``n_patterns``
     tidsets of the same universe.
     """
     rng = np.random.default_rng(seed)
     patterns = []
     for node_id in range(n_patterns):
         flags = rng.random(n_records) < 0.1
-        tidset = bs.from_numpy_bool(flags)
         patterns.append(Pattern(
             node_id=node_id, parent_id=-1,
-            items=frozenset((node_id,)), tidset=tidset,
+            items=frozenset((node_id,)), tidset=TidVector.from_bool(flags),
             support=int(flags.sum()), depth=0))
     indicator = rng.random(n_records) < 0.5
     return patterns, indicator
+
+
+def _bigint_supports(tidsets, indicator):
+    """The bigint loop: one ``popcount(t & class_bits)`` per node."""
+    class_bits = bs.from_numpy_bool(indicator)
+    return np.fromiter((bs.popcount(t & class_bits) for t in tidsets),
+                       dtype=np.int64, count=len(tidsets))
 
 
 def _timed_repeat(fn, repeats: int = 3):
@@ -71,18 +80,13 @@ def _timed_repeat(fn, repeats: int = 3):
 
 
 def test_permutation_kernel():
-    scale = current_scale()
-
-    # ------------------------------------------------------------- #
-    # kernel head-to-head: 1000 patterns x 10k records               #
-    # ------------------------------------------------------------- #
     patterns, indicator = _synthetic_forest(KERNEL_PATTERNS,
                                             KERNEL_RECORDS, SEED)
-    bigint_forest = PatternForest(patterns, KERNEL_RECORDS, "bitset")
+    tidsets = [int(p.tidset) for p in patterns]
     packed_forest = PatternForest(patterns, KERNEL_RECORDS, "packed")
 
     bigint_seconds, bigint_out = _timed_repeat(
-        lambda: bigint_forest.class_supports(indicator))
+        lambda: _bigint_supports(tidsets, indicator))
     packed_seconds, packed_out = _timed_repeat(
         lambda: packed_forest.class_supports(indicator))
     assert (bigint_out == packed_out).all()
@@ -93,41 +97,10 @@ def test_permutation_kernel():
     batch_seconds, batch_out = _timed_repeat(
         lambda: packed_forest.class_supports_batch(batch))
     batch_per_labelling = batch_seconds / KERNEL_BATCH
-    assert (batch_out[0]
-            == bigint_forest.class_supports(batch[0])).all()
+    assert (batch_out[0] == _bigint_supports(tidsets, batch[0])).all()
 
     speedup_single = bigint_seconds / max(packed_seconds, 1e-12)
     speedup_batch = bigint_seconds / max(batch_per_labelling, 1e-12)
-
-    # ------------------------------------------------------------- #
-    # end-to-end permutation pass, bitset vs packed policy           #
-    # ------------------------------------------------------------- #
-    config = GeneratorConfig(
-        n_records=scale.synth_records, n_attributes=24, n_rules=2,
-        min_coverage=scale.synth_records // 5,
-        max_coverage=scale.synth_records // 4,
-        min_confidence=0.7, max_confidence=0.9)
-    ruleset = mine_class_rules(generate(config, seed=SEED).dataset,
-                               scale.synth_records // 5)
-    n_perm = scale.runtime_permutations
-    end_to_end = {}
-    reference = None
-    for policy in ("bitset", "packed"):
-        engine = PermutationEngine(ruleset, n_permutations=n_perm,
-                                   seed=SEED, policy=policy)
-        elapsed, _ = _timed_repeat(lambda e=engine: e.run(), repeats=1)
-        distribution = engine.min_p_distribution()
-        if reference is None:
-            reference = distribution
-        else:
-            # Hard guarantee: the policies are bit-identical.
-            assert (distribution == reference).all()
-        end_to_end[policy] = {
-            "seconds": elapsed,
-            "ms_per_permutation": elapsed * 1000 / n_perm,
-        }
-    end_to_end_speedup = (end_to_end["bitset"]["seconds"]
-                          / max(end_to_end["packed"]["seconds"], 1e-12))
 
     record = bench_envelope(
         "permutation_kernel",
@@ -146,13 +119,6 @@ def test_permutation_kernel():
                 "speedup_single": speedup_single,
                 "speedup_batch": speedup_batch,
             },
-            "end_to_end": {
-                "n_permutations": n_perm,
-                "n_rules": ruleset.n_tests,
-                "n_records": scale.synth_records,
-                "policies": end_to_end,
-                "packed_speedup": end_to_end_speedup,
-            },
         },
     )
     out_path = write_bench(record, str(DEFAULT_OUT))
@@ -165,12 +131,6 @@ def test_permutation_kernel():
         f"({speedup_single:.1f}x)",
         f"  packed batch:  {batch_per_labelling * 1000:8.3f} "
         f"ms/labelling ({speedup_batch:.1f}x, B={KERNEL_BATCH})",
-        f"end-to-end ({n_perm} permutations, {ruleset.n_tests} rules):",
-        f"  bitset policy: "
-        f"{end_to_end['bitset']['ms_per_permutation']:8.3f} ms/perm",
-        f"  packed policy: "
-        f"{end_to_end['packed']['ms_per_permutation']:8.3f} ms/perm "
-        f"({end_to_end_speedup:.1f}x)",
     ]
     print()
     print(banner("permutation kernel: bigint loop vs packed uint64",

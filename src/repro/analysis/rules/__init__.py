@@ -7,7 +7,7 @@ and ``docs/static-analysis.md`` for the catalog):
 module                    rules
 ========================  =========================================
 :mod:`.rng`               no-stdlib-rng, no-global-numpy-rng
-:mod:`.substrate`         bitset-quarantine, uint64-dtype-promotion
+:mod:`.substrate`         uint64-dtype-promotion
 :mod:`.concurrency`       unlocked-shared-state, pickle-unsafe-worker
 :mod:`.determinism`       float-equality-in-stats,
                           unordered-iteration-to-output

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Optional, Set, Tuple
+from typing import Optional, Set
 
 __all__ = ["dotted_name", "numpy_aliases", "numpy_random_aliases",
            "call_name"]
@@ -55,27 +55,3 @@ def numpy_random_aliases(tree) -> Set[str]:
                     if alias.name == "random":
                         aliases.add(alias.asname or "random")
     return aliases
-
-
-def import_targets(node, module: str) -> Tuple[str, ...]:
-    """Absolute dotted targets an Import/ImportFrom statement binds.
-
-    ``module`` is the importing file's dotted module name, used to
-    resolve relative imports. For ``from X import a, b`` the targets
-    are ``X.a`` and ``X.b`` (submodule-or-attribute either way).
-    """
-    if isinstance(node, ast.Import):
-        return tuple(alias.name for alias in node.names)
-    if not isinstance(node, ast.ImportFrom):
-        return ()
-    if node.level == 0:
-        base = node.module or ""
-    else:
-        parts = module.split(".")
-        # Climb: level 1 = current package, each extra level one up.
-        parts = parts[:-node.level] if node.level <= len(parts) else []
-        if node.module:
-            parts = parts + node.module.split(".")
-        base = ".".join(parts)
-    return tuple(f"{base}.{alias.name}" if base else alias.name
-                 for alias in node.names)

@@ -1,15 +1,8 @@
 """Packed-substrate rules: the PR-4/PR-5 representation contract.
 
-PR 5 made the packed uint64 :class:`~repro.tidvector.TidVector` arena
-the one and only record-set representation; the bigint
-:mod:`repro.bitset` survives purely as an interop/oracle shim. Two
-rules keep it that way:
+The packed uint64 :class:`~repro.tidvector.TidVector` arena is the one
+record-set representation. One rule guards its word kernels:
 
-* **bitset-quarantine** — ``repro.bitset`` may be imported only by the
-  converters that bridge representations (``bitmat.py``), the Fig 4
-  bigint ablation arm (``mining/diffsets.py``), and test/benchmark
-  oracles. Any other import re-opens the second representation the
-  refactor closed.
 * **uint64-dtype-promotion** — arithmetic between packed uint64 words
   and non-uint64 numpy operands silently promotes dtype (true division
   always lands in float64; mixing with signed arrays promotes or
@@ -24,25 +17,9 @@ import ast
 from typing import Set
 
 from ..registry import Rule, register_rule
-from ._util import call_name, dotted_name, import_targets, numpy_aliases
+from ._util import call_name, dotted_name, numpy_aliases
 
-__all__ = ["BITSET_QUARANTINE", "UINT64_DTYPE_PROMOTION"]
-
-
-def _check_bitset_quarantine(tree, ctx):
-    module = ctx.module
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        for target in import_targets(node, module):
-            if target == "repro.bitset" or target.startswith(
-                    "repro.bitset."):
-                yield ctx.finding(
-                    "bitset-quarantine", node,
-                    "import of repro.bitset — the bigint bitset is an "
-                    "interop shim (PR 5); use repro.tidvector "
-                    "(TidVector / pack_* arena builders) instead")
-                break
+__all__ = ["UINT64_DTYPE_PROMOTION"]
 
 
 _UINT64_SPELLINGS = frozenset({"uint64", "u8"})
@@ -171,23 +148,6 @@ def _check_uint64_promotion(tree, ctx):
                     "dtype; cast with np.uint64(...)/astype or keep "
                     "to bitwise ops")
 
-
-BITSET_QUARANTINE = register_rule(Rule(
-    name="bitset-quarantine",
-    check_fn=_check_bitset_quarantine,
-    aliases=("no-bitset-import",),
-    description="repro.bitset importable only from the interop "
-                "converters, the bigint ablation arm, and test "
-                "oracles",
-    invariant="one record-set representation (PR 5): TidVector arenas "
-              "end-to-end; repro.bitset is a deprecated interop shim",
-    exclude=(
-        "repro/bitmat.py",        # byte-exact bigint<->packed bridge
-        "repro/mining/diffsets.py",  # Fig 4 bigint ablation arm
-        "repro/bitset.py",
-        "tests/*", "benchmarks/*",
-    ),
-))
 
 UINT64_DTYPE_PROMOTION = register_rule(Rule(
     name="uint64-dtype-promotion",

@@ -1,14 +1,12 @@
 """Packed uint64 bitmap kernels: counting, closure and diffset joins.
 
-The mining substrate stores tidsets as arbitrary-precision Python ints
-(:mod:`repro.bitset`), which makes *one* intersection a single C call —
-but the permutation approach (Section 4.2) needs ``N × n_nodes`` of
-them, and a Python loop over bigint ``popcount(t & class_bits)`` pays
-interpreter and allocation overhead on every node of every
-permutation. :class:`BitMatrix` removes that overhead wholesale: the
-``n_nodes`` tidsets become one ``(n_nodes, ceil(n_records / 64))``
-``uint64`` array, a class labelling becomes one packed ``uint64`` row,
-and a full class-support pass is three C-level array operations —
+The permutation approach (Section 4.2) needs ``N × n_nodes`` class
+supports ``popcount(tidset & class_bits)``, and a Python loop over the
+nodes pays interpreter overhead on every node of every permutation.
+:class:`BitMatrix` removes that overhead wholesale: the ``n_nodes``
+tidsets become one ``(n_nodes, ceil(n_records / 64))`` ``uint64``
+array, a class labelling becomes one packed ``uint64`` row, and a full
+class-support pass is three C-level array operations —
 ``bitwise_and`` broadcast, ``bitwise_count`` (the POPCNT instruction on
 x86), and a row sum.
 
@@ -18,9 +16,9 @@ Counting kernels on :class:`BitMatrix`:
   boolean record indicator (one permutation);
 * :meth:`BitMatrix.class_supports_batch` — a ``(B, n_nodes)`` support
   matrix for ``B`` indicators in one shot, the kernel behind the
-  batched permutation pass. The broadcast intermediate is
-  ``B × n_nodes × n_words`` bytes of popcounts, so the batch is
-  processed in row blocks bounded by ``block_bytes`` (see
+  batched permutation pass. Without the native suite the numpy
+  broadcast runs in labelling × node-row tiles of at most
+  :data:`TILE_BYTES` scratch, whatever the forest's width (see
   ``docs/performance.md``);
 * :meth:`BitMatrix.class_supports_multi` — a ``(C, B, n_nodes)``
   support tensor for ``C`` classes × ``B`` labellings through *one*
@@ -46,20 +44,21 @@ The last two are native-accelerated through :mod:`repro._native`
 with silent numpy fallbacks.
 
 Every kernel counts *exact integers* or compares exact words —
-results are bit-identical to the bigint path for any input, with the
-native suite loaded or not.
+results are bit-identical for any input, with the native suite loaded
+or not.
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _native
 
 __all__ = [
+    "TILE_BYTES",
     "BitMatrix",
     "andnot_counts",
     "intersection_counts",
@@ -69,8 +68,11 @@ __all__ = [
     "words_per_row",
 ]
 
-#: Default memory budget for one batch block's broadcast intermediates.
-DEFAULT_BLOCK_BYTES = 64 * 1024 * 1024
+#: Scratch bytes of one numpy supports tile: ``labellings × rows ×
+#: n_words`` cells at 9 bytes each (the uint64 AND and its uint8
+#: popcounts). Fixed, so the fallback's memory is bounded whatever the
+#: forest's width; ~1 MiB also keeps the tile cache-resident.
+TILE_BYTES = 1 << 20
 
 
 def words_per_row(n_records: int) -> int:
@@ -83,9 +85,8 @@ def words_per_row(n_records: int) -> int:
 def pack_indicator(indicator: np.ndarray) -> np.ndarray:
     """Pack one boolean record indicator into a ``(n_words,)`` uint64 row.
 
-    Bit ``i`` of the packed row is set iff ``indicator[i]`` — the same
-    little-endian layout :func:`repro.bitset.from_numpy_bool` uses for
-    bigints, so packed words and bigint bitsets describe identical sets.
+    Bit ``i`` of the packed row is set iff ``indicator[i]`` — the
+    little-endian layout of :class:`~repro.tidvector.TidVector`.
     """
     flags = np.ascontiguousarray(indicator, dtype=bool)
     if flags.ndim != 1:
@@ -117,8 +118,8 @@ class BitMatrix:
 
     Rows usually correspond to pattern-forest nodes; columns are 64-bit
     windows of record ids (record ``i`` lives in bit ``i % 64`` of word
-    ``i // 64``, little-endian — the same layout as the bigint bitsets
-    in :mod:`repro.bitset`, so conversion is byte-exact both ways).
+    ``i // 64``, little-endian — the same layout as a bigint's
+    little-endian bytes, so conversion is byte-exact both ways).
     """
 
     __slots__ = ("_words", "n_rows", "n_records", "n_words")
@@ -162,9 +163,8 @@ class BitMatrix:
             if tidset < 0:
                 raise ValueError(f"tidset of row {row} is negative")
             if tidset >> n_records:
-                # The same range rule as bitset.to_uint64_words: any
-                # bit at or above n_records is out of range, including
-                # the tail of a partially-filled last word.
+                # Any bit at or above n_records is out of range,
+                # including the tail of a partially-filled last word.
                 raise ValueError(
                     f"tidset of row {row} references records >= "
                     f"{n_records}")
@@ -195,21 +195,11 @@ class BitMatrix:
             raise ValueError("indicators must be two-dimensional")
         return cls(pack_indicators(flags), flags.shape[1])
 
-    def tidset(self, row: int) -> int:
-        """The bigint bitset of one row (inverse of :meth:`from_tidsets`)."""
-        from . import bitset as bs
-
-        return bs.from_uint64_words(self._words[row])
-
     def tidvector(self, row: int):
         """One row as a packed :class:`~repro.tidvector.TidVector` view."""
         from .tidvector import TidVector
 
         return TidVector(self._words[row], self.n_records)
-
-    def to_tidsets(self) -> List[int]:
-        """All rows back as bigint bitsets."""
-        return [self.tidset(row) for row in range(self.n_rows)]
 
     @property
     def words(self) -> np.ndarray:
@@ -249,44 +239,26 @@ class BitMatrix:
         return (np.bitwise_count(self._words & packed[None, :])
                 .sum(axis=1, dtype=np.int64))
 
-    def class_supports_batch(self, indicators: np.ndarray,
-                             block_bytes: int = DEFAULT_BLOCK_BYTES,
-                             word_block: int = 0,
-                             ) -> np.ndarray:
+    def class_supports_batch(self, indicators: np.ndarray) -> np.ndarray:
         """``(B, n_rows)`` support matrix for ``B`` indicators at once.
 
         Row ``b`` equals ``class_supports(indicators[b])``. The heavy
         lifting goes through the fused C kernel when the host can
         compile it (:mod:`repro._native`; node-outer, so the packed
         forest streams past all ``B`` labellings once, no
-        intermediates); otherwise the numpy
-        path processes the batch in blocks whose
-        ``block × n_rows × n_words`` broadcast intermediates stay
-        within ``block_bytes``. Both paths count exact integers and
-        return bit-identical matrices.
-
-        ``word_block > 0`` scores the matrix in record-range shards of
-        that many 64-record words, summing the per-shard partial
-        popcounts at the boundary — supports over disjoint record
-        ranges are exact integers, so the merged matrix is
-        bit-identical to the whole-matrix pass while only
-        ``n_rows × word_block`` words of the matrix (plus the matching
-        indicator columns) are materialized at a time. This is how a
-        memory-mapped or sharded forest scores without paging its full
-        width in.
+        intermediates); otherwise the numpy path broadcasts over
+        labelling × node-row tiles whose scratch stays within
+        :data:`TILE_BYTES`. Both paths count exact integers and return
+        bit-identical matrices.
         """
         flags = np.asarray(indicators, dtype=bool)
         if flags.ndim != 2 or flags.shape[1] != self.n_records:
             raise ValueError(
                 f"indicators must have shape (B, {self.n_records}), "
                 f"got {flags.shape}")
-        n_batch = flags.shape[0]
-        packed = pack_indicators(flags)
-        return self._supports_packed(packed, block_bytes, word_block)
+        return self._supports_packed(pack_indicators(flags))
 
     def class_supports_multi(self, class_indicators: np.ndarray,
-                             block_bytes: int = DEFAULT_BLOCK_BYTES,
-                             word_block: int = 0,
                              ) -> np.ndarray:
         """``(C, B, n_rows)`` supports for ``C`` classes × ``B`` rows.
 
@@ -297,8 +269,6 @@ class BitMatrix:
         pass costs one kernel call for *all* classes instead of one
         per class. Entry ``(c, b)`` equals
         ``class_supports(class_indicators[c, b])`` exactly.
-        ``word_block`` shards the pass by record range exactly as in
-        :meth:`class_supports_batch`.
         """
         flags = np.asarray(class_indicators, dtype=bool)
         if flags.ndim != 3 or flags.shape[2] != self.n_records:
@@ -308,42 +278,36 @@ class BitMatrix:
         n_classes, n_batch = flags.shape[0], flags.shape[1]
         packed = pack_indicators(
             flags.reshape(n_classes * n_batch, self.n_records))
-        out = self._supports_packed(packed, block_bytes, word_block)
+        out = self._supports_packed(packed)
         return out.reshape(n_classes, n_batch, self.n_rows)
 
-    def _supports_packed(self, packed: np.ndarray, block_bytes: int,
-                         word_block: int = 0) -> np.ndarray:
+    def _supports_packed(self, packed: np.ndarray) -> np.ndarray:
         """Supports of every row against already-packed labellings."""
         n_batch = packed.shape[0]
-        if word_block and 0 < word_block < self.n_words \
-                and self.n_rows and n_batch:
-            out = np.zeros((n_batch, self.n_rows), dtype=np.int64)
-            for start in range(0, self.n_words, word_block):
-                # Contiguous per-shard copies keep the native kernel
-                # eligible; their size is the word_block budget.
-                shard = BitMatrix.__new__(BitMatrix)
-                shard._words = np.ascontiguousarray(
-                    self._words[:, start:start + word_block])
-                shard.n_rows = self.n_rows
-                shard.n_words = shard._words.shape[1]
-                shard.n_records = min(self.n_records,
-                                      (start + shard.n_words) * 64
-                                      ) - start * 64
-                out += shard._supports_packed(
-                    np.ascontiguousarray(
-                        packed[:, start:start + word_block]),
-                    block_bytes)
-            return out
         suite = _native.load_suite()
         if suite is not None and self.n_rows and n_batch:
             return self._run_native(packed, suite.class_supports_batch)
         out = np.empty((n_batch, self.n_rows), dtype=np.int64)
-        block = self.batch_block_rows(block_bytes)
-        for start in range(0, n_batch, block):
-            chunk = packed[start:start + block]
-            meet = self._words[None, :, :] & chunk[:, None, :]
-            out[start:start + chunk.shape[0]] = \
-                np.bitwise_count(meet).sum(axis=2, dtype=np.int64)
+        if not (self.n_rows and n_batch):
+            return out
+        # A tile is (labellings, rows, n_words) cells; a narrow forest
+        # fits whole in one tile with several labellings, a wide one
+        # is cut into row ranges, one labelling at a time.
+        cells = max(1, TILE_BYTES // 9)
+        rows = max(1, min(self.n_rows, cells // max(1, self.n_words)))
+        labellings = max(1, min(n_batch,
+                                cells // max(1, rows * self.n_words)))
+        meet = np.empty((labellings, rows, self.n_words), dtype=np.uint64)
+        counts = np.empty(meet.shape, dtype=np.uint8)
+        for b in range(0, n_batch, labellings):
+            chunk = packed[b:b + labellings, None, :]
+            for r in range(0, self.n_rows, rows):
+                tile = self._words[None, r:r + rows]
+                n_b, n_r = chunk.shape[0], tile.shape[1]
+                np.bitwise_and(tile, chunk, out=meet[:n_b, :n_r])
+                np.bitwise_count(meet[:n_b, :n_r], out=counts[:n_b, :n_r])
+                out[b:b + n_b, r:r + n_r] = counts[:n_b, :n_r].sum(
+                    axis=2, dtype=np.int64)
         return out
 
     def _run_native(self, packed: np.ndarray, kernel) -> np.ndarray:
@@ -358,22 +322,6 @@ class BitMatrix:
                out.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
                self.n_rows, self.n_words, n_batch)
         return out
-
-    @property
-    def batch_row_bytes(self) -> int:
-        """Intermediate bytes one batch labelling costs the numpy
-        kernel: ``n_rows × n_words`` uint64 for the AND plus the same
-        shape again in uint8 popcounts (9 bytes per word-cell). The
-        single source of truth for the numpy path's block sizing; the
-        fused C path allocates none of this, so callers that dispatch
-        to it must not charge it."""
-        return max(1, self.n_rows * self.n_words * 9)
-
-    def batch_block_rows(self, block_bytes: int = DEFAULT_BLOCK_BYTES,
-                         ) -> int:
-        """Batch rows whose broadcast intermediates fit ``block_bytes``
-        (at least one row is always processed)."""
-        return max(1, int(block_bytes) // self.batch_row_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"BitMatrix(n_rows={self.n_rows}, "

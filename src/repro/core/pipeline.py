@@ -268,10 +268,10 @@ class Pipeline:
     policy:
         Storage/kernel policy of the permutation pass's pattern forest
         (:data:`repro.mining.POLICY_CHOICES`): ``"packed"`` (default —
-        the uint64 bitmap kernel, the fastest path), ``"bitset"``,
-        ``"diffsets"``, ``"full"``, or ``"auto"`` (pick per dataset
-        shape from measured crossover points). Results are
-        bit-identical under every policy; see ``docs/performance.md``.
+        the uint64 bitmap kernel, the fastest path), ``"diffsets"``,
+        or ``"auto"`` (pick per dataset shape from measured crossover
+        points). Results are bit-identical under every policy; see
+        ``docs/performance.md``.
     n_jobs:
         Worker count for the parallel machinery (``-1`` = all cores):
         the permutation pass shards across workers, independent

@@ -85,7 +85,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import _native
-from ..bitmat import DEFAULT_BLOCK_BYTES
+from ..bitmat import TILE_BYTES
 from ..errors import CorrectionError
 from ..mining.diffsets import (
     DEFAULT_POLICY,
@@ -113,6 +113,9 @@ _LOG = logging.getLogger("repro.corrections")
 #: Mushroom, and 16 keeps a 127-word (8128-record) block at 16 KiB.
 NATIVE_BATCH_ROWS = 16
 
+#: Default memory budget for one scoring block's intermediates.
+DEFAULT_BATCH_BYTES = 64 * 1024 * 1024
+
 
 class PermutationEngine:
     """Shared machinery for permutation-based FWER and FDR control.
@@ -139,8 +142,7 @@ class PermutationEngine:
     policy:
         Record-id storage policy for the pattern forest; one of
         ``"packed"`` (default — the uint64 bitmap kernel),
-        ``"bitset"``, ``"diffsets"``, ``"full"``, or ``"auto"``
-        (resolved per dataset shape, see
+        ``"diffsets"``, or ``"auto"`` (resolved per dataset shape, see
         :func:`repro.mining.diffsets.resolve_auto_policy`). All
         policies return bit-identical results; see
         ``docs/performance.md``.
@@ -150,24 +152,12 @@ class PermutationEngine:
         sized so what the dispatched path allocates stays within this
         budget — the block's node supports and the pass's rank table
         natively (at most :data:`NATIVE_BATCH_ROWS` labellings), or
-        the ``B × n_rules`` p-value matrices and the packed kernel's
-        broadcast under numpy. The budget is *per worker* —
+        the ``B × n_rules`` p-value matrices and one packed-kernel
+        tile (:data:`repro.bitmat.TILE_BYTES`) under numpy. The budget
+        is *per worker* —
         concurrent shards under ``threads`` each size their own
         blocks, so peak memory scales with ``n_jobs``. Block sizing
         never changes results, only peak memory.
-    word_block:
-        Record-range sharding of the packed scoring kernel, in uint64
-        words (64 records per word). ``None`` (default) resolves
-        automatically: whole-matrix scoring when the native suite is
-        loaded (its kernel allocates no broadcast) or unless a single
-        permutation's numpy broadcast alone would blow
-        ``batch_bytes``, in which case the matrix is scored in
-        word-column shards sized to the budget and the exact int64
-        partial supports are summed at the shard boundary — the
-        out-of-core path for forests wider than RAM. ``0`` forces
-        whole-matrix scoring; any positive value is used as given.
-        Sharding never changes results (exact integer merge), only
-        peak memory.
     """
 
     def __init__(self, ruleset: RuleSet, n_permutations: int = 1000,
@@ -175,8 +165,7 @@ class PermutationEngine:
                  policy: str = DEFAULT_POLICY,
                  n_jobs: int = 1,
                  backend: str = "serial",
-                 batch_bytes: int = DEFAULT_BLOCK_BYTES,
-                 word_block: Optional[int] = None) -> None:
+                 batch_bytes: int = DEFAULT_BATCH_BYTES) -> None:
         if n_permutations < 1:
             raise CorrectionError("n_permutations must be >= 1")
         if policy not in POLICY_CHOICES:
@@ -226,10 +215,6 @@ class PermutationEngine:
         # sizing below charges the path chosen here.
         self._native = _native.load_suite() is not None
         self._native_stats: Optional[_NativeStats] = None
-        if word_block is not None and word_block < 0:
-            raise CorrectionError("word_block must be >= 0")
-        self.word_block = (self._auto_word_block()
-                           if word_block is None else word_block)
         self._lookup = _VectorizedLookup(self)
 
     # ------------------------------------------------------------------
@@ -291,14 +276,14 @@ class PermutationEngine:
 
     def _log_dispatch(self) -> None:
         """One DEBUG record per pass: the scoring path and its sizing."""
-        sizing = (self._batch_rows(), self.word_block,
-                  self._forest.n_nodes, len(self._node_ids))
+        sizing = (self._batch_rows(), self._forest.n_nodes,
+                  len(self._node_ids))
         if self._native:
-            _LOG.debug("permutation pass: native, B=%d, word_block=%d, "
-                       "%d nodes, %d rules", *sizing)
+            _LOG.debug("permutation pass: native, B=%d, %d nodes, "
+                       "%d rules", *sizing)
         else:
             _LOG.debug("permutation pass: numpy (native kernels %s), "
-                       "B=%d, word_block=%d, %d nodes, %d rules",
+                       "B=%d, %d nodes, %d rules",
                        _native.native_status(), *sizing)
 
     def _score_shard(self, seeds, order: np.ndarray,
@@ -384,9 +369,9 @@ class PermutationEngine:
         * NumPy: one label row, one ``n_nodes`` support row per class
           array, several ``n_rules``-wide float intermediates
           (supports, p-values, the pooled sort, the ranked copy and
-          its suffix minima), and — under the packed policy — the
-          kernel's ``n_nodes × n_words`` broadcast cells at 9 bytes
-          each (uint64 AND + uint8 popcount).
+          its suffix minima); under the packed policy the kernel's
+          one scratch tile (:data:`repro.bitmat.TILE_BYTES`) comes out
+          of the budget first, whatever ``B`` is.
         """
         n_rules = len(self._node_ids)
         n_nodes = self._forest.n_nodes
@@ -405,38 +390,11 @@ class PermutationEngine:
         class_arrays = 2 if self._binary else self._n_slots
         per_row += class_arrays * 8 * n_nodes
         per_row += 6 * 8 * n_rules
-        matrix = self._forest.matrix
-        if matrix is not None:
-            # The packed kernel's own per-labelling intermediates —
-            # bitmat owns that accounting. A word-sharded pass only
-            # materializes one shard's broadcast at a time.
-            if self.word_block and self.word_block < matrix.n_words:
-                per_row += max(1, matrix.n_rows * self.word_block * 9)
-            else:
-                per_row += matrix.batch_row_bytes
-        rows = self.batch_bytes // per_row
+        spare = self.batch_bytes
+        if self._forest.matrix is not None:
+            spare -= TILE_BYTES
+        rows = spare // per_row
         return max(1, min(rows, self.n_permutations))
-
-    def _auto_word_block(self) -> int:
-        """Resolve ``word_block=None``: shard only when forced.
-
-        Whole-matrix scoring (``0``) unless the numpy fallback runs and
-        one permutation's packed broadcast (``n_nodes × n_words × 9``
-        bytes) alone exceeds ``batch_bytes`` — then no block size fits
-        the budget and the kernel must shard by record range. The
-        shard width is sized so a single shard's broadcast consumes at
-        most half the budget, leaving the other half for the block's
-        labellings and p-value intermediates. The native kernels
-        allocate no broadcast, so they always score the whole matrix.
-        """
-        matrix = self._forest.matrix
-        if self._native or matrix is None or not matrix.n_rows \
-                or not matrix.n_words:
-            return 0
-        if matrix.batch_row_bytes <= self.batch_bytes:
-            return 0
-        return max(1, min(matrix.n_words - 1,
-                          self.batch_bytes // (matrix.n_rows * 9 * 2)))
 
     def _node_supports_batch(self, labels: np.ndarray) -> np.ndarray:
         """``(C, B, n_nodes)`` node class supports of a block.
@@ -451,11 +409,9 @@ class PermutationEngine:
         class_supports_multi`).
         """
         if self._binary:
-            return self._forest.class_supports_batch(
-                labels == 0, word_block=self.word_block)[None]
+            return self._forest.class_supports_batch(labels == 0)[None]
         stacked = np.stack([labels == c for c in self._slot_classes])
-        return self._forest.class_supports_multi(
-            stacked, word_block=self.word_block)
+        return self._forest.class_supports_multi(stacked)
 
     def _rule_supports_batch(self, labels: np.ndarray) -> np.ndarray:
         """``supp(R)`` of every rule under every given labelling.

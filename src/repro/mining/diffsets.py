@@ -9,24 +9,19 @@ a child's support is more than half its parent's, storing only the
 *difference* (records in the parent but not the child) is smaller, and
 ``supp_c(child) = supp_c(parent) - |diff ∩ class c|``.
 
-:class:`PatternForest` implements four storage policies so the Figure 4
-ablation can compare them:
+:class:`PatternForest` implements two storage policies:
 
 * ``"packed"`` (default) — this library's fastest representation: all
   tidsets packed into one ``(n_nodes, ceil(n_records/64))`` uint64
   :class:`~repro.bitmat.BitMatrix`, class supports via hardware
   popcounts over the whole forest at once (and over whole *batches* of
   labellings at once — see :meth:`class_supports_batch`);
-* ``"bitset"`` — the tidset as an arbitrary-precision integer, class
-  supports via per-node bigint ``popcount`` (the historical substrate,
-  kept as the Fig 4 bigint-baseline ablation arm and as the oracle the
-  packed kernels are diffed against);
 * ``"diffsets"`` — the paper's rule: full record-id list when
-  ``supp(X) <= supp(parent)/2``, otherwise the diffset;
-* ``"full"`` — every node stores its full record-id list.
+  ``supp(X) <= supp(parent)/2``, otherwise the diffset; class supports
+  via one id gather and ``np.add.reduceat`` per labelling.
 
-All four count exact integers, so their results are bit-identical;
-they differ only in storage footprint and wall-clock speed
+Both count exact integers, so their results are bit-identical; they
+differ only in storage footprint and wall-clock speed
 (``docs/performance.md`` has measurements and guidance). Callers who
 do not want to choose may request ``"auto"``, which resolves to
 ``"packed"`` or ``"diffsets"`` from the forest's shape at construction
@@ -42,13 +37,13 @@ import numpy as np
 
 from ..bitmat import BitMatrix, andnot_counts
 from ..errors import MiningError
-from ..tidvector import as_tidvector
+from ..tidvector import TidVector, as_tidvector
 from .patterns import Pattern
 
 __all__ = ["PatternForest", "ForestStats", "POLICIES", "POLICY_CHOICES",
            "DEFAULT_POLICY", "resolve_auto_policy"]
 
-POLICIES = ("full", "diffsets", "bitset", "packed")
+POLICIES = ("diffsets", "packed")
 
 #: What callers may request: every storage policy plus ``"auto"``,
 #: which resolves to one of :data:`POLICIES` at forest construction
@@ -77,14 +72,14 @@ def resolve_auto_policy(n_nodes: int, n_records: int,
                         total_ids: int) -> str:
     """Pick a storage policy from the forest's shape.
 
-    ``total_ids`` is the summed support of all nodes (the ids a
-    ``"full"`` forest would store); ``total_ids / (n_nodes *
+    ``total_ids`` is the summed support of all nodes (the ids full
+    record-id lists would store); ``total_ids / (n_nodes *
     n_records)`` is the mean tidset density. Dense or small shapes go
     ``"packed"`` (hardware popcounts over contiguous words); very
     sparse forests over wide record sets go ``"diffsets"``, whose
     per-id gather work shrinks with density while the packed sweep
     does not. Crossover constants come from the committed
-    ``BENCH_kernels.json`` per-shape timings, and every policy is
+    ``BENCH_kernels.json`` per-shape timings, and both policies are
     bit-identical, so the choice only ever affects speed.
     """
     if n_nodes <= 0 or n_records < AUTO_MIN_RECORDS:
@@ -108,7 +103,8 @@ class ForestStats:
 
     @property
     def compression_ratio(self) -> float:
-        """ids stored under ``full`` divided by ids actually stored."""
+        """ids full record-id lists would store divided by ids
+        actually stored."""
         if self.stored_ids == 0:
             return 1.0
         return self.full_policy_ids / self.stored_ids
@@ -157,7 +153,6 @@ class PatternForest:
             policy = resolve_auto_policy(
                 self.n_nodes, n_records, int(self._supports.sum()))
         self.policy = policy
-        self._tidsets: Optional[List[int]] = None
         self._matrix: Optional[BitMatrix] = None
         self._id_lists: Optional[List[np.ndarray]] = None
         self._is_diff: Optional[np.ndarray] = None
@@ -173,16 +168,8 @@ class PatternForest:
                 raise MiningError(str(exc)) from exc
             stored = full_ids
             full_nodes, diff_nodes = self.n_nodes, 0
-        elif policy == "bitset":
-            # The bigint ablation arm materializes arbitrary-precision
-            # ints from the packed rows (int() goes through
-            # TidVector.__index__).
-            self._tidsets = [int(p.tidset) for p in patterns]
-            stored = full_ids
-            full_nodes, diff_nodes = self.n_nodes, 0
         else:
-            self._id_lists, self._is_diff = self._build_id_lists(
-                patterns, policy)
+            self._id_lists, self._is_diff = self._build_id_lists(patterns)
             self._build_segments()
             stored = sum(len(ids) for ids in self._id_lists)
             diff_nodes = int(self._is_diff.sum())
@@ -197,8 +184,7 @@ class PatternForest:
     #: id-list decode cache-resident regardless of forest size.
     _DECODE_BLOCK_BYTES = 2 ** 25
 
-    def _build_id_lists(self, patterns: Sequence[Pattern],
-                        policy: str):
+    def _build_id_lists(self, patterns: Sequence[Pattern]):
         """Materialize the stored id list of every node, vectorized.
 
         The stored rows (full tidsets, or parent-minus-child diffs
@@ -217,13 +203,11 @@ class PatternForest:
                           for p in patterns])
         supports = self._supports
         parents = self._parents
-        if policy == "diffsets":
-            has_parent = parents >= 0
-            # The paper's rule: a child keeping more than half of its
-            # parent's records stores only the difference.
-            is_diff[has_parent] = (
-                2 * supports[has_parent]
-                > supports[parents[has_parent]])
+        has_parent = parents >= 0
+        # The paper's rule: a child keeping more than half of its
+        # parent's records stores only the difference.
+        is_diff[has_parent] = (
+            2 * supports[has_parent] > supports[parents[has_parent]])
         stored = arena
         counts = supports.astype(np.int64, copy=True)
         diff_rows = np.flatnonzero(is_diff)
@@ -318,15 +302,6 @@ class PatternForest:
         if self.policy == "packed":
             assert self._matrix is not None
             return self._matrix.class_supports(indicator)
-        if self.policy == "bitset":
-            # Deferred so importing the forest does not pull in the
-            # deprecated shim; only the bigint ablation arm needs it.
-            from .. import bitset as bs
-            class_bits = bs.from_numpy_bool(indicator)
-            assert self._tidsets is not None
-            return np.fromiter(
-                (bs.popcount(t & class_bits) for t in self._tidsets),
-                dtype=np.int64, count=self.n_nodes)
         assert self._is_diff is not None
         out = self._stored_counts(indicator)
         # Diffset nodes store the complement relative to their parent:
@@ -339,18 +314,14 @@ class PatternForest:
         return out
 
     def class_supports_batch(self, class_indicators: np.ndarray,
-                             word_block: int = 0) -> np.ndarray:
+                             ) -> np.ndarray:
         """``(B, n_nodes)`` class supports for ``B`` labellings at once.
 
         Row ``b`` equals ``class_supports(class_indicators[b])``. Under
-        the ``"packed"`` policy the whole batch is a handful of
-        C-level array operations (the batched permutation pass's hot
-        kernel); the other policies answer row by row, so the ablation
-        arms stay comparable through one entry point. ``word_block``
-        (packed policy only) shards the pass by record range — exact
-        int64 partials summed at the boundary, so results are
-        bit-identical; see :meth:`repro.bitmat.BitMatrix.
-        class_supports_batch`.
+        the ``"packed"`` policy the whole batch is one kernel dispatch
+        (the batched permutation pass's hot kernel, see
+        :meth:`repro.bitmat.BitMatrix.class_supports_batch`); the
+        ``"diffsets"`` policy answers row by row.
         """
         indicators = np.asarray(class_indicators, dtype=bool)
         if indicators.ndim != 2 \
@@ -360,15 +331,14 @@ class PatternForest:
                 f"(B, {self.n_records})")
         if self.policy == "packed":
             assert self._matrix is not None
-            return self._matrix.class_supports_batch(
-                indicators, word_block=word_block)
+            return self._matrix.class_supports_batch(indicators)
         if indicators.shape[0] == 0:
             return np.zeros((0, self.n_nodes), dtype=np.int64)
         return np.stack([self.class_supports(row)
                          for row in indicators])
 
     def class_supports_multi(self, class_indicators: np.ndarray,
-                             word_block: int = 0) -> np.ndarray:
+                             ) -> np.ndarray:
         """``(C, B, n_nodes)`` supports: all classes, all labellings.
 
         ``class_indicators[c, b]`` marks the records labelled class
@@ -377,10 +347,8 @@ class PatternForest:
         ``"packed"`` policy the whole class-by-batch block is one
         kernel dispatch (:meth:`repro.bitmat.BitMatrix.
         class_supports_multi`) instead of one call per class — the
-        multiclass permutation pass's entry point; other policies
-        flatten through :meth:`class_supports_batch`. ``word_block``
-        shards by record range exactly as in
-        :meth:`class_supports_batch`.
+        multiclass permutation pass's entry point; ``"diffsets"``
+        flattens through :meth:`class_supports_batch`.
         """
         indicators = np.asarray(class_indicators, dtype=bool)
         if indicators.ndim != 3 \
@@ -390,27 +358,20 @@ class PatternForest:
                 f"(C, B, {self.n_records})")
         if self.policy == "packed":
             assert self._matrix is not None
-            return self._matrix.class_supports_multi(
-                indicators, word_block=word_block)
+            return self._matrix.class_supports_multi(indicators)
         n_classes, n_batch = indicators.shape[:2]
         flat = indicators.reshape(n_classes * n_batch, self.n_records)
         return self.class_supports_batch(flat).reshape(
             n_classes, n_batch, self.n_nodes)
 
-    def tidset(self, node_id: int) -> int:
-        """Reconstruct the tidset of one node (any policy)."""
-        from .. import bitset as bs
+    def tidset(self, node_id: int) -> TidVector:
+        """Reconstruct the tidset of one node (either policy)."""
         if self.policy == "packed":
             assert self._matrix is not None
-            return self._matrix.tidset(node_id)
-        if self.policy == "bitset":
-            assert self._tidsets is not None
-            return self._tidsets[node_id]
+            return self._matrix.tidvector(node_id)
         assert self._id_lists is not None and self._is_diff is not None
+        stored = TidVector.from_indices(self._id_lists[node_id],
+                                        self.n_records)
         if not self._is_diff[node_id]:
-            return bs.bitset_from_indices(
-                int(i) for i in self._id_lists[node_id])
-        parent_bits = self.tidset(int(self._parents[node_id]))
-        diff_bits = bs.bitset_from_indices(
-            int(i) for i in self._id_lists[node_id])
-        return parent_bits & ~diff_bits
+            return stored
+        return self.tidset(int(self._parents[node_id])).andnot(stored)

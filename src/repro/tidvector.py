@@ -12,9 +12,9 @@ any per-row conversion and set algebra runs as word-wise numpy
 operations (``bitwise_and`` / ``bitwise_or`` / ``bitwise_count``, the
 POPCNT instruction on x86) instead of bigint arithmetic.
 
-The word layout is byte-identical to :func:`repro.bitset.to_uint64_words`
-of the historical bigint bitsets, so the two representations describe
-identical sets and convert losslessly (:meth:`TidVector.from_bigint` /
+The word layout is byte-identical to the little-endian bytes of a
+bigint bitset, so the two representations describe identical sets and
+convert losslessly (:meth:`TidVector.from_bigint` /
 :meth:`TidVector.to_bigint`). For interop with out-of-tree plugins and
 with the bigint property-test oracles, a :class:`TidVector` also quacks
 like the bigint it replaces: ``&``, ``|``, ``==`` accept ints,
@@ -140,7 +140,7 @@ class TidVector:
 
     @classmethod
     def from_bigint(cls, bits: int, n: int) -> "TidVector":
-        """Pack a bigint bitset (interop with :mod:`repro.bitset`)."""
+        """Pack a bigint bitset (plugin/oracle interop)."""
         bits = int(bits)
         if bits < 0:
             raise ValueError("bitsets are non-negative")
@@ -223,8 +223,8 @@ class TidVector:
         """Cardinality of the set (hardware popcount)."""
         return int(np.bitwise_count(self.words).sum())
 
-    #: Bigint-compatible spelling (``int.bit_count``), so the interop
-    #: shim :func:`repro.bitset.popcount` accepts either representation.
+    #: Bigint-compatible spelling (``int.bit_count``), so bigint-era
+    #: ``popcount`` helpers accept either representation.
     bit_count = count
 
     def intersection_count(self, other) -> int:

@@ -85,7 +85,7 @@ class TestReproLintSubcommand:
     def test_lint_list_rules(self, tree):
         out = io.StringIO()
         assert repro_main(["lint", "--list-rules"], out=out) == 0
-        assert "bitset-quarantine" in out.getvalue()
+        assert "uint64-dtype-promotion" in out.getvalue()
 
     def test_lint_clean_with_baseline(self, tree):
         assert repro_main(["lint", "src", "--update-baseline"],

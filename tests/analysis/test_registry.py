@@ -82,7 +82,7 @@ class TestRegisterResolve:
             resolve_rule("no-stdlib-rgn")
 
     def test_unknown_lists_valid_names(self):
-        with pytest.raises(AnalysisError, match="bitset-quarantine"):
+        with pytest.raises(AnalysisError, match="arena-lifetime"):
             resolve_rule("definitely-not-a-rule")
 
 
@@ -91,7 +91,7 @@ class TestBuiltinCatalog:
         names = set(rule_names())
         assert {
             "no-stdlib-rng", "no-global-numpy-rng",
-            "bitset-quarantine", "unlocked-shared-state",
+            "arena-lifetime", "unlocked-shared-state",
             "pickle-unsafe-worker", "float-equality-in-stats",
             "unordered-iteration-to-output", "uint64-dtype-promotion",
         } <= names

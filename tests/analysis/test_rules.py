@@ -98,41 +98,6 @@ class TestNoGlobalNumpyRng:
         assert hits == []
 
 
-class TestBitsetQuarantine:
-    RULE = "bitset-quarantine"
-
-    def test_tp_absolute_import(self):
-        hits = _run(self.RULE, "repro/pkg/mod.py", """\
-            from repro import bitset
-            """)
-        assert len(hits) == 1
-        assert "interop shim" in hits[0].message
-
-    def test_tp_relative_import(self):
-        hits = _run(self.RULE, "repro/mining/newminer.py", """\
-            from .. import bitset as bs
-            """)
-        assert len(hits) == 1
-
-    def test_tn_whitelisted_bridge(self):
-        hits = _run(self.RULE, "src/repro/bitmat.py", """\
-            from . import bitset as bs
-            """)
-        assert hits == []
-
-    def test_tn_tests_oracle(self):
-        hits = _run(self.RULE, "tests/test_bitset.py", """\
-            from repro import bitset
-            """)
-        assert hits == []
-
-    def test_tn_tidvector_import(self):
-        hits = _run(self.RULE, "repro/pkg/mod.py", """\
-            from repro.tidvector import TidVector
-            """)
-        assert hits == []
-
-
 class TestUnlockedSharedState:
     RULE = "unlocked-shared-state"
 

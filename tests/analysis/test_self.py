@@ -52,8 +52,3 @@ def test_migrated_rng_sites_stay_clean(findings):
     regressions = [f for f in findings
                    if f.rule == "no-stdlib-rng" and f.path in migrated]
     assert regressions == [], [f.describe() for f in regressions]
-
-
-def test_bitset_quarantine_clean(findings):
-    violations = [f for f in findings if f.rule == "bitset-quarantine"]
-    assert violations == [], [f.describe() for f in violations]

@@ -1,34 +1,20 @@
-"""Bigint bitset interop shim (DEPRECATED as a storage substrate).
+"""Bigint bitset oracle for the packed-substrate tests.
 
-Historically the library stored every tidset as an arbitrary-precision
-Python ``int`` (record ``i`` present when bit ``i`` is set). The native
-representation is now the packed uint64 :class:`repro.tidvector.
-TidVector` end-to-end — ingest, mining, scoring, corrections and
-classification all operate word-wise — and this module remains only
-for two interop purposes:
-
-* **plugin compatibility** — out-of-tree miners and corrections that
-  still build bigint tidsets keep working: every mining entry path
-  coerces through :func:`repro.tidvector.as_tidvector`, and
-  :func:`popcount` / :func:`is_subset` accept either representation;
-* **property-test oracles** — the test suite checks the word-wise
-  kernels against these independent bigint implementations.
-
-Do not introduce new bigint tidset call sites; use
-:class:`~repro.tidvector.TidVector` (``TidVector.from_bigint`` /
-``to_bigint`` convert losslessly, byte for byte).
+A tidset as an arbitrary-precision Python ``int`` (record ``i`` present
+when bit ``i`` is set): independent implementations of the set algebra,
+popcounts and word packing that the packed
+:class:`repro.tidvector.TidVector` kernels are checked against, byte
+for byte. :func:`popcount` and :func:`is_subset` accept either
+representation.
 
 All functions treat a bitset as immutable; operations return new ints.
 """
 
 from __future__ import annotations
 
-import inspect
-import warnings
 from typing import Iterable, Iterator, List, Sequence
 
 __all__ = [
-    "warn_if_unsanctioned_import",
     "bitset_from_indices",
     "bitset_to_indices",
     "iter_indices",
@@ -39,57 +25,6 @@ __all__ = [
     "to_uint64_words",
     "from_uint64_words",
 ]
-
-#: Filename suffixes sanctioned to import this shim: the TidVector
-#: bridge, the Diffsets miner's bigint interop, and the test-suite
-#: oracles (mirrors the ``bitset-quarantine`` lint rule's whitelist).
-_SANCTIONED_SUFFIXES = (
-    "repro/bitmat.py",
-    "repro/mining/diffsets.py",
-)
-_SANCTIONED_COMPONENTS = ("tests", "benchmarks")
-
-
-def warn_if_unsanctioned_import() -> None:
-    """Emit a DeprecationWarning when a non-whitelisted module imports us.
-
-    Walks past the import machinery to the frame that triggered the
-    import; files outside the quarantine whitelist (``bitmat.py``,
-    ``diffsets.py``, tests, benchmarks) get a warning pointing at
-    :class:`repro.tidvector.TidVector`. Interactive / frozen importers
-    with no resolvable filename are left alone.
-    """
-    frame = inspect.currentframe()
-    try:
-        caller = frame.f_back if frame is not None else None
-        while caller is not None:
-            filename = caller.f_code.co_filename.replace("\\", "/")
-            in_machinery = ("importlib" in filename
-                            or filename.startswith("<frozen")
-                            or filename.endswith("repro/bitset.py"))
-            if not in_machinery:
-                break
-            caller = caller.f_back
-        if caller is None:
-            return
-        filename = caller.f_code.co_filename.replace("\\", "/")
-        if filename.startswith("<"):
-            return  # REPL / exec'd source: not a quarantine target
-        if any(filename.endswith(sfx) for sfx in _SANCTIONED_SUFFIXES):
-            return
-        parts = filename.split("/")
-        if any(comp in parts for comp in _SANCTIONED_COMPONENTS):
-            return
-        warnings.warn(
-            f"repro.bitset is a deprecated interop shim (imported from "
-            f"{filename}); use repro.tidvector.TidVector for record "
-            f"sets — see docs/static-analysis.md (bitset-quarantine)",
-            DeprecationWarning, stacklevel=3)
-    finally:
-        del frame
-
-
-warn_if_unsanctioned_import()
 
 
 def popcount(bits) -> int:

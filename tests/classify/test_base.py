@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import bitset as bs
 from repro.classify.base import (
     Prediction,
     majority_class,
@@ -12,6 +11,8 @@ from repro.classify.base import (
     rule_matches,
 )
 from repro.mining.rules import ClassRule
+
+from .. import bigint_oracle as bs
 
 
 def _rule(items, class_index=0):

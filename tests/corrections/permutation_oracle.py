@@ -10,9 +10,10 @@ labelling and one rule at a time:
   by a generator seeded with the ``t``-th child of
   ``SeedSequence(seed)``, the engine's seed scheme;
 * :func:`rule_supports` — ``supp(R)`` of every rule under one
-  labelling, from :meth:`~repro.mining.diffsets.PatternForest.
-  class_supports` of each class on a rule RHS (binary datasets too, so
-  the engine's ``coverage - supp0`` derivation is checked, not copied);
+  labelling, as the bigint oracle's ``popcount(tidset & class_bits)``
+  of the rule's pattern and its own RHS class (binary datasets too, so
+  the engine's ``coverage - supp0`` derivation is checked, not copied)
+  — no pattern forest involved;
 * :func:`permutation_p_values` — every rule's p-value under every
   labelling, looked up in the rule set's
   :class:`~repro.stats.BufferCache` (``pvalue="cache"``, which the
@@ -34,8 +35,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.mining.diffsets import PatternForest
 from repro.stats import fisher_two_tailed
+
+from .. import bigint_oracle as bs
 
 __all__ = ["labellings", "rule_supports", "permutation_p_values",
            "statistics", "reference"]
@@ -52,36 +54,32 @@ def labellings(ruleset, n_permutations: int,
             for child in children]
 
 
-def rule_supports(forest: PatternForest, ruleset,
-                  labels: np.ndarray) -> List[int]:
+def rule_supports(ruleset, labels: np.ndarray) -> List[int]:
     """``supp(R)`` of every rule (rule order) under ``labels``."""
-    per_class = {}
+    class_bits = {}
     supports = []
     for rule in ruleset.rules:
         c = rule.class_index
-        if c not in per_class:
-            per_class[c] = forest.class_supports(labels == c)
-        supports.append(int(per_class[c][rule.pattern_id]))
+        if c not in class_bits:
+            class_bits[c] = bs.from_numpy_bool(labels == c)
+        tidset = int(ruleset.patterns[rule.pattern_id].tidset)
+        supports.append(bs.popcount(tidset & class_bits[c]))
     return supports
 
 
 def permutation_p_values(ruleset, n_permutations: int, seed: int,
-                         pvalue: str = "cache",
-                         policy: str = "packed") -> List[List[float]]:
+                         pvalue: str = "cache") -> List[List[float]]:
     """Every rule's p-value under every labelling.
 
     Row ``t`` holds labelling ``t``'s p-values in rule order.
-    ``policy`` picks the storage policy of the forest the supports are
-    counted on.
     """
     if pvalue not in PVALUE_SOURCES:
         raise ValueError(f"pvalue must be one of {PVALUE_SOURCES}")
     dataset = ruleset.dataset
-    forest = PatternForest(ruleset.patterns, dataset.n_records, policy)
     rows = []
     for labels in labellings(ruleset, n_permutations, seed):
         row = []
-        supports = rule_supports(forest, ruleset, labels)
+        supports = rule_supports(ruleset, labels)
         for rule, support in zip(ruleset.rules, supports):
             if pvalue == "cache":
                 p = ruleset.caches[rule.class_index].p_value(
@@ -132,9 +130,9 @@ def statistics(observed: Sequence[float],
 
 
 def reference(ruleset, n_permutations: int, seed: int,
-              pvalue: str = "cache", policy: str = "packed",
+              pvalue: str = "cache",
               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The engine's three statistics for ``(n_permutations, seed)``."""
     perm_p = permutation_p_values(ruleset, n_permutations, seed,
-                                  pvalue=pvalue, policy=policy)
+                                  pvalue=pvalue)
     return statistics([rule.p_value for rule in ruleset.rules], perm_p)

@@ -20,7 +20,6 @@ from repro.cli import main
 from repro.corrections import PermutationEngine
 from repro.data import GeneratorConfig, generate, save_csv
 from repro.mining import mine_class_rules
-from repro.mining.diffsets import PatternForest
 
 from .permutation_oracle import labellings, reference, rule_supports
 
@@ -65,11 +64,11 @@ class TestCsvByteIdentity:
                 f"{backend}"
 
     @pytest.mark.parametrize("correction", CORRECTIONS)
-    def test_packed_matches_bigint_policies(self, dataset_csv,
-                                            tmp_path, correction):
+    def test_packed_matches_other_policies(self, dataset_csv,
+                                           tmp_path, correction):
         packed = _mine_csv(dataset_csv, tmp_path / "packed.csv",
                            correction, policy="packed")
-        for policy in ("bitset", "diffsets", "full"):
+        for policy in ("diffsets", "auto"):
             other = _mine_csv(dataset_csv, tmp_path / f"{policy}.csv",
                               correction, policy=policy)
             assert filecmp.cmp(packed, other, shallow=False), \
@@ -106,11 +105,11 @@ class TestEngineStatistics:
 
     def test_batched_matches_sequential_cache_mode(self, ruleset):
         """The scalar reference scores permutation-at-a-time through
-        the buffer cache on a bigint forest; the batched packed path
+        the buffer cache on bigint tidsets; the batched packed path
         must reproduce its statistics exactly."""
         engine = PermutationEngine(ruleset, 30, seed=5, policy="packed")
         engine.run()
-        sequential = reference(ruleset, 30, seed=5, policy="bitset")
+        sequential = reference(ruleset, 30, seed=5)
         assert np.array_equal(engine._min_p, sequential[0])
         assert np.array_equal(engine._pooled_counts, sequential[1])
         assert np.array_equal(engine._stepdown_counts, sequential[2])
@@ -119,7 +118,7 @@ class TestEngineStatistics:
     def test_policy_and_backend_cross_product(self, ruleset, backend):
         reference = self._statistics(
             PermutationEngine(ruleset, 30, seed=5, policy="packed"))
-        for policy in ("packed", "bitset"):
+        for policy in ("packed", "diffsets"):
             parallel = self._statistics(PermutationEngine(
                 ruleset, 30, seed=5, policy=policy, n_jobs=3,
                 backend=backend))
@@ -138,8 +137,6 @@ class TestEngineStatistics:
                                    policy="packed")
         labels = np.stack(labellings(ruleset, 5, seed=3))
         batched = engine._rule_supports_batch(labels)
-        forest = PatternForest(ruleset.patterns,
-                               ruleset.dataset.n_records, "diffsets")
         for row in range(labels.shape[0]):
             assert batched[row].tolist() == rule_supports(
-                forest, ruleset, labels[row])
+                ruleset, labels[row])

@@ -41,10 +41,9 @@ class TestConstruction:
             PermutationEngine(random_ruleset, policy="nope")
         with pytest.raises(CorrectionError):
             PermutationEngine(random_ruleset, batch_bytes=0)
-        with pytest.raises(CorrectionError):
-            PermutationEngine(random_ruleset, word_block=-1)
 
-    @pytest.mark.parametrize("keyword", ("rng", "pvalue_mode"))
+    @pytest.mark.parametrize("keyword",
+                             ("rng", "pvalue_mode", "word_block"))
     def test_removed_keywords_rejected(self, random_ruleset, keyword):
         with pytest.raises(TypeError, match=keyword):
             PermutationEngine(random_ruleset, **{keyword: None})
@@ -79,13 +78,11 @@ class TestPvalueModesAgree:
         assert min_p == pytest.approx(direct[0], rel=1e-9)
 
     def test_policies_identical(self, random_ruleset):
-        results = {}
-        for policy in ("bitset", "diffsets", "full"):
+        expected = reference(random_ruleset, 20, seed=6)[0]
+        for policy in ("packed", "diffsets", "auto"):
             engine = PermutationEngine(random_ruleset, 20, seed=6,
                                        policy=policy)
-            results[policy] = engine.min_p_distribution()
-        assert results["bitset"] == pytest.approx(results["diffsets"])
-        assert results["bitset"] == pytest.approx(results["full"])
+            assert np.array_equal(engine.min_p_distribution(), expected)
 
 
 class TestFwer:

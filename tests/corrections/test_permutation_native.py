@@ -9,8 +9,9 @@ compares the public statistics of both paths exactly, over binary and
 multiclass data, tables with ties and p = 1.0 plateaus, permutation
 counts around the block size, every forest policy, both parallel
 backends and an empty rule set. A wide forest pins the sizing: the
-native path never shards by record range, runs blocks of more than one
-labelling and stays within its memory budget.
+native path runs blocks of more than one labelling and stays within
+its memory budget, and the numpy path's tiled kernel stays within
+twice its budget.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import _native
-from repro.bitmat import DEFAULT_BLOCK_BYTES
 from repro.corrections import PermutationEngine
-from repro.corrections.permutation import NATIVE_BATCH_ROWS
+from repro.corrections.permutation import (
+    DEFAULT_BATCH_BYTES,
+    NATIVE_BATCH_ROWS,
+)
 from repro.data import Dataset, make_mushroom
 from repro.mining import mine_class_rules
 
@@ -83,8 +86,8 @@ def _assert_identical(left, right):
        signal=st.sampled_from((0.0, 0.5, 0.9)),
        min_sup=st.integers(2, 12),
        n_permutations=st.sampled_from(PERMUTATION_COUNTS),
-       policy=st.sampled_from(("packed", "diffsets", "bitset")),
-       batch_bytes=st.sampled_from((1, DEFAULT_BLOCK_BYTES)))
+       policy=st.sampled_from(("packed", "diffsets", "auto")),
+       batch_bytes=st.sampled_from((1, DEFAULT_BATCH_BYTES)))
 def test_native_equals_numpy(seed, n_records, n_attributes, n_classes,
                              signal, min_sup, n_permutations, policy,
                              batch_bytes):
@@ -171,7 +174,7 @@ class TestDispatchLog:
         assert records[0].levelno == logging.DEBUG
         assert records[0].getMessage() == (
             f"permutation pass: native, B={NATIVE_BATCH_ROWS}, "
-            f"word_block=0, {engine._forest.n_nodes} nodes, "
+            f"{engine._forest.n_nodes} nodes, "
             f"{len(ruleset.rules)} rules")
 
     def test_numpy_pass_logs_native_status(self, caplog, monkeypatch,
@@ -185,23 +188,26 @@ class TestDispatchLog:
         message = records[0].getMessage()
         assert message.startswith(
             "permutation pass: numpy (native kernels disabled via "
-            "REPRO_NATIVE=0), B=7, word_block=0")
+            "REPRO_NATIVE=0), B=7, ")
         assert message.endswith(f"{len(ruleset.rules)} rules")
 
 
-def test_wide_forest_resource_contract():
-    """Mushroom at min_sup 1500: 18,613 nodes × 127 words, whose numpy
-    broadcast (9 bytes per word-cell) exceeds a 16 MiB budget. The
-    native path must not shard, must batch, and must stay within the
-    budget plus the forest it scores."""
+@pytest.fixture(scope="module")
+def wide_ruleset():
+    """Mushroom at min_sup 1500: 18,613 nodes × 127 words."""
+    return mine_class_rules(make_mushroom(seed=0), 1500)
+
+
+def test_wide_forest_resource_contract(wide_ruleset):
+    """The wide forest's whole-matrix numpy broadcast (9 bytes per
+    word-cell) exceeds a 16 MiB budget. The native path must batch
+    and stay within the budget plus the forest it scores."""
     _require_native()
     budget = 16 * 2 ** 20
-    ruleset = mine_class_rules(make_mushroom(seed=0), 1500)
-    engine = PermutationEngine(ruleset, n_permutations=40, seed=0,
+    engine = PermutationEngine(wide_ruleset, n_permutations=40, seed=0,
                                batch_bytes=budget)
     matrix = engine._forest.matrix
-    assert matrix.batch_row_bytes > budget
-    assert engine.word_block == 0
+    assert matrix.n_rows * matrix.n_words * 9 > budget
     assert engine._batch_rows() > 1
     tracemalloc.start()
     try:
@@ -210,3 +216,21 @@ def test_wide_forest_resource_contract():
     finally:
         tracemalloc.stop()
     assert peak <= budget + matrix.nbytes
+
+
+def test_wide_forest_numpy_memory(wide_ruleset):
+    """Without the native suite the packed kernel runs in fixed-size
+    tiles, so the pass stays within twice its budget whatever the
+    forest's width (its whole-matrix broadcast alone is ~20 MiB)."""
+    budget = 4 * 2 ** 20
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_native, "load_suite", lambda: None)
+        engine = PermutationEngine(wide_ruleset, n_permutations=40,
+                                   seed=0, batch_bytes=budget)
+        tracemalloc.start()
+        try:
+            engine.run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2 * budget

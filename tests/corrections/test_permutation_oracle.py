@@ -18,7 +18,6 @@ from repro.corrections import PermutationEngine
 from repro.corrections.permutation import NATIVE_BATCH_ROWS
 from repro.data import GeneratorConfig, generate
 from repro.mining import mine_class_rules
-from repro.mining.diffsets import PatternForest
 
 from .permutation_oracle import (
     permutation_p_values,
@@ -74,10 +73,8 @@ def test_direct_pvalues_agree_with_cache(ruleset):
 
 
 def test_identity_labelling_reproduces_rule_supports(ruleset):
-    forest = PatternForest(ruleset.patterns,
-                           ruleset.dataset.n_records)
     labels = np.array(ruleset.dataset.class_labels, dtype=np.int64)
-    assert rule_supports(forest, ruleset, labels) == \
+    assert rule_supports(ruleset, labels) == \
         [rule.support for rule in ruleset.rules]
 
 

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from repro import bitset as bs
 from repro.data import QuestConfig, QuestData, generate_quest
 from repro.data.quest import _draw_patterns, _draw_weights, _poisson_draw
 from repro.errors import DataError
+
+from .. import bigint_oracle as bs
 
 
 class TestQuestConfig:

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from repro import bitset as bs
 from repro.data import GeneratorConfig, generate, generate_paired
 from repro.errors import DataError
+
+from .. import bigint_oracle as bs
 
 
 class TestConfigValidation:

@@ -1,8 +1,8 @@
 """Property suite: TidVector word-wise ops ≡ the bigint bitset oracles.
 
-The packed uint64 :class:`~repro.tidvector.TidVector` replaced the
-bigint substrate everywhere; :mod:`repro.bitset` survives as the
-independent oracle these tests check the word-wise kernels against.
+The packed uint64 :class:`~repro.tidvector.TidVector` is the library's
+tidset representation; ``tests/bigint_oracle.py`` is the independent
+bigint oracle these tests check the word-wise kernels against.
 Universe widths are drawn *ragged* on purpose — empty sets, a universe
 of one record, exact multiples of 64 and awkward tails — because every
 historical packing bug lives at the last partially-filled word.
@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import bitset as bs
 from repro.tidvector import (
     TidVector,
     as_tidvector,
@@ -25,6 +24,8 @@ from repro.tidvector import (
     stack_tidvectors,
     words_for,
 )
+
+from .. import bigint_oracle as bs
 
 # Ragged widths: 1, tails just around word boundaries, exact multiples.
 widths = st.sampled_from([1, 2, 5, 63, 64, 65, 127, 128, 129, 200, 320])

@@ -86,7 +86,7 @@ class TestAdjustedPValue:
         data, ruleset = planted
         e = data.embedded_rules[0]
         target = data.dataset.pattern_tidset(e.item_ids)
-        from repro import bitset as bs
+        from .. import bigint_oracle as bs
         candidates = [
             r for r in ruleset.rules
             if 0 < bs.popcount(

@@ -6,13 +6,14 @@ import random
 
 import pytest
 
-from repro import bitset as bs
 from repro.errors import StatsError
 from repro.frequency import (
     NullModel,
     item_frequencies,
     pattern_null_probability,
 )
+
+from .. import bigint_oracle as bs
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro import bitset as bs
 from repro.errors import StatsError
 from repro.frequency import (
     CalibrationResult,

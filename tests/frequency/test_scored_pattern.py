@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import bitset as bs
 from repro.frequency import ScoredPattern, score_patterns
 from repro.frequency.nullmodel import NullModel
+
+from .. import bigint_oracle as bs
 
 
 class TestScoredPattern:

@@ -18,7 +18,6 @@ from repro import mine_significant_rules
 from repro.corrections import PermutationEngine, bonferroni
 from repro.data import GeneratorConfig, generate
 from repro.mining import mine_class_rules
-from repro.mining.diffsets import PatternForest
 
 from ..corrections.permutation_oracle import labellings, rule_supports
 
@@ -106,13 +105,11 @@ class TestMultiClassCorrections:
         supports = engine._rule_supports_batch(labels[None])[0]
         for rule, support in zip(three_class_ruleset.rules, supports):
             assert rule.support == int(support)
-        forest = PatternForest(three_class_ruleset.patterns,
-                               three_class_ruleset.dataset.n_records)
         shuffled = labellings(three_class_ruleset, 3, seed=1)
         batched = engine._rule_supports_batch(np.stack(shuffled))
         for row, labels in zip(batched, shuffled):
             assert row.tolist() == rule_supports(
-                forest, three_class_ruleset, labels)
+                three_class_ruleset, labels)
 
     def test_fwer_controlled_on_random_multiclass(self):
         config = GeneratorConfig(

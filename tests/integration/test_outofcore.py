@@ -109,7 +109,7 @@ class TestCliMemmapIdentity:
                            shallow=False), \
             f"{algorithm}/jobs={jobs}: arena input diverged from CSV"
 
-    @pytest.mark.parametrize("policy", ["packed", "bitset"])
+    @pytest.mark.parametrize("policy", ["packed", "diffsets"])
     def test_policies_agree_on_arena_input(self, dataset_csv,
                                            dataset_arena, tmp_path,
                                            policy):

@@ -8,8 +8,9 @@ these tests pin the two guarantees that made that safe:
   interop path plugins use) produce byte-identical mine / holdout /
   permutation CSV output for every registered miner;
 * **policy identity** — for every miner, the packed forest policy and
-  the bigint ``"bitset"`` ablation arm emit byte-identical permutation
-  CSVs through the real CLI.
+  the ``"diffsets"`` policy without the native suite (an id-list
+  gather with numpy statistics, sharing no kernel with ``"packed"``)
+  emit byte-identical permutation CSVs through the real CLI.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import filecmp
 
 import pytest
 
+from repro import _native
 from repro.cli import main
 from repro.core.pipeline import Pipeline
 from repro.data import Dataset, GeneratorConfig, generate, save_csv
@@ -73,10 +75,16 @@ class TestBigintIngestIdentity:
 
 class TestMinerPolicyIdentity:
     @pytest.mark.parametrize("algorithm", MINERS)
-    def test_packed_policy_matches_bitset_arm(self, dataset_csv,
-                                              tmp_path, algorithm):
+    def test_packed_policy_matches_diffsets_reference(
+            self, dataset_csv, tmp_path, monkeypatch, algorithm):
         outputs = {}
-        for policy in ("packed", "bitset"):
+        for policy, native in (("packed", None), ("diffsets", "0")):
+            if native is not None:
+                # load_suite memoises; reset it so the toggle is re-read
+                # and restore its status afterwards.
+                monkeypatch.setenv("REPRO_NATIVE", native)
+                monkeypatch.setattr(_native, "_kernel", "unset")
+                monkeypatch.setattr(_native, "_status", _native._status)
             out = tmp_path / f"{algorithm}_{policy}.csv"
             argv = ["mine", str(dataset_csv), "--min-sup", "30",
                     "--algorithm", algorithm,
@@ -86,6 +94,7 @@ class TestMinerPolicyIdentity:
             with open(out.with_suffix(".log"), "w") as log:
                 assert main(argv, out=log) == 0
             outputs[policy] = out
-        assert filecmp.cmp(outputs["packed"], outputs["bitset"],
+        assert filecmp.cmp(outputs["packed"], outputs["diffsets"],
                            shallow=False), \
-            f"{algorithm}: packed policy differs from bigint bitset arm"
+            f"{algorithm}: packed policy differs from the diffsets " \
+            f"reference"

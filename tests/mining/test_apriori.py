@@ -7,9 +7,10 @@ from itertools import combinations
 
 import pytest
 
-from repro import bitset as bs
 from repro.errors import MiningError
 from repro.mining import mine_apriori
+
+from .. import bigint_oracle as bs
 
 
 def _brute_force(tidsets, n_records, min_sup, max_length=None):

@@ -5,7 +5,7 @@ default ``"packed"`` forest policy; these tests pin its contract — the
 kernels are *bit-identical* to ``popcount(tidset & class_bits)`` for
 any forest and any labelling, including the awkward shapes: record
 counts not divisible by 64, empty forests, empty batches, all-one and
-all-zero indicators, and arbitrarily small block budgets.
+all-zero indicators, and arbitrarily small numpy tiles.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import bitset as bs
+from repro import _native, bitmat
 from repro.bitmat import (
     BitMatrix,
     pack_indicator,
@@ -25,6 +25,8 @@ from repro.bitmat import (
 from repro.data import GeneratorConfig, generate
 from repro.errors import MiningError
 from repro.mining import PatternForest, mine_closed
+
+from .. import bigint_oracle as bs
 
 
 @st.composite
@@ -58,7 +60,8 @@ class TestAgainstBigints:
     def test_tidset_round_trip(self, instance):
         tidsets, n_records, _ = instance
         matrix = BitMatrix.from_tidsets(tidsets, n_records)
-        assert matrix.to_tidsets() == [int(t) for t in tidsets]
+        assert [int(matrix.tidvector(row)) for row in range(
+            matrix.n_rows)] == [int(t) for t in tidsets]
         expected = [bs.popcount(t) for t in tidsets]
         assert matrix.row_popcounts().tolist() == expected
 
@@ -67,15 +70,18 @@ class TestAgainstBigints:
            st.integers(min_value=1, max_value=10_000))
     @settings(max_examples=60, deadline=None)
     def test_batch_matches_single_rows(self, instance, n_batch,
-                                       block_bytes):
+                                       tile_bytes):
         tidsets, n_records, indicator = instance
         matrix = BitMatrix.from_tidsets(tidsets, n_records)
         rng = np.random.default_rng(n_batch * 7 + n_records)
         batch = np.stack(
             [rng.permutation(indicator) for _ in range(n_batch)]
         ) if n_batch else np.zeros((0, n_records), dtype=bool)
-        got = matrix.class_supports_batch(batch,
-                                          block_bytes=block_bytes)
+        with pytest.MonkeyPatch.context() as patch:
+            # The numpy path, cut into tiles of every size.
+            patch.setattr(_native, "load_suite", lambda: None)
+            patch.setattr(bitmat, "TILE_BYTES", tile_bytes)
+            got = matrix.class_supports_batch(batch)
         assert got.shape == (n_batch, len(tidsets))
         for row in range(n_batch):
             assert (got[row] == matrix.class_supports(batch[row])).all()
@@ -134,10 +140,17 @@ class TestEdgesAndValidation:
         assert bs.from_uint64_words(stacked[1]) == \
             bs.complement(bs.from_numpy_bool(indicator), 70)
 
-    def test_block_rows_always_positive(self):
-        matrix = BitMatrix.from_tidsets([0] * 50, 1000)
-        assert matrix.batch_block_rows(1) == 1
-        assert matrix.batch_block_rows() >= 1
+    def test_block_rows_always_positive(self, monkeypatch):
+        # A tile smaller than one cell still holds one row of one
+        # labelling, so the numpy kernel always makes progress.
+        matrix = BitMatrix.from_tidsets([0b1011, 0b0110, 0], 1000)
+        monkeypatch.setattr(_native, "load_suite", lambda: None)
+        monkeypatch.setattr(bitmat, "TILE_BYTES", 1)
+        batch = np.zeros((2, 1000), dtype=bool)
+        batch[0, :3] = True
+        batch[1, 1:4] = True
+        assert matrix.class_supports_batch(batch).tolist() == \
+            [[2, 2, 0], [2, 2, 0]]
 
 
 class TestNativeKernel:
@@ -209,7 +222,10 @@ class TestForestPackedPolicy:
         ds, patterns, labels = forest_inputs
         packed = PatternForest(patterns, ds.n_records, "packed")
         reference = packed.class_supports(labels)
-        for policy in ("full", "diffsets", "bitset"):
+        class_bits = bs.from_numpy_bool(labels)
+        assert reference.tolist() == [
+            bs.popcount(int(p.tidset) & class_bits) for p in patterns]
+        for policy in ("diffsets", "auto"):
             other = PatternForest(patterns, ds.n_records, policy)
             assert (other.class_supports(labels) == reference).all()
 
@@ -219,7 +235,7 @@ class TestForestPackedPolicy:
         batch = np.stack([rng.permutation(labels) for _ in range(6)])
         packed = PatternForest(patterns, ds.n_records,
                                "packed").class_supports_batch(batch)
-        for policy in ("full", "diffsets", "bitset"):
+        for policy in ("diffsets", "auto"):
             forest = PatternForest(patterns, ds.n_records, policy)
             assert (forest.class_supports_batch(batch) == packed).all()
 
@@ -245,7 +261,7 @@ class TestForestPackedPolicy:
             Pattern(3, 2, frozenset({0, 1, 2, 3}), 0b10, 1, 3),
         ]
         indicator = np.array([False, True])
-        for policy in ("diffsets", "full", "packed", "bitset"):
+        for policy in ("diffsets", "packed"):
             forest = PatternForest(patterns, 2, policy)
             assert forest.class_supports(indicator).tolist() == \
                 [1, 1, 1, 1], policy

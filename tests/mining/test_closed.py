@@ -7,10 +7,11 @@ from itertools import combinations
 
 import pytest
 
-from repro import bitset as bs
 from repro.data import GeneratorConfig, generate
 from repro.errors import MiningError
 from repro.mining import mine_apriori, mine_closed
+
+from .. import bigint_oracle as bs
 
 
 def _random_tidsets(rng, n_items, n_records, density=0.4):

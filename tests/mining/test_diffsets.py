@@ -11,6 +11,8 @@ from repro.data import GeneratorConfig, generate
 from repro.errors import MiningError
 from repro.mining import PatternForest, mine_closed
 
+from .. import bigint_oracle as bs
+
 
 @pytest.fixture(scope="module")
 def forest_inputs():
@@ -25,18 +27,17 @@ def forest_inputs():
 class TestPolicies:
     def test_all_policies_agree(self, forest_inputs):
         ds, patterns, labels = forest_inputs
-        results = {}
-        for policy in ("full", "diffsets", "bitset"):
+        class_bits = bs.from_numpy_bool(labels)
+        expected = [bs.popcount(int(p.tidset) & class_bits)
+                    for p in patterns]
+        for policy in ("packed", "diffsets", "auto"):
             forest = PatternForest(patterns, ds.n_records, policy)
-            results[policy] = forest.class_supports(labels)
-        assert (results["full"] == results["diffsets"]).all()
-        assert (results["full"] == results["bitset"]).all()
+            assert forest.class_supports(labels).tolist() == expected
 
     def test_matches_direct_counting(self, forest_inputs):
         ds, patterns, labels = forest_inputs
         forest = PatternForest(patterns, ds.n_records, "diffsets")
         supports = forest.class_supports(labels)
-        from repro import bitset as bs
         class_bits = bs.from_numpy_bool(labels)
         for p in patterns:
             assert supports[p.node_id] == bs.popcount(p.tidset & class_bits)
@@ -48,12 +49,12 @@ class TestPolicies:
 
     def test_supports_vector(self, forest_inputs):
         ds, patterns, _ = forest_inputs
-        forest = PatternForest(patterns, ds.n_records, "bitset")
+        forest = PatternForest(patterns, ds.n_records, "diffsets")
         assert forest.supports.tolist() == [p.support for p in patterns]
 
     def test_wrong_indicator_shape(self, forest_inputs):
         ds, patterns, _ = forest_inputs
-        forest = PatternForest(patterns, ds.n_records, "full")
+        forest = PatternForest(patterns, ds.n_records, "diffsets")
         with pytest.raises(MiningError):
             forest.class_supports(np.ones(3, dtype=bool))
 
@@ -63,7 +64,7 @@ class TestPolicies:
             pytest.skip("need at least two patterns")
         reordered = list(reversed(patterns))
         with pytest.raises(MiningError):
-            PatternForest(reordered, ds.n_records, "full")
+            PatternForest(reordered, ds.n_records, "diffsets")
 
 
 class TestDiffsetRule:
@@ -91,7 +92,7 @@ class TestDiffsetRule:
 
     def test_stats_accounting(self, forest_inputs):
         ds, patterns, _ = forest_inputs
-        full = PatternForest(patterns, ds.n_records, "full")
+        full = PatternForest(patterns, ds.n_records, "packed")
         diff = PatternForest(patterns, ds.n_records, "diffsets")
         assert full.stats.stored_ids == full.stats.full_policy_ids
         assert diff.stats.stored_ids <= full.stats.stored_ids
@@ -101,7 +102,7 @@ class TestDiffsetRule:
 
     def test_tidset_reconstruction(self, forest_inputs):
         ds, patterns, _ = forest_inputs
-        for policy in ("full", "diffsets", "bitset"):
+        for policy in ("packed", "diffsets"):
             forest = PatternForest(patterns, ds.n_records, policy)
             for p in patterns[:20]:
                 assert forest.tidset(p.node_id) == p.tidset
@@ -123,12 +124,14 @@ class TestPermutationUsage:
     def test_many_permutations_agree_across_policies(self, forest_inputs):
         ds, patterns, labels = forest_inputs
         forests = {policy: PatternForest(patterns, ds.n_records, policy)
-                   for policy in ("full", "diffsets", "bitset")}
+                   for policy in ("packed", "diffsets", "auto")}
         rng = np.random.default_rng(5)
         for _ in range(5):
             shuffled = labels.copy()
             rng.shuffle(shuffled)
-            outputs = [f.class_supports(shuffled)
-                       for f in forests.values()]
-            assert (outputs[0] == outputs[1]).all()
-            assert (outputs[1] == outputs[2]).all()
+            class_bits = bs.from_numpy_bool(shuffled)
+            expected = [bs.popcount(int(p.tidset) & class_bits)
+                        for p in patterns]
+            for forest in forests.values():
+                assert forest.class_supports(shuffled).tolist() == \
+                    expected

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro import bitset as bs
 from repro.errors import MiningError
 from repro.mining import mine_apriori, mine_fpgrowth
 from repro.mining.fpgrowth import FPTree
+
+from .. import bigint_oracle as bs
 
 
 def tidsets_from_transactions(transactions, n_items):

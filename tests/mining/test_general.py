@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 from scipy import stats as scipy_stats
 
-from repro import bitset as bs
 from repro.errors import MiningError
 from repro.mining import (
     mine_apriori,
     mine_general_rules,
     rules_from_patterns,
 )
+
+from .. import bigint_oracle as bs
 
 
 def tidsets_from_transactions(transactions, n_items):

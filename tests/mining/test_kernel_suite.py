@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import _native
-from repro import bitset as bs
 from repro.bitmat import (
     BitMatrix,
     andnot_counts,
@@ -40,6 +39,8 @@ from repro.mining.diffsets import (
 )
 from repro.mining.tidsets import build_vertical_view
 from repro.tidvector import TidVector, arena_rows, pack_bool_matrix
+
+from .. import bigint_oracle as bs
 
 
 def _arena(tidsets, n_records):

@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import bitset as bs
 from repro.data import make_german
 from repro.errors import MiningError
 from repro.mining import (
@@ -28,6 +27,8 @@ from repro.mining import (
     unregister_miner,
 )
 from repro.mining.closed import ClosedPattern
+
+from .. import bigint_oracle as bs
 
 BUILTINS = ("closed", "apriori", "fpgrowth", "representative",
             "general-rules")
@@ -285,9 +286,10 @@ class TestPatternSetContract:
         pattern_set = mine_patterns(german, 60, algorithm="fpgrowth")
         indicator = np.array(
             [label == 0 for label in german.class_labels], dtype=bool)
-        reference = PatternForest(pattern_set, german.n_records,
-                                  "bitset").class_supports(indicator)
-        for policy in ("full", "diffsets"):
+        class_bits = bs.from_numpy_bool(indicator)
+        reference = [bs.popcount(int(p.tidset) & class_bits)
+                     for p in pattern_set]
+        for policy in ("packed", "diffsets"):
             forest = PatternForest(pattern_set, german.n_records,
                                    policy)
             assert np.array_equal(forest.class_supports(indicator),

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import bitset as bs
 from repro.errors import MiningError
 from repro.mining import build_vertical_view
+
+from .. import bigint_oracle as bs
 
 
 def _tidsets():

@@ -5,7 +5,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import bitset as bs
+from .. import bigint_oracle as bs
+
 
 index_sets = st.sets(st.integers(min_value=0, max_value=300), max_size=60)
 

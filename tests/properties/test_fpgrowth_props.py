@@ -11,8 +11,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import bitset as bs
 from repro.mining import mine_apriori, mine_closed, mine_fpgrowth
+
+from .. import bigint_oracle as bs
 
 
 @st.composite

@@ -8,7 +8,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import bitset as bs
 from repro.frequency import NullModel, calibrate_cutoff
 from repro.frequency.nullmodel import pattern_null_probability
 from repro.stats.binomial import (
@@ -18,6 +17,8 @@ from repro.stats.binomial import (
     binomial_test_upper,
 )
 from repro.stats.poisson import poisson_cdf, poisson_sf, poisson_test_upper
+
+from .. import bigint_oracle as bs
 
 probabilities = st.floats(min_value=0.0, max_value=1.0,
                           allow_nan=False)

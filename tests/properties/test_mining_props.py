@@ -10,8 +10,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import bitset as bs
 from repro.mining import PatternForest, mine_apriori, mine_closed
+
+from .. import bigint_oracle as bs
 
 
 @st.composite
@@ -77,12 +78,11 @@ def test_forest_policies_agree(instance, label_flags):
     if not patterns:
         return
     labels = np.array(label_flags[:n_records], dtype=bool)
-    outputs = [
-        PatternForest(patterns, n_records, policy).class_supports(labels)
-        for policy in ("full", "diffsets", "bitset")
-    ]
-    assert (outputs[0] == outputs[1]).all()
-    assert (outputs[1] == outputs[2]).all()
+    class_bits = bs.from_numpy_bool(labels)
+    expected = [bs.popcount(int(p.tidset) & class_bits) for p in patterns]
+    for policy in ("packed", "diffsets"):
+        forest = PatternForest(patterns, n_records, policy)
+        assert forest.class_supports(labels).tolist() == expected
 
 
 @given(tidset_instances())

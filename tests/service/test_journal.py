@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sqlite3
 import time
 
@@ -204,6 +205,44 @@ class TestRecovery:
         manager2 = make_manager(registry, journal2)
         second = manager2.submit("mine", mine_params(seed=1))
         assert second.job_id != first.job_id
+        manager2.close()
+        journal2.close()
+
+    def test_replayed_job_with_unknown_policy_fails_alone(self, registry,
+                                                          tmp_path):
+        # A journal written by a build that still accepted the bigint
+        # "bitset" forest policy: that queued job fails with the
+        # unknown-policy error, its neighbours still run.
+        path = str(tmp_path / "jobs.sqlite")
+        journal = JobJournal(path)
+        manager = make_manager(registry, journal)
+        before = manager.submit("mine", mine_params(
+            correction="Perm_FWER"))
+        legacy = manager.submit("mine", mine_params(
+            correction="Perm_FWER", seed=1))
+        after = manager.submit("mine", mine_params(seed=2))
+        manager.close()
+        journal.close()
+        with sqlite3.connect(path) as conn:
+            (text,) = conn.execute(
+                "SELECT params_json FROM jobs WHERE job_id = ?",
+                (legacy.job_id,)).fetchone()
+            params = json.loads(text)
+            params["policy"] = "bitset"
+            conn.execute(
+                "UPDATE jobs SET params_json = ? WHERE job_id = ?",
+                (json.dumps(params), legacy.job_id))
+        conn.close()
+
+        journal2 = JobJournal(path)
+        manager2 = make_manager(registry, journal2)
+        assert manager2.get(legacy.job_id).params["policy"] == "bitset"
+        manager2.process_pending()
+        failed = manager2.get(legacy.job_id)
+        assert failed.state == "failed"
+        assert "unknown forest policy 'bitset'" in failed.error
+        for job in (before, after):
+            assert manager2.get(job.job_id).state == "done"
         manager2.close()
         journal2.close()
 

@@ -1,11 +1,12 @@
-"""Unit tests for repro.bitset."""
+"""Unit tests for the bigint oracle (tests/bigint_oracle.py)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import bitset as bs
+from . import bigint_oracle as bs
+
 
 
 class TestPopcount:
