@@ -17,14 +17,16 @@ The four paper arms live here, not in the library: :func:`_paper_pass`
 scores one labelling at a time, counting class supports on full
 record-id lists (:class:`_FullIdLists`) or on a Diffsets
 :class:`~repro.mining.diffsets.PatternForest`, and taking every rule's
-p-value from its :class:`~repro.stats.BufferCache` (the buffered arms)
-or recomputing it with :func:`~repro.stats.fisher_two_tailed` (no
-optimization). The buffered arms visit rules in ``(class, coverage)``
-order, the order the paper's one-slot dynamic buffer assumes: each
-coverage's buffer is then built once per labelling and class. Each
-paper arm's min-p distribution is checked against the engine's. The
-last arm times :class:`~repro.corrections.PermutationEngine`'s batched
-pass.
+p-value from the paper's static+dynamic buffer cache
+(:class:`_PaperCache`, the buffered arms) or recomputing it with
+:func:`~repro.stats.fisher_two_tailed` (no optimization). The buffered
+arms visit rules in ``(class, coverage)`` order, the order the paper's
+one-slot dynamic buffer assumes: each coverage's buffer is then built
+once per labelling and class. Each paper arm's min-p distribution is
+checked against the engine's. The last arm times
+:class:`~repro.corrections.PermutationEngine`'s batched pass, which
+reads one table per ``(class, coverage)`` key from the rule set's
+:class:`~repro.stats.PValueTables`.
 """
 
 from __future__ import annotations
@@ -42,18 +44,16 @@ from repro.data import (
 from repro.evaluation import format_table
 from repro.mining import generate_rules, mine_closed
 from repro.mining.diffsets import PatternForest
-from repro.stats import fisher_two_tailed
+from repro.stats import PValueBuffer, fisher_two_tailed, support_bounds
 from repro.tidvector import as_tidvector
 
+#: (label, record-id storage, p-value source, static tier budget).
 ARMS = (
-    ("no optimization", "full", "direct", dict()),
-    ("dynamic buf", "full", "cache",
-     dict(use_static=False, use_dynamic=True)),
-    ("Diffsets+dynamic buf", "diffsets", "cache",
-     dict(use_static=False, use_dynamic=True)),
-    ("16M static+Diffsets+dynamic", "diffsets", "cache",
-     dict(use_static=True, use_dynamic=True)),
-    ("packed batch (ours)", "packed", "engine", dict()),
+    ("no optimization", "full", "direct", 0),
+    ("dynamic buf", "full", "cache", 0),
+    ("Diffsets+dynamic buf", "diffsets", "cache", 0),
+    ("16M static+Diffsets+dynamic", "diffsets", "cache", 16 << 20),
+    ("packed batch (ours)", "packed", "engine", 0),
 )
 
 
@@ -76,6 +76,46 @@ def _datasets():
 
 
 _DIRECT_SAMPLE = 1200
+
+
+class _PaperCache:
+    """The paper's p-value buffer cache for one class (Section 4.2.3).
+
+    A static tier holds the :class:`~repro.stats.PValueBuffer` of
+    every coverage from ``min_sup`` up to ``max_sup``, the largest
+    coverage whose buffers all fit ``static_budget_bytes`` (16 MB in
+    the paper; 0 leaves the tier empty). A one-slot dynamic tier
+    holds the buffer of the last coverage above ``max_sup`` (the
+    paper's ``sup_d``). Buffers are built on first use.
+    """
+
+    def __init__(self, n, n_c, min_sup, static_budget_bytes):
+        self.n = n
+        self.n_c = n_c
+        self.max_sup = min_sup - 1
+        used = 0
+        for coverage in range(min_sup, n + 1):
+            low, high = support_bounds(n, n_c, coverage)
+            used += 8 * (high - low + 1)
+            if used > static_budget_bytes:
+                break
+            self.max_sup = coverage
+        self._static = {}
+        self._sup_d = None
+        self._dynamic = None
+
+    def p_value(self, support, coverage):
+        if coverage <= self.max_sup:
+            buffer = self._static.get(coverage)
+            if buffer is None:
+                buffer = PValueBuffer(self.n, self.n_c, coverage)
+                self._static[coverage] = buffer
+        elif coverage == self._sup_d:
+            buffer = self._dynamic
+        else:
+            buffer = PValueBuffer(self.n, self.n_c, coverage)
+            self._dynamic, self._sup_d = buffer, coverage
+        return buffer.p_value(support)
 
 
 class _FullIdLists:
@@ -105,12 +145,13 @@ class _FullIdLists:
         return out
 
 
-def _paper_pass(ruleset, rules, forest, mode, n_permutations, seed):
+def _paper_pass(ruleset, rules, forest, caches, n_permutations, seed):
     """One labelling at a time: the min-p of each permutation.
 
     Labelling ``t`` shuffles the original labels with the ``t``-th
     spawned seed, as the engine does. Binary datasets count class 0
-    and derive class 1 as coverage minus it.
+    and derive class 1 as coverage minus it. P-values come from the
+    per-class ``caches``, or are recomputed when it is ``None``.
     """
     dataset = ruleset.dataset
     n = dataset.n_records
@@ -118,7 +159,6 @@ def _paper_pass(ruleset, rules, forest, mode, n_permutations, seed):
     binary = dataset.n_classes == 2
     classes = (0,) if binary else sorted({r.class_index for r in rules})
     n_c = [dataset.class_support(c) for c in range(dataset.n_classes)]
-    caches = ruleset.caches
     min_p = []
     for child in np.random.SeedSequence(seed).spawn(n_permutations):
         shuffled = np.random.default_rng(child).permutation(labels)
@@ -130,7 +170,7 @@ def _paper_pass(ruleset, rules, forest, mode, n_permutations, seed):
         for rule in rules:
             c = rule.class_index
             support = int(per_class[c][rule.pattern_id])
-            if mode == "cache":
+            if caches is not None:
                 p = caches[c].p_value(support, rule.coverage)
             else:
                 p = fisher_two_tailed(support, n, n_c[c], rule.coverage)
@@ -141,8 +181,8 @@ def _paper_pass(ruleset, rules, forest, mode, n_permutations, seed):
 
 def _time_per_permutation(dataset, patterns, min_sup, arm,
                           n_permutations):
-    label, policy, mode, cache_options = arm
-    ruleset = generate_rules(dataset, patterns, min_sup, **cache_options)
+    label, policy, mode, static_budget_bytes = arm
+    ruleset = generate_rules(dataset, patterns, min_sup)
     if mode == "engine":
         engine = PermutationEngine(ruleset,
                                    n_permutations=n_permutations,
@@ -159,15 +199,23 @@ def _time_per_permutation(dataset, patterns, min_sup, arm,
         # tractable.
         scale_factor = len(rules) / _DIRECT_SAMPLE
         rules = rules[:_DIRECT_SAMPLE]
+    caches = None
     if mode == "cache":
         rules = sorted(rules, key=lambda r: (r.class_index, r.coverage))
+        caches = [_PaperCache(dataset.n_records, dataset.class_support(c),
+                              min_sup, static_budget_bytes)
+                  for c in range(dataset.n_classes)]
+        # Score the observed rules first, as the paper's miner fills
+        # the cache before the permutations start.
+        for rule in ruleset.rules:
+            caches[rule.class_index].p_value(rule.support, rule.coverage)
     if policy == "full":
         forest = _FullIdLists(ruleset.patterns, dataset.n_records)
     else:
         forest = PatternForest(ruleset.patterns, dataset.n_records,
                                policy)
     start = time.perf_counter()
-    min_p = _paper_pass(ruleset, rules, forest, mode, n_permutations,
+    min_p = _paper_pass(ruleset, rules, forest, caches, n_permutations,
                         seed=11)
     per_permutation = (time.perf_counter() - start) / n_permutations
     _check_paper_pass(ruleset, mode, n_permutations, min_p, label)

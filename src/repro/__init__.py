@@ -67,7 +67,7 @@ Subpackages
     generation.
 ``repro.stats``
     Log-factorial buffer, hypergeometric distribution, Fisher exact and
-    chi-square tests, p-value buffers and caches.
+    chi-square tests, p-value buffers and tables.
 ``repro.corrections``
     Bonferroni, Benjamini–Hochberg, permutation FWER/FDR, holdout,
     layered critical values; stepwise (Holm/Hochberg/Šidák), adaptive

@@ -30,7 +30,7 @@ from ..data.dataset import Dataset
 from ..errors import CorrectionError
 from ..mining.registry import resolve_miner
 from ..mining.rules import ClassRule, RuleSet, generate_rules
-from ..stats.buffer_cache import BufferCache
+from ..stats.pvalue_tables import PValueTables, score_rules
 from .base import (
     FDR,
     FWER,
@@ -84,6 +84,7 @@ class HoldoutRun:
                 f"{exploratory_min_sup}, exceeding the exploratory "
                 f"half's {self.exploratory.n_records} records")
         self.algorithm = algorithm
+        self.scorer = scorer
         patterns = resolve_miner(algorithm).mine(
             self.exploratory, exploratory_min_sup,
             max_length=max_length, **dict(miner_options or {}))
@@ -94,6 +95,9 @@ class HoldoutRun:
             rule for rule in self.exploratory_rules.rules
             if rule.p_value <= alpha
         ]
+        #: The evaluation half's store (``None`` without candidates or
+        #: under ``chi2``, which scores directly).
+        self.evaluation_tables: Optional[PValueTables] = None
         self.evaluated: List[Tuple[ClassRule, ClassRule]] = \
             self._score_candidates()
 
@@ -106,7 +110,8 @@ class HoldoutRun:
         :class:`~repro.bitmat.BitMatrix`, so coverages are one
         hardware-popcount pass and per-class supports one packed
         kernel call per class actually appearing on a candidate RHS —
-        no per-candidate bigint walks.
+        no per-candidate bigint walks. P-values use the run's scorer,
+        from one store built for the candidates' keys on this half.
         """
         candidates = self.candidates
         if not candidates:
@@ -130,39 +135,31 @@ class HoldoutRun:
             for c in sorted(set(int(c) for c in classes)):
                 mask = classes == c
                 supports[mask] = matrix.class_supports(labels == c)[mask]
+        # A candidate absent from this half is unobservable there:
+        # p = 1, never significant.
+        p_values = np.ones(len(candidates))
+        seen = (coverages > 0).nonzero()[0]
+        evaluation_n_c = [evaluation.class_support(c)
+                          for c in range(evaluation.n_classes)]
+        scored, self.evaluation_tables = score_rules(
+            evaluation.n_records, evaluation_n_c, classes[seen].tolist(),
+            coverages[seen].tolist(), supports[seen].tolist(),
+            self.scorer)
+        p_values[seen] = scored
         evaluated: List[Tuple[ClassRule, ClassRule]] = []
         for i, rule in enumerate(candidates):
             coverage = int(coverages[i])
             support = int(supports[i])
-            confidence = support / coverage if coverage else 0.0
-            if coverage == 0:
-                # Unobservable on this half: never significant.
-                p_value = 1.0
-            else:
-                cache = self._cache_for(rule.class_index)
-                p_value = cache.p_value(support, coverage)
             evaluated.append((rule, ClassRule(
                 pattern_id=rule.pattern_id,
                 items=rule.items,
                 class_index=rule.class_index,
                 coverage=coverage,
                 support=support,
-                confidence=confidence,
-                p_value=p_value,
+                confidence=support / coverage if coverage else 0.0,
+                p_value=float(p_values[i]),
             )))
         return evaluated
-
-    def _cache_for(self, class_index: int) -> BufferCache:
-        if not hasattr(self, "_caches"):
-            self._caches: Dict[int, BufferCache] = {}
-        cache = self._caches.get(class_index)
-        if cache is None:
-            cache = BufferCache(
-                self.evaluation.n_records,
-                self.evaluation.class_support(class_index),
-                min_sup=1)
-            self._caches[class_index] = cache
-        return cache
 
     # ------------------------------------------------------------------
     # error control on the evaluation half

@@ -27,8 +27,8 @@ Engineering, following the paper:
   each p-value's rank among the observed ones, so pooling becomes a
   rank histogram and the step-down suffix minima a running minimum
   of ranks (see :class:`_NativeStats`). Without it, all
-  ``B × n_rules`` p-values come back from the vectorized lookup with
-  a single 2-D fancy index and the three statistics are axis-wise
+  ``B × n_rules`` p-values come back from the rule set's table store
+  with a single 2-D fancy index and the three statistics are axis-wise
   numpy reductions — the fallback and the test oracle. Batches are
   processed in memory-bounded blocks sized for the path that runs,
   and every quantity is an exact integer count or an identical table
@@ -37,12 +37,12 @@ Engineering, following the paper:
   native suite. One DEBUG record per pass on the
   ``repro.corrections`` logger names the path and its block sizing.
 * **P-value buffering** (4.2.3): every rule's p-value on every
-  permutation is a table lookup in the
-  :class:`~repro.stats.pvalue_buffer.PValueBuffer` of its coverage,
-  with all buffers concatenated into one flat numpy array. The
-  paper's static+dynamic buffer cache and its unbuffered "no
-  optimization" arm are Figure 4 ablation arms, timed per
-  permutation in ``benchmarks/test_fig04_optimizations.py``.
+  permutation is a lookup in the table of its ``(class, coverage)``
+  key, read directly from the rule set's flat
+  :class:`~repro.stats.pvalue_tables.PValueTables` array, built by
+  the rule set's scorer. The paper's static+dynamic buffer cache and
+  its unbuffered "no optimization" arm are Figure 4 ablation arms,
+  timed per permutation in ``benchmarks/test_fig04_optimizations.py``.
 
 Error control (Section 4.2):
 
@@ -126,7 +126,8 @@ class PermutationEngine:
     Parameters
     ----------
     ruleset:
-        The original-data mining result (patterns, rules, caches).
+        The original-data mining result (patterns, rules, p-value
+        tables).
     n_permutations:
         The paper's ``N``; its experiments use 1000.
     seed:
@@ -215,7 +216,10 @@ class PermutationEngine:
         # sizing below charges the path chosen here.
         self._native = _native.load_suite() is not None
         self._native_stats: Optional[_NativeStats] = None
-        self._lookup = _VectorizedLookup(self)
+        # Rule i's p-value for support k is flat[offsets[i] + k].
+        tables = ruleset.tables
+        self._flat = tables.flat
+        self._offsets = tables.offsets(self._classes, self._coverages)
 
     # ------------------------------------------------------------------
     # the shared permutation pass
@@ -338,7 +342,7 @@ class PermutationEngine:
                                  hist, stepdown)
                 continue
             supports = self._rule_supports_batch(labels)
-            perm_p = self._lookup.p_values_batch(supports)
+            perm_p = self._flat[self._offsets[None, :] + supports]
             min_p[start:start + len(batch)] = perm_p.min(axis=1)
             pooled += np.searchsorted(np.sort(perm_p, axis=None),
                                       observed_sorted, side="right")
@@ -381,7 +385,7 @@ class PermutationEngine:
             per_row += self._n_slots * (self.n + 16 * n_words
                                         + 8 * n_nodes)
             # The pass's int32 rank table comes out of the same budget.
-            spare = self.batch_bytes - 4 * len(self._lookup._flat)
+            spare = self.batch_bytes - 4 * len(self._flat)
             rows = min(NATIVE_BATCH_ROWS, spare // per_row)
             return max(1, min(rows, self.n_permutations))
         # Binary datasets hold two class-support arrays (one computed,
@@ -552,46 +556,6 @@ class PermutationEngine:
         )
 
 
-class _VectorizedLookup:
-    """All rule p-value buffers concatenated into one flat array.
-
-    Rule ``i``'s p-value for support ``k`` is
-    ``flat[offset[i] + k]`` where ``offset[i]`` already absorbs the
-    buffer's lower bound, so a whole permutation resolves with one fancy
-    index.
-    """
-
-    def __init__(self, engine: PermutationEngine) -> None:
-        ruleset = engine.ruleset
-        segments: List[np.ndarray] = []
-        # (class, coverage) -> (segment start in the flat array, buffer
-        # lower bound), so offset = start - low maps support k directly
-        # to its flat position.
-        placed: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        offsets = np.empty(len(engine._coverages), dtype=np.int64)
-        position = 0
-        for i in range(len(engine._coverages)):
-            key = (int(engine._classes[i]), int(engine._coverages[i]))
-            if key not in placed:
-                buffer = ruleset.caches[key[0]].buffer_for(key[1])
-                segments.append(buffer.array)
-                placed[key] = (position, buffer.low)
-                position += len(segments[-1])
-            start, low = placed[key]
-            offsets[i] = start - low
-        self._flat = np.concatenate(segments) if segments else np.empty(0)
-        self._offsets = offsets
-
-    def p_values_batch(self, supports: np.ndarray) -> np.ndarray:
-        """All ``B × n_rules`` p-values with a single 2-D fancy index.
-
-        ``supports`` is the ``(B, n_rules)`` support matrix of a
-        scoring block; entry ``(b, i)`` is rule ``i``'s p-value under
-        labelling ``b``.
-        """
-        return self._flat[self._offsets[None, :] + supports]
-
-
 class _NativeStats:
     """Inputs of the ``repro_permutation_stats`` kernel for one pass.
 
@@ -606,12 +570,13 @@ class _NativeStats:
 
     def __init__(self, engine: PermutationEngine, order: np.ndarray,
                  observed_sorted: np.ndarray) -> None:
-        lookup = engine._lookup
         self.rule_node = np.ascontiguousarray(engine._node_ids[order])
         self.rule_slot = np.ascontiguousarray(
             engine._rule_slots[order], dtype=np.int64)
-        self.rule_offset = np.ascontiguousarray(lookup._offsets[order])
-        self.flat = np.ascontiguousarray(lookup._flat, dtype=np.float64)
+        self.rule_offset = np.ascontiguousarray(engine._offsets[order])
+        # The rule set's own array: already C-contiguous float64, so
+        # this checks the kernel's contract without copying.
+        self.flat = np.ascontiguousarray(engine._flat, dtype=np.float64)
         # Ranks are at most n_rules, so int32 holds them; the table is
         # as long as the p-value tables, so it is filled in chunks
         # rather than through one intp temporary twice its size.

@@ -33,18 +33,20 @@ explains its significance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..data.dataset import Dataset
 from ..data.synthetic import EmbeddedRule
 from ..errors import EvaluationError
 from ..mining.rules import ClassRule
-from ..stats.buffer_cache import BufferCache
+from ..stats.hypergeom import support_bounds
+from ..stats.pvalue_tables import PValueTables
 
 __all__ = [
     "RuleStatus",
     "ClassifiedRule",
     "classify_rules",
+    "classify_decisions",
     "matches_embedded",
     "adjusted_p_value",
 ]
@@ -89,13 +91,14 @@ def matches_embedded(rule: ClassRule, embedded: EmbeddedRule,
 
 
 def adjusted_p_value(rule: ClassRule, embedded: EmbeddedRule,
-                     dataset: Dataset, cache: BufferCache,
+                     dataset: Dataset, tables: PValueTables,
                      rule_tidset: Optional[int] = None) -> Optional[float]:
     """``p(R|¬Rt)``: the rule's p-value discounting the embedded rule.
 
-    Returns ``None`` when the rule and the embedded rule share no
-    records (the adjustment is undefined; the rule is a false positive
-    by the first condition).
+    ``tables`` must hold the exact Fisher table of the rule's class at
+    its coverage on ``dataset``. Returns ``None`` when the rule and the
+    embedded rule share no records (the adjustment is undefined; the
+    rule is a false positive by the first condition).
     """
     tids_x = (dataset.pattern_tidset(rule.items)
               if rule_tidset is None else rule_tidset)
@@ -114,10 +117,9 @@ def adjusted_p_value(rule: ClassRule, embedded: EmbeddedRule,
     supp_x = tids_x.count()
     # The adjusted support is fractional; evaluate the exact test at the
     # nearest reachable integer support.
-    buffer = cache.buffer_for(supp_x)
-    k = round(adjusted_support)
-    k = min(max(k, buffer.low), buffer.high)
-    return buffer.p_value(k)
+    low, high = support_bounds(n, n_c, supp_x)
+    k = min(max(round(adjusted_support), low), high)
+    return tables.p_value(rule.class_index, supp_x, k)
 
 
 def classify_rules(
@@ -125,7 +127,6 @@ def classify_rules(
     embedded: Sequence[EmbeddedRule],
     dataset: Dataset,
     threshold: float,
-    caches: Optional[Dict[int, BufferCache]] = None,
 ) -> List[ClassifiedRule]:
     """Classify every significant rule as TP, FP or by-product.
 
@@ -135,69 +136,74 @@ def classify_rules(
         The correcting method's raw-p cut-off (``alpha`` in the
         Section 5.2 definition) used to judge whether an adjusted
         p-value still clears significance.
-    caches:
-        Optional per-class :class:`BufferCache` map to reuse across
-        calls; one is created per referenced class otherwise.
     """
-    if threshold < 0:
+    return classify_decisions([(significant, threshold)], embedded,
+                              dataset)[0]
+
+
+def classify_decisions(
+    decisions: Sequence[Tuple[Sequence[ClassRule], float]],
+    embedded: Sequence[EmbeddedRule],
+    dataset: Dataset,
+) -> List[List[ClassifiedRule]]:
+    """:func:`classify_rules` for several ``(significant, threshold)``
+    decisions made on one dataset.
+
+    A rule's adjusted p-value does not depend on the threshold, so each
+    distinct rule is judged once. The adjusted p-values read one exact
+    Fisher store, built for the ``(class, coverage)`` keys of the rules
+    that only an overlapping embedded rule can excuse.
+    """
+    if any(threshold < 0 for _, threshold in decisions):
         raise EvaluationError("threshold must be non-negative")
-    if caches is None:
-        caches = {}
-    out: List[ClassifiedRule] = []
     embedded_tidsets = [dataset.pattern_tidset(e.item_ids)
                         for e in embedded]
-    for rule in significant:
-        tids_x = dataset.pattern_tidset(rule.items)
-        verdict = _classify_one(rule, tids_x, embedded, embedded_tidsets,
-                                dataset, threshold, caches)
-        out.append(verdict)
-    return out
+    # id(rule) -> (true positive?, most excusing adjusted p-value). A
+    # rule that matches no embedded rule is a false positive (on
+    # pure-noise data, Section 5.4, every significant rule is one)
+    # unless an overlapping embedded rule explains it away.
+    judged: Dict[int, Tuple[bool, Optional[float]]] = {}
+    excusable = []
+    for significant, _ in decisions:
+        for rule in significant:
+            if id(rule) in judged:
+                continue
+            tids_x = dataset.pattern_tidset(rule.items)
+            matched = any(
+                rule.class_index == e.class_index and tids_x == tids_t
+                for e, tids_t in zip(embedded, embedded_tidsets))
+            judged[id(rule)] = (matched, None)
+            overlapping = [] if matched else [
+                e for e, tids_t in zip(embedded, embedded_tidsets)
+                if tids_x & tids_t != 0]
+            if overlapping:
+                excusable.append((rule, tids_x, overlapping))
+    if excusable:
+        tables = PValueTables(
+            dataset.n_records,
+            [dataset.class_support(c) for c in range(dataset.n_classes)],
+            [rule.class_index for rule, _, _ in excusable],
+            [tids_x.count() for _, tids_x, _ in excusable])
+        for rule, tids_x, overlapping in excusable:
+            # The *most excusing* adjustment (never None: the records
+            # overlap): if any embedded rule explains the significance
+            # away, the rule is a by-product.
+            judged[id(rule)] = (False, max(
+                adjusted_p_value(rule, e, dataset, tables,
+                                 rule_tidset=tids_x)
+                for e in overlapping))
+    return [[_verdict(rule, *judged[id(rule)], threshold)
+             for rule in significant]
+            for significant, threshold in decisions]
 
 
-def _classify_one(
-    rule: ClassRule,
-    tids_x: int,
-    embedded: Sequence[EmbeddedRule],
-    embedded_tidsets: Sequence[int],
-    dataset: Dataset,
-    threshold: float,
-    caches: Dict[int, BufferCache],
-) -> ClassifiedRule:
-    if not embedded:
-        # Pure-noise dataset: everything significant is a false
-        # positive (Section 5.4's random-data experiment).
-        return ClassifiedRule(rule, RuleStatus.FALSE_POSITIVE)
-    for e, tids_t in zip(embedded, embedded_tidsets):
-        if (rule.class_index == e.class_index and tids_x == tids_t):
-            return ClassifiedRule(rule, RuleStatus.TRUE_POSITIVE)
-    cache = _cache_for(rule.class_index, dataset, caches)
-    best_adjusted: Optional[float] = None
-    for e, tids_t in zip(embedded, embedded_tidsets):
-        if tids_x & tids_t == 0:
-            continue
-        adjusted = adjusted_p_value(rule, e, dataset, cache,
-                                    rule_tidset=tids_x)
-        if adjusted is None:
-            continue
-        if best_adjusted is None or adjusted > best_adjusted:
-            # Keep the *most excusing* adjustment: if any embedded rule
-            # explains the significance away, the rule is a by-product.
-            best_adjusted = adjusted
-    if best_adjusted is None:
-        return ClassifiedRule(rule, RuleStatus.FALSE_POSITIVE)
-    if best_adjusted > threshold:
-        return ClassifiedRule(rule, RuleStatus.BYPRODUCT, best_adjusted)
-    return ClassifiedRule(rule, RuleStatus.FALSE_POSITIVE, best_adjusted)
-
-
-def _cache_for(class_index: int, dataset: Dataset,
-               caches: Dict[int, BufferCache]) -> BufferCache:
-    cache = caches.get(class_index)
-    if cache is None:
-        cache = BufferCache(dataset.n_records,
-                            dataset.class_support(class_index), min_sup=1)
-        caches[class_index] = cache
-    return cache
+def _verdict(rule: ClassRule, matched: bool, adjusted: Optional[float],
+             threshold: float) -> ClassifiedRule:
+    if matched:
+        return ClassifiedRule(rule, RuleStatus.TRUE_POSITIVE)
+    if adjusted is not None and adjusted > threshold:
+        return ClassifiedRule(rule, RuleStatus.BYPRODUCT, adjusted)
+    return ClassifiedRule(rule, RuleStatus.FALSE_POSITIVE, adjusted)
 
 
 def restrict_embedded(embedded: Iterable[EmbeddedRule],

@@ -15,17 +15,16 @@ positive, FDR and power are means.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..corrections.base import CorrectionResult
 from ..data.dataset import Dataset
 from ..data.synthetic import EmbeddedRule
 from ..errors import EvaluationError
-from ..stats.buffer_cache import BufferCache
-from .ground_truth import ClassifiedRule, RuleStatus, classify_rules
+from .ground_truth import ClassifiedRule, RuleStatus, classify_decisions
 
 __all__ = ["DatasetOutcome", "AggregateMetrics", "evaluate_result",
-           "aggregate"]
+           "evaluate_results", "aggregate"]
 
 
 @dataclass
@@ -67,7 +66,6 @@ def evaluate_result(
     result: CorrectionResult,
     embedded: Sequence[EmbeddedRule],
     dataset: Dataset,
-    caches: Optional[Dict[int, BufferCache]] = None,
 ) -> DatasetOutcome:
     """Classify a correction result's output against the ground truth.
 
@@ -76,25 +74,39 @@ def evaluate_result(
     evaluation half for holdout) and ``embedded`` the ground truth
     re-derived on that same dataset.
     """
-    classified = classify_rules(result.significant, embedded, dataset,
-                                result.threshold, caches=caches)
-    n_tp = sum(1 for c in classified
-               if c.status == RuleStatus.TRUE_POSITIVE)
-    n_fp = sum(1 for c in classified
-               if c.status == RuleStatus.FALSE_POSITIVE)
-    n_by = sum(1 for c in classified if c.status == RuleStatus.BYPRODUCT)
-    detected = _count_detected(classified, embedded, dataset)
-    return DatasetOutcome(
-        method=result.method,
-        n_significant=len(result.significant),
-        n_true_positives=n_tp,
-        n_false_positives=n_fp,
-        n_byproducts=n_by,
-        n_embedded=len(embedded),
-        n_detected=detected,
-        threshold=result.threshold,
-        classified=classified,
-    )
+    return evaluate_results([result], embedded, dataset)[0]
+
+
+def evaluate_results(
+    results: Sequence[CorrectionResult],
+    embedded: Sequence[EmbeddedRule],
+    dataset: Dataset,
+) -> List[DatasetOutcome]:
+    """:func:`evaluate_result` for several results decided on one
+    dataset, classified together (:func:`classify_decisions`)."""
+    classified_sets = classify_decisions(
+        [(result.significant, result.threshold) for result in results],
+        embedded, dataset)
+    outcomes = []
+    for result, classified in zip(results, classified_sets):
+        n_tp = sum(1 for c in classified
+                   if c.status == RuleStatus.TRUE_POSITIVE)
+        n_fp = sum(1 for c in classified
+                   if c.status == RuleStatus.FALSE_POSITIVE)
+        n_by = sum(1 for c in classified
+                   if c.status == RuleStatus.BYPRODUCT)
+        outcomes.append(DatasetOutcome(
+            method=result.method,
+            n_significant=len(result.significant),
+            n_true_positives=n_tp,
+            n_false_positives=n_fp,
+            n_byproducts=n_by,
+            n_embedded=len(embedded),
+            n_detected=_count_detected(classified, embedded, dataset),
+            threshold=result.threshold,
+            classified=classified,
+        ))
+    return outcomes
 
 
 def _count_detected(classified: Sequence[ClassifiedRule],

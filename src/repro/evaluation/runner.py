@@ -49,7 +49,7 @@ from ..mining.rules import RuleSet, generate_rules
 from ..parallel import get_executor
 from .ground_truth import restrict_embedded
 from .metrics import AggregateMetrics, DatasetOutcome, aggregate, \
-    evaluate_result
+    evaluate_results
 
 __all__ = ["ExperimentRunner", "ExperimentResult", "ReplicateRecord",
            "METHOD_KEYS", "FWER_METHODS", "FDR_METHODS"]
@@ -259,18 +259,23 @@ class ExperimentRunner:
             permutation_seed=seed ^ 0x5EED,
             holdout_seed=seed ^ 0xA5A5,
             holdout_boundary=data.half_boundary)
-        outcomes: Dict[str, DatasetOutcome] = {}
         tested_counts: Dict[str, int] = {"whole dataset": ruleset.n_tests}
-        classification_caches: Dict[int, object] = {}
-        for method in self.methods:
-            result, decision_dataset, embedded = self._apply_resolved(
-                self._resolved[method], data, ruleset, ctx,
-                tested_counts)
-            caches = (classification_caches
-                      if decision_dataset is dataset else None)
-            outcomes[method] = evaluate_result(result, embedded,
-                                               decision_dataset,
-                                               caches=caches)
+        applied = [self._apply_resolved(self._resolved[method], data,
+                                        ruleset, ctx, tested_counts)
+                   for method in self.methods]
+        # Methods that decided on the same dataset (the whole one, or
+        # one holdout run's evaluation half) are classified together.
+        groups: Dict[int, List[int]] = {}
+        for i, (_, decision_dataset, _) in enumerate(applied):
+            groups.setdefault(id(decision_dataset), []).append(i)
+        by_index: Dict[int, DatasetOutcome] = {}
+        for members in groups.values():
+            _, decision_dataset, embedded = applied[members[0]]
+            by_index.update(zip(members, evaluate_results(
+                [applied[i][0] for i in members], embedded,
+                decision_dataset)))
+        outcomes = {method: by_index[i]
+                    for i, method in enumerate(self.methods)}
         return ReplicateRecord(seed=seed, outcomes=outcomes,
                                n_rules_tested=ruleset.n_tests,
                                tested_counts=tested_counts)

@@ -12,20 +12,19 @@ and ``c`` a class label. Following Section 3:
 * with ``m > 2`` classes, **m rules per pattern** are generated.
 
 Every rule carries coverage, support, confidence and its two-tailed
-Fisher p-value, computed through the shared
-:class:`~repro.stats.buffer_cache.BufferCache` so repeated coverages
-cost one table lookup.
+Fisher p-value, read from one :class:`~repro.stats.pvalue_tables.
+PValueTables` store that holds one table per distinct ``(class,
+coverage)`` key, so repeated coverages cost one table lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..data.dataset import Dataset
 from ..errors import MiningError
-from ..stats.buffer_cache import BufferCache
-from ..stats.chi2 import chi2_rule_p_value
+from ..stats.pvalue_tables import SCORERS, PValueTables, score_rules
 from ..tidvector import as_tidvector
 from .closed import mine_closed
 from .patterns import Pattern
@@ -109,7 +108,27 @@ class RuleSet:
     rules: List[ClassRule]
     min_sup: int
     scorer: str = "fisher"
-    caches: Dict[int, BufferCache] = field(default_factory=dict, repr=False)
+    _tables: Optional[PValueTables] = field(default=None, repr=False,
+                                            compare=False)
+
+    @property
+    def tables(self) -> PValueTables:
+        """The scorer's p-value table of every rule's ``(class,
+        coverage)`` key.
+
+        Fisher and mid-p rule sets carry the store Score read their
+        p-values from. Chi-square rule sets are scored directly and
+        build theirs here, on first use.
+        """
+        if self._tables is None:
+            dataset = self.dataset
+            self._tables = PValueTables(
+                dataset.n_records,
+                [dataset.class_support(c)
+                 for c in range(dataset.n_classes)],
+                [rule.class_index for rule in self.rules],
+                [rule.coverage for rule in self.rules], self.scorer)
+        return self._tables
 
     @property
     def n_tests(self) -> int:
@@ -142,10 +161,6 @@ def generate_rules(
     min_conf: float = 0.0,
     rhs_class: Optional[int] = None,
     scorer: str = "fisher",
-    caches: Optional[Dict[int, BufferCache]] = None,
-    static_budget_bytes: int = 16 * 1024 * 1024,
-    use_static: bool = True,
-    use_dynamic: bool = True,
 ) -> RuleSet:
     """Turn mined patterns into scored class association rules.
 
@@ -168,12 +183,8 @@ def generate_rules(
     scorer:
         ``"fisher"`` (exact, the paper's choice), ``"fisher-midp"``
         (Lancaster mid-p, less conservative) or ``"chi2"``.
-    caches:
-        Optional per-class :class:`BufferCache` map to share across
-        calls (the permutation engine passes the same caches for every
-        permutation).
     """
-    if scorer not in ("fisher", "fisher-midp", "chi2"):
+    if scorer not in SCORERS:
         raise MiningError(f"unknown scorer {scorer!r}")
     if not 0.0 <= min_conf <= 1.0:
         raise MiningError("min_conf must be within [0, 1]")
@@ -182,17 +193,6 @@ def generate_rules(
     n = dataset.n_records
     class_supports = [dataset.class_support(c)
                       for c in range(dataset.n_classes)]
-    if caches is None:
-        caches = {}
-    for c in range(dataset.n_classes):
-        if c not in caches:
-            caches[c] = BufferCache(
-                n, class_supports[c],
-                static_budget_bytes=static_budget_bytes,
-                min_sup=min_sup, use_static=use_static,
-                use_dynamic=use_dynamic,
-                midp=(scorer == "fisher-midp"))
-    score = _make_scorer(scorer, caches, n, class_supports)
     rules: List[ClassRule] = []
     binary = dataset.n_classes == 2
     for pattern in patterns:
@@ -226,10 +226,16 @@ def generate_rules(
                 coverage=coverage,
                 support=support,
                 confidence=confidence,
-                p_value=score(support, coverage, c),
+                p_value=1.0,  # scored below, all rules at once
             ))
+    p_values, tables = score_rules(
+        n, class_supports, [rule.class_index for rule in rules],
+        [rule.coverage for rule in rules],
+        [rule.support for rule in rules], scorer)
+    for rule, p_value in zip(rules, p_values):
+        rule.p_value = p_value
     return RuleSet(dataset=dataset, patterns=list(patterns), rules=rules,
-                   min_sup=min_sup, scorer=scorer, caches=caches)
+                   min_sup=min_sup, scorer=scorer, _tables=tables)
 
 
 def mine_class_rules(
@@ -239,7 +245,6 @@ def mine_class_rules(
     max_length: Optional[int] = None,
     rhs_class: Optional[int] = None,
     scorer: str = "fisher",
-    **kwargs,
 ) -> RuleSet:
     """Mine closed patterns and score their class rules in one call.
 
@@ -255,7 +260,7 @@ def mine_class_rules(
     patterns = mine_closed(dataset.item_tidsets, dataset.n_records,
                            min_sup, max_length=max_length)
     return generate_rules(dataset, patterns, min_sup, min_conf=min_conf,
-                          rhs_class=rhs_class, scorer=scorer, **kwargs)
+                          rhs_class=rhs_class, scorer=scorer)
 
 
 def _positively_associated_class(supports: Sequence[int], coverage: int,
@@ -272,18 +277,3 @@ def _positively_associated_class(supports: Sequence[int], coverage: int,
             best_lift = lift
             best_class = c
     return best_class
-
-
-def _make_scorer(scorer: str, caches: Dict[int, BufferCache], n: int,
-                 class_supports: Sequence[int],
-                 ) -> Callable[[int, int, int], float]:
-    if scorer in ("fisher", "fisher-midp"):
-        # Mid-p vs exact is decided by how the caches were built; the
-        # lookup path is identical.
-        def fisher_score(support: int, coverage: int, c: int) -> float:
-            return caches[c].p_value(support, coverage)
-        return fisher_score
-
-    def chi2_score(support: int, coverage: int, c: int) -> float:
-        return chi2_rule_p_value(support, n, class_supports[c], coverage)
-    return chi2_score

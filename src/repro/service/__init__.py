@@ -10,13 +10,11 @@ correction, policy, params)`` so a repeated significance query is
 served from storage — byte-identical to the uncached
 :meth:`~repro.core.pipeline.Pipeline.run` — instead of re-mined.
 
-The HTTP surface is one dependency-free ASGI application
-(:func:`create_app`): it runs under ``uvicorn`` in production, under
-the stdlib threaded bridge (:func:`repro.service.server.serve`) when
-uvicorn is not installed, and is wrapped by FastAPI when that is
-importable (same routes, same payloads — FastAPI supplies its
-middleware/ecosystem, not the routing). Start it with
-``python -m repro serve``; see ``docs/service.md``.
+The HTTP surface is one dispatch table behind two stdlib transports:
+a dependency-free ASGI application (:func:`create_app`) and the
+threaded HTTP server (:func:`repro.service.server.serve`), with the
+same routes and payloads. Start it with ``python -m repro serve``; see
+``docs/service.md``.
 """
 
 from .app import ServiceConfig, ServiceCore, create_app

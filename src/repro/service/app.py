@@ -1,19 +1,15 @@
-"""The HTTP surface: one dispatch table, pluggable frameworks.
+"""The HTTP surface: one dispatch table, two stdlib transports.
 
 All routing/validation/response logic lives in :class:`ServiceCore`, a
 plain synchronous object with one entry point
 (:meth:`ServiceCore.dispatch`). Every transport is a thin shell around
 it:
 
-* the **builtin ASGI app** (the canonical one, zero dependencies) —
-  runs under uvicorn/hypercorn or the in-repo test client, moving each
-  request onto a thread so the event loop never blocks on mining;
-* the **FastAPI adapter** — used automatically when FastAPI is
-  importable (force the builtin with ``REPRO_SERVICE_FRAMEWORK=
-  builtin``): a catch-all route delegating to the same dispatch table,
-  so the two frameworks cannot drift apart in behavior;
-* the **stdlib threaded HTTP server** (:mod:`repro.service.server`)
-  for environments with neither uvicorn nor FastAPI.
+* the **builtin ASGI app** (zero dependencies) — runs under any ASGI
+  server or the in-repo test client, moving each request onto a
+  thread so the event loop never blocks on mining;
+* the **stdlib threaded HTTP server** (:mod:`repro.service.server`),
+  which ``python -m repro serve`` runs.
 
 Routes (all JSON unless noted)::
 
@@ -43,7 +39,6 @@ results polled before completion.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs
@@ -248,8 +243,6 @@ class ServiceCore:
 
         components: Dict[str, object] = {
             "native_kernel": native_status(),
-            "framework": os.environ.get("REPRO_SERVICE_FRAMEWORK",
-                                        "auto") or "auto",
             "breaker": global_breaker().state(),
             "journal": self.jobs.journal_stats(),
             "store": {"path": self.store.path},
@@ -422,7 +415,6 @@ def builtin_asgi_app(core: ServiceCore):
         await send({"type": "http.response.body", "body": payload})
 
     app.core = core
-    app.framework = "builtin"
     return app
 
 
@@ -432,59 +424,12 @@ def _flatten_query(query_string: str) -> Dict[str, str]:
             for key, values in parse_qs(query_string).items()}
 
 
-def _fastapi_app(core: ServiceCore):
-    """FastAPI shell: a catch-all route over the same dispatch table.
-
-    FastAPI supplies the server ecosystem (middleware, docs mounting,
-    deployment tooling); the routing and payloads stay byte-identical
-    to the builtin app because both call ``core.dispatch``.
-    """
-    from contextlib import asynccontextmanager
-
-    from fastapi import FastAPI, Request, Response
-
-    @asynccontextmanager
-    async def _lifespan(_app):
-        yield
-        core.close()
-
-    app = FastAPI(title="repro mining service", lifespan=_lifespan,
-                  docs_url=None, redoc_url=None, openapi_url=None)
-    app.core = core
-    app.framework = "fastapi"
-
-    @app.api_route("/{rest:path}",
-                   methods=["GET", "POST", "DELETE"])
-    async def _dispatch(rest: str, request: Request) -> Response:
-        import asyncio
-
-        body = await request.body()
-        query = {key: value
-                 for key, value in request.query_params.items()}
-        headers = dict(request.headers)
-        status, payload, content_type = await asyncio.to_thread(
-            core.dispatch, request.method, "/" + rest, query,
-            headers, body)
-        return Response(content=payload, status_code=status,
-                        media_type=content_type)
-
-    return app
-
-
 def create_app(config: Optional[ServiceConfig] = None,
                core: Optional[ServiceCore] = None):
-    """Build the service application (ASGI callable).
+    """Build the service application (the builtin ASGI callable).
 
-    Uses the FastAPI adapter when FastAPI is importable, else the
-    builtin dependency-free app; ``REPRO_SERVICE_FRAMEWORK=builtin``
-    forces the builtin regardless. Either way the returned app exposes
-    ``.core`` (the :class:`ServiceCore`) and ``.framework``.
+    The returned app exposes ``.core`` (the :class:`ServiceCore`).
     """
     if core is None:
         core = ServiceCore(config)
-    if os.environ.get("REPRO_SERVICE_FRAMEWORK", "") != "builtin":
-        try:
-            return _fastapi_app(core)
-        except ImportError:
-            pass
     return builtin_asgi_app(core)

@@ -1,12 +1,10 @@
-"""Running the service: uvicorn when available, stdlib otherwise.
+"""Running the service on the stdlib threaded HTTP server.
 
-:func:`serve` is what ``python -m repro serve`` calls. It prefers
-``uvicorn`` (the production ASGI server the requirements pin), and
-falls back to a stdlib ``ThreadingHTTPServer`` that calls the same
-:meth:`~repro.service.app.ServiceCore.dispatch` table directly — so a
-bare container with no third-party packages still serves the full API
-with identical routes and payload bytes, just without uvicorn's
-connection management.
+:func:`serve` is what ``python -m repro serve`` calls. It runs a
+stdlib ``ThreadingHTTPServer`` that calls the
+:meth:`~repro.service.app.ServiceCore.dispatch` table directly, so the
+full API needs no third-party package, with the same routes and
+payload bytes as the ASGI app.
 
 Shutdown is graceful on ``SIGTERM`` as well as ``SIGINT``: the
 listener stops accepting, in-flight jobs drain (the
@@ -60,7 +58,7 @@ def make_stdlib_server(core: ServiceCore, host: str, port: int,
             self._respond("DELETE")
 
         def log_message(self, format, *args) -> None:  # noqa: A002
-            pass  # quiet by default; uvicorn handles access logs
+            pass  # quiet by default
 
     return ThreadingHTTPServer((host, port), Handler)
 
@@ -80,22 +78,9 @@ def serve(config: Optional[ServiceConfig] = None,
     if app is None:
         app = create_app(config)
     core = app.core
-    try:
-        import uvicorn
-    except ImportError:
-        uvicorn = None
-    if uvicorn is not None:
-        # uvicorn installs its own SIGTERM/SIGINT handling; the
-        # lifespan shutdown event calls core.close(), which drains
-        # the job workers before the process exits.
-        print(f"serving repro ({app.framework} app) on "
-              f"http://{host}:{port} via uvicorn", file=out)
-        uvicorn.run(app, host=host, port=port, log_level="warning")
-        return 0
     server = make_stdlib_server(core, host, port)
     print(f"serving repro on http://{host}:{port} via the stdlib "
-          f"threaded server (install uvicorn for production use)",
-          file=out)
+          f"threaded server", file=out)
 
     def _drain(signum, frame) -> None:
         # Runs on the main thread; shutdown() must come from another

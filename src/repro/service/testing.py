@@ -1,11 +1,9 @@
-"""In-repo ASGI test client (no httpx required).
+"""In-repo ASGI test client.
 
-Drives any ASGI application — the builtin app or the FastAPI adapter —
-through a real ASGI ``scope``/``receive``/``send`` cycle, the same
-protocol uvicorn speaks, so end-to-end tests exercise the exact code
-path production requests take. Tests prefer ``httpx.ASGITransport``
-when httpx is installed (the CI service job does); this client keeps
-the suite runnable on a bare stdlib container.
+Drives any ASGI application — in practice the builtin app — through a
+real ASGI ``scope``/``receive``/``send`` cycle, the protocol every ASGI
+server speaks, so end-to-end tests exercise the app's own request
+path with the standard library alone.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
-"""Statistics substrate: exact tests, buffers and caches."""
+"""Statistics substrate: exact tests, p-value buffers and tables."""
 
-from .buffer_cache import BufferCache, CacheStats
 from .chi2 import chi2_rule_p_value, chi2_sf, chi2_statistic, chi2_test
 from .fisher import (
     fisher_from_contingency,
@@ -23,6 +22,7 @@ from .power import (
     power_curve,
 )
 from .pvalue_buffer import RELATIVE_TIE_TOLERANCE, PValueBuffer
+from .pvalue_tables import PValueTables
 from .sequential import (
     SequentialResult,
     sequential_p_value,
@@ -30,8 +30,6 @@ from .sequential import (
 )
 
 __all__ = [
-    "BufferCache",
-    "CacheStats",
     "chi2_rule_p_value",
     "chi2_sf",
     "chi2_statistic",
@@ -55,6 +53,7 @@ __all__ = [
     "log_binomial",
     "RELATIVE_TIE_TOLERANCE",
     "PValueBuffer",
+    "PValueTables",
     "detection_power",
     "deterministic_detection",
     "min_detectable_confidence",

@@ -132,9 +132,10 @@ def sequential_rule_p_value(
 
     Re-scores the rule under label shuffling (the Section 4.2 null)
     one permutation at a time, stopping early when the rule is clearly
-    not significant. Intended for validating individual candidates —
-    the engine's batch pass is cheaper per rule when *all* rules are
-    needed.
+    not significant. Null p-values come from the rule set's
+    :attr:`~repro.mining.rules.RuleSet.tables`, under its scorer.
+    Intended for validating individual candidates — the engine's batch
+    pass is cheaper per rule when *all* rules are needed.
     """
     from ..tidvector import TidVector, as_tidvector
 
@@ -150,7 +151,7 @@ def sequential_rule_p_value(
     # Plugin miners may carry bigint tidsets; coerce once up front.
     pattern_tids = as_tidvector(pattern.tidset, dataset.n_records)
     coverage = rule.coverage
-    cache = ruleset.caches[rule.class_index]
+    tables = ruleset.tables
     class_bits = dataset.class_tidset(rule.class_index)
     n_c = class_bits.count()
 
@@ -162,7 +163,7 @@ def sequential_rule_p_value(
         indicator[chosen] = True
         support = pattern_tids.intersection_count(
             TidVector.from_bool(indicator))
-        return cache.p_value(support, coverage)
+        return tables.p_value(rule.class_index, coverage, support)
 
     return sequential_p_value(rule.p_value, shuffled_p, h=h,
                               n_max=n_max, seed=seed)

@@ -16,10 +16,13 @@ labelling and one rule at a time:
   — no pattern forest involved;
 * :func:`permutation_p_values` — every rule's p-value under every
   labelling, looked up in the rule set's
-  :class:`~repro.stats.BufferCache` (``pvalue="cache"``, which the
-  engine must match exactly) or recomputed by
-  :func:`~repro.stats.fisher_two_tailed` (``pvalue="direct"``, which
-  agrees within rel 1e-9);
+  :class:`~repro.stats.PValueTables` (``pvalue="cache"``, which the
+  engine must match exactly) or recomputed by the scalar function of
+  the rule set's scorer (``pvalue="direct"``):
+  :func:`~repro.stats.fisher_two_tailed` and
+  :func:`~repro.stats.fisher_two_tailed_midp` agree with the tables
+  within rel 1e-9, :func:`~repro.stats.chi2_rule_p_value` fills the
+  chi-square tables and so agrees exactly;
 * :func:`statistics` — the sorted min-p distribution, the pooled
   counts and the step-down counts, by plain loops and ``bisect``.
 
@@ -35,7 +38,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.stats import fisher_two_tailed
+from repro.stats import (
+    chi2_rule_p_value,
+    fisher_two_tailed,
+    fisher_two_tailed_midp,
+)
 
 from .. import bigint_oracle as bs
 
@@ -43,6 +50,13 @@ __all__ = ["labellings", "rule_supports", "permutation_p_values",
            "statistics", "reference"]
 
 PVALUE_SOURCES = ("cache", "direct")
+
+#: The scalar p-value function of each scorer.
+SCALAR_SCORERS = {
+    "fisher": fisher_two_tailed,
+    "fisher-midp": fisher_two_tailed_midp,
+    "chi2": chi2_rule_p_value,
+}
 
 
 def labellings(ruleset, n_permutations: int,
@@ -76,19 +90,19 @@ def permutation_p_values(ruleset, n_permutations: int, seed: int,
     if pvalue not in PVALUE_SOURCES:
         raise ValueError(f"pvalue must be one of {PVALUE_SOURCES}")
     dataset = ruleset.dataset
+    scalar = SCALAR_SCORERS[ruleset.scorer]
     rows = []
     for labels in labellings(ruleset, n_permutations, seed):
         row = []
         supports = rule_supports(ruleset, labels)
         for rule, support in zip(ruleset.rules, supports):
             if pvalue == "cache":
-                p = ruleset.caches[rule.class_index].p_value(
-                    support, rule.coverage)
+                p = ruleset.tables.p_value(rule.class_index,
+                                           rule.coverage, support)
             else:
-                p = fisher_two_tailed(
-                    support, dataset.n_records,
-                    dataset.class_support(rule.class_index),
-                    rule.coverage)
+                p = scalar(support, dataset.n_records,
+                           dataset.class_support(rule.class_index),
+                           rule.coverage)
             row.append(p)
         rows.append(row)
     return rows

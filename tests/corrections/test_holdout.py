@@ -74,6 +74,26 @@ class TestCandidates:
             if scored.coverage == 0:
                 assert scored.p_value == 1.0
 
+    @pytest.mark.parametrize("scorer", ("fisher", "fisher-midp", "chi2"))
+    def test_evaluation_half_uses_the_run_scorer(self, scorer):
+        """Candidates are re-scored with the run's scorer, not always
+        the exact Fisher test."""
+        from repro.data import make_german
+
+        from .permutation_oracle import SCALAR_SCORERS
+
+        scalar = SCALAR_SCORERS[scorer]
+        run = HoldoutRun(make_german(seed=0, n_records=600), min_sup=30,
+                         seed=1, scorer=scorer)
+        evaluation = run.evaluation
+        assert run.evaluated
+        for _, scored in run.evaluated[:300]:
+            if scored.coverage:
+                assert scored.p_value == scalar(
+                    scored.support, evaluation.n_records,
+                    evaluation.class_support(scored.class_index),
+                    scored.coverage)
+
 
 class TestErrorControl:
     def test_bonferroni_uses_candidate_count(self, paired_data):

@@ -5,7 +5,9 @@ must equal the reference's exactly — on binary and multiclass rule
 sets, with the native kernel suite loaded and hidden, and for
 permutation counts below, at and above one native block. The
 reference's ``fisher_two_tailed`` p-values (the paper's unbuffered
-arm) must agree with its ``BufferCache`` ones within rel 1e-9.
+arm) must agree with its table lookups within rel 1e-9. Under the
+chi2 scorer the engine must equal the reference driven by
+``chi2_rule_p_value`` exactly.
 """
 
 from __future__ import annotations
@@ -70,6 +72,26 @@ def test_direct_pvalues_agree_with_cache(ruleset):
     direct = permutation_p_values(ruleset, 6, seed=2, pvalue="direct")
     for cached_row, direct_row in zip(cached, direct):
         assert direct_row == pytest.approx(cached_row, rel=1e-9)
+
+
+@pytest.mark.parametrize("native", (True, False),
+                         ids=("native", "numpy"))
+def test_chi2_engine_matches_scalar_chi2_reference(native):
+    """Under ``chi2`` the null p-values are chi-square too: the
+    engine's statistics equal the reference's, whose every p-value is
+    a fresh ``chi2_rule_p_value`` call."""
+    config = GeneratorConfig(
+        n_records=240, n_attributes=8, n_rules=1, min_coverage=40,
+        max_coverage=60, min_confidence=0.8, max_confidence=0.9)
+    ruleset = mine_class_rules(generate(config, seed=77).dataset,
+                               min_sup=15, scorer="chi2")
+    expected = reference(ruleset, NATIVE_BATCH_ROWS + 3, seed=4,
+                         pvalue="direct")
+    actual = _engine_statistics(ruleset, native,
+                                n_permutations=NATIVE_BATCH_ROWS + 3,
+                                seed=4)
+    for got, want in zip(actual, expected):
+        assert np.array_equal(got, want)
 
 
 def test_identity_labelling_reproduces_rule_supports(ruleset):

@@ -12,8 +12,9 @@ from repro.evaluation import (
     matches_embedded,
     restrict_embedded,
 )
+from repro.evaluation.ground_truth import classify_decisions
 from repro.mining import mine_class_rules
-from repro.stats import BufferCache
+from repro.stats import PValueTables
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +27,14 @@ def planted():
     data = generate(config, seed=91)
     ruleset = mine_class_rules(data.dataset, min_sup=30)
     return data, ruleset
+
+
+def _tables_for(rule, dataset):
+    """The exact Fisher store holding the rule's key."""
+    return PValueTables(
+        dataset.n_records,
+        [dataset.class_support(c) for c in range(dataset.n_classes)],
+        [rule.class_index], [rule.coverage])
 
 
 class TestMatching:
@@ -55,17 +64,13 @@ class TestAdjustedPValue:
         data, ruleset = planted
         e = data.embedded_rules[0]
         target = data.dataset.pattern_tidset(e.item_ids)
-        cache = BufferCache(data.dataset.n_records,
-                            data.dataset.class_support(0), min_sup=1)
         disjoint = [r for r in ruleset.rules
                     if data.dataset.pattern_tidset(r.items) & target == 0]
         if not disjoint:
             pytest.skip("no disjoint rule at this seed")
         rule = disjoint[0]
-        cache = BufferCache(data.dataset.n_records,
-                            data.dataset.class_support(rule.class_index),
-                            min_sup=1)
-        assert adjusted_p_value(rule, e, data.dataset, cache) is None
+        tables = _tables_for(rule, data.dataset)
+        assert adjusted_p_value(rule, e, data.dataset, tables) is None
 
     def test_planted_rule_itself_adjusts_to_high_p(self, planted):
         """Discounting Rt from Rt itself must destroy its significance."""
@@ -73,10 +78,8 @@ class TestAdjustedPValue:
         e = data.embedded_rules[0]
         rule = next(r for r in ruleset.rules
                     if matches_embedded(r, e, data.dataset))
-        cache = BufferCache(data.dataset.n_records,
-                            data.dataset.class_support(rule.class_index),
-                            min_sup=1)
-        adjusted = adjusted_p_value(rule, e, data.dataset, cache)
+        tables = _tables_for(rule, data.dataset)
+        adjusted = adjusted_p_value(rule, e, data.dataset, tables)
         assert adjusted is not None
         assert adjusted > 0.01
         assert adjusted > rule.p_value
@@ -96,10 +99,8 @@ class TestAdjustedPValue:
         if not candidates:
             pytest.skip("no slightly-overlapping rule at this seed")
         rule = candidates[0]
-        cache = BufferCache(data.dataset.n_records,
-                            data.dataset.class_support(rule.class_index),
-                            min_sup=1)
-        adjusted = adjusted_p_value(rule, e, data.dataset, cache)
+        tables = _tables_for(rule, data.dataset)
+        adjusted = adjusted_p_value(rule, e, data.dataset, tables)
         assert adjusted is not None
         # Discounting at most 3 records cannot change the p-value by
         # many orders of magnitude.
@@ -167,6 +168,24 @@ class TestClassification:
         n_fp_strict = sum(1 for c in strict
                           if c.status == RuleStatus.FALSE_POSITIVE)
         assert n_fp_strict <= n_fp_loose
+
+
+    def test_decisions_classified_together_match_one_by_one(
+            self, planted):
+        """Several decisions on one dataset share the judging: each
+        one's verdicts equal a separate ``classify_rules`` call."""
+        data, ruleset = planted
+        e = data.embedded_rules[0]
+        loose = [r for r in ruleset.rules if r.p_value <= 1e-2]
+        strict = [r for r in ruleset.rules if r.p_value <= 1e-6]
+        decisions = [(loose, 1e-2), (strict, 1e-8), ([], 0.0)]
+        together = classify_decisions(decisions, [e], data.dataset)
+        for (significant, threshold), verdicts in zip(decisions,
+                                                      together):
+            alone = classify_rules(significant, [e], data.dataset,
+                                   threshold)
+            assert [(c.rule, c.status, c.adjusted_p) for c in verdicts] \
+                == [(c.rule, c.status, c.adjusted_p) for c in alone]
 
 
 class TestRestrictEmbedded:

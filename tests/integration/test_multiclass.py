@@ -6,7 +6,7 @@ pattern (testing ``X => c`` is no longer equivalent to testing
 findings carry over. These tests drive the full pipeline — mining,
 multi-class hypothesis counting, every correction family — on 3-class
 data, covering the per-class code paths the binary experiments never
-touch (per-class buffer caches, the permutation engine's multi-class
+touch (per-class p-value tables, the permutation engine's multi-class
 support pass).
 """
 

@@ -1,10 +1,19 @@
-"""``fisher_two_tailed`` against an independent implementation.
+"""The rule scorers against an independent implementation.
 
 The bit-identity tests prove the numpy tables equal the scalar code
-they replaced; a bug both share would pass them. This checks the
-two-tailed p-value against ``scipy.stats.fisher_exact``, which computes
-tails with its own hypergeometric code, for n up to 10^5. Draws are
-weighted toward the two regimes where the table path is most fragile:
+they replaced; a bug both share would pass them. This checks each
+scorer against scipy, which computes tails with its own code, for n up
+to 10^5:
+
+* ``fisher_two_tailed`` against ``scipy.stats.fisher_exact``;
+* ``fisher_two_tailed_midp`` against ``fisher_exact`` minus half of
+  ``scipy.stats.hypergeom.pmf`` at the observed support;
+* ``chi2_rule_p_value`` against ``scipy.stats.chi2_contingency`` without
+  continuity correction, on tables with no zero marginal (scipy rejects
+  those; this library scores them 1).
+
+Draws are weighted toward the two regimes where the table path is most
+fragile:
 
 * large n with ``L = 0`` and a coverage big enough that the recurrence
   seed ``H(0)`` underflows, so the table is built in log space;
@@ -22,9 +31,14 @@ import math
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.stats import fisher_exact
+from scipy.stats import chi2_contingency, fisher_exact, hypergeom
 
-from repro.stats import fisher_two_tailed, support_bounds
+from repro.stats import (
+    chi2_rule_p_value,
+    fisher_two_tailed,
+    fisher_two_tailed_midp,
+    support_bounds,
+)
 
 
 @st.composite
@@ -58,13 +72,44 @@ def fisher_cases(draw):
     return n, n_c, supp_x, supp_r
 
 
+def _table(case):
+    n, n_c, supp_x, supp_r = case
+    return [[supp_r, supp_x - supp_r],
+            [n_c - supp_r, n - n_c - supp_x + supp_r]]
+
+
+def _assert_close(case, ours, theirs):
+    assert math.isclose(ours, theirs, rel_tol=1e-6, abs_tol=1e-300), (
+        case, ours, theirs)
+
+
 @given(fisher_cases())
 @settings(max_examples=300, deadline=None)
 def test_two_tailed_matches_scipy(case):
     n, n_c, supp_x, supp_r = case
     ours = fisher_two_tailed(supp_r, n, n_c, supp_x)
-    table = [[supp_r, supp_x - supp_r],
-             [n_c - supp_r, n - n_c - supp_x + supp_r]]
-    theirs = float(fisher_exact(table, alternative="two-sided").pvalue)
-    assert math.isclose(ours, theirs, rel_tol=1e-6, abs_tol=1e-300), (
-        case, ours, theirs)
+    theirs = float(fisher_exact(_table(case),
+                                alternative="two-sided").pvalue)
+    _assert_close(case, ours, theirs)
+
+
+@given(fisher_cases())
+@settings(max_examples=300, deadline=None)
+def test_midp_matches_scipy(case):
+    n, n_c, supp_x, supp_r = case
+    ours = fisher_two_tailed_midp(supp_r, n, n_c, supp_x)
+    two_tailed = float(fisher_exact(_table(case),
+                                    alternative="two-sided").pvalue)
+    mass = float(hypergeom.pmf(supp_r, n, n_c, supp_x))
+    _assert_close(case, ours, max(0.0, two_tailed - 0.5 * mass))
+
+
+@given(fisher_cases())
+@settings(max_examples=300, deadline=None)
+def test_chi2_matches_scipy(case):
+    n, n_c, supp_x, supp_r = case
+    assume(0 < n_c < n and 0 < supp_x < n)
+    ours = chi2_rule_p_value(supp_r, n, n_c, supp_x)
+    theirs = float(chi2_contingency(_table(case),
+                                    correction=False).pvalue)
+    _assert_close(case, ours, theirs)

@@ -1,11 +1,7 @@
 """Fixtures for the service suite.
 
-The HTTP-level tests run against the builtin ASGI application (forced
-via ``REPRO_SERVICE_FRAMEWORK=builtin`` so results do not depend on
-whether FastAPI happens to be installed) and drive it through
-``httpx.ASGITransport`` when httpx is available — the CI service job
-installs it — falling back to the in-repo ASGI client on bare
-containers. Both speak the same ASGI protocol to the same app.
+The HTTP-level tests drive the builtin ASGI application through the
+in-repo ASGI client (:class:`repro.service.testing.ServiceClient`).
 """
 
 from __future__ import annotations
@@ -15,6 +11,7 @@ import pytest
 from repro.data import Dataset
 from repro.service.app import ServiceConfig, ServiceCore, \
     builtin_asgi_app
+from repro.service.testing import ServiceClient
 
 
 def small_dataset(name: str = "svc-small",
@@ -59,52 +56,12 @@ def core():
 
 @pytest.fixture
 def app(core):
-    """The app under test: builtin by default; set
-    ``REPRO_SERVICE_TEST_APP=fastapi`` to run the whole HTTP suite
-    against the FastAPI adapter instead (the CI service job does both
-    — the adapter delegates to the same dispatch table, and this
-    proves it)."""
-    import os
-
-    if os.environ.get("REPRO_SERVICE_TEST_APP") == "fastapi":
-        from repro.service.app import _fastapi_app
-
-        return _fastapi_app(core)
     return builtin_asgi_app(core)
 
 
-class _HttpxClient:
-    """httpx-backed client with the same verbs as ServiceClient."""
-
-    def __init__(self, app, token=None):
-        import httpx
-
-        headers = ({"Authorization": f"Bearer {token}"}
-                   if token is not None else {})
-        self._client = httpx.Client(
-            transport=httpx.ASGITransport(app=app),
-            base_url="http://service.test", headers=headers)
-
-    def get(self, url, headers=None):
-        return self._client.get(url, headers=headers)
-
-    def post(self, url, json_body=None, headers=None):
-        return self._client.post(url, json=json_body, headers=headers)
-
-    def delete(self, url, headers=None):
-        return self._client.delete(url, headers=headers)
-
-
 def make_client(app, token=None):
-    """An HTTP client for ``app``: httpx when installed, else the
-    in-repo ASGI client."""
-    try:
-        import httpx  # noqa: F401
-    except ImportError:
-        from repro.service.testing import ServiceClient
-
-        return ServiceClient(app, token=token)
-    return _HttpxClient(app, token=token)
+    """The in-repo ASGI client for ``app``."""
+    return ServiceClient(app, token=token)
 
 
 @pytest.fixture

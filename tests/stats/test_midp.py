@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.stats import (
-    BufferCache,
     PValueBuffer,
+    PValueTables,
     fisher_two_tailed,
     fisher_two_tailed_midp,
     support_bounds,
@@ -50,23 +50,17 @@ class TestMidPBuffer:
 
 class TestMidPCache:
     def test_cache_builds_midp_buffers(self):
-        cache = BufferCache(50, 20, min_sup=5, midp=True)
-        value = cache.p_value(8, 10)
+        tables = PValueTables(50, [30, 20], [1], [10],
+                              scorer="fisher-midp")
+        value = tables.p_value(1, 10, 8)
         assert value == pytest.approx(
             fisher_two_tailed_midp(8, 50, 20, 10), abs=1e-12)
 
     def test_cache_default_is_exact(self):
-        cache = BufferCache(50, 20, min_sup=5)
-        value = cache.p_value(8, 10)
+        tables = PValueTables(50, [30, 20], [1], [10])
+        value = tables.p_value(1, 10, 8)
         assert value == pytest.approx(
             fisher_two_tailed(8, 50, 20, 10), abs=1e-12)
-
-    def test_dynamic_tier_respects_midp(self):
-        cache = BufferCache(50, 20, min_sup=5, use_static=False,
-                            midp=True)
-        value = cache.p_value(8, 10)
-        assert value == pytest.approx(
-            fisher_two_tailed_midp(8, 50, 20, 10), abs=1e-12)
 
 
 class TestMidPScorer:
@@ -95,3 +89,5 @@ class TestMidPScorer:
         engine = PermutationEngine(ruleset, n_permutations=20, seed=2)
         result = engine.fwer(0.05)
         assert result.n_tests == ruleset.n_tests
+        assert ruleset.tables.scorer == "fisher-midp"
+        assert engine._flat is ruleset.tables.flat
