@@ -2,7 +2,7 @@
 
 The paper's pipeline mines *closed* patterns (Section 3) for two
 reasons: fewer hypotheses (duplicates removed) and the enumeration-tree
-structure the Diffsets policy needs. This ablation quantifies the
+structure the paper's Diffsets storage needs. This ablation quantifies the
 first reason against the two all-frequent-pattern miners and
 cross-checks all three for agreement:
 

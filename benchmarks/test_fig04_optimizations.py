@@ -15,8 +15,8 @@ per-permutation cost times 1000).
 
 The four paper arms live here, not in the library: :func:`_paper_pass`
 scores one labelling at a time, counting class supports on full
-record-id lists (:class:`_FullIdLists`) or on a Diffsets
-:class:`~repro.mining.diffsets.PatternForest`, and taking every rule's
+record-id lists (:class:`_FullIdLists`) or on the paper's Diffsets
+storage (:class:`_Diffsets`), and taking every rule's
 p-value from the paper's static+dynamic buffer cache
 (:class:`_PaperCache`, the buffered arms) or recomputing it with
 :func:`~repro.stats.fisher_two_tailed` (no optimization). The buffered
@@ -24,9 +24,9 @@ arms visit rules in ``(class, coverage)`` order, the order the paper's
 one-slot dynamic buffer assumes: each coverage's buffer is then built
 once per labelling and class. Each paper arm's min-p distribution is
 checked against the engine's. The last arm times
-:class:`~repro.corrections.PermutationEngine`'s batched pass, which
-reads one table per ``(class, coverage)`` key from the rule set's
-:class:`~repro.stats.PValueTables`.
+:class:`~repro.corrections.PermutationEngine`'s batched pass over its
+packed forest, which reads one table per ``(class, coverage)`` key
+from the rule set's :class:`~repro.stats.PValueTables`.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ from repro.data import (
 )
 from repro.evaluation import format_table
 from repro.mining import generate_rules, mine_closed
-from repro.mining.diffsets import PatternForest
 from repro.stats import PValueBuffer, fisher_two_tailed, support_bounds
-from repro.tidvector import as_tidvector
+from repro.tidvector import TidVector, as_tidvector
 
 #: (label, record-id storage, p-value source, static tier budget).
 ARMS = (
@@ -126,16 +125,20 @@ class _FullIdLists:
     """
 
     def __init__(self, patterns, n_records):
-        ids = [as_tidvector(p.tidset, n_records).indices()
-               for p in patterns]
-        self.supports = np.array([len(i) for i in ids], dtype=np.int64)
-        self._ids = (np.concatenate(ids) if ids
+        self.supports = np.array([p.support for p in patterns],
+                                 dtype=np.int64)
+        id_lists = self._id_lists(patterns, n_records)
+        lengths = np.array([len(i) for i in id_lists], dtype=np.int64)
+        self._ids = (np.concatenate(id_lists) if id_lists
                      else np.empty(0, dtype=np.int32))
         # reduceat needs strictly increasing starts: empty lists count
         # zero and stay out of it.
-        self._nonempty = self.supports > 0
-        self._starts = (np.cumsum(self.supports)
-                        - self.supports)[self._nonempty]
+        self._nonempty = lengths > 0
+        self._starts = (np.cumsum(lengths) - lengths)[self._nonempty]
+
+    def _id_lists(self, patterns, n_records):
+        return [as_tidvector(p.tidset, n_records).indices()
+                for p in patterns]
 
     def class_supports(self, indicator):
         out = np.zeros(len(self.supports), dtype=np.int64)
@@ -143,6 +146,44 @@ class _FullIdLists:
             hits = indicator.astype(np.int64)[self._ids]
             out[self._nonempty] = np.add.reduceat(hits, self._starts)
         return out
+
+
+class _Diffsets(_FullIdLists):
+    """The paper's Diffsets storage (Section 4.2.2; Zaki & Gouda 2003).
+
+    A child keeping more than half of its parent's records
+    (``2·supp(X) > supp(parent)``) stores only the ids its parent has
+    and it lacks, ``parent & ~child`` word by word; every other node
+    stores its full id list. One ``np.add.reduceat`` counts the stored
+    ids per labelling, then each diff node resolves
+    ``supp_c(X) = supp_c(parent) − |diff ∩ c|``. Parents precede
+    children, so every parent's count is final when its children read
+    it.
+    """
+
+    def _id_lists(self, patterns, n_records):
+        parents = np.array([p.parent_id for p in patterns],
+                           dtype=np.int64)
+        words = np.stack([as_tidvector(p.tidset, n_records).words
+                          for p in patterns])
+        has_parent = parents >= 0
+        is_diff = np.zeros(len(patterns), dtype=bool)
+        is_diff[has_parent] = (2 * self.supports[has_parent]
+                               > self.supports[parents[has_parent]])
+        diff = np.flatnonzero(is_diff)
+        words[diff] = words[parents[diff]] & ~words[diff]
+        self._recurrence = list(zip(diff.tolist(),
+                                    parents[diff].tolist()))
+        return [TidVector(row, n_records).indices() for row in words]
+
+    def class_supports(self, indicator):
+        out = super().class_supports(indicator)
+        for node, parent in self._recurrence:
+            out[node] = out[parent] - out[node]
+        return out
+
+
+_STORAGE = {"full": _FullIdLists, "diffsets": _Diffsets}
 
 
 def _paper_pass(ruleset, rules, forest, caches, n_permutations, seed):
@@ -181,12 +222,12 @@ def _paper_pass(ruleset, rules, forest, caches, n_permutations, seed):
 
 def _time_per_permutation(dataset, patterns, min_sup, arm,
                           n_permutations):
-    label, policy, mode, static_budget_bytes = arm
+    label, storage, mode, static_budget_bytes = arm
     ruleset = generate_rules(dataset, patterns, min_sup)
     if mode == "engine":
         engine = PermutationEngine(ruleset,
                                    n_permutations=n_permutations,
-                                   seed=11, policy=policy)
+                                   seed=11)
         start = time.perf_counter()
         engine.run()
         return (time.perf_counter() - start) / n_permutations
@@ -209,11 +250,7 @@ def _time_per_permutation(dataset, patterns, min_sup, arm,
         # the cache before the permutations start.
         for rule in ruleset.rules:
             caches[rule.class_index].p_value(rule.support, rule.coverage)
-    if policy == "full":
-        forest = _FullIdLists(ruleset.patterns, dataset.n_records)
-    else:
-        forest = PatternForest(ruleset.patterns, dataset.n_records,
-                               policy)
+    forest = _STORAGE[storage](ruleset.patterns, dataset.n_records)
     start = time.perf_counter()
     min_p = _paper_pass(ruleset, rules, forest, caches, n_permutations,
                         seed=11)

@@ -1,10 +1,10 @@
 """Per-shape timings for every kernel in the native suite.
 
-:mod:`repro._native` compiles four kernels — batched class supports,
-the closed-pattern walk, the andnot diffset recurrence and the
-permutation statistics. This bench times the **closed-pattern walk**
-(``mine_closed`` with the native walk against the Python walk that
-runs without the suite) on the Fig 6 exploratory half, the
+:mod:`repro._native` compiles three kernels — batched class supports,
+the closed-pattern walk and the permutation statistics. This bench
+times the **closed-pattern walk** (``mine_closed`` with the native
+walk against the Python walk that runs without the suite) on the
+Fig 6 exploratory half, the
 **permutation pass** (``PermutationEngine.run`` with the native
 statistics against the numpy reductions that run without the suite)
 on German, and, per dataset shape:
@@ -13,17 +13,11 @@ on German, and, per dataset shape:
   Python closed walk's child-support pass) against the per-candidate Python
   ``intersection_count`` loop — the acceptance-gated ratio;
 * the **multi-class batched supports**
-  (``PatternForest.class_supports_multi``, one dispatch for all
-  classes) against the historical one-call-per-class loop;
-* the **andnot recurrence** (:func:`~repro.bitmat.andnot_counts`, the
-  diffset builder's sizing pass) against the per-pair Python
-  ``andnot_count`` loop;
+  (``BitMatrix.class_supports_multi``, one dispatch for all classes)
+  against the historical one-call-per-class loop;
 
-plus the packed-vs-diffsets per-labelling times at a dense and a very
-sparse density, the measured crossover behind ``--policy auto``
-(:func:`repro.mining.diffsets.resolve_auto_policy`), and the **p-value
-table build** of the Score stage: every ``PValueBuffer`` that Mushroom
-reaches at min_sup 2000 (n = 8124, all in the log-space regime) built
+plus the **p-value table build** of the Score stage: every
+``PValueBuffer`` that Mushroom reaches at min_sup 2000 (n = 8124, all in the log-space regime) built
 with numpy against the scalar oracle in ``tests/stats/pvalue_oracle.py``.
 Every timed pair is asserted equal before any number counts. Results
 land in the repo-root ``BENCH_kernels.json`` (``REPRO_BENCH_JSON``
@@ -42,15 +36,14 @@ import numpy as np
 
 from _scale import banner, bench_envelope, current_scale, write_bench
 from repro import _native
-from repro.bitmat import andnot_counts
+from repro.bitmat import BitMatrix
 from repro.corrections import PermutationEngine
 from repro.data import GeneratorConfig, generate, make_german, make_mushroom
-from repro.mining import PatternForest, mine_closed
-from repro.mining.patterns import Pattern
+from repro.mining import mine_closed
 from repro.mining.rules import mine_class_rules
 from repro.mining.tidsets import build_vertical_view
 from repro.stats import PValueBuffer
-from repro.tidvector import TidVector, arena_rows, pack_bool_matrix
+from repro.tidvector import arena_rows, pack_bool_matrix
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT) not in sys.path:
@@ -121,11 +114,7 @@ def _bench_shape(n_records, n_items, repeats, rng):
     join = _ratio_block(python_s, kernel_s)
 
     # -- multi-class batched supports vs one call per class ---------- #
-    patterns = [Pattern(node_id=i, parent_id=-1,
-                        items=frozenset((i,)), tidset=t,
-                        support=t.count(), depth=0)
-                for i, t in enumerate(view.tidsets)]
-    forest = PatternForest(patterns, n_records, "packed")
+    forest = BitMatrix.from_tidsets(view.tidsets, n_records)
     labels = rng.integers(0, N_CLASSES, size=(BATCH, n_records))
     stacked = np.stack([labels == c for c in range(N_CLASSES)])
     python_s, python_out = _timed(
@@ -136,26 +125,12 @@ def _bench_shape(n_records, n_items, repeats, rng):
     assert np.array_equal(python_out, kernel_out)
     multi = _ratio_block(python_s, kernel_s)
 
-    # -- andnot recurrence vs per-pair Python loop ------------------- #
-    perm = rng.permutation(n_items)
-    pairs_a = view.matrix
-    pairs_b = view.matrix[perm]
-    vec_b = arena_rows(pairs_b, n_records)
-    python_s, python_out = _timed(
-        lambda: [a.andnot_count(b)
-                 for a, b in zip(view.tidsets, vec_b)], repeats)
-    kernel_s, kernel_out = _timed(
-        lambda: andnot_counts(pairs_a, pairs_b), repeats)
-    assert np.array_equal(np.asarray(python_out), kernel_out)
-    andnot = _ratio_block(python_s, kernel_s)
-
     return {
         "n_records": n_records,
         "n_items": n_items,
         "n_queries": N_QUERIES,
         "enumeration_join": join,
         "multi_class_supports": multi,
-        "andnot_recurrence": andnot,
     }
 
 
@@ -165,46 +140,6 @@ def _ratio_block(python_seconds, kernel_seconds):
         "kernel_ms": kernel_seconds * 1000,
         "speedup": python_seconds / max(kernel_seconds, 1e-12),
     }
-
-
-def _policy_crossover(rng, repeats):
-    """Packed vs diffsets per-labelling cost at two densities.
-
-    The dense side shows the packed sweep winning outright; the very
-    sparse side shows the gather path closing in — the measured basis
-    for ``resolve_auto_policy``'s density crossover.
-    """
-    n_records, n_nodes = 10_000, 500
-    out = {}
-    for label, density in (("dense_10pct", 0.1),
-                           ("sparse_0.1pct", 0.001)):
-        flags = rng.random((n_nodes, n_records)) < density
-        arena = pack_bool_matrix(flags)
-        tidsets = arena_rows(arena, n_records)
-        patterns = [Pattern(node_id=i, parent_id=-1,
-                            items=frozenset((i,)), tidset=t,
-                            support=t.count(), depth=0)
-                    for i, t in enumerate(tidsets)]
-        indicator = rng.random(n_records) < 0.5
-        timings = {}
-        reference = None
-        for policy in ("packed", "diffsets"):
-            forest = PatternForest(patterns, n_records, policy)
-            seconds, result = _timed(
-                lambda f=forest: f.class_supports(indicator), repeats)
-            if reference is None:
-                reference = result
-            else:
-                assert np.array_equal(reference, result)
-            timings[policy] = seconds * 1000
-        out[label] = {
-            "n_records": n_records,
-            "n_nodes": n_nodes,
-            "density": density,
-            "packed_ms": timings["packed"],
-            "diffsets_ms": timings["diffsets"],
-        }
-    return out
 
 
 def _pvalue_tables(repeats):
@@ -303,7 +238,6 @@ def test_kernel_suite():
               for n_records, n_items
               in (REFERENCE_SHAPE,) + _EXTRA_SHAPES[scale.name]]
     reference = shapes[0]
-    crossover = _policy_crossover(rng, repeats)
     pvalue_tables = _pvalue_tables(repeats)
     closed_walk = _closed_walk(3)
     permutation_pass = _permutation_pass(3)
@@ -331,7 +265,6 @@ def test_kernel_suite():
         metrics={
             "reference_shape": list(REFERENCE_SHAPE),
             "shapes": shapes,
-            "policy_crossover": crossover,
             "pvalue_tables": pvalue_tables,
             "closed_walk": closed_walk,
             "permutation_pass": permutation_pass,
@@ -343,17 +276,12 @@ def test_kernel_suite():
     for shape in shapes:
         lines.append(f"{shape['n_records']} records x "
                      f"{shape['n_items']} items:")
-        for key in ("enumeration_join", "multi_class_supports",
-                    "andnot_recurrence"):
+        for key in ("enumeration_join", "multi_class_supports"):
             block = shape[key]
             lines.append(
                 f"  {key:22s} {block['python_ms']:9.2f} ms -> "
                 f"{block['kernel_ms']:9.2f} ms "
                 f"({block['speedup']:.1f}x)")
-    for label, block in crossover.items():
-        lines.append(
-            f"crossover {label}: packed {block['packed_ms']:.2f} ms, "
-            f"diffsets {block['diffsets_ms']:.2f} ms per labelling")
     lines.append(
         f"p-value tables ({pvalue_tables['n_tables']} Mushroom "
         f"coverages): {pvalue_tables['python_ms']:.0f} ms -> "

@@ -3,7 +3,7 @@
 The PR-4 tentpole replaced the permutation engine's counting kernel —
 a Python loop over arbitrary-precision-int ``popcount(t & class_bits)``
 per forest node — with the packed uint64
-:class:`~repro.bitmat.BitMatrix` (the ``"packed"`` policy): the whole
+:class:`~repro.bitmat.BitMatrix`, the engine's forest storage: the whole
 forest answers one labelling, or a whole *batch* of labellings, through
 C-level ``bitwise_and`` + ``bitwise_count`` + row sums.
 
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from _scale import banner, bench_envelope, write_bench
-from repro.mining import PatternForest
+from repro.bitmat import BitMatrix
 from repro.mining.patterns import Pattern
 from repro.tidvector import TidVector
 
@@ -83,7 +83,8 @@ def test_permutation_kernel():
     patterns, indicator = _synthetic_forest(KERNEL_PATTERNS,
                                             KERNEL_RECORDS, SEED)
     tidsets = [int(p.tidset) for p in patterns]
-    packed_forest = PatternForest(patterns, KERNEL_RECORDS, "packed")
+    packed_forest = BitMatrix.from_tidsets([p.tidset for p in patterns],
+                                           KERNEL_RECORDS)
 
     bigint_seconds, bigint_out = _timed_repeat(
         lambda: _bigint_supports(tidsets, indicator))

@@ -63,8 +63,8 @@ Subpackages
     Datasets, item encoding, loaders, discretization, synthetic and
     simulated-UCI generators.
 ``repro.mining``
-    Closed frequent pattern mining, diffsets, Apriori baseline, rule
-    generation.
+    Closed frequent pattern mining, Apriori and FP-growth baselines,
+    rule generation.
 ``repro.stats``
     Log-factorial buffer, hypergeometric distribution, Fisher exact and
     chi-square tests, p-value buffers and tables.
@@ -111,12 +111,6 @@ from .corrections.registry import (
 )
 from .bitmat import BitMatrix
 from .tidvector import TidVector, as_tidvector
-from .mining.diffsets import (
-    DEFAULT_POLICY,
-    POLICIES,
-    POLICY_CHOICES,
-    PatternForest,
-)
 from .mining.patterns import Pattern, PatternSet
 from .mining.registry import (
     Miner,
@@ -143,14 +137,10 @@ __all__ = [
     "TidVector",
     "as_tidvector",
     "Correction",
-    "DEFAULT_POLICY",
     "Executor",
     "Miner",
     "MiningReport",
-    "POLICIES",
-    "POLICY_CHOICES",
     "Pattern",
-    "PatternForest",
     "PatternSet",
     "WorkerError",
     "get_executor",

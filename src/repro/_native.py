@@ -31,15 +31,7 @@ compiler) a small suite of fused loops and loads them through
   writes the tidset arena, parent/depth/support and CSR closure
   positions. Its scratch memory grows with the deepest path (one
   tidset and one closure bitmask per depth) and the pending
-  ``(j, depth)`` entries, never with the m(m+1)/2 worst case;
-
-* ``repro_andnot_counts`` — the diffset recurrence join::
-
-      out[j] = sum_w popcount(a[j][w] & ~b[j][w])
-
-  behind :func:`repro.bitmat.andnot_counts`, which sizes the
-  word-wise ``parent \\ child`` difference blocks of
-  :class:`repro.mining.diffsets.PatternForest`.
+  ``(j, depth)`` entries, never with the m(m+1)/2 worst case.
 
 Each call releases the GIL, so the kernels also scale on the
 ``threads`` backend. Everything here is best-effort: no compiler
@@ -189,25 +181,6 @@ int64_t repro_permutation_stats(
     }
     free(running);
     return 0;
-}
-
-/* out[j] = sum_w popcount(a[j][w] & ~b[j][w]) — the diffset size of
-   row pair j. */
-void repro_andnot_counts(
-    const uint64_t *a,       /* (n_rows, n_words), row-major */
-    const uint64_t *b,       /* (n_rows, n_words), row-major */
-    int64_t *out,            /* (n_rows,) */
-    int64_t n_rows,
-    int64_t n_words)
-{
-    for (int64_t j = 0; j < n_rows; ++j) {
-        const uint64_t *pa = a + j * n_words;
-        const uint64_t *pb = b + j * n_words;
-        int64_t acc = 0;
-        for (int64_t w = 0; w < n_words; ++w)
-            acc += POPCOUNT64(pa[w] & ~pb[w]);
-        out[j] = acc;
-    }
 }
 
 /* ---- closed-pattern walk ---------------------------------------------
@@ -453,9 +426,6 @@ _KERNEL_SIGNATURES = (
       _UINT64_P, _INT32_P, ctypes.c_int64,
       _UINT64_P, _INT64_P, _INT64_P, _INT64_P, _INT32_P, _INT64_P,
       ctypes.c_int64, ctypes.c_int64, _INT64_P]),
-    ("repro_andnot_counts", None,
-     [_UINT64_P, _UINT64_P, _INT64_P,
-      ctypes.c_int64, ctypes.c_int64]),
     ("repro_permutation_stats", ctypes.c_int64,
      [_INT64_P, _INT64_P, _INT64_P, _INT64_P, _INT64_P,
       _DOUBLE_P, _INT32_P, ctypes.c_int64,
@@ -468,13 +438,12 @@ class KernelSuite:
     """The loaded native kernels, one attribute per C entry point.
 
     Attributes are ctypes functions with argtypes/restype set:
-    ``class_supports_batch``, ``lcm_mine``, ``andnot_counts``,
-    ``permutation_stats``. The
-    whole suite loads from one shared object — either every kernel is
-    native or none is, so callers never mix generations.
+    ``class_supports_batch``, ``lcm_mine``, ``permutation_stats``.
+    The whole suite loads from one shared object — either every kernel
+    is native or none is, so callers never mix generations.
     """
 
-    __slots__ = ("class_supports_batch", "lcm_mine", "andnot_counts",
+    __slots__ = ("class_supports_batch", "lcm_mine",
                  "permutation_stats", "_handle")
 
     def __init__(self, handle: ctypes.CDLL) -> None:

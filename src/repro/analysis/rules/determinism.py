@@ -1,7 +1,7 @@
 """Output-determinism rules: the PR-2 byte-identity contract.
 
 CSV and report output is locked byte-identical across worker counts,
-backends, policies and kernels. Two source-level hazards repeatedly
+backends and kernels. Two source-level hazards repeatedly
 threatened that lock:
 
 * **float-equality-in-stats** — ``==``/``!=`` between float

@@ -160,7 +160,6 @@ UINT64_DTYPE_PROMOTION = register_rule(Rule(
               "popcount semantics",
     paths=(
         "repro/tidvector.py", "repro/bitmat.py", "repro/_native.py",
-        "repro/mining/diffsets.py", "repro/mining/tidsets.py",
-        "repro/data/dataset.py",
+        "repro/mining/tidsets.py", "repro/data/dataset.py",
     ),
 ))

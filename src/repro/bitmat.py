@@ -1,4 +1,4 @@
-"""Packed uint64 bitmap kernels: counting, closure and diffset joins.
+"""Packed uint64 bitmap kernels: class supports and closure joins.
 
 The permutation approach (Section 4.2) needs ``N × n_nodes`` class
 supports ``popcount(tidset & class_bits)``, and a Python loop over the
@@ -25,7 +25,7 @@ Counting kernels on :class:`BitMatrix`:
   kernel dispatch, so multi-class permutation scoring no longer pays
   one kernel call (and one numpy block loop) per class.
 
-Three enumeration kernels operate on raw packed arenas (the
+Two enumeration kernels operate on raw packed arenas (the
 ``(k, n_words)`` uint64 matrices every :class:`~repro.tidvector.
 TidVector` arena and :class:`BitMatrix` share):
 
@@ -35,13 +35,8 @@ TidVector` arena and :class:`BitMatrix` share):
   superset_positions`), numpy only — with the native suite loaded the
   whole walk runs in C (:mod:`repro.mining.closed`);
 * :func:`intersection_counts` — ``popcount(row & query)`` per row;
-  the Python walk's candidate-support join;
-* :func:`andnot_counts` — ``popcount(a_row & ~b_row)`` per row pair;
-  sizes the word-wise diffset join of
-  :class:`repro.mining.diffsets.PatternForest`.
-
-The last two are native-accelerated through :mod:`repro._native`
-with silent numpy fallbacks.
+  the Python walk's candidate-support join, native-accelerated
+  through :mod:`repro._native` with a silent numpy fallback.
 
 Every kernel counts *exact integers* or compares exact words —
 results are bit-identical for any input, with the native suite loaded
@@ -60,7 +55,6 @@ from . import _native
 __all__ = [
     "TILE_BYTES",
     "BitMatrix",
-    "andnot_counts",
     "intersection_counts",
     "pack_indicator",
     "pack_indicators",
@@ -395,33 +389,3 @@ def intersection_counts(matrix: np.ndarray,
     return (np.bitwise_count(matrix & query[None, :])
             .sum(axis=1, dtype=np.int64))
 
-
-def andnot_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``popcount(a[j] & ~b[j])`` per row pair, as an int64 array.
-
-    ``a`` and ``b`` are equal-shape ``(k, n_words)`` uint64 arenas;
-    entry ``j`` is the cardinality of the set difference
-    ``a[j] \\ b[j]`` — the word-wise diffset recurrence that sizes
-    each ``parent \\ child`` block of
-    :class:`repro.mining.diffsets.PatternForest` in one pass. Exact
-    integers under both the native kernel and the numpy fallback.
-    """
-    a = np.ascontiguousarray(a, dtype=np.uint64)
-    b = np.ascontiguousarray(b, dtype=np.uint64)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise ValueError(
-            f"a and b must be equal-shape 2-D uint64 arenas, got "
-            f"{a.shape} vs {b.shape}")
-    n_rows = a.shape[0]
-    if n_rows == 0 or a.shape[1] == 0:
-        return np.zeros(n_rows, dtype=np.int64)
-    suite = _native.load_suite()
-    if suite is not None:
-        out = np.empty(n_rows, dtype=np.int64)
-        suite.andnot_counts(
-            a.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)),
-            b.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)),
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-            n_rows, a.shape[1])
-        return out
-    return np.bitwise_count(a & ~b).sum(axis=1, dtype=np.int64)

@@ -83,7 +83,6 @@ from .data.dataset import Dataset
 from .data.loaders import load_arff, load_csv, load_fimi
 from .data.uci import REAL_DATASETS, load_real_dataset
 from .errors import CorrectionError, MiningError, ReproError
-from .mining.diffsets import DEFAULT_POLICY, POLICY_CHOICES
 from .mining.registry import (
     available_miners,
     miner_names,
@@ -238,14 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--permutations", type=int, default=1000,
                       help="permutation count for permutation-* "
                            "corrections (default: 1000)")
-    mine.add_argument("--policy", default=DEFAULT_POLICY,
-                      choices=tuple(sorted(POLICY_CHOICES)),
-                      help="pattern-forest storage/kernel policy for "
-                           "permutation-* corrections (default: "
-                           "packed, the uint64 bitmap kernel; auto "
-                           "picks per dataset shape; all policies "
-                           "give bit-identical results — see "
-                           "docs/performance.md)")
     mine.add_argument("--holdout-split", default="random",
                       choices=("random", "structured"),
                       help="split convention for holdout-* corrections")
@@ -513,7 +504,6 @@ def _run_mine(args: argparse.Namespace, out) -> int:
         algorithm=args.algorithm,
         alpha=args.alpha, min_conf=args.min_conf,
         max_length=args.max_length, n_permutations=args.permutations,
-        policy=args.policy,
         holdout_split=args.holdout_split, scorer=args.scorer,
         seed=args.seed, redundancy_delta=args.redundancy_delta,
         n_jobs=args.jobs, backend=args.backend)

@@ -28,7 +28,6 @@ from ..corrections.base import CorrectionResult
 from ..corrections.registry import CorrectionsView, resolve_correction
 from ..data.dataset import Dataset
 from ..errors import CorrectionError
-from ..mining.diffsets import DEFAULT_POLICY
 from ..mining.rules import ClassRule, RuleSet
 from .pipeline import Pipeline
 
@@ -104,12 +103,10 @@ class SignificantRuleMiner:
         canonical name (``"bh"``), the Table 3 abbreviation (``"BH"``)
         or an alias; see :data:`CORRECTIONS` and
         ``python -m repro corrections``. The permutation corrections
-        accept ``n_permutations`` and ``policy`` (the pattern forest's
-        storage/kernel policy, default ``"packed"`` — the uint64
-        bitmap kernel; all policies are bit-identical in results); the
-        holdout corrections accept ``holdout_split`` (``"structured"``
-        or ``"random"``) and use the paper's convention of halving
-        ``min_sup`` on the exploratory half.
+        accept ``n_permutations``; the holdout corrections accept
+        ``holdout_split`` (``"structured"`` or ``"random"``) and use
+        the paper's convention of halving ``min_sup`` on the
+        exploratory half.
     alpha:
         Error budget: FWER or FDR level depending on the correction.
     scorer:
@@ -133,7 +130,6 @@ class SignificantRuleMiner:
                  algorithm: str = "closed",
                  miner_options: Optional[Mapping[str, object]] = None,
                  n_permutations: int = 1000,
-                 policy: str = DEFAULT_POLICY,
                  holdout_split: str = "random",
                  max_length: Optional[int] = None,
                  scorer: str = "fisher",
@@ -158,7 +154,6 @@ class SignificantRuleMiner:
         self.miner_options = dict(miner_options or {})
         self.alpha = alpha
         self.n_permutations = n_permutations
-        self.policy = policy
         self.holdout_split = holdout_split
         self.max_length = max_length
         self.scorer = scorer
@@ -177,7 +172,6 @@ class SignificantRuleMiner:
             alpha=self.alpha, min_conf=self.min_conf,
             max_length=self.max_length, scorer=self.scorer,
             seed=self.seed, n_permutations=self.n_permutations,
-            policy=self.policy,
             holdout_split=self.holdout_split,
             redundancy_delta=self.redundancy_delta,
             n_jobs=self.n_jobs, backend=self.backend)

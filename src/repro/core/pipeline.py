@@ -41,7 +41,6 @@ from ..corrections.registry import (
 )
 from ..data.dataset import Dataset
 from ..errors import CorrectionError, MiningError
-from ..mining.diffsets import DEFAULT_POLICY, POLICY_CHOICES
 from ..mining.patterns import PatternSet
 from ..mining.registry import resolve_miner
 from ..mining.representative import reduce_patterns
@@ -265,13 +264,6 @@ class Pipeline:
         ``"representative"``).
     alpha:
         Error budget: FWER or FDR level depending on the correction.
-    policy:
-        Storage/kernel policy of the permutation pass's pattern forest
-        (:data:`repro.mining.POLICY_CHOICES`): ``"packed"`` (default —
-        the uint64 bitmap kernel, the fastest path), ``"diffsets"``,
-        or ``"auto"`` (pick per dataset shape from measured crossover
-        points). Results are bit-identical under every policy; see
-        ``docs/performance.md``.
     n_jobs:
         Worker count for the parallel machinery (``-1`` = all cores):
         the permutation pass shards across workers, independent
@@ -297,7 +289,6 @@ class Pipeline:
                  scorer: str = "fisher",
                  seed: Optional[int] = None,
                  n_permutations: int = 1000,
-                 policy: str = DEFAULT_POLICY,
                  holdout_split: str = "random",
                  redundancy_delta: Optional[float] = None,
                  n_jobs: int = 1,
@@ -317,10 +308,6 @@ class Pipeline:
                     f"redundancy_delta is not supported with "
                     f"{sorted(unsupported)} (holdout corrections mine "
                     f"their own halves)")
-        if policy not in POLICY_CHOICES:
-            raise CorrectionError(
-                f"unknown forest policy {policy!r}; pick from "
-                f"{POLICY_CHOICES}")
         self.min_sup = min_sup
         self.algorithm = algorithm
         self.miner_options = dict(miner_options or {})
@@ -330,7 +317,6 @@ class Pipeline:
         self.scorer = scorer
         self.seed = seed
         self.n_permutations = n_permutations
-        self.policy = policy
         self.holdout_split = holdout_split
         self.redundancy_delta = redundancy_delta
         executor = get_executor(backend, n_jobs)  # validates both
@@ -355,7 +341,6 @@ class Pipeline:
             miner_options=dict(self.miner_options),
             scorer=self.scorer, seed=self.seed,
             n_permutations=self.n_permutations,
-            policy=self.policy,
             holdout_split=self.holdout_split,
             redundancy_delta=self.redundancy_delta,
             n_jobs=self.n_jobs, backend=self.backend)
@@ -410,7 +395,6 @@ class Pipeline:
             alpha=self.alpha, min_conf=self.min_conf,
             max_length=self.max_length, scorer=self.scorer,
             seed=self.seed, n_permutations=self.n_permutations,
-            policy=self.policy,
             holdout_split=self.holdout_split,
             redundancy_delta=self.redundancy_delta,
             n_jobs=self.n_jobs, backend=self.backend)

@@ -12,11 +12,14 @@ Engineering, following the paper:
   the original mining run; a permutation only changes class labels, so
   each permutation costs one class-support pass over the pattern
   forest plus p-value lookups.
-* **Diffsets** (4.2.2): one of the forest's storage policies; see
-  :class:`~repro.mining.diffsets.PatternForest`. The default policy is
-  ``"packed"`` — the :class:`~repro.bitmat.BitMatrix` uint64 kernel —
-  which goes beyond the paper's storage optimisation and vectorizes
-  the *counting* itself: a shard's labellings are drawn up front into
+* **Diffsets** (4.2.2): the paper stores each pattern's record ids,
+  or only the difference from its parent's when that is smaller. The
+  engine instead packs every tidset into one
+  :class:`~repro.bitmat.BitMatrix` (``n_nodes × ceil(n/64)`` uint64
+  words) and vectorizes the *counting* itself; the paper's Diffsets
+  storage is a Figure 4 ablation arm in
+  ``benchmarks/test_fig04_optimizations.py``. A shard's labellings
+  are drawn up front into
   a ``(B, n_records)`` label matrix, class supports for all B
   labellings resolve through one batched hardware-popcount kernel
   dispatch for all classes. With the native suite loaded
@@ -33,8 +36,8 @@ Engineering, following the paper:
   processed in memory-bounded blocks sized for the path that runs,
   and every quantity is an exact integer count or an identical table
   lookup, so results are bit-identical to per-permutation scoring
-  under any policy, backend, worker count, and with or without the
-  native suite. One DEBUG record per pass on the
+  under any backend, worker count, and with or without the native
+  suite. One DEBUG record per pass on the
   ``repro.corrections`` logger names the path and its block sizing.
 * **P-value buffering** (4.2.3): every rule's p-value on every
   permutation is a lookup in the table of its ``(class, coverage)``
@@ -85,13 +88,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import _native
-from ..bitmat import TILE_BYTES
-from ..errors import CorrectionError
-from ..mining.diffsets import (
-    DEFAULT_POLICY,
-    POLICY_CHOICES,
-    PatternForest,
-)
+from ..bitmat import TILE_BYTES, BitMatrix
+from ..errors import CorrectionError, MiningError
 from ..mining.rules import RuleSet
 from ..parallel import (
     get_executor,
@@ -140,13 +138,6 @@ class PermutationEngine:
     backend:
         ``"serial"``, ``"threads"`` or ``"processes"`` — see
         :mod:`repro.parallel`.
-    policy:
-        Record-id storage policy for the pattern forest; one of
-        ``"packed"`` (default — the uint64 bitmap kernel),
-        ``"diffsets"``, or ``"auto"`` (resolved per dataset shape, see
-        :func:`repro.mining.diffsets.resolve_auto_policy`). All
-        policies return bit-identical results; see
-        ``docs/performance.md``.
     batch_bytes:
         Memory budget for one scoring block's intermediates: the
         shard's labellings are scored in blocks of ``B`` permutations
@@ -163,19 +154,15 @@ class PermutationEngine:
 
     def __init__(self, ruleset: RuleSet, n_permutations: int = 1000,
                  seed: Optional[int] = None,
-                 policy: str = DEFAULT_POLICY,
                  n_jobs: int = 1,
                  backend: str = "serial",
                  batch_bytes: int = DEFAULT_BATCH_BYTES) -> None:
         if n_permutations < 1:
             raise CorrectionError("n_permutations must be >= 1")
-        if policy not in POLICY_CHOICES:
-            raise CorrectionError(f"unknown forest policy {policy!r}")
         if batch_bytes < 1:
             raise CorrectionError("batch_bytes must be >= 1")
         self.ruleset = ruleset
         self.n_permutations = n_permutations
-        self.policy = policy
         self.batch_bytes = batch_bytes
         self._executor = get_executor(backend, n_jobs)
         self._seed_seq = root_sequence(seed)
@@ -188,7 +175,14 @@ class PermutationEngine:
         self.n = dataset.n_records
         self.n_tests = ruleset.n_tests
         self._labels = np.array(dataset.class_labels, dtype=np.int64)
-        self._forest = PatternForest(ruleset.patterns, self.n, policy)
+        patterns = ruleset.patterns
+        try:
+            self._matrix = BitMatrix.from_tidsets(
+                [p.tidset for p in patterns], self.n)
+        except ValueError as exc:
+            raise MiningError(str(exc)) from exc
+        self._node_coverage = np.array([p.support for p in patterns],
+                                       dtype=np.int64)
         rules = ruleset.rules
         self._node_ids = np.array([r.pattern_id for r in rules],
                                   dtype=np.int64)
@@ -212,8 +206,7 @@ class PermutationEngine:
                 np.array(self._slot_classes, dtype=np.int64),
                 self._classes)
         self._n_slots = max(1, len(self._slot_classes))
-        # The native statistics kernel serves every forest policy;
-        # sizing below charges the path chosen here.
+        # Sizing below charges the path chosen here.
         self._native = _native.load_suite() is not None
         self._native_stats: Optional[_NativeStats] = None
         # Rule i's p-value for support k is flat[offsets[i] + k].
@@ -280,7 +273,7 @@ class PermutationEngine:
 
     def _log_dispatch(self) -> None:
         """One DEBUG record per pass: the scoring path and its sizing."""
-        sizing = (self._batch_rows(), self._forest.n_nodes,
+        sizing = (self._batch_rows(), len(self._node_coverage),
                   len(self._node_ids))
         if self._native:
             _LOG.debug("permutation pass: native, B=%d, %d nodes, "
@@ -373,12 +366,12 @@ class PermutationEngine:
         * NumPy: one label row, one ``n_nodes`` support row per class
           array, several ``n_rules``-wide float intermediates
           (supports, p-values, the pooled sort, the ranked copy and
-          its suffix minima); under the packed policy the kernel's
-          one scratch tile (:data:`repro.bitmat.TILE_BYTES`) comes out
-          of the budget first, whatever ``B`` is.
+          its suffix minima); the supports kernel's one scratch tile
+          (:data:`repro.bitmat.TILE_BYTES`) comes out of the budget
+          first, whatever ``B`` is.
         """
         n_rules = len(self._node_ids)
-        n_nodes = self._forest.n_nodes
+        n_nodes = len(self._node_coverage)
         per_row = 8 * self.n
         if self._native:
             n_words = (self.n + 63) // 64
@@ -394,10 +387,7 @@ class PermutationEngine:
         class_arrays = 2 if self._binary else self._n_slots
         per_row += class_arrays * 8 * n_nodes
         per_row += 6 * 8 * n_rules
-        spare = self.batch_bytes
-        if self._forest.matrix is not None:
-            spare -= TILE_BYTES
-        rows = spare // per_row
+        rows = (self.batch_bytes - TILE_BYTES) // per_row
         return max(1, min(rows, self.n_permutations))
 
     def _node_supports_batch(self, labels: np.ndarray) -> np.ndarray:
@@ -409,13 +399,12 @@ class PermutationEngine:
         (class-1 supports derive from coverage); multi-class datasets
         stack the indicators of every class that appears on a rule RHS
         into one multi-class kernel dispatch
-        (:meth:`~repro.mining.diffsets.PatternForest.
-        class_supports_multi`).
+        (:meth:`~repro.bitmat.BitMatrix.class_supports_multi`).
         """
         if self._binary:
-            return self._forest.class_supports_batch(labels == 0)[None]
+            return self._matrix.class_supports_batch(labels == 0)[None]
         stacked = np.stack([labels == c for c in self._slot_classes])
-        return self._forest.class_supports_multi(stacked)
+        return self._matrix.class_supports_multi(stacked)
 
     def _rule_supports_batch(self, labels: np.ndarray) -> np.ndarray:
         """``supp(R)`` of every rule under every given labelling.
@@ -432,7 +421,7 @@ class PermutationEngine:
         derived = self._rule_slots < 0
         if derived.any():
             nodes = self._node_ids[derived]
-            out[:, derived] = (self._forest.supports[None, nodes]
+            out[:, derived] = (self._node_coverage[None, nodes]
                                - per_slot[0][:, nodes])
         return out
 
@@ -482,7 +471,6 @@ class PermutationEngine:
             details={
                 "n_permutations": self.n_permutations,
                 "min_p_quantiles": _quantiles(self._min_p),
-                "policy": self.policy,
             },
         )
 
@@ -529,7 +517,6 @@ class PermutationEngine:
             details={
                 "n_permutations": self.n_permutations,
                 "n_rejected": k,
-                "policy": self.policy,
             },
         )
 
@@ -551,7 +538,6 @@ class PermutationEngine:
             details={
                 "n_permutations": self.n_permutations,
                 "empirical_cutoff": cut,
-                "policy": self.policy,
             },
         )
 
@@ -585,8 +571,7 @@ class _NativeStats:
             stop = start + _RANK_CHUNK
             self.rank[start:stop] = np.searchsorted(
                 observed_sorted, self.flat[start:stop], side="left")
-        self.coverage = np.ascontiguousarray(engine._forest.supports,
-                                             dtype=np.int64)
+        self.coverage = engine._node_coverage
 
     def accumulate(self, suite: _native.KernelSuite,
                    supports: np.ndarray, min_p: np.ndarray,

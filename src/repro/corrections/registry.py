@@ -34,6 +34,7 @@ holdout split — exactly the reuse the Section 5 experiment loop needs.
 from __future__ import annotations
 
 import difflib
+import threading
 from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
@@ -46,7 +47,6 @@ from typing import (
 )
 
 from ..errors import CorrectionError
-from ..mining.diffsets import DEFAULT_POLICY
 
 __all__ = [
     "Correction",
@@ -94,11 +94,6 @@ class PipelineContext:
     scorer: str = "fisher"
     seed: Optional[int] = None
     n_permutations: int = 1000
-    # Storage/kernel policy of the permutation pass's pattern forest
-    # (repro.mining.diffsets.POLICY_CHOICES; the default is the packed
-    # uint64 bitmap kernel, "auto" resolves per dataset shape). Every
-    # policy is bit-identical in results.
-    policy: str = DEFAULT_POLICY
     permutation_seed: Optional[int] = None
     holdout_split: str = "random"
     holdout_boundary: Optional[int] = None
@@ -128,17 +123,13 @@ class PipelineContext:
         # n_jobs/backend stay out of the cache key on purpose: they
         # change the schedule, never the result, so an engine built
         # under one executor configuration is reusable under another.
-        # The forest policy is in the key even though it never changes
-        # results either — it decides which storage the pass keeps
-        # alive, which is exactly what a policy override asks about.
-        params = (self.n_permutations, seed, self.policy)
+        params = (self.n_permutations, seed)
         engine = self.shared.get("permutation-engine")
         if (not isinstance(engine, PermutationEngine)
                 or engine.ruleset is not ruleset
                 or self.shared.get("permutation-engine-params") != params):
             engine = PermutationEngine(
                 ruleset, n_permutations=self.n_permutations, seed=seed,
-                policy=self.policy,
                 n_jobs=self.n_jobs, backend=self.backend)
             self.shared["permutation-engine"] = engine
             self.shared["permutation-engine-params"] = params
@@ -287,6 +278,9 @@ class ResolvedCorrection:
 _REGISTRY: Dict[str, Correction] = {}
 # Lookup table: lower-cased spelling -> (canonical name, overrides).
 _INDEX: Dict[str, Tuple[str, Mapping[str, object]]] = {}
+# Serializes register/unregister. Re-entrant: an overwrite calls the
+# unregister function while holding it.
+_LOCK = threading.RLock()
 
 
 def register_correction(spec: Correction,
@@ -305,45 +299,50 @@ def register_correction(spec: Correction,
         raise CorrectionError(
             f"unknown correction family {spec.family!r}; "
             "expected 'fwer', 'fdr' or 'none'")
-    # Collision check BEFORE any mutation, so a rejected overwrite
-    # leaves the previous registration fully intact. Spellings owned
-    # by the spec being replaced don't count as collisions. The
-    # replaced spec is found case-insensitively, like all resolution.
-    replaced = None
-    if overwrite:
-        hit = _INDEX.get(spec.name.lower())
-        # Replace only the correction whose *canonical* name matches;
-        # a hit through another spec's alias is a collision, not a
-        # replacement target (deleting that spec wholesale because of
-        # an alias clash would be far more than the caller asked for).
-        if hit is not None and hit[0].lower() == spec.name.lower():
-            replaced = _REGISTRY[hit[0]]
-    taken = [spelling for spelling in spec.all_names()
-             if spelling.lower() in _INDEX
-             and _INDEX[spelling.lower()][0] != getattr(replaced, "name",
-                                                        None)]
-    if taken:
-        raise CorrectionError(
-            f"cannot register correction {spec.name!r}: "
-            f"name(s) {sorted(set(taken))} already registered")
-    if replaced is not None:
-        unregister_correction(replaced.name)
-    _REGISTRY[spec.name] = spec
-    for spelling in (spec.name, spec.abbreviation) + tuple(spec.aliases):
-        _INDEX[spelling.lower()] = (spec.name, {})
-    for spelling, overrides in spec.variants.items():
-        _INDEX[spelling.lower()] = (spec.name, dict(overrides))
+    with _LOCK:
+        # Collision check BEFORE any mutation, so a rejected overwrite
+        # leaves the previous registration fully intact. Spellings
+        # owned by the spec being replaced don't count as collisions.
+        # The replaced spec is found case-insensitively, like all
+        # resolution.
+        replaced = None
+        if overwrite:
+            hit = _INDEX.get(spec.name.lower())
+            # Replace only the correction whose *canonical* name
+            # matches; a hit through another spec's alias is a
+            # collision, not a replacement target (deleting that spec
+            # wholesale because of an alias clash would be far more
+            # than the caller asked for).
+            if hit is not None and hit[0].lower() == spec.name.lower():
+                replaced = _REGISTRY[hit[0]]
+        replaced_name = getattr(replaced, "name", None)
+        taken = [spelling for spelling in spec.all_names()
+                 if spelling.lower() in _INDEX
+                 and _INDEX[spelling.lower()][0] != replaced_name]
+        if taken:
+            raise CorrectionError(
+                f"cannot register correction {spec.name!r}: "
+                f"name(s) {sorted(set(taken))} already registered")
+        if replaced is not None:
+            unregister_correction(replaced.name)
+        _REGISTRY[spec.name] = spec
+        for spelling in ((spec.name, spec.abbreviation)
+                         + tuple(spec.aliases)):
+            _INDEX[spelling.lower()] = (spec.name, {})
+        for spelling, overrides in spec.variants.items():
+            _INDEX[spelling.lower()] = (spec.name, dict(overrides))
     return spec
 
 
 def unregister_correction(name: str) -> None:
     """Remove a correction (by any of its spellings) from the registry."""
-    resolved = _INDEX.get(name.lower())
-    if resolved is None:
-        raise CorrectionError(f"unknown correction {name!r}")
-    spec = _REGISTRY.pop(resolved[0])
-    for spelling in spec.all_names():
-        _INDEX.pop(spelling.lower(), None)
+    with _LOCK:
+        resolved = _INDEX.get(name.lower())
+        if resolved is None:
+            raise CorrectionError(f"unknown correction {name!r}")
+        spec = _REGISTRY.pop(resolved[0])
+        for spelling in spec.all_names():
+            _INDEX.pop(spelling.lower(), None)
 
 
 def resolve_correction(name: str) -> ResolvedCorrection:

@@ -21,14 +21,6 @@ from .closed import (
     mine_closed,
     mine_closed_from_view,
 )
-from .diffsets import (
-    DEFAULT_POLICY,
-    POLICIES,
-    POLICY_CHOICES,
-    ForestStats,
-    PatternForest,
-    resolve_auto_policy,
-)
 from .patterns import (
     Pattern,
     PatternSet,
@@ -82,12 +74,6 @@ __all__ = [
     "iter_pattern_tree",
     "mine_closed",
     "mine_closed_from_view",
-    "DEFAULT_POLICY",
-    "POLICIES",
-    "POLICY_CHOICES",
-    "ForestStats",
-    "PatternForest",
-    "resolve_auto_policy",
     "ClassRule",
     "RuleSet",
     "generate_rules",

@@ -24,7 +24,7 @@ native kernel suite loaded (:mod:`repro._native`) the whole walk is
 one ``repro_lcm_mine`` call per pass — a count pass sizes the outputs
 exactly, a fill pass writes them — so no Python runs per node; the
 tidsets come back as rows of one read-only arena (row 0 is the root)
-that the packed :class:`~repro.mining.diffsets.PatternForest` adopts
+that the permutation engine's :class:`~repro.bitmat.BitMatrix` adopts
 without a copy. Without the suite the Python walk below runs the same
 LCM: per node, one vectorized candidate-support join
 (:meth:`~repro.mining.tidsets.VerticalView.candidate_supports`) and
@@ -35,8 +35,8 @@ the same order. One DEBUG record per mine on the ``repro.mining``
 logger names the walk that ran (with the suite's status for the
 Python walk).
 
-Every emitted node records its tree parent, which the Diffsets storage
-policy (Section 4.2.2) and the permutation engine rely on.
+Every emitted node records its tree parent, which Diffsets storage
+(Section 4.2.2) relies on.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 Every registered miner (:mod:`repro.mining.registry`) returns one
 :class:`PatternSet`: a DFS-ordered forest of :class:`Pattern` nodes
 plus provenance (which miner, which options). Downstream consumers —
-rule generation, the Section 7 representative reduction, the
-:class:`~repro.mining.diffsets.PatternForest` storage policies and the
-permutation engine built on it — all read the same five structural
+rule generation, the Section 7 representative reduction and the
+permutation engine — all read the same five structural
 facts off a node: dense ``node_id``, ``parent_id`` of an ancestor
 emitted earlier, ``items``, ``tidset`` and ``support``. The model
 therefore encodes the *contract* those consumers rely on:
@@ -14,7 +13,7 @@ therefore encodes the *contract* those consumers rely on:
   (``parent_id < node_id``), so one forward pass can propagate
   per-node state;
 * a child's tidset is a subset of its parent's, which is what makes
-  the Diffsets storage policy's subtraction
+  the paper's Diffsets subtraction
   (``supp_c(child) = supp_c(parent) - |diff ∩ c|``) correct;
 * ``node_id`` values are dense array positions, so forests can store
   per-node state in flat numpy arrays.
@@ -25,8 +24,8 @@ All-frequent miners (Apriori, FP-growth) emit flat
 :func:`patternset_from_frequent` lifts those into a *prefix tree* —
 each pattern's parent is the pattern minus its largest item, which by
 anti-monotonicity is itself frequent, emitted earlier, and covers a
-superset of the records — so every storage policy and every
-correction works identically on all-frequent hypothesis sets.
+superset of the records — so every correction works identically on
+all-frequent hypothesis sets.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ class PatternSet:
     A sequence of :class:`Pattern` nodes in DFS order (iterable,
     indexable, sized — drop-in wherever a pattern list was accepted:
     :func:`~repro.mining.rules.generate_rules`,
-    :class:`~repro.mining.diffsets.PatternForest`,
+    :class:`~repro.corrections.permutation.PermutationEngine`,
     :func:`~repro.mining.representative.reduce_patterns`), carrying
     the mining parameters and the producing miner's identity so
     results remain auditable after the fact.
@@ -245,7 +244,7 @@ class PatternSet:
         """Check the structural contract; return self when it holds.
 
         Verifies dense ids, topological parent order, and the
-        child-tidset-is-a-subset invariant the Diffsets policy needs.
+        child-tidset-is-a-subset invariant Diffsets storage needs.
         Raises :class:`MiningError` on the first violation.
         """
         for position, pattern in enumerate(self.patterns):
@@ -308,9 +307,8 @@ def patternset_from_frequent(
     each pattern's parent is the pattern minus its largest item: a
     frequent (anti-monotonicity), previously emitted (shorter)
     sub-pattern covering a superset of the records. The result is a
-    genuine enumeration tree, so the Diffsets storage policy and the
-    permutation engine's class-support recursion apply unchanged to
-    all-frequent hypothesis sets.
+    genuine enumeration tree, so Diffsets storage and the permutation
+    engine apply unchanged to all-frequent hypothesis sets.
     """
     root = Pattern(node_id=0, parent_id=-1, items=frozenset(),
                    tidset=TidVector.universe(n_records),

@@ -43,6 +43,7 @@ their own tags.
 from __future__ import annotations
 
 import difflib
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -97,8 +98,9 @@ class Miner:
     validate_output:
         Run :meth:`PatternSet.validate` on every :meth:`mine` result
         (default on). A contract-violating forest would otherwise
-        flow into the Diffsets recursion and silently corrupt
-        permutation p-values; validation turns that into an immediate
+        flow into the permutation engine, which indexes its per-node
+        arrays by node id, and silently corrupt permutation p-values;
+        validation turns that into an immediate
         :class:`MiningError`. The built-ins turn it off — their
         adapters guarantee the contract (property-tested) and the
         check is pure overhead on the hot path.
@@ -154,6 +156,9 @@ class Miner:
 _REGISTRY: Dict[str, Miner] = {}
 # Lookup table: lower-cased spelling -> canonical name.
 _INDEX: Dict[str, str] = {}
+# Serializes register/unregister. Re-entrant: an overwrite calls the
+# unregister function while holding it.
+_LOCK = threading.RLock()
 
 
 def register_miner(spec: Miner, overwrite: bool = False) -> Miner:
@@ -170,41 +175,43 @@ def register_miner(spec: Miner, overwrite: bool = False) -> Miner:
     if not callable(spec.mine_fn):
         raise MiningError(
             f"miner {spec.name!r} needs a callable mine_fn")
-    # Collision check BEFORE any mutation, so a rejected overwrite
-    # leaves the previous registration fully intact. Spellings owned
-    # by the spec being replaced don't count as collisions; only a
-    # *canonical*-name match is a replacement target (an alias clash
-    # is a collision — deleting the alias's owner wholesale would be
-    # far more than the caller asked for).
-    replaced = None
-    if overwrite:
-        hit = _INDEX.get(spec.name.lower())
-        if hit is not None and hit.lower() == spec.name.lower():
-            replaced = _REGISTRY[hit]
-    taken = [spelling for spelling in spec.all_names()
-             if spelling.lower() in _INDEX
-             and _INDEX[spelling.lower()] != getattr(replaced, "name",
-                                                     None)]
-    if taken:
-        raise MiningError(
-            f"cannot register miner {spec.name!r}: "
-            f"name(s) {sorted(set(taken))} already registered")
-    if replaced is not None:
-        unregister_miner(replaced.name)
-    _REGISTRY[spec.name] = spec
-    for spelling in spec.all_names():
-        _INDEX[spelling.lower()] = spec.name
+    with _LOCK:
+        # Collision check BEFORE any mutation, so a rejected overwrite
+        # leaves the previous registration fully intact. Spellings
+        # owned by the spec being replaced don't count as collisions;
+        # only a *canonical*-name match is a replacement target (an
+        # alias clash is a collision — deleting the alias's owner
+        # wholesale would be far more than the caller asked for).
+        replaced = None
+        if overwrite:
+            hit = _INDEX.get(spec.name.lower())
+            if hit is not None and hit.lower() == spec.name.lower():
+                replaced = _REGISTRY[hit]
+        replaced_name = getattr(replaced, "name", None)
+        taken = [spelling for spelling in spec.all_names()
+                 if spelling.lower() in _INDEX
+                 and _INDEX[spelling.lower()] != replaced_name]
+        if taken:
+            raise MiningError(
+                f"cannot register miner {spec.name!r}: "
+                f"name(s) {sorted(set(taken))} already registered")
+        if replaced is not None:
+            unregister_miner(replaced.name)
+        _REGISTRY[spec.name] = spec
+        for spelling in spec.all_names():
+            _INDEX[spelling.lower()] = spec.name
     return spec
 
 
 def unregister_miner(name: str) -> None:
     """Remove a miner (by any of its spellings) from the registry."""
-    canonical = _INDEX.get(name.lower())
-    if canonical is None:
-        raise MiningError(f"unknown miner {name!r}")
-    spec = _REGISTRY.pop(canonical)
-    for spelling in spec.all_names():
-        _INDEX.pop(spelling.lower(), None)
+    with _LOCK:
+        canonical = _INDEX.get(name.lower())
+        if canonical is None:
+            raise MiningError(f"unknown miner {name!r}")
+        spec = _REGISTRY.pop(canonical)
+        for spelling in spec.all_names():
+            _INDEX.pop(spelling.lower(), None)
 
 
 def resolve_miner(name: str) -> Miner:

@@ -45,6 +45,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import threading
 import time
 import traceback
 from concurrent.futures import (
@@ -54,6 +55,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures import TimeoutError as _FuturesTimeout
+from multiprocessing.process import BaseProcess
 from typing import (
     Callable,
     Dict,
@@ -392,18 +394,55 @@ class Executor:
                     ok, value, formatted = False, exc, None
                 outcomes.append((index, ok, value, formatted))
         finally:
+            # shutdown() drops the pool's references to its manager
+            # thread and workers, so take them first.
+            manager = getattr(pool, "_executor_manager_thread", None)
+            processes = list(
+                (getattr(pool, "_processes", None) or {}).values())
             pool.shutdown(wait=False, cancel_futures=True)
+            _reap_pool(manager, processes)
         return outcomes
 
 
 def _terminate_pool_workers(pool: ProcessPoolExecutor) -> None:
     """SIGTERM a pool's worker processes (hung-deadline recovery)."""
     processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+    _terminate(list(processes.values()))
+
+
+def _terminate(processes: Iterable[BaseProcess]) -> None:
+    for process in processes:
         try:
             process.terminate()
         except (OSError, ValueError):  # pragma: no cover - dead worker
             continue
+
+
+#: How long a finished wave waits for its pool to wind down before
+#: terminating the workers that are still alive.
+_REAP_SECONDS = 5.0
+
+
+def _reap_pool(manager: Optional[threading.Thread],
+               processes: Sequence[BaseProcess]) -> None:
+    """Wait, bounded, until a shut-down pool is gone.
+
+    ``shutdown(wait=False)`` leaves the pool's manager and queue-feeder
+    threads running until every worker has exited. Left alone they are
+    still alive when the next wave forks its workers — a fork of a
+    multi-threaded parent, where a lock held by one of those threads
+    stays held forever in the child — and interpreter exit joins them,
+    so one worker that never exits stalls the process at shutdown.
+    Joining the manager thread (it joins the feeder and the workers)
+    ends the pool inside the wave; workers still alive after
+    :data:`_REAP_SECONDS` are terminated.
+    """
+    if manager is None:
+        return
+    manager.join(_REAP_SECONDS)
+    if manager.is_alive():
+        _terminate(processes)
+        manager.join(_REAP_SECONDS)
 
 
 #: Worker-side ``(fn, context)`` installed by the pool initializer for

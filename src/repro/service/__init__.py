@@ -6,7 +6,7 @@ fingerprints (:meth:`repro.data.dataset.Dataset.fingerprint`), an
 async job orchestrator with submit/poll/result/cancel endpoints for
 ``mine``/``holdout``/``experiment`` jobs, and a memoized artifact
 store (SQLite, WAL mode) keyed by ``(dataset fingerprint, miner,
-correction, policy, params)`` so a repeated significance query is
+correction, params)`` so a repeated significance query is
 served from storage — byte-identical to the uncached
 :meth:`~repro.core.pipeline.Pipeline.run` — instead of re-mined.
 

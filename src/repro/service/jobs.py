@@ -21,8 +21,8 @@ machinery is bit-identical at any worker count, service results are
 byte-for-byte the results the CLI produces — which is also why worker
 configuration is *excluded* from the artifact-cache key: a ``mine``
 job is served from the :class:`~repro.service.store.ArtifactStore`
-whenever the same (dataset fingerprint, miner, correction, policy,
-params) tuple was computed before, and the cached payload is the same
+whenever the same (dataset fingerprint, miner, correction, params)
+tuple was computed before, and the cached payload is the same
 JSON the fresh run would have produced.
 
 Determinism notes: job ids are sequential (``job-00000001``), not
@@ -50,7 +50,6 @@ from ..corrections.registry import resolve_correction
 from ..data.dataset import Dataset
 from ..errors import JobNotFound, ReproError, ServiceError
 from ..evaluation.export import _BASE_HEADER, rule_rows
-from ..mining.diffsets import DEFAULT_POLICY, POLICY_CHOICES
 from ..mining.registry import resolve_miner
 from ..parallel import get_executor, is_transient
 from .journal import DEFAULT_STALE_AFTER, JobJournal
@@ -75,7 +74,6 @@ _MINE_DEFAULTS = {
     "scorer": "fisher",
     "seed": 0,
     "n_permutations": 1000,
-    "policy": DEFAULT_POLICY,
     "holdout_split": "random",
     "redundancy_delta": None,
 }
@@ -96,9 +94,8 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 #: Synthetic experiments have no registered dataset; their cache rows
-#: use these sentinels for the fingerprint/policy key slots.
+#: use this sentinel for the fingerprint key slot.
 _EXPERIMENT_FINGERPRINT = "synthetic:experiment"
-_EXPERIMENT_POLICY = "experiment"
 
 
 def bh_q_values(p_values: Sequence[float],
@@ -176,6 +173,13 @@ class Job:
         record["traceback"] = self.traceback
         record["heartbeat_at"] = self.heartbeat_at
         return record
+
+
+def _allowed_params(kind: str):
+    """The parameter names a job of ``kind`` accepts."""
+    if kind == "experiment":
+        return set(_EXPERIMENT_DEFAULTS)
+    return set(_MINE_DEFAULTS) | {"dataset", "min_sup"}
 
 
 def _reject_unknown(given, allowed, kind: str) -> None:
@@ -359,8 +363,7 @@ class JobManager:
 
     def _validate_mine(self, kind: str, params: Dict[str, object],
                        ) -> Tuple[str, Dict[str, object]]:
-        allowed = set(_MINE_DEFAULTS) | {"dataset", "min_sup"}
-        _reject_unknown(params, allowed, kind)
+        _reject_unknown(params, _allowed_params(kind), kind)
         if "dataset" not in params:
             raise ServiceError(
                 f"a {kind!r} job needs a 'dataset' parameter "
@@ -391,10 +394,6 @@ class JobManager:
             str(normalized["correction"]))
         normalized["algorithm"] = resolve_miner(
             str(normalized["algorithm"])).name
-        if normalized["policy"] not in POLICY_CHOICES:
-            raise ServiceError(
-                f"unknown forest policy {normalized['policy']!r}; "
-                f"pick from {sorted(POLICY_CHOICES)}")
         if normalized["holdout_split"] not in ("random", "structured"):
             raise ServiceError(
                 f"holdout_split must be 'random' or 'structured', "
@@ -418,7 +417,8 @@ class JobManager:
 
     def _validate_experiment(self, params: Dict[str, object],
                              ) -> Dict[str, object]:
-        _reject_unknown(params, _EXPERIMENT_DEFAULTS, "experiment")
+        _reject_unknown(params, _allowed_params("experiment"),
+                        "experiment")
         normalized = dict(_EXPERIMENT_DEFAULTS)
         for name in _EXPERIMENT_DEFAULTS:
             if name in params and params[name] is not None:
@@ -892,31 +892,32 @@ class JobManager:
         return True
 
     def _execute(self, job: Job) -> Tuple[Dict[str, object], bool]:
+        # Submission already checked the names; a journal replayed
+        # from another build may carry parameters this one removed.
+        _reject_unknown(job.params, _allowed_params(job.kind), job.kind)
         if job.kind == "experiment":
             return self._execute_experiment(job)
         return self._execute_mine(job)
 
     def _cache_slots(self, job: Job):
-        """The five artifact-key slots for a job (fingerprint, miner,
-        correction, policy, params)."""
+        """The four artifact-key slots for a job (fingerprint, miner,
+        correction, params)."""
         params = dict(job.params)
         if job.kind == "experiment":
             miner = str(params.pop("algorithm"))
             correction = ",".join(params.pop("methods"))
-            return (_EXPERIMENT_FINGERPRINT, miner, correction,
-                    _EXPERIMENT_POLICY, params)
+            return (_EXPERIMENT_FINGERPRINT, miner, correction, params)
         entry = self.registry.get(str(params.pop("dataset")))
         miner = str(params.pop("algorithm"))
         correction = str(params.pop("correction"))
-        policy = str(params.pop("policy"))
-        return (entry.fingerprint, miner, correction, policy, params)
+        return (entry.fingerprint, miner, correction, params)
 
     def _execute_mine(self, job: Job) -> Tuple[Dict[str, object], bool]:
         from ..core.pipeline import Pipeline
 
-        fingerprint, miner, correction, policy, key_params = \
+        fingerprint, miner, correction, key_params = \
             self._cache_slots(job)
-        cached = self.store.get(fingerprint, miner, correction, policy,
+        cached = self.store.get(fingerprint, miner, correction,
                                 key_params)
         if cached is not None:
             return dict(cached.payload), True
@@ -929,7 +930,6 @@ class JobManager:
             max_length=params["max_length"],
             scorer=str(params["scorer"]), seed=int(params["seed"]),
             n_permutations=int(params["n_permutations"]),
-            policy=policy,
             holdout_split=str(params["holdout_split"]),
             redundancy_delta=params["redundancy_delta"],
             n_jobs=self.n_jobs, backend=self.backend)
@@ -946,7 +946,6 @@ class JobManager:
                         "fingerprint": fingerprint},
             "miner": miner,
             "correction": correction,
-            "policy": policy,
             "params": dict(key_params),
             "result": result.to_json(),
             "n_patterns_mined": outcome.state.n_patterns_mined,
@@ -954,7 +953,7 @@ class JobManager:
             "n_significant": result.n_significant,
             "rules": rows,
         }
-        self.store.put(fingerprint, miner, correction, policy,
+        self.store.put(fingerprint, miner, correction,
                        key_params, payload, rows)
         return payload, False
 
@@ -963,9 +962,9 @@ class JobManager:
         from ..data.synthetic import GeneratorConfig
         from ..evaluation.runner import ExperimentRunner
 
-        fingerprint, miner, correction, policy, key_params = \
+        fingerprint, miner, correction, key_params = \
             self._cache_slots(job)
-        cached = self.store.get(fingerprint, miner, correction, policy,
+        cached = self.store.get(fingerprint, miner, correction,
                                 key_params)
         if cached is not None:
             return dict(cached.payload), True
@@ -1002,7 +1001,7 @@ class JobManager:
                             in sorted(outcome.mean_tested.items())},
             "table": table,
         }
-        self.store.put(fingerprint, miner, correction, policy,
+        self.store.put(fingerprint, miner, correction,
                        key_params, payload)
         return payload, False
 

@@ -3,9 +3,9 @@
 One artifact is the full outcome of a mine/holdout job — the
 serialized :class:`~repro.corrections.base.CorrectionResult` (and
 pattern-forest metadata) as stable JSON — keyed by the SHA-256 of the
-canonical ``(dataset fingerprint, miner, correction, policy, params)``
-tuple. A repeated request with the same key is served from storage
-without re-mining, and because the JSON round-trip is lossless
+canonical ``(dataset fingerprint, miner, correction, params)`` tuple.
+A repeated request with the same key is served from storage without
+re-mining, and because the JSON round-trip is lossless
 (:mod:`repro.jsonio`), the served result re-renders byte-identical to
 the uncached :meth:`~repro.core.pipeline.Pipeline.run`.
 
@@ -42,7 +42,8 @@ except ImportError:  # pragma: no cover - stdlib
 
 __all__ = ["ArtifactStore", "CachedArtifact", "run_with_busy_retry"]
 
-STORE_SCHEMA_VERSION = 1
+#: A file written at any other version is refused at open.
+STORE_SCHEMA_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -54,7 +55,6 @@ CREATE TABLE IF NOT EXISTS artifacts (
     dataset_fingerprint TEXT NOT NULL,
     miner TEXT NOT NULL,
     correction TEXT NOT NULL,
-    policy TEXT NOT NULL,
     params_json TEXT NOT NULL,
     schema_version INTEGER NOT NULL,
     created_at REAL NOT NULL,
@@ -153,7 +153,6 @@ class CachedArtifact:
     dataset_fingerprint: str
     miner: str
     correction: str
-    policy: str
     params: Dict[str, object]
     created_at: float
     payload: Dict[str, object]
@@ -195,6 +194,15 @@ class ArtifactStore:
                 "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
                 ("store_schema_version", str(STORE_SCHEMA_VERSION)))
             self._conn.commit()
+            (version,) = self._conn.execute(
+                "SELECT value FROM meta WHERE key = ?",
+                ("store_schema_version",)).fetchone()
+        if version != str(STORE_SCHEMA_VERSION):
+            self.close()
+            raise ServiceError(
+                f"artifact store {self.path!r} was written with store "
+                f"schema {version}; this library reads "
+                f"{STORE_SCHEMA_VERSION} — open a new file")
 
     def __reduce__(self):
         # Process-local by design: an open sqlite connection and its
@@ -220,8 +228,7 @@ class ArtifactStore:
 
     @classmethod
     def make_key(cls, dataset_fingerprint: str, miner: str,
-                 correction: str, policy: str,
-                 params: Mapping[str, object]) -> str:
+                 correction: str, params: Mapping[str, object]) -> str:
         """SHA-256 over the canonical identity tuple.
 
         ``n_jobs``/``backend`` must not appear in ``params``: results
@@ -232,7 +239,6 @@ class ArtifactStore:
             _require_str(dataset_fingerprint, "dataset fingerprint"),
             _require_str(miner, "miner"),
             _require_str(correction, "correction"),
-            _require_str(policy, "policy"),
             json.loads(cls.canonical_params(params)),
         ])
         return hashlib.sha256(identity.encode("utf-8")).hexdigest()
@@ -242,7 +248,7 @@ class ArtifactStore:
     # ------------------------------------------------------------------
 
     def put(self, dataset_fingerprint: str, miner: str, correction: str,
-            policy: str, params: Mapping[str, object],
+            params: Mapping[str, object],
             payload: Mapping[str, object],
             rules: Sequence[Mapping[str, object]] = ()) -> str:
         """Persist one artifact; returns its key.
@@ -255,7 +261,7 @@ class ArtifactStore:
         plus an ``"items"`` list of item display strings.
         """
         key = self.make_key(dataset_fingerprint, miner, correction,
-                            policy, params)
+                            params)
         payload_text = canonical_dumps(json_safe(dict(payload),
                                                  strict=True))
 
@@ -266,11 +272,11 @@ class ArtifactStore:
                     cursor = self._conn.execute(
                         "INSERT OR IGNORE INTO artifacts (key, "
                         "dataset_fingerprint, miner, correction, "
-                        "policy, params_json, schema_version, "
+                        "params_json, schema_version, "
                         "created_at, payload_json)"
-                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                        " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                         (key, dataset_fingerprint, miner, correction,
-                         policy, self.canonical_params(params),
+                         self.canonical_params(params),
                          STORE_SCHEMA_VERSION, time.time(),
                          payload_text))
                     if cursor.rowcount:
@@ -310,11 +316,11 @@ class ArtifactStore:
     # ------------------------------------------------------------------
 
     def get(self, dataset_fingerprint: str, miner: str, correction: str,
-            policy: str, params: Mapping[str, object],
+            params: Mapping[str, object],
             ) -> Optional[CachedArtifact]:
         """The cached artifact for an identity tuple, or ``None``."""
         return self.get_by_key(self.make_key(
-            dataset_fingerprint, miner, correction, policy, params))
+            dataset_fingerprint, miner, correction, params))
 
     def get_by_key(self, key: str) -> Optional[CachedArtifact]:
         """The cached artifact under ``key``, or ``None``."""
@@ -334,7 +340,6 @@ class ArtifactStore:
             dataset_fingerprint=row["dataset_fingerprint"],
             miner=row["miner"],
             correction=row["correction"],
-            policy=row["policy"],
             params=json.loads(row["params_json"]),
             created_at=row["created_at"],
             payload=json.loads(row["payload_json"]),

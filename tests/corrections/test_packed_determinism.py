@@ -3,10 +3,10 @@
 The PR-4 guarantee on top of the PR-2 one: the *batched* permutation
 pass (packed uint64 kernel, block-sized scoring, 2-D p-value lookup)
 produces byte-identical ``Perm_FWER`` / ``Perm_FWER_SD`` / ``Perm_FDR``
-CSV output at any worker count, on every backend, under every forest
-policy, and for any block budget. The CSVs are written through the real
-CLI so the comparison covers the full stack, exactly like the
-``parallel-determinism`` CI job.
+CSV output at any worker count, on every backend, with the native
+kernel suite loaded or hidden, and for any block budget. The CSVs are
+written through the real CLI so the comparison covers the full stack,
+exactly like the ``parallel-determinism`` CI job.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import filecmp
 import numpy as np
 import pytest
 
+from repro import _native
 from repro.cli import main
 from repro.corrections import PermutationEngine
 from repro.data import GeneratorConfig, generate, save_csv
@@ -53,26 +54,28 @@ class TestCsvByteIdentity:
     def test_jobs_and_backends_byte_identical(self, dataset_csv,
                                               tmp_path, correction):
         baseline = _mine_csv(dataset_csv, tmp_path / "base.csv",
-                             correction, policy="packed",
-                             jobs=1, backend="serial")
+                             correction, jobs=1, backend="serial")
         for jobs, backend in ((4, "threads"), (4, "processes")):
             other = _mine_csv(
                 dataset_csv, tmp_path / f"{backend}.csv", correction,
-                policy="packed", jobs=jobs, backend=backend)
+                jobs=jobs, backend=backend)
             assert filecmp.cmp(baseline, other, shallow=False), \
                 f"{correction} differs at --jobs {jobs} --backend " \
                 f"{backend}"
 
     @pytest.mark.parametrize("correction", CORRECTIONS)
-    def test_packed_matches_other_policies(self, dataset_csv,
-                                           tmp_path, correction):
+    def test_packed_matches_numpy_reference(self, dataset_csv,
+                                            tmp_path, monkeypatch,
+                                            correction):
         packed = _mine_csv(dataset_csv, tmp_path / "packed.csv",
-                           correction, policy="packed")
-        for policy in ("diffsets", "auto"):
-            other = _mine_csv(dataset_csv, tmp_path / f"{policy}.csv",
-                              correction, policy=policy)
-            assert filecmp.cmp(packed, other, shallow=False), \
-                f"{correction} differs between packed and {policy}"
+                           correction)
+        # Hide the native suite: mining and scoring fall back to the
+        # Python walk and the numpy reductions.
+        monkeypatch.setattr(_native, "_kernel", None)
+        numpy_csv = _mine_csv(dataset_csv, tmp_path / "numpy.csv",
+                              correction)
+        assert filecmp.cmp(packed, numpy_csv, shallow=False), \
+            f"{correction} differs without the native suite"
 
 
 class TestEngineStatistics:
@@ -92,13 +95,12 @@ class TestEngineStatistics:
 
     def test_block_sizing_never_changes_results(self, ruleset):
         reference = self._statistics(
-            PermutationEngine(ruleset, 40, seed=9, policy="packed"))
+            PermutationEngine(ruleset, 40, seed=9))
         # batch_bytes=1 degenerates to one permutation per block — the
         # maximally split schedule must still be bit-identical.
         for batch_bytes in (1, 10_000, 10**9):
             tiny = self._statistics(PermutationEngine(
-                ruleset, 40, seed=9, policy="packed",
-                batch_bytes=batch_bytes))
+                ruleset, 40, seed=9, batch_bytes=batch_bytes))
             assert (tiny[0] == reference[0]).all()
             assert tiny[1] == reference[1]
             assert tiny[2] == reference[2]
@@ -107,7 +109,7 @@ class TestEngineStatistics:
         """The scalar reference scores permutation-at-a-time through
         the buffer cache on bigint tidsets; the batched packed path
         must reproduce its statistics exactly."""
-        engine = PermutationEngine(ruleset, 30, seed=5, policy="packed")
+        engine = PermutationEngine(ruleset, 30, seed=5)
         engine.run()
         sequential = reference(ruleset, 30, seed=5)
         assert np.array_equal(engine._min_p, sequential[0])
@@ -115,16 +117,14 @@ class TestEngineStatistics:
         assert np.array_equal(engine._stepdown_counts, sequential[2])
 
     @pytest.mark.parametrize("backend", ("threads", "processes"))
-    def test_policy_and_backend_cross_product(self, ruleset, backend):
+    def test_parallel_backend_matches_serial(self, ruleset, backend):
         reference = self._statistics(
-            PermutationEngine(ruleset, 30, seed=5, policy="packed"))
-        for policy in ("packed", "diffsets"):
-            parallel = self._statistics(PermutationEngine(
-                ruleset, 30, seed=5, policy=policy, n_jobs=3,
-                backend=backend))
-            assert (parallel[0] == reference[0]).all()
-            assert parallel[1] == reference[1]
-            assert parallel[2] == reference[2]
+            PermutationEngine(ruleset, 30, seed=5))
+        parallel = self._statistics(PermutationEngine(
+            ruleset, 30, seed=5, n_jobs=3, backend=backend))
+        assert (parallel[0] == reference[0]).all()
+        assert parallel[1] == reference[1]
+        assert parallel[2] == reference[2]
 
     def test_multiclass_batched_supports_match_sequential(self):
         config = GeneratorConfig(
@@ -133,8 +133,7 @@ class TestEngineStatistics:
             min_confidence=0.8, max_confidence=0.9)
         ruleset = mine_class_rules(generate(config, seed=77).dataset,
                                    min_sup=15)
-        engine = PermutationEngine(ruleset, 10, seed=2,
-                                   policy="packed")
+        engine = PermutationEngine(ruleset, 10, seed=2)
         labels = np.stack(labellings(ruleset, 5, seed=3))
         batched = engine._rule_supports_batch(labels)
         for row in range(labels.shape[0]):

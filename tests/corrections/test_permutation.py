@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cli import build_parser
+from repro.core import Pipeline
 from repro.corrections import PermutationEngine, permutation_fdr, \
     permutation_fwer
 from repro.data import GeneratorConfig, generate
@@ -38,15 +40,23 @@ class TestConstruction:
         with pytest.raises(CorrectionError):
             PermutationEngine(random_ruleset, n_permutations=0)
         with pytest.raises(CorrectionError):
-            PermutationEngine(random_ruleset, policy="nope")
-        with pytest.raises(CorrectionError):
             PermutationEngine(random_ruleset, batch_bytes=0)
 
     @pytest.mark.parametrize("keyword",
-                             ("rng", "pvalue_mode", "word_block"))
+                             ("rng", "pvalue_mode", "word_block",
+                              "policy"))
     def test_removed_keywords_rejected(self, random_ruleset, keyword):
         with pytest.raises(TypeError, match=keyword):
             PermutationEngine(random_ruleset, **{keyword: None})
+
+    def test_removed_policy_rejected_by_pipeline_and_cli(self):
+        with pytest.raises(TypeError, match="policy"):
+            Pipeline(min_sup=5, corrections=("Perm_FWER",),
+                     policy="packed")
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["mine", "x.csv", "--min-sup",
+                                       "10", "--policy", "packed"])
+        assert exit_info.value.code == 2
 
 
 class TestDeterminism:
@@ -76,13 +86,6 @@ class TestPvalueModesAgree:
         direct = reference(random_ruleset, 20, seed=5, pvalue="direct")
         assert np.array_equal(min_p, cache[0])
         assert min_p == pytest.approx(direct[0], rel=1e-9)
-
-    def test_policies_identical(self, random_ruleset):
-        expected = reference(random_ruleset, 20, seed=6)[0]
-        for policy in ("packed", "diffsets", "auto"):
-            engine = PermutationEngine(random_ruleset, 20, seed=6,
-                                       policy=policy)
-            assert np.array_equal(engine.min_p_distribution(), expected)
 
 
 class TestFwer:

@@ -7,8 +7,8 @@ one ``repro_permutation_stats`` call. The numpy reductions are the
 fallback without a compiler and the oracle here: every property
 compares the public statistics of both paths exactly, over binary and
 multiclass data, tables with ties and p = 1.0 plateaus, permutation
-counts around the block size, every forest policy, both parallel
-backends and an empty rule set. A wide forest pins the sizing: the
+counts around the block size, both parallel backends and an empty
+rule set. A wide forest pins the sizing: the
 native path runs blocks of more than one labelling and stays within
 its memory budget, and the numpy path's tiled kernel stays within
 twice its budget.
@@ -86,16 +86,15 @@ def _assert_identical(left, right):
        signal=st.sampled_from((0.0, 0.5, 0.9)),
        min_sup=st.integers(2, 12),
        n_permutations=st.sampled_from(PERMUTATION_COUNTS),
-       policy=st.sampled_from(("packed", "diffsets", "auto")),
        batch_bytes=st.sampled_from((1, DEFAULT_BATCH_BYTES)))
 def test_native_equals_numpy(seed, n_records, n_attributes, n_classes,
-                             signal, min_sup, n_permutations, policy,
+                             signal, min_sup, n_permutations,
                              batch_bytes):
     _require_native()
     dataset = _dataset(seed, n_records, n_attributes, n_classes, signal)
     ruleset = mine_class_rules(dataset, min_sup)
     options = dict(n_permutations=n_permutations, seed=seed % 997,
-                   policy=policy, batch_bytes=batch_bytes)
+                   batch_bytes=batch_bytes)
     _assert_identical(_statistics(ruleset, True, **options),
                       _statistics(ruleset, False, **options))
 
@@ -174,7 +173,7 @@ class TestDispatchLog:
         assert records[0].levelno == logging.DEBUG
         assert records[0].getMessage() == (
             f"permutation pass: native, B={NATIVE_BATCH_ROWS}, "
-            f"{engine._forest.n_nodes} nodes, "
+            f"{engine._matrix.n_rows} nodes, "
             f"{len(ruleset.rules)} rules")
 
     def test_numpy_pass_logs_native_status(self, caplog, monkeypatch,
@@ -206,7 +205,7 @@ def test_wide_forest_resource_contract(wide_ruleset):
     budget = 16 * 2 ** 20
     engine = PermutationEngine(wide_ruleset, n_permutations=40, seed=0,
                                batch_bytes=budget)
-    matrix = engine._forest.matrix
+    matrix = engine._matrix
     assert matrix.n_rows * matrix.n_words * 9 > budget
     assert engine._batch_rows() > 1
     tracemalloc.start()

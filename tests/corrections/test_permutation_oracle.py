@@ -2,7 +2,9 @@
 
 The engine's min-p distribution, pooled counts and step-down counts
 must equal the reference's exactly — on binary and multiclass rule
-sets, with the native kernel suite loaded and hidden, and for
+sets over the forest of every registered miner (the closed LCM tree,
+the Apriori and FP-growth prefix trees, the representative
+reduction), with the native kernel suite loaded and hidden, and for
 permutation counts below, at and above one native block. The
 reference's ``fisher_two_tailed`` p-values (the paper's unbuffered
 arm) must agree with its table lookups within rel 1e-9. Under the
@@ -19,7 +21,7 @@ from repro import _native
 from repro.corrections import PermutationEngine
 from repro.corrections.permutation import NATIVE_BATCH_ROWS
 from repro.data import GeneratorConfig, generate
-from repro.mining import mine_class_rules
+from repro.mining import generate_rules, mine_class_rules, mine_patterns
 
 from .permutation_oracle import (
     permutation_p_values,
@@ -31,14 +33,46 @@ from .permutation_oracle import (
 PERMUTATION_COUNTS = (1, NATIVE_BATCH_ROWS, NATIVE_BATCH_ROWS + 3)
 
 
-@pytest.fixture(scope="module", params=(2, 3), ids=("binary", "3-class"))
+MINERS = ("closed", "apriori", "fpgrowth", "representative")
+CLASS_COUNTS = {"binary": 2, "3-class": 3}
+
+
+@pytest.fixture(scope="module",
+                params=[(shape, miner) for miner in MINERS
+                        for shape in CLASS_COUNTS],
+                ids=lambda param: param[0] if param[1] == "closed"
+                else f"{param[0]}-{param[1]}")
 def ruleset(request):
+    return _ruleset(*request.param)
+
+
+@pytest.fixture(scope="module", params=tuple(CLASS_COUNTS))
+def closed_ruleset(request):
+    """The closed miner's rule sets only: for checks of the reference
+    itself, which do not depend on the forest's shape."""
+    return _ruleset(request.param, "closed")
+
+
+def _ruleset(shape, miner):
     config = GeneratorConfig(
         n_records=240, n_attributes=8, n_rules=1,
-        n_classes=request.param, min_coverage=40, max_coverage=60,
+        n_classes=CLASS_COUNTS[shape], min_coverage=40, max_coverage=60,
         min_confidence=0.8, max_confidence=0.9)
-    return mine_class_rules(generate(config, seed=77).dataset,
-                            min_sup=15)
+    dataset = generate(config, seed=77).dataset
+    patterns = mine_patterns(dataset, 15, algorithm=miner)
+    return generate_rules(dataset, patterns, 15)
+
+
+@pytest.fixture(scope="module")
+def reference_rows(ruleset):
+    """The reference's p-value rows for the largest permutation count.
+
+    Labelling ``t`` is drawn from the ``t``-th spawned child of the
+    seed whatever the count, so the first ``n`` rows are exactly the
+    rows of an ``n``-permutation reference run; one scalar pass serves
+    every count and both dispatch paths.
+    """
+    return permutation_p_values(ruleset, max(PERMUTATION_COUNTS), seed=4)
 
 
 def _engine_statistics(ruleset, native, **options):
@@ -58,8 +92,10 @@ def _engine_statistics(ruleset, native, **options):
 @pytest.mark.parametrize("native", (True, False),
                          ids=("native", "numpy"))
 @pytest.mark.parametrize("n_permutations", PERMUTATION_COUNTS)
-def test_engine_matches_reference(ruleset, native, n_permutations):
-    expected = reference(ruleset, n_permutations, seed=4)
+def test_engine_matches_reference(ruleset, reference_rows, native,
+                                  n_permutations):
+    expected = statistics([rule.p_value for rule in ruleset.rules],
+                          reference_rows[:n_permutations])
     actual = _engine_statistics(ruleset, native,
                                 n_permutations=n_permutations, seed=4)
     for got, want in zip(actual, expected):
@@ -67,9 +103,11 @@ def test_engine_matches_reference(ruleset, native, n_permutations):
         assert np.array_equal(got, want)
 
 
-def test_direct_pvalues_agree_with_cache(ruleset):
-    cached = permutation_p_values(ruleset, 6, seed=2, pvalue="cache")
-    direct = permutation_p_values(ruleset, 6, seed=2, pvalue="direct")
+def test_direct_pvalues_agree_with_cache(closed_ruleset):
+    cached = permutation_p_values(closed_ruleset, 6, seed=2,
+                                  pvalue="cache")
+    direct = permutation_p_values(closed_ruleset, 6, seed=2,
+                                  pvalue="direct")
     for cached_row, direct_row in zip(cached, direct):
         assert direct_row == pytest.approx(cached_row, rel=1e-9)
 

@@ -3,6 +3,9 @@ registration, and error reporting."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro import CORRECTIONS, mine_significant_rules
@@ -266,3 +269,42 @@ class TestCustomCorrectionEndToEnd:
             assert "TOH" in result.aggregates
         finally:
             unregister_correction("test-own-holdout")
+
+
+def test_concurrent_overwrites_stay_consistent():
+    """An overwrite re-enters ``unregister_correction`` under the
+    registry lock; racing overwrites of one name must neither raise
+    nor leave a spelling pointing at a removed spec."""
+    specs = [Correction(
+        name="stress-correction", abbreviation="SC", family="fwer",
+        apply_fn=lambda ruleset, alpha, ctx: bonferroni(ruleset, alpha),
+        aliases=("stress-alias",)) for _ in range(8)]
+    errors = []
+
+    def hammer(spec):
+        try:
+            for _ in range(200):
+                register_correction(spec, overwrite=True)
+        except CorrectionError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=hammer, args=(spec,))
+               for spec in specs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        winner = get_correction("stress-correction")
+        assert any(winner is spec for spec in specs)
+        assert get_correction("SC") is winner
+        assert get_correction("stress-alias") is winner
+    finally:
+        unregister_correction("stress-correction")

@@ -6,7 +6,7 @@ The acceptance criteria of the sharded-arena work, pinned through the
 * **CLI memmap identity** — ``repro mine`` on an ``.arena`` input
   (memmap-backed, zero-copy to workers) emits CSVs byte-identical to
   the same mine on the ``.csv`` source, across miners × jobs 1/4 ×
-  native kernels on/off × policies;
+  native kernels on/off;
 * **sharded scoring identity** — a :class:`ShardedDataset` driven
   through the full :class:`Pipeline` (mining + permutation correction)
   exports the same CSV as the whole in-RAM dataset;
@@ -78,11 +78,11 @@ def dataset_arena(tmp_path_factory, data):
 
 
 def _mine(input_path, out, log_path, *, algorithm="closed", jobs=1,
-          backend="serial", policy="auto"):
+          backend="serial"):
     argv = ["mine", str(input_path), "--min-sup", "30",
             "--algorithm", algorithm, "--correction", "Perm_FWER",
             "--permutations", "40", "--seed", "0",
-            "--policy", policy, "--jobs", str(jobs),
+            "--jobs", str(jobs),
             "--backend", backend, "--csv-out", str(out)]
     with open(log_path, "w") as log:
         assert main(argv, out=log) == 0
@@ -108,20 +108,6 @@ class TestCliMemmapIdentity:
         assert filecmp.cmp(outputs["csv"], outputs["arena"],
                            shallow=False), \
             f"{algorithm}/jobs={jobs}: arena input diverged from CSV"
-
-    @pytest.mark.parametrize("policy", ["packed", "diffsets"])
-    def test_policies_agree_on_arena_input(self, dataset_csv,
-                                           dataset_arena, tmp_path,
-                                           policy):
-        outputs = {}
-        for tag, source in (("csv", dataset_csv),
-                            ("arena", dataset_arena)):
-            out = tmp_path / f"{policy}_{tag}.csv"
-            _mine(source, out, out.with_suffix(".log"), policy=policy)
-            outputs[tag] = out
-        assert filecmp.cmp(outputs["csv"], outputs["arena"],
-                           shallow=False), \
-            f"policy={policy}: arena input diverged from CSV"
 
 
 class TestNativeToggleIdentity:

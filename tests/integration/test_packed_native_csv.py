@@ -7,10 +7,11 @@ these tests pin the two guarantees that made that safe:
   arena and the *same* dataset reconstructed from bigint tidsets (the
   interop path plugins use) produce byte-identical mine / holdout /
   permutation CSV output for every registered miner;
-* **policy identity** — for every miner, the packed forest policy and
-  the ``"diffsets"`` policy without the native suite (an id-list
-  gather with numpy statistics, sharing no kernel with ``"packed"``)
-  emit byte-identical permutation CSVs through the real CLI.
+* **native identity** — for every miner, a run with the native kernel
+  suite and a ``REPRO_NATIVE=0`` run (the Python closed walk, numpy
+  supports tiles and numpy statistics, sharing no kernel with the
+  native path) emit byte-identical permutation CSVs through the real
+  CLI.
 """
 
 from __future__ import annotations
@@ -73,28 +74,28 @@ class TestBigintIngestIdentity:
             f"{algorithm}/{correction}: packed-native != bigint ingest"
 
 
-class TestMinerPolicyIdentity:
+class TestMinerNativeIdentity:
     @pytest.mark.parametrize("algorithm", MINERS)
-    def test_packed_policy_matches_diffsets_reference(
+    def test_native_matches_numpy_reference(
             self, dataset_csv, tmp_path, monkeypatch, algorithm):
         outputs = {}
-        for policy, native in (("packed", None), ("diffsets", "0")):
+        for mode, native in (("native", None), ("numpy", "0")):
             if native is not None:
                 # load_suite memoises; reset it so the toggle is re-read
                 # and restore its status afterwards.
                 monkeypatch.setenv("REPRO_NATIVE", native)
                 monkeypatch.setattr(_native, "_kernel", "unset")
                 monkeypatch.setattr(_native, "_status", _native._status)
-            out = tmp_path / f"{algorithm}_{policy}.csv"
+            out = tmp_path / f"{algorithm}_{mode}.csv"
             argv = ["mine", str(dataset_csv), "--min-sup", "30",
                     "--algorithm", algorithm,
                     "--correction", "Perm_FWER",
                     "--permutations", "40", "--seed", "0",
-                    "--policy", policy, "--csv-out", str(out)]
+                    "--csv-out", str(out)]
             with open(out.with_suffix(".log"), "w") as log:
                 assert main(argv, out=log) == 0
-            outputs[policy] = out
-        assert filecmp.cmp(outputs["packed"], outputs["diffsets"],
+            outputs[mode] = out
+        assert filecmp.cmp(outputs["native"], outputs["numpy"],
                            shallow=False), \
-            f"{algorithm}: packed policy differs from the diffsets " \
+            f"{algorithm}: native run differs from the REPRO_NATIVE=0 " \
             f"reference"

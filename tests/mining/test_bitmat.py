@@ -1,11 +1,12 @@
 """The packed uint64 bitmap kernel agrees exactly with bigint popcount.
 
 :class:`repro.bitmat.BitMatrix` is the counting engine behind the
-default ``"packed"`` forest policy; these tests pin its contract — the
-kernels are *bit-identical* to ``popcount(tidset & class_bits)`` for
-any forest and any labelling, including the awkward shapes: record
-counts not divisible by 64, empty forests, empty batches, all-one and
-all-zero indicators, and arbitrarily small numpy tiles.
+permutation engine's pattern-forest storage; these tests pin its
+contract — the kernels are *bit-identical* to
+``popcount(tidset & class_bits)`` for any forest and any labelling,
+including the awkward shapes: record counts not divisible by 64,
+empty forests, empty batches, all-one and all-zero indicators, and
+arbitrarily small numpy tiles.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from repro.bitmat import (
     words_per_row,
 )
 from repro.data import GeneratorConfig, generate
-from repro.errors import MiningError
-from repro.mining import PatternForest, mine_closed
+from repro.mining import mine_closed
 
 from .. import bigint_oracle as bs
 
@@ -175,18 +175,20 @@ class TestNativeKernel:
         assert (single_native == single_numpy).all()
 
     def test_suite_exports(self):
-        """One shared object, four entry points; the closure check
+        """One shared object, three entry points; the closure check
         lives inside the closed walk, not in a kernel of its own."""
         from repro import _native
 
         assert [symbol for symbol, _restype, _args
                 in _native._KERNEL_SIGNATURES] == [
             "repro_class_supports_batch", "repro_lcm_mine",
-            "repro_andnot_counts", "repro_permutation_stats"]
-        assert "repro_subset_mask" not in _native._SOURCE
+            "repro_permutation_stats"]
+        for removed in ("repro_subset_mask", "repro_andnot_counts"):
+            assert removed not in _native._SOURCE
         suite = _native.load_suite()
         if suite is not None:
             assert not hasattr(suite, "subset_mask")
+            assert not hasattr(suite, "andnot_counts")
 
     def test_kernel_unavailability_is_silent(self, monkeypatch):
         """REPRO_NATIVE=0 must disable compilation, not break."""
@@ -202,6 +204,9 @@ class TestNativeKernel:
 
 
 class TestForestPackedPolicy:
+    """The packed forest storage the permutation engine builds: one
+    :class:`BitMatrix` row per mined pattern."""
+
     @pytest.fixture(scope="class")
     def forest_inputs(self):
         config = GeneratorConfig(n_records=150, n_attributes=10,
@@ -210,68 +215,50 @@ class TestForestPackedPolicy:
         patterns = mine_closed(ds.item_tidsets, ds.n_records,
                                min_sup=10)
         labels = np.array([label == 0 for label in ds.class_labels])
-        return ds, patterns, labels
+        forest = BitMatrix.from_tidsets([p.tidset for p in patterns],
+                                        ds.n_records)
+        return ds, patterns, labels, forest
 
-    def test_packed_is_default_policy(self, forest_inputs):
-        ds, patterns, _ = forest_inputs
-        forest = PatternForest(patterns, ds.n_records)
-        assert forest.policy == "packed"
-        assert forest.matrix is not None
+    def test_packed_agrees_with_bigint_oracle(self, forest_inputs):
+        _, patterns, labels, forest = forest_inputs
+        rng = np.random.default_rng(5)
+        for indicator in [labels] + [rng.permutation(labels)
+                                     for _ in range(5)]:
+            class_bits = bs.from_numpy_bool(indicator)
+            assert forest.class_supports(indicator).tolist() == [
+                bs.popcount(int(p.tidset) & class_bits)
+                for p in patterns]
 
-    def test_packed_agrees_with_every_policy(self, forest_inputs):
-        ds, patterns, labels = forest_inputs
-        packed = PatternForest(patterns, ds.n_records, "packed")
-        reference = packed.class_supports(labels)
-        class_bits = bs.from_numpy_bool(labels)
-        assert reference.tolist() == [
-            bs.popcount(int(p.tidset) & class_bits) for p in patterns]
-        for policy in ("diffsets", "auto"):
-            other = PatternForest(patterns, ds.n_records, policy)
-            assert (other.class_supports(labels) == reference).all()
-
-    def test_batch_query_agrees_across_policies(self, forest_inputs):
-        ds, patterns, labels = forest_inputs
+    def test_batch_query_agrees_with_single_queries(self,
+                                                    forest_inputs):
+        _, _, labels, forest = forest_inputs
         rng = np.random.default_rng(4)
         batch = np.stack([rng.permutation(labels) for _ in range(6)])
-        packed = PatternForest(patterns, ds.n_records,
-                               "packed").class_supports_batch(batch)
-        for policy in ("diffsets", "auto"):
-            forest = PatternForest(patterns, ds.n_records, policy)
-            assert (forest.class_supports_batch(batch) == packed).all()
+        got = forest.class_supports_batch(batch)
+        for row, indicator in zip(got, batch):
+            assert (row == forest.class_supports(indicator)).all()
+
+    def test_shuffled_labels_keep_root_support(self, forest_inputs):
+        _, patterns, labels, forest = forest_inputs
+        # The root covers every record, so its class support is the
+        # class size under any shuffle.
+        shuffled = np.random.default_rng(4).permutation(labels)
+        root = patterns[0].node_id
+        assert forest.class_supports(labels)[root] == \
+            forest.class_supports(shuffled)[root] == labels.sum()
 
     def test_packed_tidset_reconstruction(self, forest_inputs):
-        ds, patterns, _ = forest_inputs
-        forest = PatternForest(patterns, ds.n_records, "packed")
+        _, patterns, _, forest = forest_inputs
         for pattern in patterns[:20]:
-            assert forest.tidset(pattern.node_id) == pattern.tidset
-
-    def test_trailing_empty_diffsets_do_not_truncate_counts(self):
-        """Regression: diff nodes with *empty* stored lists at the
-        tail of the forest must not clip the reduceat segment of the
-        preceding node (the naive fix — clamping out-of-range segment
-        starts — silently dropped the last id of the previous list).
-        """
-        from repro.mining.patterns import Pattern
-
-        patterns = [
-            Pattern(0, -1, frozenset({0}), 0b11, 2, 0),
-            Pattern(1, 0, frozenset({0, 1}), 0b10, 1, 1),
-            # Children equal to their parent: diffsets store nothing.
-            Pattern(2, 1, frozenset({0, 1, 2}), 0b10, 1, 2),
-            Pattern(3, 2, frozenset({0, 1, 2, 3}), 0b10, 1, 3),
-        ]
-        indicator = np.array([False, True])
-        for policy in ("diffsets", "packed"):
-            forest = PatternForest(patterns, 2, policy)
-            assert forest.class_supports(indicator).tolist() == \
-                [1, 1, 1, 1], policy
+            assert forest.tidvector(pattern.node_id) == pattern.tidset
 
     def test_batch_shape_validated(self, forest_inputs):
-        ds, patterns, _ = forest_inputs
-        forest = PatternForest(patterns, ds.n_records, "packed")
-        with pytest.raises(MiningError):
+        ds, _, _, forest = forest_inputs
+        with pytest.raises(ValueError):
+            forest.class_supports(np.ones(3, dtype=bool))
+        with pytest.raises(ValueError):
             forest.class_supports_batch(
                 np.ones(ds.n_records, dtype=bool))
-        with pytest.raises(MiningError):
+        with pytest.raises(ValueError):
             forest.class_supports_batch(
                 np.ones((2, ds.n_records + 1), dtype=bool))

@@ -2,13 +2,12 @@
 
 The packed word kernels — the subset/closure mask (numpy only; the
 native closed walk checks closures inside C), the candidate-support
-join, multi-class batched supports, and the andnot diffset recurrence
-— are reached through :mod:`repro.bitmat` wrappers that silently fall
-back to numpy. These tests pin the equivalence with the bigint oracle
-on ragged shapes (widths under one word, exact word boundaries,
-straddling tails), the edge cases of kernel selection (empty forests,
-single-record datasets), and the ``auto`` policy's crossover
-decisions. The native closed walk has its own differential suite,
+join and multi-class batched supports — are reached through
+:mod:`repro.bitmat` wrappers that silently fall back to numpy. These
+tests pin the equivalence with the bigint oracle on ragged shapes
+(widths under one word, exact word boundaries, straddling tails) and
+the edge cases of kernel selection (empty forests, single-record
+datasets). The native closed walk has its own differential suite,
 ``test_closed_native.py``.
 """
 
@@ -22,21 +21,10 @@ from hypothesis import strategies as st
 from repro import _native
 from repro.bitmat import (
     BitMatrix,
-    andnot_counts,
     intersection_counts,
     superset_mask,
 )
-from repro.errors import CorrectionError, MiningError
-from repro.mining import (
-    POLICY_CHOICES,
-    PatternForest,
-    mine_closed,
-    resolve_auto_policy,
-)
-from repro.mining.diffsets import (
-    AUTO_DENSITY_CROSSOVER,
-    AUTO_MIN_RECORDS,
-)
+from repro.mining import mine_closed
 from repro.mining.tidsets import build_vertical_view
 from repro.tidvector import TidVector, arena_rows, pack_bool_matrix
 
@@ -106,24 +94,6 @@ class TestIntersectionCounts:
         matrix = _arena([1, 2], 100)
         with pytest.raises(ValueError):
             intersection_counts(matrix, np.zeros(3, dtype=np.uint64))
-
-
-class TestAndnotCounts:
-    @given(instance=ragged_arenas())
-    @settings(max_examples=80, deadline=None)
-    def test_matches_bigint_difference(self, instance):
-        rows, query, n_records = instance
-        matrix = _arena(rows, n_records)
-        other = _arena([query] * len(rows), n_records)
-        oracle = [bs.popcount(row & ~query) for row in rows]
-        native, fallback = _both_paths(
-            lambda: andnot_counts(matrix, other))
-        assert native.tolist() == oracle
-        assert fallback.tolist() == oracle
-
-    def test_mismatched_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            andnot_counts(_arena([1], 65), _arena([1, 2], 65))
 
 
 class TestClassSupportsMulti:
@@ -197,53 +167,3 @@ class TestVerticalViewKernels:
             [(p.node_id, p.parent_id, p.items, p.support, p.depth)
              for p in numpy_run]
 
-
-class TestAutoPolicy:
-    def test_crossover_decisions(self):
-        # Small record sets always pack, whatever the density.
-        assert resolve_auto_policy(1000, AUTO_MIN_RECORDS - 1,
-                                   10) == "packed"
-        assert resolve_auto_policy(0, 100_000, 0) == "packed"
-        n_nodes, n_records = 100, 100_000
-        dense = int(n_nodes * n_records * AUTO_DENSITY_CROSSOVER * 2)
-        sparse = int(n_nodes * n_records * AUTO_DENSITY_CROSSOVER / 2)
-        assert resolve_auto_policy(n_nodes, n_records,
-                                   dense) == "packed"
-        assert resolve_auto_policy(n_nodes, n_records,
-                                   sparse) == "diffsets"
-
-    def test_auto_is_a_choice_everywhere(self):
-        assert "auto" in POLICY_CHOICES
-        from repro.core.pipeline import Pipeline
-        Pipeline(min_sup=5, corrections=("bh",), policy="auto")
-        with pytest.raises(CorrectionError):
-            Pipeline(min_sup=5, corrections=("bh",), policy="nope")
-
-    def test_forest_resolves_auto(self):
-        rng = np.random.default_rng(3)
-        from repro.mining.patterns import Pattern
-        flags = rng.random((6, 100)) < 0.5
-        tidsets = arena_rows(pack_bool_matrix(flags), 100)
-        patterns = [Pattern(i, -1, frozenset({i}), t, t.count(), 0)
-                    for i, t in enumerate(tidsets)]
-        forest = PatternForest(patterns, 100, "auto")
-        assert forest.requested_policy == "auto"
-        assert forest.policy in ("packed", "diffsets")
-        # 100 records < AUTO_MIN_RECORDS: the dense side of the rule.
-        assert forest.policy == "packed"
-        with pytest.raises(MiningError):
-            PatternForest(patterns, 100, "fastest")
-
-    def test_auto_supports_match_explicit_policies(self):
-        rng = np.random.default_rng(21)
-        flags = rng.random((15, 140)) < 0.3
-        tidsets = arena_rows(pack_bool_matrix(flags), 140)
-        patterns = mine_closed(tidsets, 140, min_sup=5)
-        indicator = rng.random(140) < 0.5
-        reference = None
-        for policy in POLICY_CHOICES:
-            forest = PatternForest(patterns, 140, policy)
-            got = forest.class_supports(indicator)
-            if reference is None:
-                reference = got
-            assert np.array_equal(got, reference), policy

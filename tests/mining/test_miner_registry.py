@@ -3,15 +3,18 @@ and registration round-trips mirroring the correction registry."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.corrections import PermutationEngine
 from repro.data import make_german
 from repro.errors import MiningError
 from repro.mining import (
     Miner,
     Pattern,
-    PatternForest,
     PatternSet,
     available_miners,
     generate_rules,
@@ -98,6 +101,41 @@ class TestRegistration:
                 n_records, min_sup)
         return Miner(name=name, mine_fn=mine_fn, aliases=aliases,
                      capabilities=("all-frequent",))
+
+    def test_concurrent_overwrites_stay_consistent(self):
+        """An overwrite re-enters ``unregister_miner`` under the
+        registry lock; racing overwrites of one name must neither raise
+        nor leave a spelling pointing at a removed spec."""
+        specs = [self._spec(name="stress-miner", aliases=("stress-tm",))
+                 for _ in range(8)]
+        errors = []
+
+        def hammer(spec):
+            try:
+                for _ in range(200):
+                    register_miner(spec, overwrite=True)
+            except MiningError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(spec,))
+                   for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            winner = resolve_miner("stress-miner")
+            assert any(winner is spec for spec in specs)
+            assert resolve_miner("stress-tm") is winner
+        finally:
+            unregister_miner("stress-miner")
 
     def test_register_resolve_unregister_roundtrip(self):
         spec = register_miner(self._spec())
@@ -189,7 +227,7 @@ class TestMinerMine:
     def test_contract_violating_plugin_output_rejected(self, german):
         # validate_output defaults on for out-of-tree miners: a forest
         # whose parent links break the subset invariant must error at
-        # mine time, not corrupt the Diffsets recursion downstream.
+        # mine time, not corrupt permutation supports downstream.
         def bad_mine(item_tidsets, n_records, min_sup, max_length,
                      **opts):
             nodes = [
@@ -289,11 +327,12 @@ class TestPatternSetContract:
         class_bits = bs.from_numpy_bool(indicator)
         reference = [bs.popcount(int(p.tidset) & class_bits)
                      for p in pattern_set]
-        for policy in ("packed", "diffsets"):
-            forest = PatternForest(pattern_set, german.n_records,
-                                   policy)
-            assert np.array_equal(forest.class_supports(indicator),
-                                  reference)
+        # The permutation engine packs the set's tidsets into its
+        # forest matrix, one row per node.
+        engine = PermutationEngine(generate_rules(german, pattern_set, 60),
+                                   n_permutations=1, seed=0)
+        assert np.array_equal(engine._matrix.class_supports(indicator),
+                              reference)
 
     def test_from_tree_preserves_provenance(self, german):
         raw = mine_closed(german.item_tidsets, german.n_records, 60)

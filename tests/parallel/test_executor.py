@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import traceback
+from concurrent.futures.process import _ExecutorManagerThread
 
 import pytest
 
@@ -81,6 +83,18 @@ class TestMapShards:
         assert ex.map_shards(lambda x: seen.append(x) or x, [1, 2]) \
             == [1, 2]
         assert seen == [1, 2]
+
+    def test_process_wave_leaves_no_pool_behind(self):
+        # The next wave forks its workers: no thread or worker of this
+        # wave's pool may still be alive when it does.
+        before = set(multiprocessing.active_children())
+        ex = get_executor("processes", 2)
+        assert ex.map_shards(_square, [1, 2, 3]) == [1, 4, 9]
+        leftover = [thread.name for thread in threading.enumerate()
+                    if isinstance(thread, _ExecutorManagerThread)
+                    or thread.name == "QueueFeederThread"]
+        assert leftover == []
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestExceptionPropagation:

@@ -5,8 +5,8 @@ result model, so the invariants are stated *on the model*: the two
 all-frequent miners produce the identical PatternSet (not just the
 same pattern list — the same prefix-tree), expanding the closed set
 recovers exactly the support-maximal frequent patterns, and every
-miner's forest satisfies the structural contract the Diffsets policy
-and the permutation engine rely on.
+miner's forest satisfies the structural contract the permutation
+engine relies on.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mining import PatternForest, mine_patterns, miner_names
+from repro.bitmat import BitMatrix
+from repro.mining import mine_patterns, miner_names
 
 from .. import bigint_oracle as bs
 
@@ -106,11 +107,11 @@ def test_every_miner_satisfies_the_forest_contract(view, min_sup,
 @given(views(), min_sups,
        st.lists(st.booleans(), min_size=24, max_size=24))
 @settings(max_examples=40, deadline=None)
-def test_frequent_prefix_trees_drive_all_forest_policies(view, min_sup,
-                                                         label_flags):
-    """The permutation engine's class-support recursion must agree
-    across storage policies on all-frequent forests, exactly as it
-    does on closed ones."""
+def test_frequent_prefix_trees_drive_the_packed_forest(view, min_sup,
+                                                       label_flags):
+    """The permutation engine's packed forest counts exact class
+    supports on all-frequent forests, exactly as it does on closed
+    ones."""
     pattern_set = mine_patterns(view, min_sup, algorithm="fpgrowth")
     if not len(pattern_set):
         return
@@ -118,9 +119,9 @@ def test_frequent_prefix_trees_drive_all_forest_policies(view, min_sup,
     class_bits = bs.from_numpy_bool(indicator)
     expected = [bs.popcount(int(p.tidset) & class_bits)
                 for p in pattern_set]
-    for policy in ("packed", "diffsets"):
-        forest = PatternForest(pattern_set, view.n_records, policy)
-        assert forest.class_supports(indicator).tolist() == expected
+    forest = BitMatrix.from_tidsets([p.tidset for p in pattern_set],
+                                    view.n_records)
+    assert forest.class_supports(indicator).tolist() == expected
 
 
 @given(views(), min_sups, st.integers(min_value=1, max_value=3))

@@ -10,7 +10,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mining import PatternForest, mine_apriori, mine_closed
+from repro.bitmat import BitMatrix
+from repro.mining import mine_apriori, mine_closed
 
 from .. import bigint_oracle as bs
 
@@ -71,7 +72,7 @@ def test_tree_parents_are_supersets(instance):
 @given(tidset_instances(),
        st.lists(st.booleans(), min_size=25, max_size=25))
 @settings(max_examples=40, deadline=None)
-def test_forest_policies_agree(instance, label_flags):
+def test_packed_forest_matches_bigint_popcount(instance, label_flags):
     import numpy as np
     tidsets, n_records, min_sup = instance
     patterns = mine_closed(tidsets, n_records, min_sup)
@@ -80,9 +81,9 @@ def test_forest_policies_agree(instance, label_flags):
     labels = np.array(label_flags[:n_records], dtype=bool)
     class_bits = bs.from_numpy_bool(labels)
     expected = [bs.popcount(int(p.tidset) & class_bits) for p in patterns]
-    for policy in ("packed", "diffsets"):
-        forest = PatternForest(patterns, n_records, policy)
-        assert forest.class_supports(labels).tolist() == expected
+    forest = BitMatrix.from_tidsets([p.tidset for p in patterns],
+                                    n_records)
+    assert forest.class_supports(labels).tolist() == expected
 
 
 @given(tidset_instances())

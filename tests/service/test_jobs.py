@@ -53,6 +53,11 @@ class TestValidation:
                            match="did you mean 'correction'"):
             _submit_mine(manager, corection="BH")
 
+    def test_removed_policy_param_rejected(self, manager):
+        with pytest.raises(ServiceError,
+                           match=r"unknown parameter\(s\) \['policy'\]"):
+            _submit_mine(manager, policy="packed")
+
     def test_unknown_correction_propagates_registry_message(
             self, manager):
         with pytest.raises(CorrectionError, match="did you mean"):

@@ -210,9 +210,9 @@ class TestRecovery:
 
     def test_replayed_job_with_unknown_policy_fails_alone(self, registry,
                                                           tmp_path):
-        # A journal written by a build that still accepted the bigint
-        # "bitset" forest policy: that queued job fails with the
-        # unknown-policy error, its neighbours still run.
+        # A journal written by a build that still had the forest
+        # "policy" job parameter: that queued job fails with the
+        # unknown-parameter error, its neighbours still run.
         path = str(tmp_path / "jobs.sqlite")
         journal = JobJournal(path)
         manager = make_manager(registry, journal)
@@ -228,7 +228,7 @@ class TestRecovery:
                 "SELECT params_json FROM jobs WHERE job_id = ?",
                 (legacy.job_id,)).fetchone()
             params = json.loads(text)
-            params["policy"] = "bitset"
+            params["policy"] = "diffsets"
             conn.execute(
                 "UPDATE jobs SET params_json = ? WHERE job_id = ?",
                 (json.dumps(params), legacy.job_id))
@@ -236,11 +236,12 @@ class TestRecovery:
 
         journal2 = JobJournal(path)
         manager2 = make_manager(registry, journal2)
-        assert manager2.get(legacy.job_id).params["policy"] == "bitset"
+        assert manager2.get(legacy.job_id).params["policy"] == "diffsets"
         manager2.process_pending()
         failed = manager2.get(legacy.job_id)
         assert failed.state == "failed"
-        assert "unknown forest policy 'bitset'" in failed.error
+        assert "unknown parameter(s) ['policy'] for a 'mine' job" \
+            in failed.error
         for job in (before, after):
             assert manager2.get(job.job_id).state == "done"
         manager2.close()
@@ -397,7 +398,7 @@ class TestBusyRetry:
     def test_store_put_retries_through_injected_busy(self, registry):
         store = ArtifactStore()
         faults.arm("sqlite-busy:1.0:2")  # two injected collisions
-        key = store.put("fp", "closed", "bh", "auto", {"a": 1},
+        key = store.put("fp", "closed", "bh", {"a": 1},
                         {"payload": True})
         assert store.get_by_key(key) is not None
         stats = faults.fault_stats()["sqlite-busy"]
@@ -410,7 +411,7 @@ class TestBusyRetry:
         faults.arm("sqlite-busy:1.0")  # unlimited: never recovers
         with pytest.raises(sqlite3.OperationalError,
                            match="database is locked"):
-            store.put("fp", "closed", "bh", "auto", {"a": 1},
+            store.put("fp", "closed", "bh", {"a": 1},
                       {"payload": True})
         faults.disarm()
         store.close()

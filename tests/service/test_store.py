@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import sqlite3
 import threading
+from contextlib import closing
 
 import pytest
 
 from repro.errors import ServiceError
-from repro.service.store import ArtifactStore
+from repro.service.store import STORE_SCHEMA_VERSION, ArtifactStore
 
 
 def _rule(rule="A=a => pos", cls="pos", support=8, p=0.01, q=0.02,
@@ -27,38 +29,35 @@ def store():
 
 class TestMakeKey:
     def test_deterministic_and_param_order_free(self):
-        key1 = ArtifactStore.make_key("fp", "closed", "bh", "packed",
+        key1 = ArtifactStore.make_key("fp", "closed", "bh",
                                       {"a": 1, "b": 2.5})
-        key2 = ArtifactStore.make_key("fp", "closed", "bh", "packed",
+        key2 = ArtifactStore.make_key("fp", "closed", "bh",
                                       {"b": 2.5, "a": 1})
         assert key1 == key2
         assert len(key1) == 64
 
     def test_every_slot_matters(self):
-        base = ArtifactStore.make_key("fp", "closed", "bh", "packed",
-                                      {"a": 1})
+        base = ArtifactStore.make_key("fp", "closed", "bh", {"a": 1})
         assert base != ArtifactStore.make_key(
-            "fp2", "closed", "bh", "packed", {"a": 1})
+            "fp2", "closed", "bh", {"a": 1})
         assert base != ArtifactStore.make_key(
-            "fp", "apriori", "bh", "packed", {"a": 1})
+            "fp", "apriori", "bh", {"a": 1})
         assert base != ArtifactStore.make_key(
-            "fp", "closed", "bc", "packed", {"a": 1})
+            "fp", "closed", "bc", {"a": 1})
         assert base != ArtifactStore.make_key(
-            "fp", "closed", "bh", "bitset", {"a": 1})
-        assert base != ArtifactStore.make_key(
-            "fp", "closed", "bh", "packed", {"a": 2})
+            "fp", "closed", "bh", {"a": 2})
 
     def test_rejects_empty_slots(self):
         with pytest.raises(ServiceError):
-            ArtifactStore.make_key("", "closed", "bh", "packed", {})
+            ArtifactStore.make_key("", "closed", "bh", {})
 
 
 class TestPutGet:
     def test_round_trip(self, store):
         payload = {"result": {"alpha": 0.05}, "n": 3}
-        key = store.put("fp", "closed", "bh", "packed", {"s": 60},
+        key = store.put("fp", "closed", "bh", {"s": 60},
                         payload, [_rule()])
-        cached = store.get("fp", "closed", "bh", "packed", {"s": 60})
+        cached = store.get("fp", "closed", "bh", {"s": 60})
         assert cached is not None
         assert cached.key == key
         assert cached.payload == payload
@@ -66,10 +65,10 @@ class TestPutGet:
         assert store.get_by_key(key).miner == "closed"
 
     def test_miss_returns_none(self, store):
-        assert store.get("fp", "closed", "bh", "packed", {}) is None
+        assert store.get("fp", "closed", "bh", {}) is None
 
     def test_put_is_idempotent(self, store):
-        args = ("fp", "closed", "bh", "packed", {"s": 60})
+        args = ("fp", "closed", "bh", {"s": 60})
         key1 = store.put(*args, {"v": 1}, [_rule()])
         key2 = store.put(*args, {"v": 2}, [_rule(), _rule("B=b => neg")])
         assert key1 == key2  # first write wins, no duplicate rows
@@ -77,7 +76,7 @@ class TestPutGet:
         assert store.stats()["rules"] == 1
 
     def test_concurrent_puts_single_row(self, store):
-        args = ("fp", "closed", "bh", "packed", {"s": 1})
+        args = ("fp", "closed", "bh", {"s": 1})
         threads = [threading.Thread(
             target=lambda: store.put(*args, {"v": 1}, [_rule()]))
             for _ in range(8)]
@@ -90,19 +89,19 @@ class TestPutGet:
 
     def test_non_serializable_payload_rejected(self, store):
         with pytest.raises(TypeError):
-            store.put("fp", "closed", "bh", "packed", {},
+            store.put("fp", "closed", "bh", {},
                       {"bad": object()})
 
 
 class TestQueryRules:
     def _populate(self, store):
-        store.put("fp1", "closed", "bh", "packed", {"s": 1}, {"v": 1}, [
+        store.put("fp1", "closed", "bh", {"s": 1}, {"v": 1}, [
             _rule("A=a => pos", "pos", support=9, p=0.001, q=0.004,
                   lift=2.0, items=("A=a",)),
             _rule("A=a, B=b => pos", "pos", support=7, p=0.01, q=0.03,
                   lift=1.8, items=("A=a", "B=b")),
         ])
-        store.put("fp2", "closed", "bonferroni", "packed", {"s": 2},
+        store.put("fp2", "closed", "bonferroni", {"s": 2},
                   {"v": 2}, [
             _rule("C=c => neg", "neg", support=5, p=0.002, q=None,
                   lift=3.0, items=("C=c",)),
@@ -158,13 +157,25 @@ def test_wal_mode_on_disk(tmp_path):
 def test_persistence_across_reopen(tmp_path):
     path = str(tmp_path / "artifacts.db")
     first = ArtifactStore(path)
-    first.put("fp", "closed", "bh", "packed", {"s": 1}, {"v": 7},
-              [_rule()])
+    first.put("fp", "closed", "bh", {"s": 1}, {"v": 7}, [_rule()])
     first.close()
     second = ArtifactStore(path)
     try:
-        cached = second.get("fp", "closed", "bh", "packed", {"s": 1})
+        cached = second.get("fp", "closed", "bh", {"s": 1})
         assert cached is not None and cached.payload == {"v": 7}
         assert len(second.query_rules(item="A=a")) == 1
     finally:
         second.close()
+
+
+def test_schema_1_file_refused_at_open(tmp_path):
+    """A store written before the forest-policy key slot was dropped
+    is refused at open, naming both versions, not at its first put."""
+    path = str(tmp_path / "artifacts.db")
+    ArtifactStore(path).close()
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.execute("UPDATE meta SET value = '1' "
+                     "WHERE key = 'store_schema_version'")
+    with pytest.raises(ServiceError, match=r"schema 1; .* reads 2"):
+        ArtifactStore(path)
+    assert STORE_SCHEMA_VERSION == 2
