@@ -169,26 +169,6 @@ class BitMatrix:
                  .astype(np.uint64, copy=False))
         return cls(words, n_records)
 
-    @classmethod
-    def from_tidvectors(cls, vectors: Sequence,
-                        n_records: int) -> "BitMatrix":
-        """Adopt packed :class:`~repro.tidvector.TidVector` rows.
-
-        One contiguous stack of already-packed words — the zero-bigint
-        path from mining output to the counting kernels.
-        """
-        from .tidvector import stack_tidvectors
-
-        return cls(stack_tidvectors(list(vectors), n_records), n_records)
-
-    @classmethod
-    def from_bool_matrix(cls, indicators: np.ndarray) -> "BitMatrix":
-        """Pack a ``(B, n_records)`` bool matrix into a matrix of rows."""
-        flags = np.ascontiguousarray(indicators, dtype=bool)
-        if flags.ndim != 2:
-            raise ValueError("indicators must be two-dimensional")
-        return cls(pack_indicators(flags), flags.shape[1])
-
     def tidvector(self, row: int):
         """One row as a packed :class:`~repro.tidvector.TidVector` view."""
         from .tidvector import TidVector
@@ -225,13 +205,7 @@ class BitMatrix:
             raise ValueError(
                 f"indicator must have shape ({self.n_records},), got "
                 f"{flags.shape}")
-        packed = pack_indicator(flags)
-        suite = _native.load_suite()
-        if suite is not None and self.n_rows:
-            return self._run_native(packed[None, :],
-                                    suite.class_supports_batch)[0]
-        return (np.bitwise_count(self._words & packed[None, :])
-                .sum(axis=1, dtype=np.int64))
+        return self.class_supports_batch(flags[None, :])[0]
 
     def class_supports_batch(self, indicators: np.ndarray) -> np.ndarray:
         """``(B, n_rows)`` support matrix for ``B`` indicators at once.

@@ -21,6 +21,7 @@ from ..bitmat import BitMatrix
 from ..data.dataset import Dataset
 from ..errors import CorrectionError, MiningError, StatsError
 from ..mining.registry import resolve_miner
+from ..mining.rules import class_supports
 from ..stats.chi2 import chi2_sf
 
 __all__ = [
@@ -249,17 +250,14 @@ def find_contrast_sets(
     patterns = [p for p in pattern_set if p.items]
     group_sizes = [dataset.class_support(g)
                    for g in range(dataset.n_classes)]
-    # Per-group supports of every candidate at once: pack the tidsets
-    # into one uint64 BitMatrix and run the hardware-popcount kernel
-    # once per group, instead of walking bigint tidsets per pattern.
+    # Per-group supports of every candidate at once: one BitMatrix of
+    # the candidates' tidsets and one class_supports call.
     matrix = BitMatrix.from_tidsets([p.tidset for p in patterns],
                                     dataset.n_records)
     labels = np.asarray(dataset.class_labels, dtype=np.int64)
-    group_supports = np.stack(
-        [matrix.class_supports(labels == g)
-         for g in range(dataset.n_classes)],
-        axis=1) if patterns else np.zeros(
-            (0, dataset.n_classes), dtype=np.int64)
+    group_supports = class_supports(
+        matrix, matrix.row_popcounts(), labels[None, :],
+        range(dataset.n_classes), dataset.n_classes)[:, 0].T
 
     candidates_per_level: Dict[int, int] = {}
     for pattern in patterns:

@@ -21,6 +21,7 @@ Two splitting conventions from Section 5.1:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -29,7 +30,7 @@ from ..bitmat import BitMatrix
 from ..data.dataset import Dataset
 from ..errors import CorrectionError
 from ..mining.registry import resolve_miner
-from ..mining.rules import ClassRule, RuleSet, generate_rules
+from ..mining.rules import ClassRule, RuleSet, class_supports, generate_rules
 from ..stats.pvalue_tables import PValueTables, score_rules
 from .base import (
     FDR,
@@ -108,10 +109,11 @@ class HoldoutRun:
         its tidset is re-derived from the evaluation half's item
         tidsets. All candidate tidsets are packed into one
         :class:`~repro.bitmat.BitMatrix`, so coverages are one
-        hardware-popcount pass and per-class supports one packed
-        kernel call per class actually appearing on a candidate RHS —
-        no per-candidate bigint walks. P-values use the run's scorer,
-        from one store built for the candidates' keys on this half.
+        hardware-popcount pass and per-class supports one
+        :func:`~repro.mining.rules.class_supports` call for the classes
+        on a candidate RHS — no per-candidate bigint walks. P-values
+        use the run's scorer, from one store built for the candidates'
+        keys on this half.
         """
         candidates = self.candidates
         if not candidates:
@@ -125,16 +127,12 @@ class HoldoutRun:
         labels = np.asarray(evaluation.class_labels, dtype=np.int64)
         classes = np.array([rule.class_index for rule in candidates],
                            dtype=np.int64)
-        if evaluation.n_classes == 2:
-            # One kernel pass: class-1 supports derive from coverage.
-            supp0 = matrix.class_supports(labels == 0)
-            supports = np.where(classes == 0, supp0,
-                                coverages - supp0)
-        else:
-            supports = np.empty(len(candidates), dtype=np.int64)
-            for c in sorted(set(int(c) for c in classes)):
-                mask = classes == c
-                supports[mask] = matrix.class_supports(labels == c)[mask]
+        present = np.unique(classes)
+        per_class = class_supports(matrix, coverages, labels[None, :],
+                                   present.tolist(),
+                                   evaluation.n_classes)[:, 0]
+        supports = per_class[np.searchsorted(present, classes),
+                             np.arange(len(candidates))]
         # A candidate absent from this half is unobservable there:
         # p = 1, never significant.
         p_values = np.ones(len(candidates))
@@ -146,20 +144,11 @@ class HoldoutRun:
             coverages[seen].tolist(), supports[seen].tolist(),
             self.scorer)
         p_values[seen] = scored
-        evaluated: List[Tuple[ClassRule, ClassRule]] = []
-        for i, rule in enumerate(candidates):
-            coverage = int(coverages[i])
-            support = int(supports[i])
-            evaluated.append((rule, ClassRule(
-                pattern_id=rule.pattern_id,
-                items=rule.items,
-                class_index=rule.class_index,
-                coverage=coverage,
-                support=support,
-                confidence=support / coverage if coverage else 0.0,
-                p_value=float(p_values[i]),
-            )))
-        return evaluated
+        return [(rule, replace(rule, coverage=s, support=k,
+                               confidence=k / s if s else 0.0, p_value=p))
+                for rule, s, k, p in zip(candidates, coverages.tolist(),
+                                         supports.tolist(),
+                                         p_values.tolist())]
 
     # ------------------------------------------------------------------
     # error control on the evaluation half

@@ -14,15 +14,15 @@ Engineering, following the paper:
   forest plus p-value lookups.
 * **Diffsets** (4.2.2): the paper stores each pattern's record ids,
   or only the difference from its parent's when that is smaller. The
-  engine instead packs every tidset into one
-  :class:`~repro.bitmat.BitMatrix` (``n_nodes × ceil(n/64)`` uint64
+  engine instead reuses Score's :class:`~repro.bitmat.BitMatrix` of
+  every tidset (``RuleSet.matrix``, ``n_nodes × ceil(n/64)`` uint64
   words) and vectorizes the *counting* itself; the paper's Diffsets
   storage is a Figure 4 ablation arm in
   ``benchmarks/test_fig04_optimizations.py``. A shard's labellings
-  are drawn up front into
-  a ``(B, n_records)`` label matrix, class supports for all B
-  labellings resolve through one batched hardware-popcount kernel
-  dispatch for all classes. With the native suite loaded
+  are drawn up front into a ``(B, n_records)`` label matrix, and
+  :func:`~repro.mining.rules.class_supports` (Score's count) turns
+  them into class supports with one hardware-popcount kernel dispatch
+  for all classes. With the native suite loaded
   (:mod:`repro._native`), one ``repro_permutation_stats`` call per
   block then folds the block's node supports into the min-p
   distribution, the pooled rank counts and the step-down counts: the
@@ -88,9 +88,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import _native
-from ..bitmat import TILE_BYTES, BitMatrix
-from ..errors import CorrectionError, MiningError
-from ..mining.rules import RuleSet
+from ..bitmat import TILE_BYTES
+from ..errors import CorrectionError
+from ..mining.rules import RuleSet, class_supports
 from ..parallel import (
     get_executor,
     root_sequence,
@@ -175,14 +175,9 @@ class PermutationEngine:
         self.n = dataset.n_records
         self.n_tests = ruleset.n_tests
         self._labels = np.array(dataset.class_labels, dtype=np.int64)
-        patterns = ruleset.patterns
-        try:
-            self._matrix = BitMatrix.from_tidsets(
-                [p.tidset for p in patterns], self.n)
-        except ValueError as exc:
-            raise MiningError(str(exc)) from exc
-        self._node_coverage = np.array([p.support for p in patterns],
-                                       dtype=np.int64)
+        # Score's matrix: row ``pattern_id`` is a rule's pattern.
+        self._matrix = ruleset.matrix
+        self._node_coverage = ruleset.coverages
         rules = ruleset.rules
         self._node_ids = np.array([r.pattern_id for r in rules],
                                   dtype=np.int64)
@@ -191,21 +186,12 @@ class PermutationEngine:
         self._coverages = np.array([r.coverage for r in rules],
                                    dtype=np.int64)
         self._observed_p = np.array([r.p_value for r in rules])
-        # Support slots of the node-support blocks: binary datasets
-        # count class 0 only and derive class 1 as coverage minus it
-        # (slot -1); multiclass datasets count every class that
-        # appears on a rule RHS.
-        self._binary = dataset.n_classes == 2
-        if self._binary:
-            self._slot_classes: Tuple[int, ...] = (0,)
-            self._rule_slots = np.where(self._classes == 0, 0, -1)
-        else:
-            self._slot_classes = tuple(sorted(set(
-                int(c) for c in self._classes)))
-            self._rule_slots = np.searchsorted(
-                np.array(self._slot_classes, dtype=np.int64),
-                self._classes)
-        self._n_slots = max(1, len(self._slot_classes))
+        # One support slot per class on a rule RHS: rule i's support
+        # under labelling b is supports[slot_i, b, node_i].
+        self._n_classes = dataset.n_classes
+        slot_classes = np.unique(self._classes)
+        self._slot_classes = slot_classes.tolist()
+        self._rule_slots = np.searchsorted(slot_classes, self._classes)
         # Sizing below charges the path chosen here.
         self._native = _native.load_suite() is not None
         self._native_stats: Optional[_NativeStats] = None
@@ -330,9 +316,11 @@ class PermutationEngine:
                 min_p[start:start + len(batch)] = 1.0
                 continue
             if stats is not None:
-                stats.accumulate(suite, self._node_supports_batch(labels),
-                                 min_p[start:start + len(batch)],
-                                 hist, stepdown)
+                # Passed straight in, so no block outlives its call.
+                stats.accumulate(suite, class_supports(
+                    self._matrix, self._node_coverage, labels,
+                    stats.classes, self._n_classes),
+                    min_p[start:start + len(batch)], hist, stepdown)
                 continue
             supports = self._rule_supports_batch(labels)
             perm_p = self._flat[self._offsets[None, :] + supports]
@@ -357,14 +345,16 @@ class PermutationEngine:
         Sized by what the dispatched path allocates per labelling,
         within ``batch_bytes`` and never above ``n_permutations``.
 
-        * Native: one label row, and per support slot a bool indicator
-          row, its packed words and ``n_nodes`` int64 supports, after
+        * Native: one label row, and per counted class a bool
+          indicator row, its packed words and ``n_nodes`` int64
+          supports (binary blocks count class 0 only), after
           the pass's int32 rank table (one entry per p-value table
           entry) — and at most :data:`NATIVE_BATCH_ROWS`, so the
           block's packed labellings stay L1-resident while the forest
           streams past them.
         * NumPy: one label row, one ``n_nodes`` support row per class
-          array, several ``n_rules``-wide float intermediates
+          on a rule RHS (plus the counted class-0 row on binary data),
+          several ``n_rules``-wide float intermediates
           (supports, p-values, the pooled sort, the ranked copy and
           its suffix minima); the supports kernel's one scratch tile
           (:data:`repro.bitmat.TILE_BYTES`) comes out of the budget
@@ -372,58 +362,35 @@ class PermutationEngine:
         """
         n_rules = len(self._node_ids)
         n_nodes = len(self._node_coverage)
+        n_slots = len(self._slot_classes)
+        binary = self._n_classes == 2
         per_row = 8 * self.n
         if self._native:
             n_words = (self.n + 63) // 64
-            per_row += self._n_slots * (self.n + 16 * n_words
-                                        + 8 * n_nodes)
+            counted = 1 if binary else max(1, n_slots)
+            per_row += counted * (self.n + 16 * n_words + 8 * n_nodes)
             # The pass's int32 rank table comes out of the same budget.
             spare = self.batch_bytes - 4 * len(self._flat)
             rows = min(NATIVE_BATCH_ROWS, spare // per_row)
             return max(1, min(rows, self.n_permutations))
-        # Binary datasets hold two class-support arrays (one computed,
-        # one derived); multiclass runs hold one per class that
-        # actually appears on a rule RHS, all alive at once.
-        class_arrays = 2 if self._binary else self._n_slots
-        per_row += class_arrays * 8 * n_nodes
+        per_row += (n_slots + binary) * 8 * n_nodes
         per_row += 6 * 8 * n_rules
         rows = (self.batch_bytes - TILE_BYTES) // per_row
         return max(1, min(rows, self.n_permutations))
 
-    def _node_supports_batch(self, labels: np.ndarray) -> np.ndarray:
-        """``(C, B, n_nodes)`` node class supports of a block.
-
-        ``labels`` is a ``(B, n_records)`` matrix of shuffled class
-        labels; slot ``c`` of the result holds the supports of class
-        ``self._slot_classes[c]``. Binary datasets need one slot
-        (class-1 supports derive from coverage); multi-class datasets
-        stack the indicators of every class that appears on a rule RHS
-        into one multi-class kernel dispatch
-        (:meth:`~repro.bitmat.BitMatrix.class_supports_multi`).
-        """
-        if self._binary:
-            return self._matrix.class_supports_batch(labels == 0)[None]
-        stacked = np.stack([labels == c for c in self._slot_classes])
-        return self._matrix.class_supports_multi(stacked)
-
     def _rule_supports_batch(self, labels: np.ndarray) -> np.ndarray:
         """``supp(R)`` of every rule under every given labelling.
 
-        The ``(B, n_rules)`` integer support matrix gathered from
-        :meth:`_node_supports_batch` (the numpy scoring path).
+        The ``(B, n_rules)`` integer support matrix gathered from the
+        block's :func:`~repro.mining.rules.class_supports` (the numpy
+        scoring path).
         """
-        per_slot = self._node_supports_batch(labels)
-        out = np.empty((labels.shape[0], len(self._node_ids)),
-                       dtype=np.int64)
-        for slot in range(per_slot.shape[0]):
-            mask = self._rule_slots == slot
-            out[:, mask] = per_slot[slot][:, self._node_ids[mask]]
-        derived = self._rule_slots < 0
-        if derived.any():
-            nodes = self._node_ids[derived]
-            out[:, derived] = (self._node_coverage[None, nodes]
-                               - per_slot[0][:, nodes])
-        return out
+        per_slot = class_supports(self._matrix, self._node_coverage,
+                                  labels, self._slot_classes,
+                                  self._n_classes)
+        rows = np.arange(labels.shape[0])[:, None]
+        return per_slot[self._rule_slots[None, :], rows,
+                        self._node_ids[None, :]]
 
     # ------------------------------------------------------------------
     # error control
@@ -545,10 +512,11 @@ class PermutationEngine:
 class _NativeStats:
     """Inputs of the ``repro_permutation_stats`` kernel for one pass.
 
-    The rules' node, support slot and flat-table offset in
-    observed-rank order, and ``rank = searchsorted(observed_sorted,
-    flat, side="left")`` — ``#{observed < p}`` for every table entry,
-    built once per pass. Because the observed p-values ascend,
+    The classes a block counts, the rules' node, support slot and
+    flat-table offset in observed-rank order, and ``rank =
+    searchsorted(observed_sorted, flat, side="left")`` —
+    ``#{observed < p}`` for every table entry, built once per pass.
+    Because the observed p-values ascend,
     ``p <= observed_sorted[i]`` iff ``rank(p) <= i``: the pooled counts
     become a rank histogram and the step-down suffix minima a running
     minimum of ranks, both exact integer counts.
@@ -557,8 +525,16 @@ class _NativeStats:
     def __init__(self, engine: PermutationEngine, order: np.ndarray,
                  observed_sorted: np.ndarray) -> None:
         self.rule_node = np.ascontiguousarray(engine._node_ids[order])
-        self.rule_slot = np.ascontiguousarray(
-            engine._rule_slots[order], dtype=np.int64)
+        if engine._n_classes == 2:
+            # Binary blocks count class 0 only; the kernel derives a
+            # class-1 rule's support as coverage minus it (slot -1).
+            self.classes = [0]
+            rule_slot = np.where(engine._classes == 0, 0, -1)
+        else:
+            self.classes = engine._slot_classes
+            rule_slot = engine._rule_slots
+        self.rule_slot = np.ascontiguousarray(rule_slot[order],
+                                              dtype=np.int64)
         self.rule_offset = np.ascontiguousarray(engine._offsets[order])
         # The rule set's own array: already C-contiguous float64, so
         # this checks the kernel's contract without copying.

@@ -15,29 +15,36 @@ Every rule carries coverage, support, confidence and its two-tailed
 Fisher p-value, read from one :class:`~repro.stats.pvalue_tables.
 PValueTables` store that holds one table per distinct ``(class,
 coverage)`` key, so repeated coverages cost one table lookup.
+Class supports come from one :func:`class_supports` call over
+:attr:`RuleSet.matrix`, the function the permutation pass and the
+holdout evaluation half count theirs with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..bitmat import BitMatrix
 from ..data.dataset import Dataset
 from ..errors import MiningError
 from ..stats.pvalue_tables import SCORERS, PValueTables, score_rules
-from ..tidvector import as_tidvector
 from .closed import mine_closed
 from .patterns import Pattern
 
-__all__ = ["ClassRule", "RuleSet", "generate_rules", "mine_class_rules"]
+__all__ = ["ClassRule", "RuleSet", "class_supports", "generate_rules",
+           "mine_class_rules"]
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassRule:
     """One class association rule ``X => c`` with its statistics.
 
-    ``pattern_id`` indexes the pattern list of the owning
-    :class:`RuleSet`; ``items`` are catalog item ids.
+    ``pattern_id`` is the position of the rule's pattern in the owning
+    :class:`RuleSet`'s pattern list (and its row in
+    :attr:`RuleSet.matrix`); ``items`` are catalog item ids.
     """
 
     pattern_id: int
@@ -110,6 +117,31 @@ class RuleSet:
     scorer: str = "fisher"
     _tables: Optional[PValueTables] = field(default=None, repr=False,
                                             compare=False)
+    _matrix: Optional[BitMatrix] = field(default=None, repr=False,
+                                         compare=False)
+
+    def __getstate__(self) -> Dict[str, object]:
+        return dict(self.__dict__, _matrix=None)  # rebuilt on first use
+
+    @property
+    def matrix(self) -> BitMatrix:
+        """Every pattern's tidset, one row per pattern in list order
+        (roots included), as Score counted them; a zero-copy view of
+        the native closed walk's arena. A bad tidset raises
+        :class:`~repro.errors.MiningError`."""
+        if self._matrix is None:
+            try:
+                self._matrix = BitMatrix.from_tidsets(
+                    [p.tidset for p in self.patterns],
+                    self.dataset.n_records)
+            except ValueError as exc:
+                raise MiningError(str(exc)) from exc
+        return self._matrix
+
+    @property
+    def coverages(self) -> np.ndarray:
+        """``supp(X)`` of every pattern, in pattern order (int64)."""
+        return np.array([p.support for p in self.patterns], dtype=np.int64)
 
     @property
     def tables(self) -> PValueTables:
@@ -171,7 +203,8 @@ def generate_rules(
         :func:`~repro.mining.closed.mine_closed` list or a
         :class:`~repro.mining.patterns.PatternSet` from any registered
         miner. Patterns with empty ``items`` (forest roots) bear no
-        rule and are skipped.
+        rule and are skipped. A rule's ``pattern_id`` is its pattern's
+        position in this sequence.
     min_conf:
         The domain-significance filter; the paper's experiments set it
         to 0 so statistical control is exercised alone.
@@ -190,52 +223,87 @@ def generate_rules(
         raise MiningError("min_conf must be within [0, 1]")
     if rhs_class is not None and not 0 <= rhs_class < dataset.n_classes:
         raise MiningError(f"rhs_class {rhs_class} out of range")
-    n = dataset.n_records
-    class_supports = [dataset.class_support(c)
-                      for c in range(dataset.n_classes)]
-    rules: List[ClassRule] = []
-    binary = dataset.n_classes == 2
-    for pattern in patterns:
-        if not pattern.items:
-            continue  # the root (empty LHS) is not a rule
-        coverage = pattern.support
-        tids = as_tidvector(pattern.tidset, n)
-        if binary:
-            supp_c0 = tids.intersection_count(dataset.class_tidset(0))
-            supports = (supp_c0, coverage - supp_c0)
-            if rhs_class is not None:
-                target = rhs_class
-            else:
-                target = _positively_associated_class(
-                    supports, coverage, class_supports, n)
-            candidates = [target]
-        else:
-            supports = tuple(
-                tids.intersection_count(dataset.class_tidset(c))
-                for c in range(dataset.n_classes))
-            candidates = list(range(dataset.n_classes))
-        for c in candidates:
-            support = supports[c]
-            confidence = support / coverage if coverage else 0.0
-            if confidence < min_conf:
-                continue
-            rules.append(ClassRule(
-                pattern_id=pattern.node_id,
-                items=pattern.items,
-                class_index=c,
-                coverage=coverage,
-                support=support,
-                confidence=confidence,
-                p_value=1.0,  # scored below, all rules at once
-            ))
-    p_values, tables = score_rules(
-        n, class_supports, [rule.class_index for rule in rules],
-        [rule.coverage for rule in rules],
-        [rule.support for rule in rules], scorer)
-    for rule, p_value in zip(rules, p_values):
-        rule.p_value = p_value
-    return RuleSet(dataset=dataset, patterns=list(patterns), rules=rules,
-                   min_sup=min_sup, scorer=scorer, _tables=tables)
+    class_n = [dataset.class_support(c) for c in range(dataset.n_classes)]
+    ruleset = RuleSet(dataset=dataset, patterns=list(patterns), rules=[],
+                      min_sup=min_sup, scorer=scorer)
+    ids, classes, coverages, supports, confidence = _rule_columns(
+        ruleset, class_n, min_conf, rhs_class)
+    p_values, ruleset._tables = score_rules(
+        dataset.n_records, class_n, classes.tolist(), coverages.tolist(),
+        supports.tolist(), scorer)
+    # Rules are built a chunk at a time, so the Python lists of their
+    # fields stay small next to the rules themselves.
+    patterns = ruleset.patterns
+    for start in range(0, len(ids), _RULE_CHUNK):
+        chunk = slice(start, start + _RULE_CHUNK)
+        ruleset.rules.extend(
+            ClassRule(pattern_id=i, items=patterns[i].items,
+                      class_index=c, coverage=patterns[i].support,
+                      support=k, confidence=f, p_value=p)
+            for i, c, k, f, p in zip(
+                ids[chunk].tolist(), classes[chunk].tolist(),
+                supports[chunk].tolist(), confidence[chunk].tolist(),
+                p_values[chunk]))
+    return ruleset
+
+
+#: Rules built per chunk in :func:`generate_rules`.
+_RULE_CHUNK = 4096
+
+
+def _rule_columns(ruleset: RuleSet, class_n: List[int], min_conf: float,
+                  rhs_class: Optional[int]) -> Tuple[np.ndarray, ...]:
+    """Pattern id, class, coverage, support and confidence of every
+    rule, in pattern order, then ascending class."""
+    dataset = ruleset.dataset
+    n_classes = dataset.n_classes
+    labels = np.asarray(dataset.class_labels, dtype=np.int64)
+    coverages = ruleset.coverages
+    supports = class_supports(ruleset.matrix, coverages, labels[None, :],
+                              range(n_classes), n_classes)[:, 0]
+    confidence = np.divide(supports, coverages,
+                           out=np.zeros(supports.shape),
+                           where=coverages > 0)
+    # keep[c, i]: pattern i bears a rule on class c. Roots (empty LHS)
+    # bear none; binary data keeps one class per pattern.
+    keep = np.array([bool(p.items) for p in ruleset.patterns])
+    keep = keep & (confidence >= min_conf)
+    if n_classes == 2:
+        target = rhs_class
+        if target is None:
+            # The positively associated class: the largest lift, the
+            # lowest class among equal lifts; a class of prior 0 has
+            # lift inf.
+            prior = np.array(class_n)[:, None] / dataset.n_records
+            lift = np.full(confidence.shape, np.inf)
+            np.divide(confidence, prior, out=lift, where=prior > 0)
+            target = np.argmax(lift, axis=0)
+        keep &= np.arange(n_classes)[:, None] == target
+    ids, classes = np.nonzero(keep.T)
+    return (ids, classes, coverages[ids], supports[classes, ids],
+            confidence[classes, ids])
+
+
+def class_supports(matrix: BitMatrix, coverages: np.ndarray,
+                   labels: np.ndarray, classes: Sequence[int],
+                   n_classes: int) -> np.ndarray:
+    """``(len(classes), B, n_rows)`` supports ``|row ∩ classes[k]|``
+    under each of ``B`` labellings (a ``(B, n_records)`` matrix).
+
+    The one class-support count of Score (``B = 1``), the holdout
+    evaluation half and the permutation pass. Binary data counts class
+    0 only, class 1 is ``coverages`` (each row's support) minus that;
+    more classes share one kernel dispatch.
+    """
+    classes = list(classes)
+    if n_classes > 2:
+        return matrix.class_supports_multi(
+            np.stack([labels == c for c in classes]))
+    counted = matrix.class_supports_batch(labels == 0)
+    if classes == [0]:
+        return counted[None]  # the native permutation pass, no copy
+    return np.stack([counted if c == 0 else coverages - counted
+                     for c in classes])
 
 
 def mine_class_rules(
@@ -261,19 +329,3 @@ def mine_class_rules(
                            min_sup, max_length=max_length)
     return generate_rules(dataset, patterns, min_sup, min_conf=min_conf,
                           rhs_class=rhs_class, scorer=scorer)
-
-
-def _positively_associated_class(supports: Sequence[int], coverage: int,
-                                 class_supports: Sequence[int],
-                                 n: int) -> int:
-    """Class with the largest lift within the pattern's records."""
-    best_class = 0
-    best_lift = float("-inf")
-    for c, support in enumerate(supports):
-        prior = class_supports[c] / n if n else 0.0
-        confidence = support / coverage if coverage else 0.0
-        lift = confidence / prior if prior > 0 else float("inf")
-        if lift > best_lift:
-            best_lift = lift
-            best_class = c
-    return best_class

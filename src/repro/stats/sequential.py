@@ -137,7 +137,7 @@ def sequential_rule_p_value(
     Intended for validating individual candidates — the engine's batch
     pass is cheaper per rule when *all* rules are needed.
     """
-    from ..tidvector import TidVector, as_tidvector
+    from ..tidvector import TidVector
 
     rules = ruleset.rules
     if not 0 <= rule_index < len(rules):
@@ -146,10 +146,7 @@ def sequential_rule_p_value(
     rule = rules[rule_index]
     dataset = ruleset.dataset
     n = dataset.n_records
-    pattern = next(p for p in ruleset.patterns
-                   if p.node_id == rule.pattern_id)
-    # Plugin miners may carry bigint tidsets; coerce once up front.
-    pattern_tids = as_tidvector(pattern.tidset, dataset.n_records)
+    pattern_tids = ruleset.matrix.tidvector(rule.pattern_id)
     coverage = rule.coverage
     tables = ruleset.tables
     class_bits = dataset.class_tidset(rule.class_index)

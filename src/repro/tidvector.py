@@ -440,6 +440,11 @@ def arena_rows(arena: np.ndarray, n: int) -> List[TidVector]:
     return [TidVector(arena[i], n) for i in range(arena.shape[0])]
 
 
+#: Scratch bytes of one :func:`_shared_arena_view` comparison chunk;
+#: 1 MiB chunks raised peak RSS ~1 MiB (malloc's mmap threshold).
+_CHECK_BYTES = 1 << 16
+
+
 def _shared_arena_view(vectors: Sequence[TidVector]) -> Optional[np.ndarray]:
     """A zero-copy ``(len, n_words)`` view when the vectors are
     consecutive rows of one contiguous 2-D arena, else ``None``.
@@ -455,27 +460,29 @@ def _shared_arena_view(vectors: Sequence[TidVector]) -> Optional[np.ndarray]:
             or not first.flags.c_contiguous:
         return None
     n_words = first.shape[0]
-    if n_words == 0:
+    if n_words == 0 or any(v.words.base is not base for v in vectors):
         return None
-    # Numpy collapses view chains to the ultimate owning buffer, so the
-    # arena itself may be a view and ``base`` 1-D: verify sharing and
-    # adjacency by address, not by shape.
-    origin = first.__array_interface__["data"][0]
+    # ``base`` is the owning buffer, maybe 1-D: place the window by
+    # address. Contiguous first and last rows where a consecutive stack
+    # puts them keep the window inside that buffer.
     stride = n_words * first.itemsize
-    for i, vector in enumerate(vectors):
-        words = vector.words
-        if words.base is not base or words.ndim != 1 \
-                or words.shape[0] != n_words \
-                or words.dtype != np.uint64 \
-                or not words.flags.c_contiguous:
-            return None
-        if words.__array_interface__["data"][0] != origin + i * stride:
-            return None
-    # Every row is a live view of ``base`` and the rows are exactly
-    # consecutive, so the strided window stays within the buffer.
-    return np.lib.stride_tricks.as_strided(
+    last = vectors[-1].words
+    origin = first.__array_interface__["data"][0]
+    if not last.flags.c_contiguous or last.__array_interface__["data"][0] \
+            != origin + (len(vectors) - 1) * stride:
+        return None
+    window = np.lib.stride_tricks.as_strided(
         first, shape=(len(vectors), n_words),
         strides=(stride, first.itemsize))
+    # Every row must hold exactly the window's words. Comparing them a
+    # chunk at a time never holds a copy of the stack, and is several
+    # times faster than reading every row's address in Python.
+    step = max(1, _CHECK_BYTES // stride)
+    for start in range(0, len(vectors), step):
+        chunk = np.stack([v.words for v in vectors[start:start + step]])
+        if not np.array_equal(window[start:start + len(chunk)], chunk):
+            return None
+    return window
 
 
 def stack_tidvectors(vectors: Sequence[TidVector],

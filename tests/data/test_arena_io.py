@@ -191,3 +191,15 @@ class TestZeroCopy:
         assert stacked.shape == ds.item_arena.shape
         assert np.array_equal(stacked, ds.item_arena)
         assert not np.shares_memory(stacked, ds.item_arena)
+
+    def test_stack_tidvectors_reordered_rows_copy(self):
+        # Rows of one arena with the first and last in place but the
+        # middle swapped: the arena window would hold them in the
+        # wrong order, so they are stacked in the order given.
+        ds = _dataset()
+        rows = list(ds.item_tidsets)
+        order = [0, 2, 1] + list(range(3, len(rows)))
+        assert not np.array_equal(rows[1].words, rows[2].words)
+        stacked = stack_tidvectors([rows[i] for i in order], ds.n_records)
+        assert np.array_equal(stacked, ds.item_arena[order])
+        assert not np.shares_memory(stacked, ds.item_arena)
