@@ -1,8 +1,8 @@
 """Per-shape timings for every kernel in the native suite.
 
-:mod:`repro._native` compiles three kernels — batched class supports,
-the closed-pattern walk and the permutation statistics. This bench
-times the **closed-pattern walk** (``mine_closed`` with the native
+:mod:`repro._native` compiles four kernels — batched class supports,
+the closed-pattern walk, the permutation statistics and the p-value
+tables. This bench times the **closed-pattern walk** (``mine_closed`` with the native
 walk against the Python walk that runs without the suite) on the
 Fig 6 exploratory half, the
 **permutation pass** (``PermutationEngine.run`` with the native
@@ -16,9 +16,12 @@ on German, and, per dataset shape:
   (``BitMatrix.class_supports_multi``, one dispatch for all classes)
   against the historical one-call-per-class loop;
 
-plus the **p-value table build** of the Score stage: every
-``PValueBuffer`` that Mushroom reaches at min_sup 2000 (n = 8124, all in the log-space regime) built
-with numpy against the scalar oracle in ``tests/stats/pvalue_oracle.py``.
+plus the **p-value table build** of the Score stage: the
+``PValueTables`` store of every (class, coverage) key Mushroom reaches
+at min_sup 2000 (n = 8124, all in the log-space regime), built by the
+native kernel in one call against the scalar builder
+(:mod:`repro.stats.pvalue_scalar`, the no-compiler fallback and the
+kernel's oracle) building the same store with the suite unloaded.
 Every timed pair is asserted equal before any number counts. Results
 land in the repo-root ``BENCH_kernels.json`` (``REPRO_BENCH_JSON``
 overrides) in the shared envelope; the gated ratios are the enumeration
@@ -28,7 +31,6 @@ build, the closed-pattern walk and the permutation pass.
 
 from __future__ import annotations
 
-import sys
 import time
 from pathlib import Path
 
@@ -42,15 +44,10 @@ from repro.data import GeneratorConfig, generate, make_german, make_mushroom
 from repro.mining import mine_closed
 from repro.mining.rules import mine_class_rules
 from repro.mining.tidsets import build_vertical_view
-from repro.stats import PValueBuffer
+from repro.stats import PValueTables
 from repro.tidvector import arena_rows, pack_bool_matrix
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-if str(REPO_ROOT) not in sys.path:
-    sys.path.append(str(REPO_ROOT))  # for the tests/ oracle below
-
-from tests.stats.pvalue_oracle import oracle_pvalues  # noqa: E402
-
 SEED = 2026
 #: The acceptance-gated reference shape (records, items).
 REFERENCE_SHAPE = (10_000, 1_000)
@@ -143,25 +140,35 @@ def _ratio_block(python_seconds, kernel_seconds):
 
 
 def _pvalue_tables(repeats):
-    """Numpy ``PValueBuffer`` builds vs the scalar oracle on every
-    (class, coverage) table Mushroom reaches at min_sup 2000."""
+    """The native ``PValueTables`` build vs the scalar builder (the
+    suite unloaded) on every (class, coverage) key Mushroom reaches at
+    min_sup 2000; both must fill the same array bit for bit."""
     dataset = make_mushroom(seed=0)
-    n = dataset.n_records
     ruleset = mine_class_rules(dataset, MUSHROOM_MIN_SUP)
-    tables = sorted({(dataset.class_support(rule.class_index),
-                      rule.coverage) for rule in ruleset.rules})
-    oracle_s, oracle_out = _timed(
-        lambda: [oracle_pvalues(n, n_c, supp_x) for n_c, supp_x in tables],
-        repeats)
-    kernel_s, kernel_out = _timed(
-        lambda: [PValueBuffer(n, n_c, supp_x).array
-                 for n_c, supp_x in tables], repeats)
-    for expected, built in zip(oracle_out, kernel_out):
-        assert np.array_equal(np.asarray(expected), built)
+    class_supports = [dataset.class_support(c)
+                      for c in range(dataset.n_classes)]
+    classes = [rule.class_index for rule in ruleset.rules]
+    coverages = [rule.coverage for rule in ruleset.rules]
+
+    def build():
+        return PValueTables(dataset.n_records, class_supports, classes,
+                            coverages)
+
+    if _native.load_suite() is None:
+        raise RuntimeError(f"native kernel suite unavailable "
+                           f"({_native.native_status()})")
+    kernel_s, kernel_out = _timed(build, repeats)
+    suite = _native._kernel
+    _native._kernel = None
+    try:
+        oracle_s, oracle_out = _timed(build, repeats)
+    finally:
+        _native._kernel = suite
+    assert np.array_equal(oracle_out.flat, kernel_out.flat)
     block = _ratio_block(oracle_s, kernel_s)
-    block.update(n_records=n, min_sup=MUSHROOM_MIN_SUP,
-                 n_tables=len(tables),
-                 n_entries=sum(len(built) for built in kernel_out))
+    block.update(n_records=dataset.n_records, min_sup=MUSHROOM_MIN_SUP,
+                 n_tables=kernel_out.n_built,
+                 n_entries=kernel_out.n_entries)
     return block
 
 
@@ -309,8 +316,8 @@ def test_kernel_suite():
     gate = reference["enumeration_join"]["speedup"]
     assert gate >= 3.0, (
         f"enumeration join only {gate:.1f}x over the Python loop")
-    # The Score-stage gate: numpy table builds must stay well ahead of
-    # the scalar per-entry fallback and two-ends walk they replaced.
+    # The Score-stage gate: the native table kernel must stay well
+    # ahead of the scalar builder it transliterates.
     gate = pvalue_tables["speedup"]
     assert gate >= 5.0, (
         f"p-value tables only {gate:.1f}x over the scalar oracle")

@@ -7,7 +7,7 @@ would do. This module compiles (once, lazily, with the system C
 compiler) a small suite of fused loops and loads them through
 :mod:`ctypes`:
 
-* ``repro_class_supports_batch`` — the PR-4 scoring kernel::
+* ``repro_class_supports_batch`` — the batched class-support kernel::
 
       out[b][j] = sum_w popcount(words[j][w] & rows[b][w])
 
@@ -31,16 +31,30 @@ compiler) a small suite of fused loops and loads them through
   writes the tidset arena, parent/depth/support and CSR closure
   positions. Its scratch memory grows with the deepest path (one
   tidset and one closure bitmask per depth) and the pending
-  ``(j, depth)`` entries, never with the m(m+1)/2 worst case.
+  ``(j, depth)`` entries, never with the m(m+1)/2 worst case;
+
+* ``repro_pvalue_tables`` — every Fisher (or mid-p) p-value table of
+  a :class:`repro.stats.PValueTables` store in one call, written
+  straight into its flat array: per key the hypergeometric pmf (ratio
+  recurrence, or log space when the seed is not a normal double) and
+  Figure 2's two-ends walk with tie grouping, then the 1.0 clamp and
+  mid-p. ``repro_pvalue_walk`` runs the walk alone on a caller's
+  values. Scratch is one pmf buffer of the widest table.
 
 Each call releases the GIL, so the kernels also scale on the
 ``threads`` backend. Everything here is best-effort: no compiler
 (``CC=/bin/false`` is the CI leg for that), a sandboxed filesystem, a
 failed compile, or ``REPRO_NATIVE=0`` all degrade silently to the
-numpy paths and the Python closed walk. Results are bit-identical
-either way — every kernel counts exact integers, compares exact
-words, or copies and compares table p-values without arithmetic. The kernels keep no state between calls, so concurrent calls
-are safe.
+numpy paths, the Python closed walk and the scalar p-value table
+builder (:mod:`repro.stats.pvalue_scalar`). Results are bit-identical
+either way. The word kernels count exact integers and compare exact
+words; the permutation statistics copy and compare table p-values
+without arithmetic. The p-value tables repeat the scalar builder's
+floating-point operations in its order, call the libm ``exp`` that
+``math.exp`` wraps, and are compiled with ``-ffp-contract=off`` so no
+multiply-add is fused into one rounding (never build this suite with
+``-ffast-math``). The kernels keep no state between calls, so
+concurrent calls are safe.
 
 The shared object is cached under ``$REPRO_NATIVE_CACHE`` (default: a
 per-user directory beneath the system temp dir), keyed by a hash of
@@ -66,6 +80,7 @@ from .testing import faults
 __all__ = ["KernelSuite", "load_suite", "native_status"]
 
 _SOURCE = r"""
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -395,14 +410,139 @@ done:
     }
     return status;
 }
+
+/* ---- p-value tables ---------------------------------------------------
+
+   Section 4.2.3's p-value buffer, one table per (n_c, supp_x) key,
+   transliterated operation for operation from the scalar builder in
+   repro.stats.pvalue_scalar, so every entry equals its result bit for
+   bit: the same IEEE double operations in the same order, exp from the
+   libm whose exp CPython's math.exp calls, and no a * b + c contracted
+   into one rounding (the suite is built with -ffp-contract=off). */
+
+/* ln C(a, b) from the log-factorials lf, as LogFactorialBuffer
+   .log_binomial evaluates it. */
+static double pv_log_binomial(const double *lf, int64_t a, int64_t b)
+{
+    return lf[a] - lf[b] - lf[a - b];
+}
+
+/* Figure 2's two-ends walk over pmf[0..m): a group is every end value
+   <= the smaller end times tolerance, its left members upward, then
+   its right members downward; its sum, added left to right, joins the
+   running total, which every member receives. Then each p-value is
+   clamped to 1.0 and, for mid-p, lowered by half its outcome's pmf.
+   Returns 0, or -1 for an empty group (NaN or a negative value). */
+static int64_t pv_walk(const double *pmf, int64_t m, double tolerance,
+                       int64_t midp, double *out)
+{
+    int64_t left = 0, right = m - 1;
+    double total = 0.0;
+    while (left <= right) {
+        const int64_t first = left, last = right;
+        const double smallest =
+            pmf[right] < pmf[left] ? pmf[right] : pmf[left];
+        const double ceiling = smallest * tolerance;
+        double group = 0.0;
+        while (left <= right && pmf[left] <= ceiling)
+            group += pmf[left++];
+        while (left <= right && pmf[right] <= ceiling)
+            group += pmf[right--];
+        if (left == first && right == last) return -1;
+        total += group;
+        for (int64_t i = first; i < left; ++i) out[i] = total;
+        for (int64_t i = last; i > right; --i) out[i] = total;
+    }
+    for (int64_t i = 0; i < m; ++i) {
+        double p = out[i] < 1.0 ? out[i] : 1.0;
+        if (midp) {
+            const double mid = p - 0.5 * pmf[i];
+            p = mid > 0.0 ? mid : 0.0;
+        }
+        out[i] = p;
+    }
+    return 0;
+}
+
+/* The walk alone, over a caller's pmf-like values. */
+int64_t repro_pvalue_walk(const double *pmf, int64_t m, double tolerance,
+                          int64_t midp, double *out)
+{
+    return pv_walk(pmf, m, tolerance, midp, out);
+}
+
+/* Key i's table over [L, U] = [max(0, n_c + s - n), min(n_c, s)] goes
+   to out[start[i] ..]. The pmf comes from the ratio recurrence seeded
+   with H(L), or entry by entry in log space when that seed is not a
+   normal double. Returns 0, -1 when a walk meets an empty group, -2
+   when the pmf scratch (one table of the widest key) cannot be
+   allocated, or -3, before writing anything, when a key is outside
+   [0, n] or its table outside out. */
+int64_t repro_pvalue_tables(
+    const double *lf,        /* (n + 1,) ln(k!) */
+    int64_t n,
+    const int64_t *n_c,      /* (n_keys,) class supports */
+    const int64_t *supp_x,   /* (n_keys,) coverages */
+    const int64_t *start,    /* (n_keys,) table offsets in out */
+    int64_t n_keys,
+    double tolerance,
+    int64_t midp,
+    double *out,             /* (n_out,) */
+    int64_t n_out)
+{
+    int64_t width = 1, status = 0;
+    double *pmf;
+    for (int64_t i = 0; i < n_keys; ++i) {
+        int64_t low, high;
+        if (n_c[i] < 0 || n_c[i] > n || supp_x[i] < 0 || supp_x[i] > n)
+            return -3;
+        low = n_c[i] + supp_x[i] - n > 0 ? n_c[i] + supp_x[i] - n : 0;
+        high = n_c[i] < supp_x[i] ? n_c[i] : supp_x[i];
+        if (start[i] < 0 || start[i] > n_out - (high - low + 1))
+            return -3;
+        if (high - low + 1 > width) width = high - low + 1;
+    }
+    pmf = malloc((size_t)width * sizeof(double));
+    if (!pmf) return -2;
+    for (int64_t i = 0; i < n_keys && status == 0; ++i) {
+        const int64_t c = n_c[i], s = supp_x[i], rest = n - c;
+        const int64_t low = c + s - n > 0 ? c + s - n : 0;
+        const int64_t high = c < s ? c : s;
+        const double denominator = pv_log_binomial(lf, n, s);
+        const double seed = pv_log_binomial(lf, c, low)
+                            + pv_log_binomial(lf, rest, s - low)
+                            - denominator;
+        double value = seed > -HUGE_VAL ? exp(seed) : 0.0;
+        if (value < DBL_MIN) {
+            for (int64_t k = low; k <= high; ++k)
+                pmf[k - low] = exp(pv_log_binomial(lf, c, k)
+                                   + pv_log_binomial(lf, rest, s - k)
+                                   - denominator);
+        } else {
+            pmf[0] = value;
+            for (int64_t k = low; k < high; ++k) {
+                value = value * (double)((c - k) * (s - k))
+                        / (double)((k + 1) * (rest - s + k + 1));
+                pmf[k - low + 1] = value;
+            }
+        }
+        status = pv_walk(pmf, high - low + 1, tolerance, midp,
+                         out + start[i]);
+    }
+    free(pmf);
+    return status;
+}
 """
 
 #: Flag sets tried in order; the first successful compile wins. The
 #: -march=native build unlocks vectorised popcount (AVX-512 VPOPCNTQ
-#: where available); the plain build is the portable fallback.
+#: where available); the plain build is the portable fallback. Both
+#: keep -ffp-contract=off: GNU C defaults to fusing a * b + c into one
+#: FMA where the target has it, which moves the last bit of mid-p's
+#: ``p - 0.5 * mass`` away from the scalar builder's.
 _FLAG_SETS = (
-    ("-O3", "-march=native", "-funroll-loops"),
-    ("-O3",),
+    ("-O3", "-march=native", "-funroll-loops", "-ffp-contract=off"),
+    ("-O3", "-ffp-contract=off"),
 )
 
 _CACHE_ENV = "REPRO_NATIVE_CACHE"
@@ -431,6 +571,13 @@ _KERNEL_SIGNATURES = (
       _DOUBLE_P, _INT32_P, ctypes.c_int64,
       ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
       _DOUBLE_P, _INT64_P, _INT64_P]),
+    ("repro_pvalue_tables", ctypes.c_int64,
+     [_DOUBLE_P, ctypes.c_int64, _INT64_P, _INT64_P, _INT64_P,
+      ctypes.c_int64, ctypes.c_double, ctypes.c_int64, _DOUBLE_P,
+      ctypes.c_int64]),
+    ("repro_pvalue_walk", ctypes.c_int64,
+     [_DOUBLE_P, ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
+      _DOUBLE_P]),
 )
 
 
@@ -438,13 +585,15 @@ class KernelSuite:
     """The loaded native kernels, one attribute per C entry point.
 
     Attributes are ctypes functions with argtypes/restype set:
-    ``class_supports_batch``, ``lcm_mine``, ``permutation_stats``.
+    ``class_supports_batch``, ``lcm_mine``, ``permutation_stats``,
+    ``pvalue_tables``, ``pvalue_walk``.
     The whole suite loads from one shared object — either every kernel
     is native or none is, so callers never mix generations.
     """
 
     __slots__ = ("class_supports_batch", "lcm_mine",
-                 "permutation_stats", "_handle")
+                 "permutation_stats", "pvalue_tables", "pvalue_walk",
+                 "_handle")
 
     def __init__(self, handle: ctypes.CDLL) -> None:
         self._handle = handle
@@ -579,7 +728,7 @@ def _compile(flags) -> Optional[str]:
             handle.write(_SOURCE)
         subprocess.run(
             [_compiler_command(), "-shared", "-fPIC", *flags,
-             source_path, "-o", scratch],
+             source_path, "-lm", "-o", scratch],
             check=True, capture_output=True, timeout=120)
         os.replace(scratch, library)
         return library

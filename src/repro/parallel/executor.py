@@ -55,6 +55,8 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures import TimeoutError as _FuturesTimeout
+from concurrent.futures import wait as futures_wait
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.process import BaseProcess
 from typing import (
     Callable,
@@ -376,8 +378,8 @@ class Executor:
                     outcomes.append((index, False, exc, None))
             for index, future in futures:
                 try:
-                    ok, value, formatted = future.result(
-                        timeout=self.deadline)
+                    ok, value, formatted = _await_unit(pool, future,
+                                                       self.deadline)
                 except (_FuturesTimeout, TimeoutError):
                     # The unit overran its deadline. The worker is
                     # hung, which poisons the pool: kill the workers
@@ -402,6 +404,46 @@ class Executor:
             pool.shutdown(wait=False, cancel_futures=True)
             _reap_pool(manager, processes)
         return outcomes
+
+
+#: How often a wave waiting on a unit checks that its pool's manager
+#: thread is still alive.
+_MANAGER_POLL_SECONDS = 0.5
+
+
+def _await_unit(pool: ProcessPoolExecutor,
+                future: "Future[Tuple[bool, object, Optional[str]]]",
+                timeout: Optional[float],
+                ) -> Tuple[bool, object, Optional[str]]:
+    """``future.result(timeout)``, unless the pool cannot resolve it.
+
+    Only the pool's manager thread resolves futures, and it can exit
+    with one unresolved: in CPython 3.11 its broken-pool path walks
+    the pending work items without the lock a concurrent ``submit``
+    holds while adding one. Waiting on such a future never ends, so a
+    wave whose manager has exited fails the unit with
+    :class:`~concurrent.futures.process.BrokenProcessPool` (transient)
+    and terminates the workers left blocked on the call queue.
+    """
+    manager = getattr(pool, "_executor_manager_thread", None)
+    end = None if timeout is None else time.monotonic() + timeout
+    while not future.done():
+        if manager is not None and not manager.is_alive() \
+                and not future.done():
+            processes = list(
+                (getattr(pool, "_processes", None) or {}).values())
+            _terminate(processes)
+            for process in processes:
+                process.join(_REAP_SECONDS)
+            raise BrokenProcessPool("the pool's manager thread exited "
+                                    "and left a unit unresolved")
+        wait_s = _MANAGER_POLL_SECONDS
+        if end is not None:
+            wait_s = min(wait_s, end - time.monotonic())
+            if wait_s <= 0:
+                raise _FuturesTimeout()
+        futures_wait([future], timeout=wait_s)
+    return future.result()
 
 
 def _terminate_pool_workers(pool: ProcessPoolExecutor) -> None:

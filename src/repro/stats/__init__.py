@@ -21,7 +21,8 @@ from .power import (
     min_testable_coverage,
     power_curve,
 )
-from .pvalue_buffer import RELATIVE_TIE_TOLERANCE, PValueBuffer
+from .pvalue_buffer import PValueBuffer
+from .pvalue_scalar import RELATIVE_TIE_TOLERANCE
 from .pvalue_tables import PValueTables
 from .sequential import (
     SequentialResult,

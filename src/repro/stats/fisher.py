@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import StatsError
-from .hypergeom import pmf_array, support_bounds
+from .hypergeom import pmf_table, support_bounds
 from .logfact import LogFactorialBuffer
 from .pvalue_buffer import PValueBuffer
 
@@ -62,7 +62,7 @@ def fisher_right_tailed(supp_r: int, n: int, n_c: int, supp_x: int,
     """P(supp >= supp_r): over-representation (positive association)."""
     _check_support(supp_r, n, n_c, supp_x)
     low, _high = support_bounds(n, n_c, supp_x)
-    table = pmf_array(n, n_c, supp_x, buffer)
+    table = np.array(pmf_table(n, n_c, supp_x, buffer))
     # Reversed cumulative sum: entry k accumulates from the far (upper)
     # tail inward, so small terms add first — the same summation order
     # (and therefore the exact same float result) as the scalar loop
@@ -76,7 +76,7 @@ def fisher_left_tailed(supp_r: int, n: int, n_c: int, supp_x: int,
     """P(supp <= supp_r): under-representation (negative association)."""
     _check_support(supp_r, n, n_c, supp_x)
     low, _high = support_bounds(n, n_c, supp_x)
-    table = pmf_array(n, n_c, supp_x, buffer)
+    table = np.array(pmf_table(n, n_c, supp_x, buffer))
     # Cumulative sum from the lower tail upward: small terms first,
     # identical order (and float result) to the scalar loop.
     tails = np.cumsum(table)

@@ -13,22 +13,16 @@ with support ``k in [L, U]``, ``L = max(0, n_c + supp(X) - n)`` and
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import List, Tuple
 
-import numpy as np
-
 from ..errors import StatsError
 from .logfact import LogFactorialBuffer, default_buffer
 
-__all__ = ["support_bounds", "log_pmf", "pmf", "pmf_table", "pmf_array",
-           "mean", "mode"]
-
-# ``math.exp`` of anything below this is exactly 0.0: the smallest
-# subnormal double is exp(-744.44) and the rounding midpoint below it
-# exp(-745.13).
-_EXP_UNDERFLOW = -745.2
+__all__ = ["support_bounds", "log_pmf", "pmf", "pmf_table", "mean",
+           "mode"]
 
 
 def _validate(n: int, n_c: int, supp_x: int) -> None:
@@ -68,35 +62,40 @@ def pmf(k: int, n: int, n_c: int, supp_x: int,
 
 def pmf_table(n: int, n_c: int, supp_x: int,
               buffer: LogFactorialBuffer | None = None) -> List[float]:
-    """Return ``[H(L), ..., H(U)]`` as a list (see :func:`pmf_array`)."""
-    return pmf_array(n, n_c, supp_x, buffer).tolist()
-
-
-def pmf_array(n: int, n_c: int, supp_x: int,
-              buffer: LogFactorialBuffer | None = None) -> np.ndarray:
-    """Return ``[H(L), ..., H(U)]`` as a float64 array in O(U - L).
+    """Return ``[H(L), ..., H(U)]`` in O(U - L).
 
     Uses the recurrence
     ``H(k+1)/H(k) = (n_c - k)(supp_x - k) / ((k+1)(n - n_c - supp_x + k + 1))``
-    seeded with one log-space evaluation, so building a table for a
-    whole coverage value costs a single exp plus one multiply per entry.
-    The loop stays sequential: a ``cumprod`` of the ratios rounds
-    differently. Accumulated round-off over a few thousand entries
-    stays far below the 1e-7 tie tolerance of the two-tailed test.
+    seeded with one log-space evaluation, so a whole coverage value
+    costs a single exp plus one multiply per entry. Accumulated
+    round-off over a few thousand entries stays far below the 1e-7 tie
+    tolerance of the two-tailed test.
 
     When the seed is not a normal double (large ``n``) every entry is
-    evaluated in log space instead, vectorized over the log-factorial
-    array in :func:`log_pmf`'s operation order and exponentiated with
-    :func:`math.exp`, so each entry equals :func:`pmf` bit for bit. A
-    seed that underflowed to 0.0 would zero the whole table; a
-    subnormal one carries too few significant bits, and the recurrence
-    would copy its relative error into every entry.
+    evaluated in log space instead, with :func:`pmf`'s operations in
+    its order, so each entry equals :func:`pmf` bit for bit. A seed
+    that underflowed to 0.0 would zero the whole table; a subnormal
+    one carries too few significant bits, and the recurrence would
+    copy its relative error into every entry.
+
+    This is the pmf stage of the scalar p-value table builder
+    (:mod:`repro.stats.pvalue_scalar`); the native kernel repeats it
+    operation for operation.
     """
     low, high = support_bounds(n, n_c, supp_x)
+    buffer = buffer or default_buffer()
     first = pmf(low, n, n_c, supp_x, buffer)
     if first < sys.float_info.min:
-        return _log_space_table(n, n_c, supp_x, low, high,
-                                buffer or default_buffer())
+        lf = _log_factorials(buffer, n)
+
+        def log_binomial(a: int, b: int) -> float:
+            return lf[a] - lf[b] - lf[a - b]
+
+        denominator = log_binomial(n, supp_x)
+        return [math.exp(log_binomial(n_c, k)
+                         + log_binomial(n - n_c, supp_x - k)
+                         - denominator)
+                for k in range(low, high + 1)]
     table = [first]
     value = first
     for k in range(low, high):
@@ -104,25 +103,13 @@ def pmf_array(n: int, n_c: int, supp_x: int,
         denominator = (k + 1) * (n - n_c - supp_x + k + 1)
         value = value * numerator / denominator
         table.append(value)
-    return np.array(table, dtype=np.float64)
-
-
-def _log_space_table(n: int, n_c: int, supp_x: int, low: int, high: int,
-                     buffer: LogFactorialBuffer) -> np.ndarray:
-    """``pmf(k)`` for every ``k in [low, high]``, vectorized."""
-    lf = buffer.as_array(n)
-    k = np.arange(low, high + 1)
-    rest = n - n_c
-    logs = (((lf[n_c] - lf[k]) - lf[n_c - k])
-            + ((lf[rest] - lf[supp_x - k]) - lf[rest - supp_x + k])
-            - ((lf[n] - lf[supp_x]) - lf[n - supp_x]))
-    # np.exp is not correctly rounded on every SIMD path; math.exp is
-    # the reference pmf() uses, so the table matches it exactly.
-    table = np.zeros(len(logs))
-    live = np.flatnonzero(logs >= _EXP_UNDERFLOW)
-    table[live] = np.fromiter(map(math.exp, logs[live].tolist()),
-                              dtype=np.float64, count=len(live))
     return table
+
+
+@functools.lru_cache(maxsize=4)
+def _log_factorials(buffer: LogFactorialBuffer, n: int) -> List[float]:
+    """``[ln(0!), ..., ln(n!)]`` as the scalar accessor returns them."""
+    return buffer.as_array(n)[:n + 1].tolist()
 
 
 def mean(n: int, n_c: int, supp_x: int) -> float:

@@ -7,8 +7,8 @@ width float long before the dataset sizes used here, the buffer holds
 the logarithm of the factorials in the buffer"). The buffer grows
 incrementally and is shared process-wide through
 :func:`default_buffer`. A float64 mirror of the same values
-(:meth:`LogFactorialBuffer.as_array`) feeds the vectorized pmf table
-builds.
+(:meth:`LogFactorialBuffer.as_array`) feeds the native p-value table
+kernel and the scalar builder's log-space pmf.
 """
 
 from __future__ import annotations

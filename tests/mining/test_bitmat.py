@@ -175,14 +175,15 @@ class TestNativeKernel:
         assert (single_native == single_numpy).all()
 
     def test_suite_exports(self):
-        """One shared object, three entry points; the closure check
+        """One shared object, five entry points; the closure check
         lives inside the closed walk, not in a kernel of its own."""
         from repro import _native
 
         assert [symbol for symbol, _restype, _args
                 in _native._KERNEL_SIGNATURES] == [
             "repro_class_supports_batch", "repro_lcm_mine",
-            "repro_permutation_stats"]
+            "repro_permutation_stats", "repro_pvalue_tables",
+            "repro_pvalue_walk"]
         for removed in ("repro_subset_mask", "repro_andnot_counts"):
             assert removed not in _native._SOURCE
         suite = _native.load_suite()

@@ -12,7 +12,10 @@ import pytest
 from repro.errors import ReproError
 from repro.parallel import (
     BACKENDS,
+    CircuitBreaker,
     Executor,
+    RetryExhausted,
+    RetryPolicy,
     WorkerError,
     get_executor,
     validate_backend,
@@ -94,6 +97,34 @@ class TestMapShards:
                     if isinstance(thread, _ExecutorManagerThread)
                     or thread.name == "QueueFeederThread"]
         assert leftover == []
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_dead_pool_manager_fails_the_wave(self, monkeypatch):
+        """A pool whose manager thread is gone resolves no future (a
+        CPython race can kill it: its broken-pool path walks the
+        pending work items while a submit adds one). The wave must
+        fail transiently in bounded time, not wait forever."""
+        monkeypatch.setattr(_ExecutorManagerThread, "run",
+                            lambda self: None)
+        before = set(multiprocessing.active_children())
+        ex = get_executor("processes", 2,
+                          retry=RetryPolicy(max_attempts=2,
+                                            base_delay=0.0),
+                          breaker=CircuitBreaker(threshold=100))
+        outcome = []
+
+        def run():
+            try:
+                ex.map_shards(_square, [1, 2, 3])
+            except Exception as exc:
+                outcome.append(exc)
+
+        waiter = threading.Thread(target=run, daemon=True)
+        waiter.start()
+        waiter.join(60)
+        assert not waiter.is_alive(), "wave waited on a dead pool"
+        assert isinstance(outcome[0].__cause__, RetryExhausted)
+        assert ex.stats["transient_failures"] >= 3
         assert set(multiprocessing.active_children()) <= before
 
 

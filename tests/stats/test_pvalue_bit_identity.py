@@ -1,18 +1,21 @@
-"""The numpy p-value tables equal the scalar oracle bit for bit.
+"""The p-value tables equal the scalar builder bit for bit.
 
-``PValueBuffer`` builds its pmf with numpy (vectorized log space when
-the recurrence seed underflows) and runs Figure 2's walk as a merge of
-the two flanks. Every rule p-value the library reports comes from these
-tables, so they must equal the scalar reference in
-:mod:`tests.stats.pvalue_oracle` exactly — ``np.array_equal``, not a
-tolerance — on every table the paper workloads reach and on the shapes
-where the walk's tie grouping matters.
+With the native suite loaded every Fisher and mid-p table is built by
+the C kernel ``repro_pvalue_tables``; without it (``REPRO_NATIVE=0``,
+no compiler) by the scalar builder in :mod:`repro.stats.pvalue_scalar`,
+which is also the oracle here. Every rule p-value the library reports
+comes from these tables, so the store's ``flat`` array must equal the
+oracle exactly — ``np.array_equal``, not a tolerance — on every table
+the paper workloads reach and on the shapes where the walk's tie
+grouping matters. Run this module with the suite on and off.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import sys
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -20,37 +23,50 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import _native
 from repro.data import make_german, make_mushroom
 from repro.errors import StatsError
 from repro.mining.rules import mine_class_rules
-from repro.stats import PValueBuffer, pmf, pmf_table, support_bounds
-from repro.stats.pvalue_buffer import _two_ends_sum_up
-
-from .pvalue_oracle import (
-    oracle_log_space_table,
-    oracle_midp,
-    oracle_pmf_table,
-    oracle_two_ends_sum_up,
+from repro.stats import (
+    RELATIVE_TIE_TOLERANCE,
+    LogFactorialBuffer,
+    PValueTables,
+    pmf,
+    pmf_table,
+    support_bounds,
 )
+from repro.stats.pvalue_scalar import mid_p, pvalue_table, two_ends_sum_up
 
 
 def _mismatches(tables):
     """``(n, n_c, supp_x)`` of every table whose exact or mid-p
-    ``PValueBuffer`` differs from the oracle in any bit."""
-    built, expected, lengths = [], [], []
+    :class:`PValueTables` entries differ from the oracle in any bit.
+
+    The tables of one ``n`` are one store per scorer, one class per
+    distinct ``n_c``, as Score builds them.
+    """
+    by_n = defaultdict(list)
     for n, n_c, supp_x in tables:
-        pmf_values = oracle_pmf_table(n, n_c, supp_x)
-        exact = oracle_two_ends_sum_up(pmf_values)
-        for midp, values in ((False, exact),
-                             (True, oracle_midp(exact, pmf_values))):
-            built.append(PValueBuffer(n, n_c, supp_x, midp=midp).array)
-            expected.extend(values)
-        lengths.append(2 * len(exact))
-    new, old = np.concatenate(built), np.array(expected)
-    if np.array_equal(new, old):
-        return []
-    table_of = np.repeat(np.arange(len(tables)), lengths)
-    return sorted({tables[i] for i in table_of[new != old].tolist()})
+        by_n[n].append((n_c, supp_x))
+    bad = set()
+    for n, keys in by_n.items():
+        supports = sorted({n_c for n_c, _ in keys})
+        classes = [supports.index(n_c) for n_c, _ in keys]
+        coverages = [supp_x for _, supp_x in keys]
+        stores = [PValueTables(n, supports, classes, coverages, scorer)
+                  for scorer in ("fisher", "fisher-midp")]
+        offsets = stores[0].offsets(classes, coverages).tolist()
+        for (n_c, supp_x), offset in zip(keys, offsets):
+            table = pmf_table(n, n_c, supp_x)
+            exact = two_ends_sum_up(table)
+            start = offset + support_bounds(n, n_c, supp_x)[0]
+            for store, expected in zip(stores,
+                                       (exact, mid_p(exact, table))):
+                if not np.array_equal(
+                        store.flat[start:start + len(expected)],
+                        expected):
+                    bad.add((n, n_c, supp_x))
+    return sorted(bad)
 
 
 def _reached(dataset, min_sup):
@@ -71,7 +87,7 @@ def test_every_small_table():
 
 def test_mushroom_tables():
     # n = 8124: every table's recurrence seed underflows, so this is
-    # the vectorized log-space path.
+    # the log-space path.
     tables = _reached(make_mushroom(seed=0), 2000)
     assert len(tables) == 995
     assert _mismatches(tables) == []
@@ -130,10 +146,30 @@ def test_double_mode_tables(n):
                                           (8124, 4208, 7000),
                                           (20000, 10000, 9999)])
 def test_oracle_log_space_entries_equal_scalar_pmf(n, n_c, supp_x):
-    """The oracle's inline per-entry evaluation is ``pmf`` itself."""
+    """The scalar builder's inline per-entry evaluation is ``pmf``
+    itself."""
     low, high = support_bounds(n, n_c, supp_x)
-    assert oracle_log_space_table(n, n_c, supp_x) == [
+    assert pmf(low, n, n_c, supp_x) < sys.float_info.min
+    assert pmf_table(n, n_c, supp_x) == [
         pmf(k, n, n_c, supp_x) for k in range(low, high + 1)]
+
+
+def _walk(values, midp=False):
+    """Figure 2's walk over ``values`` by the native kernel's walk
+    entry point, or by the scalar walk without the suite."""
+    suite = _native.load_suite()
+    if suite is None:
+        pvalues = two_ends_sum_up(values)
+        return np.array(mid_p(pvalues, values) if midp else pvalues)
+    pmf_values = np.array(values, dtype=np.float64)
+    out = np.empty(len(pmf_values))
+    double_p = ctypes.POINTER(ctypes.c_double)
+    status = suite.pvalue_walk(pmf_values.ctypes.data_as(double_p),
+                               len(pmf_values), RELATIVE_TIE_TOLERANCE,
+                               int(midp), out.ctypes.data_as(double_p))
+    if status != 0:
+        raise StatsError(f"walk failed with status {status}")
+    return out
 
 
 # Pmf-like values chosen so that links chain: 1e-3 * (1 + 0.6e-7)^j
@@ -151,18 +187,60 @@ _WALK_VALUES += [0.3 * (1 + 0.3e-7) ** j for j in range(3)]
        st.lists(st.sampled_from(_WALK_VALUES), min_size=1, max_size=25))
 @settings(max_examples=300, deadline=None)
 def test_walk_on_unimodal_sequences_with_plateaus(left, right):
-    """The merge-based walk equals the scalar walk on any unimodal
+    """The kernel's walk equals the scalar walk on any unimodal
     sequence: plateaus inside a flank, ties across flanks, chained
-    near-ties, zeros, and three or more tied values at the top."""
+    near-ties, zeros, and three or more tied values at the top; exact
+    and mid-p."""
     values = sorted(left) + sorted(right, reverse=True)
     assume(max(values) > 0.0)  # a pmf's mode never underflows
-    assert np.array_equal(_two_ends_sum_up(np.array(values)),
-                          np.array(oracle_two_ends_sum_up(values)))
+    exact = two_ends_sum_up(values)
+    assert np.array_equal(_walk(values), np.array(exact))
+    assert np.array_equal(_walk(values, midp=True),
+                          np.array(mid_p(exact, values)))
+
+
+def test_tie_group_sums_left_to_right():
+    """A group of three whose left-to-right float sum differs from the
+    correctly rounded one: the walk adds the members one by one in
+    walk order (``sum()`` compensates from Python 3.12 on)."""
+    a, b, c = (0.0010000000040309273, 0.0010000000254230122,
+               0.0010000000229132386)
+    assert a <= b and a <= c <= a * RELATIVE_TIE_TOLERANCE
+    naive = (a + b) + c
+    assert naive != math.fsum([a, b, c])
+    values = [a, b, 0.5, c]  # one group {a, b, c}, then the mode
+    exact = two_ends_sum_up(values)
+    assert exact[0] == exact[1] == exact[3] == naive
+    assert np.array_equal(_walk(values), np.array(exact))
 
 
 def test_walk_rejects_nan():
     with pytest.raises(StatsError):
-        _two_ends_sum_up(np.array([0.1, float("nan"), 0.2]))
+        _walk([0.1, float("nan"), 0.2])
+    with pytest.raises(StatsError):
+        two_ends_sum_up([0.1, float("nan"), 0.2])
+
+
+def test_store_rejects_nan_pmf():
+    """A NaN log-factorial makes a NaN pmf, which both builders refuse
+    with :class:`StatsError`."""
+    logfact = LogFactorialBuffer(100)
+    logfact._table[40] = float("nan")
+    logfact._array = np.array(logfact._table)
+    with pytest.raises(StatsError, match="NaN"):
+        PValueTables(100, (50, 50), [0], [60], logfact=logfact)
+
+
+def test_midp_is_not_contracted():
+    """Mid-p's ``p - 0.5 * mass`` fused into one FMA moves the last bit
+    of 8 entries of this Mushroom table (9,150 over the 995 tables);
+    the suite is built without floating-point contraction."""
+    assert all("-ffp-contract=off" in flags
+               and "-ffast-math" not in flags
+               for flags in _native._FLAG_SETS)
+    store = PValueTables(8124, (4208, 3916), [0], [2000], "fisher-midp")
+    assert np.array_equal(store.flat,
+                          pvalue_table(8124, 4208, 2000, midp=True))
 
 
 def test_subnormal_seed_table_is_accurate():
@@ -185,4 +263,3 @@ def test_pmf_table_stays_a_list_of_floats():
     table = pmf_table(8124, 3916, 2000)
     assert type(table) is list
     assert all(type(value) is float for value in table)
-    assert table == oracle_pmf_table(8124, 3916, 2000)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
+from repro import _native
 from repro.errors import StatsError
 from repro.stats import (
     PValueBuffer,
@@ -128,6 +131,39 @@ class TestKeys:
         assert allocated <= 1.1 * store.flat.nbytes
 
 
+class TestBuilders:
+    @pytest.mark.parametrize("scorer", ("fisher", "fisher-midp"))
+    def test_scalar_fallback_equals_kernel(self, scorer, monkeypatch):
+        """The store built with the suite unloaded (no compiler,
+        ``REPRO_NATIVE=0``) is the same array, bit for bit."""
+        n, class_supports = 8124, (4208, 3916)
+        classes = [0, 1, 0, 1, 1]
+        coverages = [2000, 2000, 2500, 4062, 8124]
+        built = PValueTables(n, class_supports, classes, coverages,
+                             scorer)
+        monkeypatch.setattr(_native, "_kernel", None)
+        fallback = PValueTables(n, class_supports, classes, coverages,
+                                scorer)
+        assert np.array_equal(built.flat, fallback.flat)
+
+    def test_n_entries_counts_every_p_value(self):
+        store = _store()
+        assert store.n_entries == len(store.flat) > 0
+
+    def test_one_debug_record_per_store(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="repro.stats"):
+            store = _store("fisher-midp")
+        records = [r for r in caplog.records if r.name == "repro.stats"]
+        assert len(records) == 1
+        message = records[0].getMessage()
+        assert message.startswith(
+            f"p-value tables: fisher-midp, {store.n_built} keys, "
+            f"{store.n_entries} entries, ")
+        builder = ("native" if _native.load_suite() is not None
+                   else "scalar (native kernels")
+        assert f"entries, {builder}" in message
+
+
 class TestErrors:
     def test_support_outside_range_raises(self):
         store = _store()
@@ -142,6 +178,28 @@ class TestErrors:
             store.p_value(0, 17, 5)
         with pytest.raises(StatsError, match="no p-value table"):
             store.offsets([1], [N + 1])
+
+    def test_fill_refuses_what_does_not_fit(self):
+        """Keys and offsets are checked before any pointer reaches the
+        kernel."""
+        from repro.stats.pvalue_tables import fill_fisher_tables
+
+        width = support_bounds(N, 40, 17)[1] + 1
+        for n_c, coverage, start, out in (
+                (40, 17, 0, np.empty(width - 1)),
+                (40, 17, 1, np.empty(width)),
+                (40, 17, -1, np.empty(width)),
+                (40, N + 1, 0, np.empty(2 * N)),
+                (-1, 17, 0, np.empty(width)),
+                (40, 17, 0, np.empty(width, dtype=np.float32))):
+            with pytest.raises(StatsError):
+                fill_fisher_tables(N, [n_c], [coverage], [start], out)
+        with pytest.raises(StatsError):
+            fill_fisher_tables(N, [40, 40], [17], [0], np.empty(width))
+        out = np.empty(width)
+        native = fill_fisher_tables(N, [40], [17], [0], out)
+        assert native is (_native.load_suite() is not None)
+        assert np.array_equal(out, PValueBuffer(N, 40, 17).array)
 
     def test_invalid_construction(self):
         with pytest.raises(StatsError):
