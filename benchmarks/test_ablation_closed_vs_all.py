@@ -14,19 +14,13 @@ from _scale import banner, current_scale
 from repro.data import load_real_dataset
 from repro.evaluation import format_table
 from repro.mining import generate_rules, mine_apriori, mine_closed
-from repro.mining.closed import ClosedPattern
 
 
 def _apriori_as_ruleset(dataset, min_sup, max_length):
     """Score ALL frequent patterns (the no-closedness arm)."""
     frequent = mine_apriori(dataset.item_tidsets, dataset.n_records,
                             min_sup, max_length=max_length)
-    patterns = [
-        ClosedPattern(node_id=i, parent_id=-1, items=fp.items,
-                      tidset=fp.tidset, support=fp.support, depth=1)
-        for i, fp in enumerate(frequent)
-    ]
-    return generate_rules(dataset, patterns, min_sup)
+    return generate_rules(dataset, frequent, min_sup)
 
 
 def run_ablation():

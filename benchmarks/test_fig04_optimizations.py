@@ -44,7 +44,7 @@ from repro.data import (
 from repro.evaluation import format_table
 from repro.mining import generate_rules, mine_closed
 from repro.stats import PValueBuffer, fisher_two_tailed, support_bounds
-from repro.tidvector import TidVector, as_tidvector
+from repro.tidvector import TidVector
 
 #: (label, record-id storage, p-value source, static tier budget).
 ARMS = (
@@ -125,8 +125,7 @@ class _FullIdLists:
     """
 
     def __init__(self, patterns, n_records):
-        self.supports = np.array([p.support for p in patterns],
-                                 dtype=np.int64)
+        self.supports = patterns.supports
         id_lists = self._id_lists(patterns, n_records)
         lengths = np.array([len(i) for i in id_lists], dtype=np.int64)
         self._ids = (np.concatenate(id_lists) if id_lists
@@ -137,8 +136,8 @@ class _FullIdLists:
         self._starts = (np.cumsum(lengths) - lengths)[self._nonempty]
 
     def _id_lists(self, patterns, n_records):
-        return [as_tidvector(p.tidset, n_records).indices()
-                for p in patterns]
+        return [TidVector(row, n_records).indices()
+                for row in patterns.matrix.words]
 
     def class_supports(self, indicator):
         out = np.zeros(len(self.supports), dtype=np.int64)
@@ -162,10 +161,8 @@ class _Diffsets(_FullIdLists):
     """
 
     def _id_lists(self, patterns, n_records):
-        parents = np.array([p.parent_id for p in patterns],
-                           dtype=np.int64)
-        words = np.stack([as_tidvector(p.tidset, n_records).words
-                          for p in patterns])
+        parents = patterns.parent
+        words = patterns.matrix.words.copy()
         has_parent = parents >= 0
         is_diff = np.zeros(len(patterns), dtype=bool)
         is_diff[has_parent] = (2 * self.supports[has_parent]

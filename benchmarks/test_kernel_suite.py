@@ -175,7 +175,7 @@ def _pvalue_tables(repeats):
 def _closed_walk(repeats):
     """``mine_closed`` with the native walk vs the Python walk (the
     suite unloaded, as on a host without a compiler) on the Fig 6
-    exploratory half; both must emit the same nodes."""
+    exploratory half; both must emit the same columns."""
     dataset = generate(FIG6_CONFIG, seed=FIG6_SEED).dataset
     half = dataset.subset(list(range(FIG6_HALF)))
 
@@ -184,8 +184,9 @@ def _closed_walk(repeats):
                            FIG6_MIN_SUP)
 
     def nodes(patterns):
-        return [(p.node_id, p.parent_id, p.depth, p.support, p.items,
-                 p.tidset.words.tobytes()) for p in patterns]
+        return [column.tobytes() for column in (
+            patterns.item_ids, patterns.item_offsets, patterns.supports,
+            patterns.parent, patterns.matrix.words)]
 
     if _native.load_suite() is None:
         raise RuntimeError(f"native kernel suite unavailable "

@@ -43,20 +43,18 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_permutation.json"
 
 
 def _synthetic_forest(n_patterns: int, n_records: int, seed: int):
-    """A flat DFS forest of random ~10%-density tidsets.
+    """A flat set of random ~10%-density tidsets.
 
-    Kernel timing needs controlled shape, not mined structure: every
-    node is a root, so both kernels count exactly ``n_patterns``
-    tidsets of the same universe.
+    Kernel timing needs controlled shape, not mined structure: both
+    kernels count exactly ``n_patterns`` tidsets of the same universe.
     """
     rng = np.random.default_rng(seed)
     patterns = []
-    for node_id in range(n_patterns):
+    for row in range(n_patterns):
         flags = rng.random(n_records) < 0.1
         patterns.append(Pattern(
-            node_id=node_id, parent_id=-1,
-            items=frozenset((node_id,)), tidset=TidVector.from_bool(flags),
-            support=int(flags.sum()), depth=0))
+            items=frozenset((row,)), tidset=TidVector.from_bool(flags),
+            support=int(flags.sum())))
     indicator = rng.random(n_records) < 0.5
     return patterns, indicator
 

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..bitmat import BitMatrix
 from ..data.dataset import Dataset
 from ..errors import CorrectionError, MiningError, StatsError
 from ..mining.registry import resolve_miner
@@ -247,21 +246,19 @@ def find_contrast_sets(
             f"{miner.name!r} advertises "
             f"{sorted(miner.capabilities) or 'no capabilities'}")
     pattern_set = miner.mine(dataset, min_sup, max_length=max_length)
-    patterns = [p for p in pattern_set if p.items]
+    candidates = pattern_set.take(np.flatnonzero(pattern_set.lengths))
     group_sizes = [dataset.class_support(g)
                    for g in range(dataset.n_classes)]
-    # Per-group supports of every candidate at once: one BitMatrix of
-    # the candidates' tidsets and one class_supports call.
-    matrix = BitMatrix.from_tidsets([p.tidset for p in patterns],
-                                    dataset.n_records)
+    # Per-group supports of every candidate at once: one
+    # class_supports call over the candidates' matrix rows.
     labels = np.asarray(dataset.class_labels, dtype=np.int64)
     group_supports = class_supports(
-        matrix, matrix.row_popcounts(), labels[None, :],
+        candidates.matrix, candidates.supports, labels[None, :],
         range(dataset.n_classes), dataset.n_classes)[:, 0].T
 
+    levels = candidates.lengths.tolist()
     candidates_per_level: Dict[int, int] = {}
-    for pattern in patterns:
-        level = len(pattern.items)
+    for level in levels:
         candidates_per_level[level] = \
             candidates_per_level.get(level, 0) + 1
     if correction == "stucco":
@@ -278,7 +275,7 @@ def find_contrast_sets(
     survivors: List[ContrastSet] = []
     rejected_large = 0
     rejected_significant = 0
-    for row, pattern in enumerate(patterns):
+    for row, level in enumerate(levels):
         containing = [int(v) for v in group_supports[row]]
         missing = [group_sizes[g] - containing[g]
                    for g in range(dataset.n_classes)]
@@ -291,10 +288,10 @@ def find_contrast_sets(
             continue
         statistic, dof = _chi2_2xg(containing, missing)
         p_value = chi2_sf(statistic, dof=dof)
-        level = len(pattern.items)
         if p_value > alpha_per_level[level]:
             rejected_significant += 1
             continue
+        pattern = candidates[row]
         survivors.append(ContrastSet(
             items=pattern.items,
             support=pattern.support,

@@ -63,16 +63,16 @@ __all__ = [
 class PipelineState:
     """What flows between stages for one dataset.
 
-    Stages fill the fields they own: ``pattern_set`` and ``patterns``
-    (Mine), a possibly reduced ``patterns`` plus ``n_patterns_mined``
+    Stages fill the fields they own: ``patterns`` and
+    ``n_patterns_mined`` (Mine), a possibly reduced ``patterns``
     (Reduce), ``ruleset`` (Score), ``results`` keyed by the
-    *requested* method name (Correct). ``pattern_set`` keeps the
-    miner's provenance-stamped output as mined; ``patterns`` is what
-    later stages consume and is the field Reduce rewrites.
+    *requested* method name (Correct). ``patterns`` is the miner's
+    provenance-stamped :class:`~repro.mining.patterns.PatternSet`; a
+    custom stage may replace it with a list of patterns, which Score
+    packs.
     """
 
-    patterns: Optional[list] = None
-    pattern_set: Optional[PatternSet] = None
+    patterns: Optional[PatternSet] = None
     n_patterns_mined: Optional[int] = None
     ruleset: Optional[RuleSet] = None
     results: Dict[str, CorrectionResult] = field(default_factory=dict)
@@ -102,10 +102,9 @@ class MineStage:
                 f"min_sup={ctx.min_sup} exceeds dataset size "
                 f"{ctx.dataset.n_records}")
         miner = resolve_miner(self.algorithm or ctx.algorithm)
-        state.pattern_set = miner.mine(
+        state.patterns = miner.mine(
             ctx.dataset, ctx.min_sup, max_length=ctx.max_length,
             **dict(ctx.miner_options))
-        state.patterns = state.pattern_set.patterns
         state.n_patterns_mined = len(state.patterns)
         return state
 

@@ -15,18 +15,8 @@ from .general import (
     mine_general_rules,
     rules_from_patterns,
 )
-from .closed import (
-    ClosedPattern,
-    iter_pattern_tree,
-    mine_closed,
-    mine_closed_from_view,
-)
-from .patterns import (
-    Pattern,
-    PatternSet,
-    patternset_from_frequent,
-    patternset_from_tree,
-)
+from .closed import mine_closed, mine_closed_from_view
+from .patterns import Pattern, PatternSet, patternset_from_frequent
 from .registry import (
     Miner,
     available_miners,
@@ -59,7 +49,6 @@ __all__ = [
     "mine_patterns",
     "miner_names",
     "patternset_from_frequent",
-    "patternset_from_tree",
     "register_miner",
     "resolve_miner",
     "unregister_miner",
@@ -70,8 +59,6 @@ __all__ = [
     "RepresentativeSelection",
     "mine_representative_rules",
     "select_representatives",
-    "ClosedPattern",
-    "iter_pattern_tree",
     "mine_closed",
     "mine_closed_from_view",
     "ClassRule",

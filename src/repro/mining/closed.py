@@ -24,53 +24,41 @@ native kernel suite loaded (:mod:`repro._native`) the whole walk is
 one ``repro_lcm_mine`` call per pass — a count pass sizes the outputs
 exactly, a fill pass writes them — so no Python runs per node; the
 tidsets come back as rows of one read-only arena (row 0 is the root)
-that the permutation engine's :class:`~repro.bitmat.BitMatrix` adopts
-without a copy. Without the suite the Python walk below runs the same
-LCM: per node, one vectorized candidate-support join
+that becomes the :class:`~repro.mining.patterns.PatternSet`'s
+``matrix`` without a copy. Without the suite the Python walk below
+runs the same LCM: per node, one vectorized candidate-support join
 (:meth:`~repro.mining.tidsets.VerticalView.candidate_supports`) and
 one ``tids & ~row`` closure pass per surviving candidate
 (:meth:`~repro.mining.tidsets.VerticalView.superset_positions`). It
-is also the oracle of the native walk: both emit the same nodes in
-the same order. One DEBUG record per mine on the ``repro.mining``
-logger names the walk that ran (with the suite's status for the
-Python walk).
+is also the oracle of the native walk. Both walks produce the same
+five arrays — tidset rows, parent, support, CSR closure positions and
+offsets — and one function turns them into the pattern set, so the
+two emit the same columns in the same order. One DEBUG record per
+mine on the ``repro.mining`` logger names the walk that ran (with the
+suite's status for the Python walk).
 
-Every emitted node records its tree parent, which Diffsets storage
-(Section 4.2.2) relies on.
+The set's ``parent`` column holds every pattern's tree parent, which
+Diffsets storage (Section 4.2.2) and the Section 7 reduction read.
 """
 
 from __future__ import annotations
 
 import ctypes
 import logging
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import _native
+from ..bitmat import BitMatrix
 from ..errors import MiningError
-from ..tidvector import TidVector, arena_rows
-from .patterns import Pattern
+from ..tidvector import TidVector
+from .patterns import PatternSet
 from .tidsets import VerticalView, build_vertical_view
 
-__all__ = ["ClosedPattern", "mine_closed", "mine_closed_from_view",
-           "iter_pattern_tree"]
+__all__ = ["mine_closed", "mine_closed_from_view"]
 
 _LOG = logging.getLogger("repro.mining")
-
-#: Nodes converted to :class:`ClosedPattern` per ``tolist`` batch.
-_BUILD_CHUNK = 4096
-
-
-class ClosedPattern(Pattern):
-    """One node of the closed-pattern enumeration tree.
-
-    A :class:`~repro.mining.patterns.Pattern` whose ``items`` are
-    additionally *closed*: the unique longest pattern among all
-    patterns with the same tidset. Field semantics are inherited
-    unchanged (dense DFS ``node_id``, ``parent_id`` of the tree
-    parent, ``items``, ``tidset``, ``support``, ``depth``).
-    """
 
 
 def mine_closed(
@@ -79,7 +67,7 @@ def mine_closed(
     min_sup: int,
     max_length: Optional[int] = None,
     item_order: str = "support-ascending",
-) -> List[ClosedPattern]:
+) -> PatternSet:
     """Mine all closed frequent patterns from per-item tidsets.
 
     Parameters
@@ -102,10 +90,10 @@ def mine_closed(
 
     Returns
     -------
-    list of :class:`ClosedPattern` in DFS order. The root node (the
-    closure of the empty pattern — non-empty only when some item occurs
-    in every record) is always first; rule generation skips patterns
-    with no items.
+    :class:`~repro.mining.patterns.PatternSet` in DFS order, with its
+    ``parent`` column. The root (the closure of the empty pattern —
+    non-empty only when some item occurs in every record) is always
+    first; rule generation skips patterns with no items.
     """
     view = build_vertical_view(item_tidsets, n_records, min_sup, item_order)
     return mine_closed_from_view(view, max_length=max_length)
@@ -114,25 +102,23 @@ def mine_closed(
 def mine_closed_from_view(
     view: VerticalView,
     max_length: Optional[int] = None,
-) -> List[ClosedPattern]:
+) -> PatternSet:
     """Mine closed patterns from a prepared :class:`VerticalView`.
 
     The walk runs in one native call when the kernel suite is loaded
-    and in Python otherwise; both emit the same nodes in the same
+    and in Python otherwise; both emit the same columns in the same
     order. One DEBUG record on the ``repro.mining`` logger names the
     walk that ran.
     """
     if max_length is not None and max_length < 0:
         raise MiningError("max_length must be non-negative")
     n = view.n_records
-    if n < view.min_sup:
-        return []
-
     root_tids = TidVector.universe(n)
     root_positions = tuple(int(p)
                            for p in view.superset_positions(root_tids))
-    if max_length is not None and len(root_positions) > max_length:
-        return []
+    if n < view.min_sup or (max_length is not None
+                            and len(root_positions) > max_length):
+        return PatternSet.pack([], n, view.min_sup, parent=[])
     suite = _native.load_suite()
     if suite is not None:
         patterns = _walk_native(suite, view, root_tids, root_positions,
@@ -145,18 +131,31 @@ def mine_closed_from_view(
     return patterns
 
 
+def _pattern_set(view: VerticalView, arena: np.ndarray, parent: np.ndarray,
+                 support: np.ndarray, positions: np.ndarray,
+                 offsets: np.ndarray) -> PatternSet:
+    """The walk's arrays as the pattern set: closure positions become
+    item ids in one gather."""
+    item_ids = np.asarray(view.item_ids, dtype=np.int64)
+    return PatternSet(
+        matrix=BitMatrix(arena, view.n_records), supports=support,
+        item_ids=item_ids[positions], item_offsets=offsets,
+        n_records=view.n_records, min_sup=view.min_sup, parent=parent)
+
+
 def _walk_native(
     suite: _native.KernelSuite,
     view: VerticalView,
     root_tids: TidVector,
     root_positions: Tuple[int, ...],
     max_length: Optional[int],
-) -> List[ClosedPattern]:
+) -> PatternSet:
     """The whole walk in one ``repro_lcm_mine`` call per pass.
 
     A count pass sizes the outputs exactly and a fill pass writes
     them: one read-only tidset arena (row 0 is the root), int64
-    parent/depth/support and CSR int32 closure positions.
+    parent/depth/support and CSR int32 closure positions. The depth
+    column is not kept.
     """
     matrix = np.ascontiguousarray(view.matrix, dtype=np.uint64)
     m, n_words = matrix.shape
@@ -184,25 +183,7 @@ def _walk_native(
         _ptr(offsets, ctypes.c_int64), n_nodes, n_positions,
         _ptr(counts, ctypes.c_int64)))
     arena.flags.writeable = False
-
-    # Chunked conversion keeps the transient ``tolist`` lists small.
-    item_ids = np.asarray(view.item_ids, dtype=np.int64)
-    out: List[ClosedPattern] = []
-    for start in range(0, n_nodes, _BUILD_CHUNK):
-        stop = min(start + _BUILD_CHUNK, n_nodes)
-        base = offsets[start]
-        items = item_ids[positions[base:offsets[stop]]].tolist()
-        bounds = (offsets[start:stop + 1] - base).tolist()
-        rows = arena_rows(arena[start:stop], view.n_records)
-        for k, (parent_id, node_depth, node_support) in enumerate(zip(
-                parent[start:stop].tolist(), depth[start:stop].tolist(),
-                support[start:stop].tolist())):
-            out.append(ClosedPattern(
-                node_id=start + k, parent_id=parent_id,
-                items=frozenset(items[bounds[k]:bounds[k + 1]]),
-                tidset=rows[k], support=node_support, depth=node_depth,
-            ))
-    return out
+    return _pattern_set(view, arena, parent, support, positions, offsets)
 
 
 def _ptr(array: np.ndarray, ctype):
@@ -216,47 +197,54 @@ def _check_walk(status: int) -> None:
         raise MiningError(f"closed walk: native kernel status {status}")
 
 
+#: A pending node of the Python walk: (closure positions, tidset, core
+#: position, parent position).
+_Entry = Tuple[Tuple[int, ...], TidVector, int, int]
+
+
 def _walk_python(
     view: VerticalView,
     root_tids: TidVector,
     root_positions: Tuple[int, ...],
     max_length: Optional[int],
-) -> List[ClosedPattern]:
-    """The walk in Python: the no-compiler fallback and the oracle."""
-    out: List[ClosedPattern] = []
-    root_items = frozenset(view.item_ids[p] for p in root_positions)
-    out.append(ClosedPattern(
-        node_id=0, parent_id=-1, items=root_items, tidset=root_tids,
-        support=view.n_records, depth=0,
-    ))
+) -> PatternSet:
+    """The walk in Python: the no-compiler fallback and the oracle.
 
-    # Iterative DFS. A stack entry describes a *not yet emitted* closed
-    # pattern: (positions, tidset, core position, parent node id,
-    # depth). Children are pushed in descending extension order so pops
-    # explore ascending item positions, matching the recursive LCM.
-    stack: List[Tuple[Tuple[int, ...], TidVector, int, int, int]] = []
-    _push_children(stack, root_positions, root_tids, -1, 0, 0,
-                   view, max_length)
+    It fills the native kernel's arrays, node by node.
+    """
+    rows = [root_tids.words]
+    parent = [-1]
+    support = [view.n_records]
+    positions = list(root_positions)
+    offsets = [0, len(positions)]
+
+    # Iterative DFS over not yet emitted closed patterns. Children are
+    # pushed in descending extension order so pops explore ascending
+    # item positions, matching the recursive LCM.
+    stack: List[_Entry] = []
+    _push_children(stack, root_positions, root_tids, -1, 0, view,
+                   max_length)
     while stack:
-        positions, tids, _core, parent_id, depth = stack.pop()
-        node_id = len(out)
-        items = frozenset(view.item_ids[p] for p in positions)
-        out.append(ClosedPattern(
-            node_id=node_id, parent_id=parent_id, items=items,
-            tidset=tids, support=tids.count(), depth=depth,
-        ))
-        _push_children(stack, positions, tids, _core, node_id, depth,
-                       view, max_length)
-    return out
+        closure, tids, core, parent_id = stack.pop()
+        node = len(rows)
+        rows.append(tids.words)
+        parent.append(parent_id)
+        support.append(tids.count())
+        positions.extend(closure)
+        offsets.append(len(positions))
+        _push_children(stack, closure, tids, core, node, view,
+                       max_length)
+    return _pattern_set(view, np.stack(rows), np.array(parent),
+                        np.array(support), np.array(positions, dtype=np.int64),
+                        np.array(offsets))
 
 
 def _push_children(
-    stack: List[Tuple[Tuple[int, ...], TidVector, int, int, int]],
+    stack: List[_Entry],
     positions: Tuple[int, ...],
     tids: TidVector,
     core: int,
-    node_id: int,
-    depth: int,
+    node: int,
     view: VerticalView,
     max_length: Optional[int],
 ) -> None:
@@ -281,7 +269,7 @@ def _push_children(
             continue
         if max_length is not None and len(closure) > max_length:
             continue
-        stack.append((closure, new_tids, j, node_id, depth + 1))
+        stack.append((closure, new_tids, j, node))
 
 
 def _prefix_preserved(closure: Sequence[int], positions: Sequence[int],
@@ -290,11 +278,3 @@ def _prefix_preserved(closure: Sequence[int], positions: Sequence[int],
     closure_prefix = [p for p in closure if p < j]
     parent_prefix = [p for p in positions if p < j]
     return closure_prefix == parent_prefix
-
-
-def iter_pattern_tree(patterns: Sequence[ClosedPattern]
-                      ) -> Iterator[Tuple[ClosedPattern, ClosedPattern]]:
-    """Yield ``(parent, child)`` pairs of the enumeration tree."""
-    for pattern in patterns:
-        if pattern.parent_id >= 0:
-            yield patterns[pattern.parent_id], pattern

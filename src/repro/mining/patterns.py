@@ -1,87 +1,79 @@
-"""The common pattern result model every miner adapts to.
+"""The pattern set every miner returns, stored as columns.
 
 Every registered miner (:mod:`repro.mining.registry`) returns one
-:class:`PatternSet`: a DFS-ordered forest of :class:`Pattern` nodes
-plus provenance (which miner, which options). Downstream consumers —
-rule generation, the Section 7 representative reduction and the
-permutation engine — all read the same five structural
-facts off a node: dense ``node_id``, ``parent_id`` of an ancestor
-emitted earlier, ``items``, ``tidset`` and ``support``. The model
-therefore encodes the *contract* those consumers rely on:
+:class:`PatternSet`: the mined patterns as parallel columns plus
+provenance (which miner, which options). Row ``i`` of every column is
+pattern ``i``, and the position is the pattern's id:
 
-* nodes are in DFS/topological order — a parent precedes its children
-  (``parent_id < node_id``), so one forward pass can propagate
-  per-node state;
-* a child's tidset is a subset of its parent's, which is what makes
-  the paper's Diffsets subtraction
-  (``supp_c(child) = supp_c(parent) - |diff ∩ c|``) correct;
-* ``node_id`` values are dense array positions, so forests can store
-  per-node state in flat numpy arrays.
+* ``matrix`` — a :class:`~repro.bitmat.BitMatrix` of the tidsets, one
+  row per pattern. Over the native closed walk it is the walk's
+  read-only arena itself, without a copy;
+* ``supports`` — ``supp(X)`` per pattern (int64);
+* ``item_ids`` / ``item_offsets`` — the catalog item ids of pattern
+  ``i`` are ``item_ids[item_offsets[i]:item_offsets[i + 1]]`` (CSR);
+* ``parent`` — the enumeration-tree parent's position (``-1`` for a
+  root), or ``None``. Only the closed walk and the Section 7
+  reduction fill it; it is what Diffsets storage (Section 4.2.2) and
+  the reduction read.
 
-Closed miners emit this shape natively (the LCM enumeration tree).
-All-frequent miners (Apriori, FP-growth) emit flat
-:class:`~repro.mining.apriori.FrequentPattern` lists;
-:func:`patternset_from_frequent` lifts those into a *prefix tree* —
-each pattern's parent is the pattern minus its largest item, which by
-anti-monotonicity is itself frequent, emitted earlier, and covers a
-superset of the records — so every correction works identically on
-all-frequent hypothesis sets.
+Score (:func:`~repro.mining.rules.generate_rules`), the permutation
+engine and STUCCO read the columns directly. ``PatternSet[i]`` and
+iteration build a :class:`Pattern` view on access — the edge for
+tests, plugins and the CLI. :meth:`PatternSet.pack` is the one way
+pattern objects become a set (Apriori and FP-growth output, hand-built
+lists, custom pipeline stages); :meth:`PatternSet.take` slices every
+column at once. The constructor checks the shape of outside input:
+equal-length columns, tidset rows of exactly ``n_records`` bits and
+parents that precede their children.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, Mapping, Optional, Sequence
 
+import numpy as np
+
+from ..bitmat import BitMatrix
 from ..errors import MiningError
 from ..jsonio import json_safe
-from ..tidvector import TidVector, as_tidvector
+from ..tidvector import TidVector
 
 __all__ = [
     "PATTERNSET_SCHEMA_VERSION",
     "Pattern",
     "PatternSet",
     "patternset_from_frequent",
-    "patternset_from_tree",
 ]
 
 #: Version stamp of the :meth:`PatternSet.to_json` document shape.
-#: Bump on any change to the field layout so persisted forests (the
-#: service's artifact store) cannot be misread by newer code.
-PATTERNSET_SCHEMA_VERSION = 1
+#: Bump on any change to the field layout so persisted pattern sets
+#: cannot be misread by newer code.
+PATTERNSET_SCHEMA_VERSION = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pattern:
-    """One node of a pattern enumeration forest.
+    """One pattern, as a view of a :class:`PatternSet` row.
 
     Attributes
     ----------
-    node_id:
-        Dense index in emission order; parents precede children.
-    parent_id:
-        ``node_id`` of the tree parent (``-1`` for a root).
     items:
-        Original catalog item ids of the pattern (frozen set).
+        Catalog item ids of the pattern.
     tidset:
-        Packed record set (:class:`~repro.tidvector.TidVector`) of the
-        records containing the pattern (a subset of the parent's
-        tidset). Plugin miners may still supply bigint bitsets; every
-        consumer coerces through
-        :func:`~repro.tidvector.as_tidvector`.
+        Packed record set of the records containing the pattern.
     support:
-        ``tidset.count()`` — the coverage of rules built on this
-        pattern.
-    depth:
-        Distance from the root in the enumeration tree.
+        ``tidset.count()`` — the coverage of rules built on it.
+    parent_id:
+        Position of the tree parent in the owning set (``-1`` for a
+        root or a set without a ``parent`` column).
+        :meth:`PatternSet.pack` does not read it.
     """
 
-    node_id: int
-    parent_id: int
     items: frozenset
     tidset: TidVector
     support: int
-    depth: int
+    parent_id: int = -1
 
     @property
     def length(self) -> int:
@@ -89,65 +81,48 @@ class Pattern:
         return len(self.items)
 
     def to_json(self) -> Dict[str, object]:
-        """Plain-JSON form of this node (items and tids sorted)."""
-        if isinstance(self.tidset, TidVector):
-            tid_list = [int(t) for t in self.tidset.indices()]
-        else:  # bigint interop (plugin miners)
-            bits = int(self.tidset)
-            tid_list = []
-            index = 0
-            while bits:
-                if bits & 1:
-                    tid_list.append(index)
-                bits >>= 1
-                index += 1
+        """Plain-JSON form (items and tids sorted)."""
         return {
-            "node_id": self.node_id,
-            "parent_id": self.parent_id,
             "items": sorted(int(i) for i in self.items),
-            "tids": tid_list,
+            "tids": self.tidset.indices().tolist(),
             "support": self.support,
-            "depth": self.depth,
         }
 
     @classmethod
     def from_json(cls, payload: Mapping, n_records: int) -> "Pattern":
-        """Rebuild a node from :meth:`to_json` output."""
+        """Rebuild a pattern from :meth:`to_json` output."""
         return cls(
-            node_id=int(payload["node_id"]),
-            parent_id=int(payload["parent_id"]),
             items=frozenset(int(i) for i in payload["items"]),
             tidset=TidVector.from_indices(
                 (int(t) for t in payload["tids"]), n_records),
             support=int(payload["support"]),
-            depth=int(payload["depth"]),
         )
 
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(id={self.node_id}, "
-                f"items={sorted(self.items)}, support={self.support})")
 
-
-@dataclass
+@dataclass(eq=False)
 class PatternSet:
-    """What one mining run produced: a pattern forest plus provenance.
+    """What one mining run produced: pattern columns plus provenance.
 
-    A sequence of :class:`Pattern` nodes in DFS order (iterable,
-    indexable, sized — drop-in wherever a pattern list was accepted:
-    :func:`~repro.mining.rules.generate_rules`,
-    :class:`~repro.corrections.permutation.PermutationEngine`,
-    :func:`~repro.mining.representative.reduce_patterns`), carrying
-    the mining parameters and the producing miner's identity so
-    results remain auditable after the fact.
+    A sized, indexable, iterable sequence of :class:`Pattern` views,
+    carrying the mining parameters and the producing miner's identity
+    so results stay auditable.
 
     Attributes
     ----------
-    patterns:
-        The forest nodes, DFS-ordered, ``node_id`` == position.
+    matrix:
+        The tidsets, one :class:`~repro.bitmat.BitMatrix` row per
+        pattern.
+    supports:
+        ``supp(X)`` per pattern (int64).
+    item_ids, item_offsets:
+        The patterns' catalog item ids in CSR form (int64).
     n_records:
         Size of the mined dataset.
     min_sup:
         The support floor the run used.
+    parent:
+        Position of each pattern's tree parent (``-1`` for a root), or
+        ``None`` when the producer has no tree.
     algorithm:
         Canonical name of the registered miner that produced the set
         (stamped by :meth:`repro.mining.registry.Miner.mine`; empty
@@ -160,65 +135,190 @@ class PatternSet:
         ``"general_rules"``).
     """
 
-    patterns: List[Pattern]
+    matrix: BitMatrix
+    supports: np.ndarray
+    item_ids: np.ndarray
+    item_offsets: np.ndarray
     n_records: int
     min_sup: int
+    parent: Optional[np.ndarray] = None
     algorithm: str = ""
     provenance: Dict[str, object] = field(default_factory=dict)
 
-    # -- sequence protocol: a PatternSet is its pattern list ----------
+    def __post_init__(self) -> None:
+        self.supports = np.asarray(self.supports, dtype=np.int64)
+        self.item_ids = np.asarray(self.item_ids, dtype=np.int64)
+        self.item_offsets = np.asarray(self.item_offsets, dtype=np.int64)
+        n = self.matrix.n_rows
+        if self.parent is not None:
+            self.parent = np.asarray(self.parent, dtype=np.int64)
+        if self.supports.shape != (n,) \
+                or self.item_offsets.shape != (n + 1,) \
+                or (self.parent is not None and self.parent.shape != (n,)):
+            raise MiningError(
+                f"pattern columns differ in length: {n} tidset rows, "
+                f"{self.supports.shape} supports, "
+                f"{self.item_offsets.shape} item offsets")
+        offsets = self.item_offsets
+        if offsets[0] != 0 or offsets[-1] != len(self.item_ids) \
+                or np.any(offsets[1:] < offsets[:-1]):
+            raise MiningError(
+                "item_offsets must rise from 0 to len(item_ids)")
+        if self.matrix.n_records != self.n_records:
+            raise MiningError(
+                f"tidset rows hold {self.matrix.n_records} records, "
+                f"expected {self.n_records}")
+        tail = self.n_records % 64
+        if n and tail:
+            spill = np.flatnonzero(
+                self.matrix.words[:, -1] >> np.uint64(tail))
+            if spill.size:
+                raise MiningError(
+                    f"tidset of row {spill[0]} references records >= "
+                    f"{self.n_records}")
+        if self.parent is not None:
+            bad = np.flatnonzero((self.parent >= np.arange(n))
+                                 | (self.parent < -1))
+            if bad.size:
+                raise MiningError(
+                    f"pattern {bad[0]} names parent "
+                    f"{self.parent[bad[0]]}; parents must precede "
+                    f"children")
+
+    # -- building -----------------------------------------------------
+
+    @classmethod
+    def pack(cls, patterns: Sequence, n_records: int, min_sup: int, *,
+             parent: Optional[Sequence[int]] = None, algorithm: str = "",
+             provenance: Optional[Mapping[str, object]] = None,
+             ) -> "PatternSet":
+        """Pack pattern objects, in the given order, into columns.
+
+        Accepts anything with ``items`` / ``tidset`` / ``support``
+        (:class:`Pattern` views, :class:`~repro.mining.apriori.
+        FrequentPattern`); tidsets may be
+        :class:`~repro.tidvector.TidVector` values or bigint bitsets.
+        ``parent`` fills the tree column; the objects' own
+        ``parent_id`` is not read. A tidset outside ``n_records``
+        raises :class:`MiningError`.
+        """
+        patterns = list(patterns)
+        try:
+            matrix = BitMatrix.from_tidsets([p.tidset for p in patterns],
+                                            n_records)
+        except ValueError as exc:
+            raise MiningError(str(exc)) from exc
+        items = [sorted(p.items) for p in patterns]
+        offsets = np.zeros(len(patterns) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum([len(i) for i in items], dtype=np.int64)
+        return cls(
+            matrix=matrix,
+            supports=np.array([p.support for p in patterns], dtype=np.int64),
+            item_ids=np.fromiter((i for row in items for i in row),
+                                 dtype=np.int64, count=int(offsets[-1])),
+            item_offsets=offsets, n_records=n_records, min_sup=min_sup,
+            parent=parent, algorithm=algorithm,
+            provenance=dict(provenance or {}))
+
+    def take(self, rows: Sequence[int]) -> "PatternSet":
+        """The patterns at ``rows`` (ascending), every column sliced.
+
+        A parent outside ``rows`` is replaced by its nearest kept
+        ancestor (``-1`` when none is kept), so the result is still a
+        forest.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.item_offsets[rows]
+        lengths = self.item_offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        gather = (np.repeat(starts - offsets[:-1], lengths)
+                  + np.arange(offsets[-1]))
+        parent = None
+        if self.parent is not None:
+            n = len(self)
+            kept = np.zeros(n + 1, dtype=bool)
+            kept[rows] = True
+            kept[n] = True  # n stands for "no parent"
+            up = np.append(np.where(self.parent < 0, n, self.parent), n)
+            ancestor = fixpoint(np.where(kept, np.arange(n + 1), up))
+            position = np.full(n + 1, -1, dtype=np.int64)
+            position[rows] = np.arange(len(rows))
+            parent = position[ancestor[up[rows]]]
+        return PatternSet(
+            matrix=BitMatrix(self.matrix.words[rows], self.n_records),
+            supports=self.supports[rows], item_ids=self.item_ids[gather],
+            item_offsets=offsets, n_records=self.n_records,
+            min_sup=self.min_sup, parent=parent, algorithm=self.algorithm,
+            provenance=dict(self.provenance))
+
+    # -- sequence protocol: Pattern views built on access -------------
 
     def __len__(self) -> int:
-        return len(self.patterns)
-
-    def __iter__(self) -> Iterator[Pattern]:
-        return iter(self.patterns)
+        return self.matrix.n_rows
 
     def __getitem__(self, index):
-        return self.patterns[index]
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        start, stop = self.item_offsets[i], self.item_offsets[i + 1]
+        return Pattern(
+            items=frozenset(self.item_ids[start:stop].tolist()),
+            tidset=self.matrix.tidvector(i),
+            support=int(self.supports[i]),
+            parent_id=-1 if self.parent is None else int(self.parent[i]))
+
+    def __iter__(self) -> Iterator[Pattern]:
+        return (self[i] for i in range(len(self)))
 
     # -- conveniences -------------------------------------------------
 
     @property
+    def patterns(self) -> "PatternSet":
+        """The set itself, a sequence of :class:`Pattern` views."""
+        return self
+
+    @property
     def n_patterns(self) -> int:
-        """Number of nodes in the forest (roots included)."""
-        return len(self.patterns)
+        """Number of patterns (roots included)."""
+        return len(self)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Number of items per pattern (int64)."""
+        return np.diff(self.item_offsets)
 
     @property
     def n_hypotheses(self) -> int:
         """Rule-bearing patterns (non-empty ``items``): with two
         classes this is the multiple-testing denominator ``Nt``."""
-        return sum(1 for pattern in self.patterns if pattern.items)
-
-    def supports(self) -> List[int]:
-        """Support of every node, in forest order."""
-        return [pattern.support for pattern in self.patterns]
+        return int(np.count_nonzero(self.lengths))
 
     def to_json(self) -> Dict[str, object]:
-        """Plain-JSON document of the whole forest, versioned.
+        """Plain-JSON document of the whole set, versioned.
 
-        Everything a consumer needs to rebuild the forest — nodes with
-        their tidsets (as sorted record-id lists), the dataset size,
-        the mining parameters and the producing miner — under a
-        ``schema_version`` stamp. Provenance entries that are not
-        JSON-serializable (e.g. the ``general-rules`` miner's scored
-        rule object) are dropped; the structural payload always
-        round-trips. Floats survive exactly (``json`` renders
-        shortest-round-trip ``repr``), so re-rendered output is
-        byte-identical to the original.
+        Everything needed to rebuild the set — patterns with their
+        tidsets (as sorted record-id lists), the parent column, the
+        dataset size, the mining parameters and the producing miner —
+        under a ``schema_version`` stamp. Provenance entries that are
+        not JSON-serializable (e.g. the ``general-rules`` miner's
+        scored rule object) are dropped; the structural payload always
+        round-trips.
         """
         return {
             "schema_version": PATTERNSET_SCHEMA_VERSION,
             "n_records": self.n_records,
             "min_sup": self.min_sup,
             "algorithm": self.algorithm,
-            "patterns": [pattern.to_json() for pattern in self.patterns],
+            "patterns": [pattern.to_json() for pattern in self],
+            "parent": (None if self.parent is None
+                       else self.parent.tolist()),
             "provenance": json_safe(self.provenance),
         }
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "PatternSet":
-        """Rebuild a forest from :meth:`to_json` output.
+        """Rebuild a set from :meth:`to_json` output.
 
         Raises :class:`MiningError` on a missing or unsupported
         ``schema_version`` — a persisted artifact from a different
@@ -231,64 +331,21 @@ class PatternSet:
                 f"{version!r}; this library writes/reads version "
                 f"{PATTERNSET_SCHEMA_VERSION}")
         n_records = int(payload["n_records"])
-        return cls(
-            patterns=[Pattern.from_json(node, n_records)
-                      for node in payload["patterns"]],
-            n_records=n_records,
-            min_sup=int(payload["min_sup"]),
+        return cls.pack(
+            [Pattern.from_json(p, n_records) for p in payload["patterns"]],
+            n_records, int(payload["min_sup"]), parent=payload.get("parent"),
             algorithm=str(payload.get("algorithm", "")),
-            provenance=dict(payload.get("provenance") or {}),
-        )
-
-    def validate(self) -> "PatternSet":
-        """Check the structural contract; return self when it holds.
-
-        Verifies dense ids, topological parent order, and the
-        child-tidset-is-a-subset invariant Diffsets storage needs.
-        Raises :class:`MiningError` on the first violation.
-        """
-        for position, pattern in enumerate(self.patterns):
-            if pattern.node_id != position:
-                raise MiningError(
-                    f"pattern at position {position} has node_id "
-                    f"{pattern.node_id}; ids must be dense positions")
-            if pattern.parent_id >= position:
-                raise MiningError(
-                    f"pattern {position} names parent "
-                    f"{pattern.parent_id}; parents must precede "
-                    f"children")
-            if pattern.parent_id >= 0:
-                parent = self.patterns[pattern.parent_id]
-                try:
-                    child_tids = as_tidvector(pattern.tidset,
-                                              self.n_records)
-                    parent_tids = as_tidvector(parent.tidset,
-                                               self.n_records)
-                except ValueError as exc:
-                    raise MiningError(
-                        f"pattern {position}: {exc}") from exc
-                if not child_tids.is_subset(parent_tids):
-                    raise MiningError(
-                        f"pattern {position}'s tidset is not a subset "
-                        f"of its parent's")
-        return self
+            provenance=payload.get("provenance"))
 
 
-def patternset_from_tree(
-    patterns: Sequence[Pattern],
-    n_records: int,
-    min_sup: int,
-    algorithm: str = "",
-    provenance: Optional[Mapping[str, object]] = None,
-) -> PatternSet:
-    """Wrap an already tree-shaped pattern list (closed miners).
-
-    The closed miner's DFS output satisfies the forest contract as-is;
-    this only attaches the provenance envelope.
-    """
-    return PatternSet(patterns=list(patterns), n_records=n_records,
-                      min_sup=min_sup, algorithm=algorithm,
-                      provenance=dict(provenance or {}))
+def fixpoint(link: np.ndarray) -> np.ndarray:
+    """Follow ``link`` (every chain ends at an ``i`` with
+    ``link[i] == i``) to the chain end, for every index at once."""
+    while True:
+        hop = link[link]
+        if np.array_equal(hop, link):
+            return link
+        link = hop
 
 
 def patternset_from_frequent(
@@ -298,39 +355,17 @@ def patternset_from_frequent(
     algorithm: str = "",
     provenance: Optional[Mapping[str, object]] = None,
 ) -> PatternSet:
-    """Lift a flat frequent-pattern list into the forest contract.
+    """Pack a flat frequent-pattern list under an empty root.
 
     Accepts anything with ``items`` / ``tidset`` / ``support`` (e.g.
-    :class:`~repro.mining.apriori.FrequentPattern`). Nodes are ordered
-    by (length, sorted items) — the canonical emission order both
-    Apriori and FP-growth produce — under a synthetic empty root, and
-    each pattern's parent is the pattern minus its largest item: a
-    frequent (anti-monotonicity), previously emitted (shorter)
-    sub-pattern covering a superset of the records. The result is a
-    genuine enumeration tree, so Diffsets storage and the permutation
-    engine apply unchanged to all-frequent hypothesis sets.
+    :class:`~repro.mining.apriori.FrequentPattern`). The empty root
+    comes first, then the patterns by (length, sorted items) — the
+    order both Apriori and FP-growth emit. An explicit empty pattern
+    collapses into the root. The set has no ``parent`` column.
     """
-    root = Pattern(node_id=0, parent_id=-1, items=frozenset(),
-                   tidset=TidVector.universe(n_records),
-                   support=n_records, depth=0)
-    nodes: List[Pattern] = [root]
-    node_of: Dict[frozenset, int] = {root.items: 0}
-    ordered = sorted(patterns,
+    root = Pattern(items=frozenset(), tidset=TidVector.universe(n_records),
+                   support=n_records)
+    ordered = sorted((p for p in patterns if p.items),
                      key=lambda p: (len(p.items), tuple(sorted(p.items))))
-    for pattern in ordered:
-        items = frozenset(pattern.items)
-        if not items:
-            continue  # an explicit empty pattern collapses into the root
-        prefix = (items - {max(items)} if len(items) > 1
-                  else frozenset())
-        # A max_length-capped or otherwise pruned input may lack the
-        # prefix; the root is always a valid (superset-tidset) parent.
-        parent_id = node_of.get(prefix, 0)
-        node = Pattern(node_id=len(nodes), parent_id=parent_id,
-                       items=items, tidset=pattern.tidset,
-                       support=pattern.support, depth=len(items))
-        node_of[items] = node.node_id
-        nodes.append(node)
-    return PatternSet(patterns=nodes, n_records=n_records,
-                      min_sup=min_sup, algorithm=algorithm,
-                      provenance=dict(provenance or {}))
+    return PatternSet.pack([root] + ordered, n_records, min_sup,
+                           algorithm=algorithm, provenance=provenance)

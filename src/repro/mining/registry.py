@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import difflib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import MiningError
@@ -52,11 +52,7 @@ from .apriori import mine_apriori
 from .closed import mine_closed
 from .fpgrowth import mine_fpgrowth
 from .general import rules_from_patterns
-from .patterns import (
-    PatternSet,
-    patternset_from_frequent,
-    patternset_from_tree,
-)
+from .patterns import PatternSet, patternset_from_frequent
 from .representative import reduce_patterns
 
 __all__ = [
@@ -95,15 +91,6 @@ class Miner:
         Capability tags (``"closed"``, ``"all-frequent"``,
         ``"representative"``, ``"emits-rules"``, or custom); consumers
         gate on tags, never on names.
-    validate_output:
-        Run :meth:`PatternSet.validate` on every :meth:`mine` result
-        (default on). A contract-violating forest would otherwise
-        flow into the permutation engine, which indexes its per-node
-        arrays by node id, and silently corrupt permutation p-values;
-        validation turns that into an immediate
-        :class:`MiningError`. The built-ins turn it off — their
-        adapters guarantee the contract (property-tested) and the
-        check is pure overhead on the hot path.
     description:
         One-line summary for listings.
     """
@@ -112,7 +99,6 @@ class Miner:
     mine_fn: MineFn
     aliases: Tuple[str, ...] = ()
     capabilities: Tuple[str, ...] = ()
-    validate_output: bool = True
     description: str = ""
 
     def mine(self, dataset_view, min_sup: int,
@@ -133,8 +119,6 @@ class Miner:
                 f"{type(dataset_view).__name__}")
         pattern_set = self.mine_fn(item_tidsets, n_records, min_sup,
                                    max_length, **opts)
-        if self.validate_output:
-            pattern_set.validate()
         pattern_set.algorithm = self.name
         pattern_set.provenance.setdefault("capabilities",
                                           self.capabilities)
@@ -284,9 +268,8 @@ def _unknown_message(name: str) -> str:
 
 def _mine_closed_set(item_tidsets, n_records, min_sup, max_length,
                      item_order: str = "support-ascending") -> PatternSet:
-    patterns = mine_closed(item_tidsets, n_records, min_sup,
-                           max_length=max_length, item_order=item_order)
-    return patternset_from_tree(patterns, n_records, min_sup)
+    return mine_closed(item_tidsets, n_records, min_sup,
+                       max_length=max_length, item_order=item_order)
 
 
 def _mine_apriori_set(item_tidsets, n_records, min_sup,
@@ -309,9 +292,8 @@ def _mine_representative_set(item_tidsets, n_records, min_sup,
     patterns = mine_closed(item_tidsets, n_records, min_sup,
                            max_length=max_length)
     reduced = reduce_patterns(patterns, delta=delta)
-    return patternset_from_tree(
-        reduced, n_records, min_sup,
-        provenance={"delta": delta, "n_closed": len(patterns)})
+    reduced.provenance.update(delta=delta, n_closed=len(patterns))
+    return reduced
 
 
 def _mine_general_set(item_tidsets, n_records, min_sup, max_length,
@@ -331,7 +313,6 @@ register_miner(Miner(
     mine_fn=_mine_closed_set,
     aliases=("lcm",),
     capabilities=("closed",),
-    validate_output=False,
     description="LCM-style closed frequent patterns (Section 3; the "
                 "paper's hypothesis set and the pipeline default)"))
 
@@ -340,7 +321,6 @@ register_miner(Miner(
     mine_fn=_mine_apriori_set,
     aliases=("levelwise", "all"),
     capabilities=("all-frequent",),
-    validate_output=False,
     description="level-wise all-frequent baseline (the 'all patterns' "
                 "arm of the Section 7 hypothesis-count ablation)"))
 
@@ -349,7 +329,6 @@ register_miner(Miner(
     mine_fn=_mine_fpgrowth_set,
     aliases=("fp-growth", "fp"),
     capabilities=("all-frequent",),
-    validate_output=False,
     description="pattern-growth all-frequent miner (same pattern set "
                 "as apriori, FP-tree enumeration)"))
 
@@ -358,7 +337,6 @@ register_miner(Miner(
     mine_fn=_mine_representative_set,
     aliases=("reduced",),
     capabilities=("closed", "representative"),
-    validate_output=False,
     description="closed patterns with the Section 7 near-duplicate "
                 "chain reduction (opts: delta, default 0.1)"))
 
@@ -367,7 +345,6 @@ register_miner(Miner(
     mine_fn=_mine_general_set,
     aliases=("general", "market-basket"),
     capabilities=("all-frequent", "emits-rules"),
-    validate_output=False,
     description="FP-growth patterns plus scored X => Y association "
                 "rules in provenance['general_rules'] (opts: "
                 "min_conf, max_consequent)"))

@@ -11,8 +11,9 @@ Closed patterns already remove *exact* duplicates (identical tidsets);
 this module removes *near* duplicates. In the closed-pattern
 enumeration tree a child's tidset is a subset of its parent's, so the
 Jaccard similarity between a pattern and any ancestor is simply
-``supp(descendant) / supp(ancestor)``. A single DFS pass therefore
-clusters the tree greedily:
+``supp(descendant) / supp(ancestor)``. The clusters therefore follow
+from the ``parent`` and ``supports`` columns of the closed pattern set
+alone:
 
 * the root's children start their own clusters;
 * a node joins its parent's cluster when its support is within a
@@ -40,13 +41,15 @@ which is exactly the power mechanism Section 7 anticipates. The
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
+
+import numpy as np
 
 from ..data.dataset import Dataset
 from ..errors import MiningError
 from .closed import mine_closed
-from .patterns import Pattern
+from .patterns import PatternSet, fixpoint
 from .rules import RuleSet, generate_rules
 
 __all__ = ["RepresentativeSelection", "select_representatives",
@@ -55,32 +58,37 @@ __all__ = ["RepresentativeSelection", "select_representatives",
 
 @dataclass
 class RepresentativeSelection:
-    """Outcome of clustering a closed-pattern forest.
+    """Outcome of clustering a closed pattern set.
 
     Attributes
     ----------
     representatives:
-        Cluster representatives in original DFS order (the root node is
-        retained so downstream consumers still see a rooted forest).
+        The cluster representatives as a pattern set, in the input's
+        order (a root is retained, so downstream consumers still see a
+        rooted forest), parents remapped to the representatives.
+    rows:
+        The representatives' positions in the input (ascending).
     cluster_of:
-        Maps every pattern's ``node_id`` to its representative's
-        ``node_id``; representatives map to themselves.
+        Every input position's representative position;
+        representatives map to themselves.
     delta:
         The merge tolerance the selection was built with.
-    n_input:
-        Number of patterns before reduction.
     """
 
-    representatives: List[Pattern]
-    cluster_of: Dict[int, int]
+    representatives: PatternSet
+    rows: np.ndarray
+    cluster_of: np.ndarray
     delta: float
-    n_input: int
-    _members: Dict[int, List[int]] = field(default_factory=dict, repr=False)
+
+    @property
+    def n_input(self) -> int:
+        """Number of patterns before reduction."""
+        return len(self.cluster_of)
 
     @property
     def n_clusters(self) -> int:
         """Number of clusters (= number of representatives)."""
-        return len(self.representatives)
+        return len(self.rows)
 
     @property
     def reduction(self) -> float:
@@ -89,28 +97,27 @@ class RepresentativeSelection:
             return 0.0
         return 1.0 - self.n_clusters / self.n_input
 
-    def members(self, representative_id: int) -> List[int]:
-        """Node ids absorbed by the given representative (itself
+    def members(self, representative: int) -> List[int]:
+        """Positions absorbed by the given representative (itself
         included)."""
-        return list(self._members.get(representative_id, []))
+        return np.flatnonzero(self.cluster_of == representative).tolist()
 
 
-def select_representatives(patterns: Sequence[Pattern],
+def select_representatives(patterns: PatternSet,
                            delta: float = 0.1,
                            ) -> RepresentativeSelection:
-    """Greedily cluster a closed-pattern forest by support proximity.
+    """Cluster a closed pattern set by support proximity.
 
     Parameters
     ----------
     patterns:
-        A DFS-ordered forest as produced by
-        :func:`~repro.mining.closed.mine_closed` (parents precede
-        children; ``parent_id`` links are consistent).
+        A pattern set with a ``parent`` column, as
+        :func:`~repro.mining.closed.mine_closed` returns.
     delta:
-        Merge tolerance: node ``X`` joins its parent ``Y``'s cluster
-        when ``supp(X) >= (1 - delta) * supp(Y)``. ``delta = 0``
-        merges only exact support ties along tree edges — for closed
-        patterns those cannot exist, so nothing merges.
+        Merge tolerance: pattern ``X`` joins its parent ``Y``'s cluster
+        when ``supp(X) >= (1 - delta) * supp(Y)`` and ``Y`` has items.
+        ``delta = 0`` merges only exact support ties along tree edges
+        — for closed patterns those cannot exist, so nothing merges.
 
     Notes
     -----
@@ -123,39 +130,22 @@ def select_representatives(patterns: Sequence[Pattern],
     """
     if not 0.0 <= delta < 1.0:
         raise MiningError(f"delta must be in [0, 1), got {delta}")
-    representatives: List[Pattern] = []
-    cluster_of: Dict[int, int] = {}
-    members: Dict[int, List[int]] = {}
-    by_id: Dict[int, Pattern] = {}
-    for pattern in patterns:
-        by_id[pattern.node_id] = pattern
-        if pattern.parent_id < 0:
-            _start_cluster(pattern, representatives, cluster_of, members)
-            continue
-        parent = by_id[pattern.parent_id]
-        if not parent.items:
-            # Never absorb real patterns into the (empty) root cluster:
-            # the root is not a testable rule.
-            _start_cluster(pattern, representatives, cluster_of, members)
-            continue
-        if pattern.support >= (1.0 - delta) * parent.support:
-            parent_rep_id = cluster_of[pattern.parent_id]
-            cluster_of[pattern.node_id] = parent_rep_id
-            members[parent_rep_id].append(pattern.node_id)
-        else:
-            _start_cluster(pattern, representatives, cluster_of, members)
+    if not isinstance(patterns, PatternSet) or patterns.parent is None:
+        raise MiningError(
+            "the representative reduction needs a pattern set with a "
+            "parent column (the closed walk's output)")
+    parent = patterns.parent
+    supports = patterns.supports
+    above = np.maximum(parent, 0)
+    # Never absorb real patterns into an (empty) root's cluster: the
+    # root is not a testable rule.
+    joins = ((parent >= 0) & (patterns.lengths[above] > 0)
+             & (supports >= (1.0 - delta) * supports[above]))
+    cluster_of = fixpoint(np.where(joins, parent, np.arange(len(parent))))
+    rows = np.flatnonzero(~joins)
     return RepresentativeSelection(
-        representatives=representatives, cluster_of=cluster_of,
-        delta=delta, n_input=len(by_id), _members=members)
-
-
-def _start_cluster(pattern: Pattern,
-                   representatives: List[Pattern],
-                   cluster_of: Dict[int, int],
-                   members: Dict[int, List[int]]) -> None:
-    representatives.append(pattern)
-    cluster_of[pattern.node_id] = pattern.node_id
-    members[pattern.node_id] = [pattern.node_id]
+        representatives=patterns.take(rows), rows=rows,
+        cluster_of=cluster_of, delta=delta)
 
 
 def mine_representative_rules(
@@ -173,9 +163,8 @@ def mine_representative_rules(
     Mines closed patterns, keeps one representative per near-duplicate
     chain, and scores rules only on the representatives — so every
     downstream correction sees the reduced hypothesis count ``Nt``.
-    The returned ruleset's ``patterns`` are the representatives (DFS
-    order is preserved, and ``pattern_id`` values still index into the
-    *original* forest's id space via each pattern's ``node_id``).
+    The returned ruleset's ``patterns`` are the representatives in DFS
+    order; ``pattern_id`` values index them.
     """
     if min_sup < 1:
         raise MiningError(f"min_sup must be >= 1, got {min_sup}")
@@ -186,37 +175,12 @@ def mine_representative_rules(
                           rhs_class=rhs_class, scorer=scorer, **kwargs)
 
 
-def reduce_patterns(patterns: Sequence[Pattern],
-                    delta: float = 0.1) -> List[Pattern]:
-    """Representative patterns with densified ids, ready for scoring.
-
-    Rule generation indexes patterns by node_id through the forest,
-    so the reduced pattern list is re-densified before use.
-    """
-    selection = select_representatives(patterns, delta=delta)
-    return _reindex(selection)
-
-
-def _reindex(selection: RepresentativeSelection) -> List[Pattern]:
-    """Densify node ids after filtering, keeping parent links valid.
+def reduce_patterns(patterns: PatternSet,
+                    delta: float = 0.1) -> PatternSet:
+    """The representative patterns, ready for scoring.
 
     A removed parent is replaced by its cluster representative — which
     is retained and is an ancestor, because clusters are
-    tree-connected — so the reduced forest stays a forest.
+    tree-connected — so the reduced set is still a forest.
     """
-    new_id: Dict[int, int] = {}
-    out: List[Pattern] = []
-    cluster_of = selection.cluster_of
-    for pattern in selection.representatives:
-        new_id[pattern.node_id] = len(out)
-        if pattern.parent_id >= 0:
-            mapped_parent = new_id[cluster_of[pattern.parent_id]]
-        else:
-            mapped_parent = -1
-        # Preserve the node class (ClosedPattern stays closed;
-        # a prefix-tree Pattern stays a plain Pattern).
-        out.append(pattern.__class__(
-            node_id=len(out), parent_id=mapped_parent,
-            items=pattern.items, tidset=pattern.tidset,
-            support=pattern.support, depth=pattern.depth))
-    return out
+    return select_representatives(patterns, delta=delta).representatives

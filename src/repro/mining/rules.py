@@ -32,7 +32,7 @@ from ..data.dataset import Dataset
 from ..errors import MiningError
 from ..stats.pvalue_tables import SCORERS, PValueTables, score_rules
 from .closed import mine_closed
-from .patterns import Pattern
+from .patterns import PatternSet
 
 __all__ = ["ClassRule", "RuleSet", "class_supports", "generate_rules",
            "mine_class_rules"]
@@ -43,7 +43,7 @@ class ClassRule:
     """One class association rule ``X => c`` with its statistics.
 
     ``pattern_id`` is the position of the rule's pattern in the owning
-    :class:`RuleSet`'s pattern list (and its row in
+    :class:`RuleSet`'s pattern set (and its row in
     :attr:`RuleSet.matrix`); ``items`` are catalog item ids.
     """
 
@@ -107,41 +107,37 @@ class RuleSet:
     ``n_tests`` is the paper's ``Nt``: the number of hypotheses tested,
     i.e. ``len(rules)`` (one per pattern for two classes, ``m`` per
     pattern otherwise). Correction procedures consume this, not the
-    pattern count.
+    pattern count. A pattern sequence that is not a
+    :class:`~repro.mining.patterns.PatternSet` is packed into one.
     """
 
     dataset: Dataset
-    patterns: List[Pattern]
+    patterns: PatternSet
     rules: List[ClassRule]
     min_sup: int
     scorer: str = "fisher"
     _tables: Optional[PValueTables] = field(default=None, repr=False,
                                             compare=False)
-    _matrix: Optional[BitMatrix] = field(default=None, repr=False,
-                                         compare=False)
 
-    def __getstate__(self) -> Dict[str, object]:
-        return dict(self.__dict__, _matrix=None)  # rebuilt on first use
+    def __post_init__(self) -> None:
+        if not isinstance(self.patterns, PatternSet):
+            self.patterns = PatternSet.pack(
+                self.patterns, self.dataset.n_records, self.min_sup)
+        elif self.patterns.n_records != self.dataset.n_records:
+            raise MiningError(
+                f"patterns mined over {self.patterns.n_records} records "
+                f"cannot be scored on {self.dataset.n_records}")
 
     @property
     def matrix(self) -> BitMatrix:
-        """Every pattern's tidset, one row per pattern in list order
-        (roots included), as Score counted them; a zero-copy view of
-        the native closed walk's arena. A bad tidset raises
-        :class:`~repro.errors.MiningError`."""
-        if self._matrix is None:
-            try:
-                self._matrix = BitMatrix.from_tidsets(
-                    [p.tidset for p in self.patterns],
-                    self.dataset.n_records)
-            except ValueError as exc:
-                raise MiningError(str(exc)) from exc
-        return self._matrix
+        """Every pattern's tidset, one row per pattern (roots
+        included), as Score counted them: the pattern set's matrix."""
+        return self.patterns.matrix
 
     @property
     def coverages(self) -> np.ndarray:
         """``supp(X)`` of every pattern, in pattern order (int64)."""
-        return np.array([p.support for p in self.patterns], dtype=np.int64)
+        return self.patterns.supports
 
     @property
     def tables(self) -> PValueTables:
@@ -188,7 +184,7 @@ class RuleSet:
 
 def generate_rules(
     dataset: Dataset,
-    patterns: Sequence[Pattern],
+    patterns: Sequence,
     min_sup: int,
     min_conf: float = 0.0,
     rhs_class: Optional[int] = None,
@@ -199,12 +195,11 @@ def generate_rules(
     Parameters
     ----------
     patterns:
-        Any forest-ordered pattern sequence — a raw
-        :func:`~repro.mining.closed.mine_closed` list or a
-        :class:`~repro.mining.patterns.PatternSet` from any registered
-        miner. Patterns with empty ``items`` (forest roots) bear no
-        rule and are skipped. A rule's ``pattern_id`` is its pattern's
-        position in this sequence.
+        A :class:`~repro.mining.patterns.PatternSet` from any miner, or
+        any sequence of patterns (packed with
+        :meth:`~repro.mining.patterns.PatternSet.pack`). Patterns with
+        empty ``items`` (roots) bear no rule and are skipped. A rule's
+        ``pattern_id`` is its pattern's position in the set.
     min_conf:
         The domain-significance filter; the paper's experiments set it
         to 0 so statistical control is exercised alone.
@@ -224,7 +219,7 @@ def generate_rules(
     if rhs_class is not None and not 0 <= rhs_class < dataset.n_classes:
         raise MiningError(f"rhs_class {rhs_class} out of range")
     class_n = [dataset.class_support(c) for c in range(dataset.n_classes)]
-    ruleset = RuleSet(dataset=dataset, patterns=list(patterns), rules=[],
+    ruleset = RuleSet(dataset=dataset, patterns=patterns, rules=[],
                       min_sup=min_sup, scorer=scorer)
     ids, classes, coverages, supports, confidence = _rule_columns(
         ruleset, class_n, min_conf, rhs_class)
@@ -232,18 +227,25 @@ def generate_rules(
         dataset.n_records, class_n, classes.tolist(), coverages.tolist(),
         supports.tolist(), scorer)
     # Rules are built a chunk at a time, so the Python lists of their
-    # fields stay small next to the rules themselves.
-    patterns = ruleset.patterns
+    # fields stay small next to the rules themselves. Rules on one
+    # pattern share its items.
+    item_ids = ruleset.patterns.item_ids
+    offsets = ruleset.patterns.item_offsets
     for start in range(0, len(ids), _RULE_CHUNK):
         chunk = slice(start, start + _RULE_CHUNK)
+        first, last = int(ids[start]), int(ids[chunk][-1]) + 1
+        flat = item_ids[offsets[first]:offsets[last]].tolist()
+        bounds = (offsets[first:last + 1] - offsets[first]).tolist()
+        items = [frozenset(flat[bounds[k]:bounds[k + 1]])
+                 for k in range(last - first)]
         ruleset.rules.extend(
-            ClassRule(pattern_id=i, items=patterns[i].items,
-                      class_index=c, coverage=patterns[i].support,
-                      support=k, confidence=f, p_value=p)
-            for i, c, k, f, p in zip(
+            ClassRule(pattern_id=i, items=items[i - first],
+                      class_index=c, coverage=s, support=k,
+                      confidence=f, p_value=p)
+            for i, c, s, k, f, p in zip(
                 ids[chunk].tolist(), classes[chunk].tolist(),
-                supports[chunk].tolist(), confidence[chunk].tolist(),
-                p_values[chunk]))
+                coverages[chunk].tolist(), supports[chunk].tolist(),
+                confidence[chunk].tolist(), p_values[chunk]))
     return ruleset
 
 
@@ -266,8 +268,7 @@ def _rule_columns(ruleset: RuleSet, class_n: List[int], min_conf: float,
                            where=coverages > 0)
     # keep[c, i]: pattern i bears a rule on class c. Roots (empty LHS)
     # bear none; binary data keeps one class per pattern.
-    keep = np.array([bool(p.items) for p in ruleset.patterns])
-    keep = keep & (confidence >= min_conf)
+    keep = (ruleset.patterns.lengths > 0) & (confidence >= min_conf)
     if n_classes == 2:
         target = rhs_class
         if target is None:

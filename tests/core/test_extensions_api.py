@@ -100,8 +100,11 @@ class TestRedundancyDelta:
         report = mine_significant_rules(dataset, 25, correction="bh",
                                         redundancy_delta=0.4)
         assert report.ruleset is not None
-        ids = [pattern.node_id for pattern in report.ruleset.patterns]
-        assert ids == list(range(len(ids)))
+        patterns = report.ruleset.patterns
+        assert patterns.algorithm == "closed"
+        assert patterns.n_hypotheses == report.n_tested
+        for position, pattern in enumerate(patterns):
+            assert -1 <= pattern.parent_id < position
 
 
 class TestMidPScorer:

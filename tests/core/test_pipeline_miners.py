@@ -43,7 +43,7 @@ class TestDefaultAlgorithm:
         legacy = mine_class_rules(german, MIN_SUP)
         for pipe in (implicit, explicit):
             result = pipe.run(german)
-            assert result.state.pattern_set.algorithm == "closed"
+            assert result.state.patterns.algorithm == "closed"
             assert rule_keys(result.ruleset.rules) == \
                 rule_keys(legacy.rules)
 
@@ -66,7 +66,7 @@ class TestEveryRegisteredMiner:
                         corrections=("none", "bonferroni", "BH"),
                         algorithm=algorithm)
         result = pipe.run(german)
-        assert result.state.pattern_set.algorithm == algorithm
+        assert result.state.patterns.algorithm == algorithm
         for correction_result in result.results.values():
             assert correction_result.n_tests == result.ruleset.n_tests
         assert result["BH"].n_significant >= \
@@ -145,7 +145,7 @@ class TestLateRegistration:
                              capabilities=("all-frequent",)))
         try:
             result = pipe.run(german)
-            assert result.state.pattern_set.algorithm == "late-miner"
+            assert result.state.patterns.algorithm == "late-miner"
         finally:
             unregister_miner("late-miner")
 

@@ -244,14 +244,14 @@ class TestForestPackedPolicy:
         # The root covers every record, so its class support is the
         # class size under any shuffle.
         shuffled = np.random.default_rng(4).permutation(labels)
-        root = patterns[0].node_id
+        root = 0
         assert forest.class_supports(labels)[root] == \
             forest.class_supports(shuffled)[root] == labels.sum()
 
     def test_packed_tidset_reconstruction(self, forest_inputs):
         _, patterns, _, forest = forest_inputs
-        for pattern in patterns[:20]:
-            assert forest.tidvector(pattern.node_id) == pattern.tidset
+        for row, pattern in enumerate(patterns[:20]):
+            assert forest.tidvector(row) == pattern.tidset
 
     def test_batch_shape_validated(self, forest_inputs):
         ds, _, _, forest = forest_inputs

@@ -66,7 +66,7 @@ class TestSmallHandChecked:
             mine_closed([0b1], 1, min_sup=1, max_length=-1)
 
     def test_min_sup_above_n_returns_empty(self):
-        assert mine_closed([0b11], 2, min_sup=3) == []
+        assert len(mine_closed([0b11], 2, min_sup=3)) == 0
 
 
 class TestAgainstApriori:
@@ -120,8 +120,8 @@ class TestTreeStructure:
         rng = random.Random(9)
         tidsets = _random_tidsets(rng, 8, 30)
         patterns = mine_closed(tidsets, 30, min_sup=2)
-        for p in patterns:
-            assert p.parent_id < p.node_id
+        for i, p in enumerate(patterns):
+            assert p.parent_id < i
 
     def test_child_tidset_subset_of_parent(self):
         rng = random.Random(10)
@@ -132,29 +132,14 @@ class TestTreeStructure:
                 parent = patterns[p.parent_id]
                 assert bs.is_subset(p.tidset, parent.tidset)
 
-    def test_node_ids_dense(self):
+    def test_parent_column_is_the_views_parent(self):
         rng = random.Random(11)
         tidsets = _random_tidsets(rng, 7, 25)
         patterns = mine_closed(tidsets, 25, min_sup=1)
-        assert [p.node_id for p in patterns] == list(range(len(patterns)))
-
-    def test_depth_consistent_with_parent(self):
-        rng = random.Random(12)
-        tidsets = _random_tidsets(rng, 7, 25)
-        patterns = mine_closed(tidsets, 25, min_sup=1)
-        for p in patterns:
-            if p.parent_id >= 0:
-                assert p.depth == patterns[p.parent_id].depth + 1
-
-    def test_iter_pattern_tree(self):
-        from repro.mining import iter_pattern_tree
-        rng = random.Random(13)
-        tidsets = _random_tidsets(rng, 6, 20)
-        patterns = mine_closed(tidsets, 20, min_sup=1)
-        edges = list(iter_pattern_tree(patterns))
-        assert len(edges) == len(patterns) - 1
-        for parent, child in edges:
-            assert child.parent_id == parent.node_id
+        assert patterns.parent.tolist() == \
+            [p.parent_id for p in patterns]
+        assert patterns.parent[0] == -1
+        assert (patterns.parent[1:] >= 0).all()
 
 
 class TestOnSyntheticData:

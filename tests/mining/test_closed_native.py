@@ -1,10 +1,10 @@
-"""The native closed walk ≡ the Python walk, node for node.
+"""The native closed walk ≡ the Python walk, column for column.
 
 With the kernel suite loaded, :func:`repro.mining.mine_closed` runs the
 whole LCM walk in one ``repro_lcm_mine`` call; the Python walk is the
 fallback when no compiler is available and the oracle here. Every
-property compares the two emissions field by field — node id, parent,
-depth, support, items and tidset words — on ragged record counts,
+property compares the two pattern sets column by column — item CSR,
+supports, parent and the tidset arena's bytes — on ragged record counts,
 closure masks of one to four words, every item order, length caps and
 items present in every record (a non-empty root closure). A wide view
 (20,000 frequent items) pins the kernel's scratch memory to the path
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro import _native
 from repro.mining import mine_closed
-from repro.tidvector import arena_rows, pack_bool_matrix, stack_tidvectors
+from repro.tidvector import arena_rows, pack_bool_matrix
 
 ORDERS = ("support-ascending", "support-descending", "original")
 
@@ -42,8 +42,11 @@ def _python_walk(tidsets, n_records, min_sup, **options):
 
 
 def _nodes(patterns):
-    return [(p.node_id, p.parent_id, p.depth, p.support, p.items,
-             p.tidset.words.tobytes()) for p in patterns]
+    """Every column, dtype and shape included, plus the views."""
+    columns = (patterns.item_ids, patterns.item_offsets,
+               patterns.supports, patterns.parent, patterns.matrix.words)
+    return ([(c.dtype.str, c.shape, c.tobytes()) for c in columns],
+            patterns.n_records, patterns.min_sup, list(patterns))
 
 
 @st.composite
@@ -139,7 +142,7 @@ class TestArenaOutput:
         flags[3] = True
         patterns = mine_closed(arena_rows(pack_bool_matrix(flags), 150),
                                150, 5)
-        arena = stack_tidvectors([p.tidset for p in patterns])
+        arena = patterns.matrix.words
         root = patterns[0]
         assert root.parent_id == -1 and root.support == 150
         assert root.items == frozenset({3})
@@ -200,13 +203,11 @@ class TestWideView:
                 expected.add((items, int(tids.sum())))
         assert {(p.items, p.support) for p in patterns} == expected
         assert len(patterns) == len(expected)
-        for p in patterns:
-            assert p.node_id == patterns.index(p)
+        for i, p in enumerate(patterns):
+            assert p.parent_id < i
             if p.parent_id >= 0:
                 parent = patterns[p.parent_id]
-                assert parent.node_id < p.node_id
                 assert p.tidset.is_subset(parent.tidset)
-                assert p.depth == parent.depth + 1
             assert p.tidset.count() == p.support
 
 

@@ -1,4 +1,4 @@
-"""The miner registry: resolution semantics, the PatternSet contract,
+"""The miner registry: resolution semantics, the PatternSet columns,
 and registration round-trips mirroring the correction registry."""
 
 from __future__ import annotations
@@ -24,13 +24,10 @@ from repro.mining import (
     mine_patterns,
     miner_names,
     patternset_from_frequent,
-    patternset_from_tree,
     register_miner,
     resolve_miner,
     unregister_miner,
 )
-from repro.mining.closed import ClosedPattern
-
 from .. import bigint_oracle as bs
 
 BUILTINS = ("closed", "apriori", "fpgrowth", "representative",
@@ -201,7 +198,7 @@ class TestMinerMine:
     def test_closed_miner_matches_mine_closed(self, german):
         pattern_set = mine_patterns(german, 40, algorithm="closed")
         raw = mine_closed(german.item_tidsets, german.n_records, 40)
-        assert pattern_set.patterns == raw
+        assert list(pattern_set) == list(raw)
 
     def test_options_forwarded(self, german):
         loose = mine_patterns(german, 40, algorithm="representative",
@@ -224,92 +221,151 @@ class TestMinerMine:
         with pytest.raises(MiningError, match="dataset view"):
             resolve_miner("closed").mine(object(), 5)
 
-    def test_contract_violating_plugin_output_rejected(self, german):
-        # validate_output defaults on for out-of-tree miners: a forest
-        # whose parent links break the subset invariant must error at
-        # mine time, not corrupt permutation supports downstream.
+    def test_malformed_plugin_output_rejected(self, german):
+        # A plugin building columns by hand gets the constructor's
+        # shape checks: a parent that does not precede its child.
         def bad_mine(item_tidsets, n_records, min_sup, max_length,
                      **opts):
-            nodes = [
-                Pattern(node_id=0, parent_id=-1, items=frozenset({0}),
-                        tidset=0b01, support=1, depth=1),
-                Pattern(node_id=1, parent_id=0, items=frozenset({1}),
-                        tidset=0b10, support=1, depth=1),
-            ]
-            return PatternSet(patterns=nodes, n_records=n_records,
-                              min_sup=min_sup)
+            nodes = [Pattern(items=frozenset({0}), tidset=0b01, support=1),
+                     Pattern(items=frozenset({1}), tidset=0b10, support=1)]
+            return PatternSet.pack(nodes, n_records, min_sup,
+                                   parent=[1, -1])
 
         spec = register_miner(Miner(name="broken-miner",
                                     mine_fn=bad_mine))
         try:
-            assert spec.validate_output
-            with pytest.raises(MiningError, match="subset"):
+            with pytest.raises(MiningError, match="precede"):
                 spec.mine(german, 5)
         finally:
             unregister_miner("broken-miner")
-        # Built-ins skip the check (their adapters are property-tested).
-        assert not resolve_miner("closed").validate_output
 
 
-class TestPatternSetContract:
+class TestPatternSetColumns:
     def test_sequence_protocol(self, german):
         pattern_set = mine_patterns(german, 60)
         assert len(pattern_set) == pattern_set.n_patterns
         assert pattern_set[0].parent_id == -1
-        assert list(iter(pattern_set)) == pattern_set.patterns
-        assert pattern_set.supports() == \
+        assert list(iter(pattern_set)) == list(pattern_set.patterns)
+        assert pattern_set[-1] == pattern_set[len(pattern_set) - 1]
+        assert pattern_set[1:3] == [pattern_set[1], pattern_set[2]]
+        assert pattern_set.supports.tolist() == \
             [p.support for p in pattern_set]
+        with pytest.raises(IndexError):
+            pattern_set[len(pattern_set)]
 
-    def test_closed_patterns_are_patterns(self, german):
+    def test_views_read_the_columns(self, german):
         pattern_set = mine_patterns(german, 60)
         assert all(isinstance(p, Pattern) for p in pattern_set)
-        assert all(isinstance(p, ClosedPattern) for p in pattern_set)
+        for i, pattern in enumerate(pattern_set):
+            start, stop = pattern_set.item_offsets[i:i + 2]
+            assert pattern.items == \
+                frozenset(pattern_set.item_ids[start:stop].tolist())
+            assert pattern.tidset == pattern_set.matrix.tidvector(i)
+            assert pattern.parent_id == pattern_set.parent[i]
 
     @pytest.mark.parametrize("algorithm", BUILTINS)
-    def test_every_builtin_satisfies_the_forest_contract(
-            self, german, algorithm):
+    def test_every_builtin_counts_its_hypotheses(self, german, algorithm):
         pattern_set = mine_patterns(german, 60, algorithm=algorithm)
-        assert pattern_set.validate() is pattern_set
         assert pattern_set.n_hypotheses == \
             sum(1 for p in pattern_set if p.items)
+        assert pattern_set.supports.tolist() == \
+            pattern_set.matrix.row_popcounts().tolist()
 
-    def test_validate_rejects_broken_forests(self):
-        node = Pattern(node_id=1, parent_id=-1, items=frozenset({0}),
-                       tidset=1, support=1, depth=1)
-        broken = PatternSet(patterns=[node], n_records=2, min_sup=1)
-        with pytest.raises(MiningError, match="dense"):
-            broken.validate()
-        parent = Pattern(node_id=0, parent_id=-1, items=frozenset({0}),
-                         tidset=0b01, support=1, depth=1)
-        child = Pattern(node_id=1, parent_id=0, items=frozenset({0, 1}),
-                        tidset=0b10, support=1, depth=2)
-        with pytest.raises(MiningError, match="subset"):
-            PatternSet(patterns=[parent, child], n_records=2,
-                       min_sup=1).validate()
+    @pytest.mark.parametrize("algorithm", ("closed", "representative"))
+    def test_tree_producers_fill_parent(self, german, algorithm):
+        pattern_set = mine_patterns(german, 60, algorithm=algorithm)
+        for i, pattern in enumerate(pattern_set):
+            assert -1 <= pattern.parent_id < i
+            if pattern.parent_id >= 0:
+                parent = pattern_set[pattern.parent_id]
+                assert pattern.tidset.is_subset(parent.tidset)
 
-    def test_from_frequent_builds_a_prefix_tree(self, german):
+    @pytest.mark.parametrize("algorithm",
+                             ("apriori", "fpgrowth", "general-rules"))
+    def test_flat_producers_leave_parent_empty(self, german, algorithm):
+        pattern_set = mine_patterns(german, 60, algorithm=algorithm)
+        assert pattern_set.parent is None
+        assert all(p.parent_id == -1 for p in pattern_set)
+
+    def test_constructor_rejects_malformed_columns(self):
+        good = PatternSet.pack(
+            [Pattern(items=frozenset({0}), tidset=0b01, support=1),
+             Pattern(items=frozenset({0, 1}), tidset=0b01, support=1)],
+            2, 1, parent=[-1, 0])
+        columns = dict(matrix=good.matrix, supports=good.supports,
+                       item_ids=good.item_ids,
+                       item_offsets=good.item_offsets, n_records=2,
+                       min_sup=1)
+        with pytest.raises(MiningError, match="differ in length"):
+            PatternSet(**dict(columns, supports=[1]))
+        with pytest.raises(MiningError, match="differ in length"):
+            PatternSet(**dict(columns, parent=[-1]))
+        with pytest.raises(MiningError, match="item_offsets"):
+            PatternSet(**dict(columns, item_offsets=[0, 1, 2]))
+        with pytest.raises(MiningError, match="records"):
+            PatternSet(**dict(columns, n_records=3))
+        with pytest.raises(MiningError, match="precede"):
+            PatternSet(**dict(columns, parent=[-1, 1]))
+        with pytest.raises(MiningError, match="precede"):
+            PatternSet(**dict(columns, parent=[-2, 0]))
+        words = good.matrix.words.copy()
+        words[1, 0] = 0b100  # record 2 of a 2-record set
+        with pytest.raises(MiningError, match="references records"):
+            PatternSet(**dict(columns, matrix=type(good.matrix)(words, 2)))
+        with pytest.raises(MiningError, match="references records"):
+            PatternSet.pack([Pattern(items=frozenset(), tidset=0b100,
+                                     support=1)], 2, 1)
+
+    def test_from_frequent_orders_by_length_then_items(self, german):
         frequent = mine_apriori(german.item_tidsets, german.n_records,
                                 60)
         pattern_set = patternset_from_frequent(
-            frequent, german.n_records, 60).validate()
+            frequent[::-1], german.n_records, 60)
         assert pattern_set[0].items == frozenset()
         assert pattern_set[0].support == german.n_records
-        by_items = {p.items: p for p in pattern_set}
-        for pattern in pattern_set:
-            if pattern.length <= 1:
-                continue
-            parent = pattern_set[pattern.parent_id]
-            assert parent.items == \
-                pattern.items - {max(pattern.items)}
-            assert by_items[parent.items] is parent
+        keys = [(len(p.items), tuple(sorted(p.items)))
+                for p in pattern_set[1:]]
+        assert keys == sorted(keys)
+        assert len(keys) == len(frequent)
 
-    def test_from_frequent_tolerates_missing_prefixes(self):
-        # A pruned input (no length-1 patterns) must still form a
-        # valid forest by falling back to the root as parent.
-        frequent = mine_apriori([0b111, 0b110, 0b011], 3, 2)
-        pairs = [p for p in frequent if p.length == 2]
-        pattern_set = patternset_from_frequent(pairs, 3, 2).validate()
-        assert all(p.parent_id == 0 for p in pattern_set[1:])
+    @pytest.mark.parametrize("algorithm", ("apriori", "fpgrowth"))
+    def test_all_frequent_miners_pack_in_length_item_order(
+            self, german, algorithm):
+        pattern_set = mine_patterns(german, 60, algorithm=algorithm)
+        assert pattern_set[0].items == frozenset()
+        keys = [(len(p.items), tuple(sorted(p.items)))
+                for p in pattern_set[1:]]
+        assert keys == sorted(keys)
+        # Each row's items are stored ascending.
+        for i in range(len(pattern_set)):
+            start, stop = pattern_set.item_offsets[i:i + 2]
+            row = pattern_set.item_ids[start:stop].tolist()
+            assert row == sorted(row)
+
+    def test_take_slices_every_column(self, german):
+        pattern_set = mine_patterns(german, 60)
+        rows = [0, 2, 3, 7, len(pattern_set) - 1]
+        taken = pattern_set.take(rows)
+        assert len(taken) == len(rows)
+        for k, row in enumerate(rows):
+            original = pattern_set[row]
+            assert taken[k].items == original.items
+            assert taken[k].support == original.support
+            assert taken[k].tidset == original.tidset
+        assert taken.algorithm == pattern_set.algorithm
+        assert taken.provenance == pattern_set.provenance
+
+    def test_take_remaps_parent_to_the_nearest_kept_ancestor(self):
+        # A chain 0 -> 1 -> 2 -> 3 plus a second root 4 -> 5.
+        nodes = [Pattern(items=frozenset(range(k)), tidset=1, support=1)
+                 for k in range(6)]
+        pattern_set = PatternSet.pack(nodes, 1, 1,
+                                      parent=[-1, 0, 1, 2, -1, 4])
+        assert pattern_set.take([0, 3, 5]).parent.tolist() == [-1, 0, -1]
+        assert pattern_set.take([1, 2, 4, 5]).parent.tolist() == \
+            [-1, 0, -1, 2]
+        assert pattern_set.take([]).parent.tolist() == []
+        assert PatternSet.pack(nodes, 1, 1).take([1, 3]).parent is None
 
     def test_generate_rules_accepts_patternsets(self, german):
         closed_rules = generate_rules(
@@ -334,14 +390,14 @@ class TestPatternSetContract:
         assert np.array_equal(engine._matrix.class_supports(indicator),
                               reference)
 
-    def test_from_tree_preserves_provenance(self, german):
+    def test_pack_preserves_provenance(self, german):
         raw = mine_closed(german.item_tidsets, german.n_records, 60)
-        pattern_set = patternset_from_tree(
-            raw, german.n_records, 60, algorithm="custom",
-            provenance={"note": "hand-built"})
+        pattern_set = PatternSet.pack(
+            raw, german.n_records, 60, parent=raw.parent,
+            algorithm="custom", provenance={"note": "hand-built"})
         assert pattern_set.algorithm == "custom"
         assert pattern_set.provenance == {"note": "hand-built"}
-        assert pattern_set.patterns == raw
+        assert list(pattern_set) == list(raw)
 
 
 class TestRegistryListing:

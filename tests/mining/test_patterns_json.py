@@ -22,17 +22,15 @@ def test_round_trip_preserves_forest(mined):
     document = mined.to_json()
     assert document["schema_version"] == PATTERNSET_SCHEMA_VERSION
     rebuilt = PatternSet.from_json(document)
-    rebuilt.validate()
     assert rebuilt.n_records == mined.n_records
     assert rebuilt.min_sup == mined.min_sup
     assert rebuilt.algorithm == mined.algorithm
     assert len(rebuilt.patterns) == len(mined.patterns)
+    assert rebuilt.parent.tolist() == mined.parent.tolist()
     for original, restored in zip(mined.patterns, rebuilt.patterns):
-        assert restored.node_id == original.node_id
         assert restored.parent_id == original.parent_id
         assert restored.items == original.items
         assert restored.support == original.support
-        assert restored.depth == original.depth
         assert restored.tidset == original.tidset
 
 
@@ -58,6 +56,20 @@ def test_wrong_schema_version_rejected(mined):
         PatternSet.from_json(document)
 
 
+def test_schema_one_document_rejected(mined):
+    """A version-1 document (per-node ``node_id`` and ``depth``)
+    cannot be read as columns."""
+    document = mined.to_json()
+    document["schema_version"] = 1
+    document["patterns"] = [
+        dict(node, node_id=i, depth=0,
+             parent_id=document["parent"][i])
+        for i, node in enumerate(document["patterns"])]
+    del document["parent"]
+    with pytest.raises(MiningError, match="schema_version 1"):
+        PatternSet.from_json(document)
+
+
 def test_provenance_survives(mined):
     document = mined.to_json()
     rebuilt = PatternSet.from_json(document)
@@ -70,6 +82,6 @@ def test_all_registered_miners_round_trip(tiny_dataset):  # noqa: F811
     for spec in available_miners():
         mined = resolve_miner(spec.name).mine(tiny_dataset, 2)
         rebuilt = PatternSet.from_json(mined.to_json())
-        rebuilt.validate()
-        assert {p.items for p in rebuilt.patterns} == \
-            {p.items for p in mined.patterns}
+        assert [p.items for p in rebuilt.patterns] == \
+            [p.items for p in mined.patterns]
+        assert (rebuilt.parent is None) == (mined.parent is None)

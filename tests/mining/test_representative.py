@@ -11,20 +11,16 @@ from repro.mining import (
     mine_representative_rules,
     select_representatives,
 )
-from repro.mining.closed import ClosedPattern
+from repro.mining.patterns import Pattern, PatternSet
 
 
 def make_chain(supports):
     """A root plus a single chain of patterns with given supports."""
-    patterns = [ClosedPattern(node_id=0, parent_id=-1, items=frozenset(),
-                              tidset=(1 << supports[0]) - 1,
-                              support=supports[0], depth=0)]
-    for depth, support in enumerate(supports[1:], start=1):
-        patterns.append(ClosedPattern(
-            node_id=depth, parent_id=depth - 1,
-            items=frozenset(range(depth)),
-            tidset=(1 << support) - 1, support=support, depth=depth))
-    return patterns
+    patterns = [Pattern(items=frozenset(range(depth)),
+                        tidset=(1 << support) - 1, support=support)
+                for depth, support in enumerate(supports)]
+    return PatternSet.pack(patterns, supports[0], 1,
+                           parent=list(range(-1, len(supports) - 1)))
 
 
 class TestSelectRepresentatives:
@@ -41,8 +37,8 @@ class TestSelectRepresentatives:
         # Root (empty items) never absorbs; 100 starts a cluster and
         # absorbs 98 and 96.
         assert selection.n_clusters == 2
-        rep_ids = {p.node_id for p in selection.representatives}
-        assert rep_ids == {0, 1}
+        assert selection.rows.tolist() == [0, 1]
+        assert [p.support for p in selection.representatives] == [200, 100]
         assert selection.cluster_of[2] == 1
         assert selection.cluster_of[3] == 1
 
@@ -62,11 +58,10 @@ class TestSelectRepresentatives:
         assert selection.cluster_of[3] == 3
 
     def test_representative_is_shallowest_member(self):
+        # Chain positions are depths.
         chain = make_chain([300, 100, 98])
         selection = select_representatives(chain, delta=0.1)
-        representative = selection.cluster_of[2]
-        depths = {p.node_id: p.depth for p in chain}
-        assert depths[representative] <= depths[2]
+        assert selection.cluster_of[2] == 1
 
     def test_root_never_absorbs_real_patterns(self):
         # Child support 100 == root support 100: without the root
@@ -89,9 +84,19 @@ class TestSelectRepresentatives:
             select_representatives(chain, delta=1.0)
 
     def test_empty_input(self):
-        selection = select_representatives([], delta=0.1)
+        empty = PatternSet.pack([], 10, 1, parent=[])
+        selection = select_representatives(empty, delta=0.1)
         assert selection.n_clusters == 0
         assert selection.reduction == 0.0
+
+    def test_needs_a_parent_column(self, small_random_dataset):
+        from repro.mining import mine_patterns
+
+        flat = mine_patterns(small_random_dataset, 10, algorithm="apriori")
+        with pytest.raises(MiningError, match="parent column"):
+            select_representatives(flat, delta=0.1)
+        with pytest.raises(MiningError, match="parent column"):
+            select_representatives(list(flat), delta=0.1)
 
     def test_reduction_monotone_in_delta(self, small_random_dataset):
         ds = small_random_dataset
@@ -107,21 +112,19 @@ class TestSelectRepresentatives:
         ds = small_random_dataset
         patterns = mine_closed(ds.item_tidsets, ds.n_records, 10)
         selection = select_representatives(patterns, delta=0.3)
-        retained = {p.node_id for p in selection.representatives}
-        by_id = {p.node_id: p for p in patterns}
-        parent_of = {p.node_id: p.parent_id for p in patterns}
-        for pattern in patterns:
-            rep_id = selection.cluster_of[pattern.node_id]
+        retained = set(selection.rows.tolist())
+        for position, pattern in enumerate(patterns):
+            rep_id = selection.cluster_of[position]
             assert rep_id in retained
-            rep = by_id[rep_id]
+            rep = patterns[rep_id]
             # The representative is an ancestor-or-self, so its tidset
             # contains the member's and its support bounds it.
             assert pattern.tidset & ~rep.tidset == 0
             assert pattern.support <= rep.support
             # Non-representatives merged via their tree edge: the
             # per-edge support ratio clears 1 - delta.
-            if pattern.node_id != rep_id:
-                parent = by_id[parent_of[pattern.node_id]]
+            if position != rep_id:
+                parent = patterns[pattern.parent_id]
                 assert pattern.support \
                     >= (1.0 - selection.delta) * parent.support
 
@@ -141,12 +144,10 @@ class TestMineRepresentativeRules:
         assert sorted(r.p_value for r in same.rules) \
             == pytest.approx(sorted(r.p_value for r in full.rules))
 
-    def test_forest_ids_are_dense_and_parents_valid(
-            self, small_random_dataset):
+    def test_reduced_parents_are_valid(self, small_random_dataset):
         ds = small_random_dataset
         reduced = mine_representative_rules(ds, 10, delta=0.4)
         for index, pattern in enumerate(reduced.patterns):
-            assert pattern.node_id == index
             assert -1 <= pattern.parent_id < index
             if pattern.parent_id >= 0:
                 parent = reduced.patterns[pattern.parent_id]

@@ -15,7 +15,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmat import BitMatrix
 from repro.mining import mine_patterns, miner_names
 
 from .. import bigint_oracle as bs
@@ -44,8 +43,9 @@ min_sups = st.integers(min_value=1, max_value=6)
 
 
 def _forest_key(pattern_set):
-    return [(p.node_id, p.parent_id, p.items, p.tidset, p.support)
-            for p in pattern_set]
+    return (list(pattern_set), pattern_set.item_ids.tolist(),
+            pattern_set.item_offsets.tolist(),
+            pattern_set.matrix.words.tobytes())
 
 
 @given(views(), min_sups)
@@ -90,11 +90,13 @@ def test_closed_expansion_covers_support_maximal_frequent(view,
 @given(views(), min_sups,
        st.sampled_from(sorted(set(miner_names()))))
 @settings(max_examples=60, deadline=None)
-def test_every_miner_satisfies_the_forest_contract(view, min_sup,
-                                                   algorithm):
+def test_every_miner_emits_exact_tidsets(view, min_sup, algorithm):
     pattern_set = mine_patterns(view, min_sup, algorithm=algorithm)
-    pattern_set.validate()
-    for pattern in pattern_set:
+    for position, pattern in enumerate(pattern_set):
+        assert -1 <= pattern.parent_id < position
+        if pattern.parent_id >= 0:
+            parent = pattern_set[pattern.parent_id]
+            assert pattern.tidset.is_subset(parent.tidset)
         expected = bs.universe(view.n_records)
         for item in pattern.items:
             expected &= view.item_tidsets[item]
@@ -107,11 +109,10 @@ def test_every_miner_satisfies_the_forest_contract(view, min_sup,
 @given(views(), min_sups,
        st.lists(st.booleans(), min_size=24, max_size=24))
 @settings(max_examples=40, deadline=None)
-def test_frequent_prefix_trees_drive_the_packed_forest(view, min_sup,
-                                                       label_flags):
-    """The permutation engine's packed forest counts exact class
-    supports on all-frequent forests, exactly as it does on closed
-    ones."""
+def test_frequent_sets_drive_the_packed_forest(view, min_sup,
+                                              label_flags):
+    """The pattern set's matrix counts exact class supports on
+    all-frequent sets, exactly as it does on closed ones."""
     pattern_set = mine_patterns(view, min_sup, algorithm="fpgrowth")
     if not len(pattern_set):
         return
@@ -119,9 +120,8 @@ def test_frequent_prefix_trees_drive_the_packed_forest(view, min_sup,
     class_bits = bs.from_numpy_bool(indicator)
     expected = [bs.popcount(int(p.tidset) & class_bits)
                 for p in pattern_set]
-    forest = BitMatrix.from_tidsets([p.tidset for p in pattern_set],
-                                    view.n_records)
-    assert forest.class_supports(indicator).tolist() == expected
+    assert pattern_set.matrix.class_supports(indicator).tolist() == \
+        expected
 
 
 @given(views(), min_sups, st.integers(min_value=1, max_value=3))

@@ -62,11 +62,11 @@ def test_closed_supports_and_min_sup(instance):
 def test_tree_parents_are_supersets(instance):
     tidsets, n_records, min_sup = instance
     patterns = mine_closed(tidsets, n_records, min_sup)
-    for p in patterns:
+    for position, p in enumerate(patterns):
         if p.parent_id >= 0:
             parent = patterns[p.parent_id]
             assert bs.is_subset(p.tidset, parent.tidset)
-            assert parent.node_id < p.node_id
+            assert p.parent_id < position
 
 
 @given(tidset_instances(),

@@ -37,12 +37,11 @@ def test_reduction_monotone_in_delta(patterns, delta_a, delta_b):
 @settings(max_examples=60, deadline=None)
 def test_every_pattern_assigned_to_retained_ancestor(patterns, delta):
     selection = select_representatives(patterns, delta=delta)
-    retained = {p.node_id for p in selection.representatives}
-    by_id = {p.node_id: p for p in patterns}
-    for pattern in patterns:
-        rep_id = selection.cluster_of[pattern.node_id]
+    retained = set(selection.rows.tolist())
+    for position, pattern in enumerate(patterns):
+        rep_id = selection.cluster_of[position]
         assert rep_id in retained
-        rep = by_id[rep_id]
+        rep = patterns[rep_id]
         # Ancestor-or-self: the representative's record set contains
         # the member's.
         assert pattern.tidset & ~rep.tidset == 0
@@ -55,12 +54,11 @@ def test_edge_criterion_respected(patterns, delta):
     """Non-representative members merged via an edge whose support
     ratio clears 1 - delta."""
     selection = select_representatives(patterns, delta=delta)
-    by_id = {p.node_id: p for p in patterns}
-    for pattern in patterns:
-        rep_id = selection.cluster_of[pattern.node_id]
-        if rep_id == pattern.node_id:
+    for position, pattern in enumerate(patterns):
+        rep_id = selection.cluster_of[position]
+        if rep_id == position:
             continue
-        parent = by_id[pattern.parent_id]
+        parent = patterns[pattern.parent_id]
         assert pattern.support >= (1.0 - delta) * parent.support
 
 
@@ -78,6 +76,6 @@ def test_delta_zero_is_identity(patterns, delta):
 def test_members_partition_the_forest(patterns, delta):
     selection = select_representatives(patterns, delta=delta)
     seen = []
-    for representative in selection.representatives:
-        seen.extend(selection.members(representative.node_id))
-    assert sorted(seen) == sorted(p.node_id for p in patterns)
+    for representative in selection.rows.tolist():
+        seen.extend(selection.members(representative))
+    assert sorted(seen) == list(range(len(patterns)))
