@@ -17,18 +17,18 @@ compiler) a small suite of fused loops and loads them through
   is read once per call while the (L1-sized) batch of labellings
   sweeps it;
 
-* ``repro_permutation_stats`` — the permutation pass's reductions:
-  one scoring block's node supports in, the Westfall–Young min-p per
-  labelling, the pooled rank histogram and the step-down counts out,
-  in one reverse walk over the rules in observed-rank order (see
-  :mod:`repro.corrections.permutation`);
+* ``repro_permutation_pass`` — one block of the permutation pass (see
+  :mod:`repro.corrections.permutation`): the block's labellings as
+  transposed bit planes in, each rule tile's supports counted into an
+  L1 scratch and folded, worst observed rank first, into the min-p
+  per labelling, the pooled rank histogram and the step-down counts;
 
 * ``repro_lcm_mine`` — the whole closed-pattern walk (LCM
   prefix-preserving closure extension) over a vertical view's item
   matrix, node for node as the Python walk of
   :mod:`repro.mining.closed` emits it, in one call per pass: a count
   pass returns the node and closure-position totals, a fill pass
-  writes the tidset arena, parent/depth/support and CSR closure
+  writes the tidset arena, parent/support and CSR closure
   positions. Its scratch memory grows with the deepest path (one
   tidset and one closure bitmask per depth) and the pending
   ``(j, depth)`` entries, never with the m(m+1)/2 worst case;
@@ -48,7 +48,7 @@ failed compile, or ``REPRO_NATIVE=0`` all degrade silently to the
 numpy paths, the Python closed walk and the scalar p-value table
 builder (:mod:`repro.stats.pvalue_scalar`). Results are bit-identical
 either way. The word kernels count exact integers and compare exact
-words; the permutation statistics copy and compare table p-values
+words; the permutation pass also copies and compares table p-values
 without arithmetic. The p-value tables repeat the scalar builder's
 floating-point operations in its order, call the libm ``exp`` that
 ``math.exp`` wraps, and are compiled with ``-ffp-contract=off`` so no
@@ -131,70 +131,132 @@ void repro_class_supports_batch(
     }
 }
 
-/* ---- permutation statistics -------------------------------------------
+/* ---- permutation pass ------------------------------------------------
 
-   The three Westfall-Young statistics of one scoring block, from the
-   block's node supports. Rules arrive in observed-rank order; rank[k]
-   is #{observed p-values < flat[k]}, so for the ascending observed
-   values obs, p <= obs[i] iff rank(p) <= i. Per labelling one reverse
-   pass over the rules then yields
+   One scoring block of the permutation pass: count every rule's
+   support under each of the block's n_batch labellings and fold it
+   straight into the three Westfall-Young statistics, without a
+   per-block support array. The labellings arrive as transposed bit
+   planes, planes[p][w][b] = word w of labelling b's class-p
+   indicator, so the count for one rule row vectorises over the batch.
+   A rule counts plane rule_slot[i]; slot -1 means coverage minus the
+   count of plane 0 (binary data counts class 0 only).
+
+   Rules arrive in observed-rank order; rank[k] is #{observed p-values
+   < flat[k]}, so for the ascending observed values obs, p <= obs[i]
+   iff rank(p) <= i. Per labelling one reverse walk over the rules
+   yields
      min-p      the minimum of flat[offset + support];
      pooled     hist[rank] += 1 per (rule, labelling); the caller's
                 cumulative sum of hist counts the p-values <= obs[i];
      step-down  stepdown[i] += 1 when the running minimum rank over
                 ranks i..n_rules-1 is <= i, i.e. when the suffix
                 minimum p-value is <= obs[i].
-   The labellings advance together, rule by rule: a rule's n_batch
-   lookups land in one table, so they share cache lines.
+   The walk goes in tiles of `tile` rules from the worst rank down: a
+   tile's supports are counted into an L1 scratch, then folded in
+   reverse, so the running minima carry from one tile to the next.
+   While a tile is counted, the rows of the next one are prefetched.
    Returns 0, -1 when a support falls outside its rule's table, or -2
    when scratch memory cannot be allocated. */
-int64_t repro_permutation_stats(
-    const int64_t *supports, /* (n_slots, n_batch, n_nodes) */
+
+#if defined(__GNUC__) || defined(__clang__)
+#define PREFETCH(address) __builtin_prefetch((address), 0, 1)
+#else
+#define PREFETCH(address) ((void)(address))
+#endif
+
+/* acc[b] = sum_w popcount(row[w] & plane[w][b]) over n_batch lanes. */
+static void pass_count(const uint64_t *restrict row,
+                       const uint64_t *restrict plane,
+                       int64_t *restrict acc,
+                       int64_t n_words, int64_t n_batch)
+{
+    for (int64_t b = 0; b < n_batch; ++b) acc[b] = 0;
+    for (int64_t w = 0; w < n_words; ++w) {
+        const uint64_t word = row[w];
+        const uint64_t *restrict lanes = plane + w * n_batch;
+        for (int64_t b = 0; b < n_batch; ++b)
+            acc[b] += POPCOUNT64(word & lanes[b]);
+    }
+}
+
+int64_t repro_permutation_pass(
+    const uint64_t *words,   /* (n_nodes, n_words) forest rows */
     const int64_t *coverage, /* (n_nodes,) node supports */
     const int64_t *rule_node,    /* (n_rules,) rank order */
-    const int64_t *rule_slot,    /* (n_rules,) -1: coverage - slot 0 */
+    const int64_t *rule_slot,    /* (n_rules,) -1: coverage - plane 0 */
     const int64_t *rule_offset,  /* (n_rules,) table start - low */
     const double *flat,      /* (n_flat,) p-value tables */
     const int32_t *rank,     /* (n_flat,) */
     int64_t n_flat,
     int64_t n_rules,
-    int64_t n_nodes,
+    int64_t n_words,
+    int64_t tile,
+    const uint64_t *planes,  /* (n_planes, n_words, n_batch) */
     int64_t n_batch,
     double *min_p,           /* (n_batch,) */
     int64_t *hist,           /* (n_rules + 1,), accumulated */
     int64_t *stepdown)       /* (n_rules,), accumulated */
 {
-    int64_t *running = malloc((size_t)(n_batch ? n_batch : 1) * 8);
-    if (!running) return -2;
+    const int64_t lines = (n_words * 8 + 63) / 64;
+    int64_t *running, *counts;
+    if (tile < 1) tile = 1;
+    running = malloc((size_t)(n_batch ? n_batch : 1) * 8);
+    counts = malloc((size_t)(tile * (n_batch ? n_batch : 1)) * 8);
+    if (!running || !counts) {
+        free(running);
+        free(counts);
+        return -2;
+    }
     for (int64_t b = 0; b < n_batch; ++b) {
         min_p[b] = HUGE_VAL;
         running[b] = n_rules;
     }
-    for (int64_t i = n_rules - 1; i >= 0; --i) {
-        const int64_t slot = rule_slot[i];
-        const int64_t node = rule_node[i];
-        const int64_t *column =
-            supports + (slot < 0 ? 0 : slot * n_batch * n_nodes) + node;
-        int64_t below = 0;
-        for (int64_t b = 0; b < n_batch; ++b) {
-            int64_t support = column[b * n_nodes];
-            int64_t k, r;
-            if (slot < 0) support = coverage[node] - support;
-            k = rule_offset[i] + support;
-            if (k < 0 || k >= n_flat) { free(running); return -1; }
-            r = rank[k];
-            ++hist[r];
-            if (r <= running[b]) {
-                /* A smaller rank means a smaller p-value, so only a
-                   lookup at the running minimum rank can lower min-p. */
-                if (flat[k] < min_p[b]) min_p[b] = flat[k];
-                running[b] = r;
+    for (int64_t end = n_rules; end > 0; end -= tile) {
+        const int64_t start = end > tile ? end - tile : 0;
+        for (int64_t i = start; i < end; ++i) {
+            const int64_t slot = rule_slot[i] < 0 ? 0 : rule_slot[i];
+            if (i >= tile) {
+                const char *next =
+                    (const char *)(words + rule_node[i - tile] * n_words);
+                for (int64_t line = 0; line < lines; ++line)
+                    PREFETCH(next + line * 64);
             }
-            below += running[b] <= i;
+            pass_count(words + rule_node[i] * n_words,
+                       planes + slot * n_words * n_batch,
+                       counts + (i - start) * n_batch, n_words, n_batch);
         }
-        stepdown[i] += below;
+        for (int64_t i = end - 1; i >= start; --i) {
+            const int64_t *acc = counts + (i - start) * n_batch;
+            const int64_t cover = coverage[rule_node[i]];
+            const int64_t complement = rule_slot[i] < 0;
+            const int64_t offset = rule_offset[i];
+            int64_t below = 0;
+            for (int64_t b = 0; b < n_batch; ++b) {
+                const int64_t k =
+                    offset + (complement ? cover - acc[b] : acc[b]);
+                int64_t r;
+                if (k < 0 || k >= n_flat) {
+                    free(running);
+                    free(counts);
+                    return -1;
+                }
+                r = rank[k];
+                ++hist[r];
+                if (r <= running[b]) {
+                    /* A smaller rank means a smaller p-value, so only a
+                       lookup at the running minimum rank can lower
+                       min-p. */
+                    if (flat[k] < min_p[b]) min_p[b] = flat[k];
+                    running[b] = r;
+                }
+                below += running[b] <= i;
+            }
+            stepdown[i] += below;
+        }
     }
     free(running);
+    free(counts);
     return 0;
 }
 
@@ -266,7 +328,7 @@ static int lcm_subset(const uint64_t *query, const uint64_t *row,
 #define LCM_HAS(mask, p) (((mask)[(p) >> 6] >> ((p) & 63)) & 1)
 
 /* Count pass (tids_out == NULL): counts = {nodes, closure positions}.
-   Fill pass: writes node k's tidset row, parent, depth, support and
+   Fill pass: writes node k's tidset row, parent, support and
    its ascending closure positions pos_out[offsets[k]:offsets[k+1]],
    refusing to write past node_cap / pos_cap. Node 0 is the root, whose
    closure (root_pos) and guards the caller has already settled.
@@ -283,7 +345,6 @@ int64_t repro_lcm_mine(
     int64_t n_root,
     uint64_t *tids_out,      /* (node_cap, n_words) or NULL */
     int64_t *parent_out,     /* (node_cap,) */
-    int64_t *depth_out,      /* (node_cap,) */
     int64_t *support_out,    /* (node_cap,) */
     int32_t *pos_out,        /* (pos_cap,) */
     int64_t *offsets_out,    /* (node_cap + 1,) */
@@ -317,7 +378,6 @@ int64_t repro_lcm_mine(
                 support += POPCOUNT64(tids[w]);
             }
             parent_out[n_nodes] = depth ? s.node[depth - 1] : -1;
-            depth_out[n_nodes] = depth;
             support_out[n_nodes] = support;
             offsets_out[n_nodes] = n_pos;
             for (int64_t w = 0; w < m_words; ++w)
@@ -564,12 +624,12 @@ _KERNEL_SIGNATURES = (
      [_UINT64_P, ctypes.c_int64, ctypes.c_int64,
       ctypes.c_int64, ctypes.c_int64,
       _UINT64_P, _INT32_P, ctypes.c_int64,
-      _UINT64_P, _INT64_P, _INT64_P, _INT64_P, _INT32_P, _INT64_P,
+      _UINT64_P, _INT64_P, _INT64_P, _INT32_P, _INT64_P,
       ctypes.c_int64, ctypes.c_int64, _INT64_P]),
-    ("repro_permutation_stats", ctypes.c_int64,
-     [_INT64_P, _INT64_P, _INT64_P, _INT64_P, _INT64_P,
-      _DOUBLE_P, _INT32_P, ctypes.c_int64,
-      ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+    ("repro_permutation_pass", ctypes.c_int64,
+     [_UINT64_P, _INT64_P, _INT64_P, _INT64_P, _INT64_P,
+      _DOUBLE_P, _INT32_P, ctypes.c_int64, ctypes.c_int64,
+      ctypes.c_int64, ctypes.c_int64, _UINT64_P, ctypes.c_int64,
       _DOUBLE_P, _INT64_P, _INT64_P]),
     ("repro_pvalue_tables", ctypes.c_int64,
      [_DOUBLE_P, ctypes.c_int64, _INT64_P, _INT64_P, _INT64_P,
@@ -585,14 +645,14 @@ class KernelSuite:
     """The loaded native kernels, one attribute per C entry point.
 
     Attributes are ctypes functions with argtypes/restype set:
-    ``class_supports_batch``, ``lcm_mine``, ``permutation_stats``,
+    ``class_supports_batch``, ``lcm_mine``, ``permutation_pass``,
     ``pvalue_tables``, ``pvalue_walk``.
     The whole suite loads from one shared object — either every kernel
     is native or none is, so callers never mix generations.
     """
 
     __slots__ = ("class_supports_batch", "lcm_mine",
-                 "permutation_stats", "pvalue_tables", "pvalue_walk",
+                 "permutation_pass", "pvalue_tables", "pvalue_walk",
                  "_handle")
 
     def __init__(self, handle: ctypes.CDLL) -> None:

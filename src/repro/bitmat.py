@@ -16,7 +16,7 @@ Counting kernels on :class:`BitMatrix`:
   boolean record indicator (one permutation);
 * :meth:`BitMatrix.class_supports_batch` — a ``(B, n_nodes)`` support
   matrix for ``B`` indicators in one shot, the kernel behind the
-  batched permutation pass. Without the native suite the numpy
+  numpy permutation pass. Without the native suite the numpy
   broadcast runs in labelling × node-row tiles of at most
   :data:`TILE_BYTES` scratch, whatever the forest's width (see
   ``docs/performance.md``);

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..errors import CorrectionError
 from ..jsonio import json_safe
 from ..mining.rules import ClassRule
@@ -151,13 +153,11 @@ def bh_step_up(p_values: List[float], alpha: float,
     if len(p_values) > n:
         raise CorrectionError(
             f"{len(p_values)} p-values but n_tests={n}")
-    ordered = sorted(p_values)
-    threshold = 0.0
-    for i, p in enumerate(ordered, start=1):
-        # Cross-multiplied form of ``p <= i * alpha / n``: one rounded
-        # product per side, so boundary ties (p exactly at its critical
-        # value) are decided exactly instead of losing an ulp to the
-        # division.
-        if p * n <= i * alpha:
-            threshold = p
-    return threshold
+    ordered = np.sort(np.asarray(p_values, dtype=np.float64))
+    # Cross-multiplied form of ``p <= i * alpha / n``: one rounded
+    # product per side, so boundary ties (p exactly at its critical
+    # value) are decided exactly instead of losing an ulp to the
+    # division.
+    passed = np.flatnonzero(
+        ordered * n <= np.arange(1, len(ordered) + 1) * alpha)
+    return float(ordered[passed[-1]]) if len(passed) else 0.0

@@ -19,25 +19,19 @@ Engineering, following the paper:
   words) and vectorizes the *counting* itself; the paper's Diffsets
   storage is a Figure 4 ablation arm in
   ``benchmarks/test_fig04_optimizations.py``. A shard's labellings
-  are drawn up front into a ``(B, n_records)`` label matrix, and
-  :func:`~repro.mining.rules.class_supports` (Score's count) turns
-  them into class supports with one hardware-popcount kernel dispatch
-  for all classes. With the native suite loaded
-  (:mod:`repro._native`), one ``repro_permutation_stats`` call per
-  block then folds the block's node supports into the min-p
-  distribution, the pooled rank counts and the step-down counts: the
-  rules are walked in observed-rank order against a per-pass table of
-  each p-value's rank among the observed ones, so pooling becomes a
-  rank histogram and the step-down suffix minima a running minimum
-  of ranks (see :class:`_NativeStats`). Without it, all
-  ``B × n_rules`` p-values come back from the rule set's table store
-  with a single 2-D fancy index and the three statistics are axis-wise
-  numpy reductions — the fallback and the test oracle. Batches are
-  processed in memory-bounded blocks sized for the path that runs,
-  and every quantity is an exact integer count or an identical table
-  lookup, so results are bit-identical to per-permutation scoring
-  under any backend, worker count, and with or without the native
-  suite. One DEBUG record per pass on the
+  are scored in blocks of B. With the native suite loaded
+  (:mod:`repro._native`), a block is one ``repro_permutation_pass``
+  call: its labellings go in as transposed bit planes, one per
+  counted class, and the rules are walked from the worst observed
+  rank down in tiles, each tile's supports counted into an L1 scratch
+  and folded at once into the three statistics (see
+  :class:`_NativeStats`). Without it,
+  :func:`~repro.mining.rules.class_supports` counts the block's node
+  supports and all ``B × n_rules`` p-values are reduced by numpy —
+  the fallback and the test oracle. Every quantity is an exact
+  integer count or an identical table lookup, so results are
+  bit-identical under any backend, worker count, and with or without
+  the native suite. One DEBUG record per pass on the
   ``repro.corrections`` logger names the path and its block sizing.
 * **P-value buffering** (4.2.3): every rule's p-value on every
   permutation is a lookup in the table of its ``(class, coverage)``
@@ -88,7 +82,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import _native
-from ..bitmat import TILE_BYTES
+from ..bitmat import TILE_BYTES, pack_indicators
 from ..errors import CorrectionError
 from ..mining.rules import RuleSet, class_supports
 from ..parallel import (
@@ -105,11 +99,14 @@ __all__ = ["PermutationEngine", "permutation_fwer",
 
 _LOG = logging.getLogger("repro.corrections")
 
-#: Most labellings per native scoring block. The supports kernel keeps
-#: a block's packed labellings in L1 while each forest row streams past
-#: them once; throughput is flat from 8 to 32 rows on German and wide
-#: Mushroom, and 16 keeps a 127-word (8128-record) block at 16 KiB.
-NATIVE_BATCH_ROWS = 16
+#: Most labellings per native block, and most bytes of its transposed
+#: labelling planes (``planes × n_words × B × 8``): they stay in L1
+#: while the forest rows stream past them.
+NATIVE_BATCH_ROWS = 64
+NATIVE_PLANE_BYTES = 32 * 1024
+
+#: Rules per tile of the native pass (scratch: ``tile × B`` int64).
+NATIVE_TILE_RULES = 64
 
 #: Default memory budget for one scoring block's intermediates.
 DEFAULT_BATCH_BYTES = 64 * 1024 * 1024
@@ -142,8 +139,8 @@ class PermutationEngine:
         Memory budget for one scoring block's intermediates: the
         shard's labellings are scored in blocks of ``B`` permutations
         sized so what the dispatched path allocates stays within this
-        budget — the block's node supports and the pass's rank table
-        natively (at most :data:`NATIVE_BATCH_ROWS` labellings), or
+        budget — the block's labelling planes and the pass's rank
+        table natively (at most :data:`NATIVE_BATCH_ROWS`), or
         the ``B × n_rules`` p-value matrices and one packed-kernel
         tile (:data:`repro.bitmat.TILE_BYTES`) under numpy. The budget
         is *per worker* —
@@ -278,15 +275,12 @@ class PermutationEngine:
         generator (``Generator.permutation`` of the *original* labels,
         never a cumulative in-place shuffle), so its stream is
         independent of every other permutation's placement. The shard
-        is scored in memory-bounded blocks; a block's labellings form
-        a ``(B, n_records)`` matrix and one batched class-support
-        kernel call (all needed classes in one dispatch) yields the
-        block's ``(C, B, n_nodes)`` node supports.
-        With the native suite loaded, one ``repro_permutation_stats``
-        call turns them into the three statistics (see
-        :class:`_NativeStats`). Otherwise the ``(B, n_rules)`` support
-        matrix resolves all p-values with one 2-D fancy index and the
-        statistics reduce axis-wise — the fallback and the test oracle:
+        is scored in memory-bounded blocks of ``(B, n_records)``
+        labellings, natively one ``repro_permutation_pass`` call each
+        (see :class:`_NativeStats`). Otherwise the block's
+        ``(B, n_rules)`` support matrix resolves all p-values with one
+        2-D fancy index and the statistics reduce axis-wise — the
+        fallback and the test oracle:
 
         * per-permutation minimum — a row min;
         * pooled rank counts — ``searchsorted`` of the observed
@@ -305,10 +299,12 @@ class PermutationEngine:
         stats = self._native_stats if suite is not None else None
         hist = np.zeros(n_rules + 1, dtype=np.int64)
         block = self._batch_rows()
+        # One label buffer for the shard: no block's labels outlive it.
+        buffer = np.empty((min(block, n_shard), self.n),
+                          dtype=self._labels.dtype)
         for start in range(0, n_shard, block):
             batch = seeds[start:start + block]
-            labels = np.empty((len(batch), self.n),
-                              dtype=self._labels.dtype)
+            labels = buffer[:len(batch)]
             for j, seq in enumerate(batch):
                 generator = np.random.default_rng(seq)
                 labels[j] = generator.permutation(self._labels)
@@ -316,11 +312,9 @@ class PermutationEngine:
                 min_p[start:start + len(batch)] = 1.0
                 continue
             if stats is not None:
-                # Passed straight in, so no block outlives its call.
-                stats.accumulate(suite, class_supports(
-                    self._matrix, self._node_coverage, labels,
-                    stats.classes, self._n_classes),
-                    min_p[start:start + len(batch)], hist, stepdown)
+                stats.run_block(suite, labels,
+                                min_p[start:start + len(batch)], hist,
+                                stepdown)
                 continue
             supports = self._rule_supports_batch(labels)
             perm_p = self._flat[self._offsets[None, :] + supports]
@@ -346,12 +340,10 @@ class PermutationEngine:
         within ``batch_bytes`` and never above ``n_permutations``.
 
         * Native: one label row, and per counted class a bool
-          indicator row, its packed words and ``n_nodes`` int64
-          supports (binary blocks count class 0 only), after
+          indicator row and its packed and transposed words, after
           the pass's int32 rank table (one entry per p-value table
-          entry) — and at most :data:`NATIVE_BATCH_ROWS`, so the
-          block's packed labellings stay L1-resident while the forest
-          streams past them.
+          entry) — at most :data:`NATIVE_BATCH_ROWS`, with the planes
+          within :data:`NATIVE_PLANE_BYTES`.
         * NumPy: one label row, one ``n_nodes`` support row per class
           on a rule RHS (plus the counted class-0 row on binary data),
           several ``n_rules``-wide float intermediates
@@ -367,11 +359,12 @@ class PermutationEngine:
         per_row = 8 * self.n
         if self._native:
             n_words = (self.n + 63) // 64
-            counted = 1 if binary else max(1, n_slots)
-            per_row += counted * (self.n + 16 * n_words + 8 * n_nodes)
+            planes = 1 if binary else max(1, n_slots)
+            per_row += planes * (self.n + 16 * n_words)
             # The pass's int32 rank table comes out of the same budget.
             spare = self.batch_bytes - 4 * len(self._flat)
-            rows = min(NATIVE_BATCH_ROWS, spare // per_row)
+            resident = NATIVE_PLANE_BYTES // (8 * planes * max(1, n_words))
+            rows = min(NATIVE_BATCH_ROWS, resident, spare // per_row)
             return max(1, min(rows, self.n_permutations))
         per_row += (n_slots + binary) * 8 * n_nodes
         per_row += 6 * 8 * n_rules
@@ -411,11 +404,10 @@ class PermutationEngine:
         self.run()
         assert self._pooled_counts is not None
         denominator = self.n_permutations * max(self.n_tests, 1)
-        # pooled counts are aligned with the sorted observed p-values;
-        # map back to rule order via the observed value's rank.
-        ranks = np.searchsorted(self._observed_sorted, self._observed_p,
-                                side="right") - 1
-        return [float(self._pooled_counts[r]) / denominator for r in ranks]
+        # Back to rule order; tied observed p-values share one count.
+        empirical = np.empty(len(self._order))
+        empirical[self._order] = self._pooled_counts / denominator
+        return empirical.tolist()
 
     def fwer(self, alpha: float = 0.05) -> CorrectionResult:
         """Westfall–Young style FWER control at level ``alpha``."""
@@ -452,12 +444,10 @@ class PermutationEngine:
         """
         self.run()
         assert self._stepdown_counts is not None
-        n_perm = self.n_permutations
-        adjusted_sorted = np.maximum.accumulate(
-            self._stepdown_counts / n_perm)
-        out = np.empty(len(adjusted_sorted))
-        out[self._order] = adjusted_sorted
-        return [float(p) for p in out]
+        out = np.empty(len(self._order))
+        out[self._order] = np.maximum.accumulate(
+            self._stepdown_counts / self.n_permutations)
+        return out.tolist()
 
     def fwer_stepdown(self, alpha: float = 0.05) -> CorrectionResult:
         """Westfall–Young step-down minP FWER control at ``alpha``.
@@ -467,13 +457,10 @@ class PermutationEngine:
         Always rejects at least what :meth:`fwer` rejects.
         """
         validate_alpha(alpha)
-        self.run()
-        assert self._stepdown_counts is not None
-        adjusted_sorted = np.maximum.accumulate(
-            self._stepdown_counts / self.n_permutations)
-        k = 0
-        while k < len(adjusted_sorted) and adjusted_sorted[k] <= alpha:
-            k += 1
+        # Non-decreasing in rank: the count at or below alpha is the
+        # length of the rejected prefix.
+        k = int(np.count_nonzero(
+            np.asarray(self.stepdown_adjusted_p_values()) <= alpha))
         threshold = float(self._observed_sorted[k - 1]) if k else 0.0
         rules = self.ruleset.rules
         significant = [rules[int(i)] for i in self._order[:k]]
@@ -492,12 +479,10 @@ class PermutationEngine:
         validate_alpha(alpha)
         empirical = self.empirical_p_values()
         cut = bh_step_up(empirical, alpha)
-        significant = []
-        raw_threshold = 0.0
-        for rule, p_emp in zip(self.ruleset.rules, empirical):
-            if p_emp <= cut:
-                significant.append(rule)
-                raw_threshold = max(raw_threshold, rule.p_value)
+        significant = [rule for rule, p_emp
+                       in zip(self.ruleset.rules, empirical) if p_emp <= cut]
+        raw_threshold = max((rule.p_value for rule in significant),
+                            default=0.0)
         return CorrectionResult(
             method="Perm_FDR", control=FDR, alpha=alpha,
             threshold=raw_threshold, significant=significant,
@@ -510,24 +495,27 @@ class PermutationEngine:
 
 
 class _NativeStats:
-    """Inputs of the ``repro_permutation_stats`` kernel for one pass.
+    """The ``repro_permutation_pass`` kernel bound to one pass.
 
-    The classes a block counts, the rules' node, support slot and
+    Holds the forest's rows and coverages, the rules' node, plane and
     flat-table offset in observed-rank order, and ``rank =
     searchsorted(observed_sorted, flat, side="left")`` —
     ``#{observed < p}`` for every table entry, built once per pass.
     Because the observed p-values ascend,
     ``p <= observed_sorted[i]`` iff ``rank(p) <= i``: the pooled counts
     become a rank histogram and the step-down suffix minima a running
-    minimum of ranks, both exact integer counts.
+    minimum of ranks, both exact integer counts. Their ctypes
+    pointers are bound once per process (again on unpickling).
     """
 
     def __init__(self, engine: PermutationEngine, order: np.ndarray,
                  observed_sorted: np.ndarray) -> None:
+        self.words = engine._matrix.words
+        self.coverage = engine._node_coverage
         self.rule_node = np.ascontiguousarray(engine._node_ids[order])
         if engine._n_classes == 2:
-            # Binary blocks count class 0 only; the kernel derives a
-            # class-1 rule's support as coverage minus it (slot -1).
+            # One plane, class 0; a class-1 rule's support is coverage
+            # minus it (slot -1).
             self.classes = [0]
             rule_slot = np.where(engine._classes == 0, 0, -1)
         else:
@@ -547,28 +535,41 @@ class _NativeStats:
             stop = start + _RANK_CHUNK
             self.rank[start:stop] = np.searchsorted(
                 observed_sorted, self.flat[start:stop], side="left")
-        self.coverage = engine._node_coverage
+        self._bind()
 
-    def accumulate(self, suite: _native.KernelSuite,
-                   supports: np.ndarray, min_p: np.ndarray,
-                   hist: np.ndarray, stepdown: np.ndarray) -> None:
-        """Fold one block's ``(C, B, n_nodes)`` node supports into the
-        shard's statistics: writes ``min_p`` (``(B,)``), adds to
-        ``hist`` (``(n_rules + 1,)``) and ``stepdown``."""
-        supports = np.ascontiguousarray(supports, dtype=np.int64)
-        if supports.ndim != 3 or supports.shape[2] != len(self.coverage) \
-                or min_p.shape != (supports.shape[1],) \
-                or not min_p.flags.c_contiguous:
-            raise ValueError("block shapes do not match the forest")
-        status = suite.permutation_stats(
-            _ptr(supports, _INT64), _ptr(self.coverage, _INT64),
+    def _bind(self) -> None:
+        self._args = (
+            _ptr(self.words, _UINT64), _ptr(self.coverage, _INT64),
             _ptr(self.rule_node, _INT64), _ptr(self.rule_slot, _INT64),
             _ptr(self.rule_offset, _INT64), _ptr(self.flat, _DOUBLE),
             _ptr(self.rank, _INT32), len(self.flat), len(self.rule_node),
-            supports.shape[2], supports.shape[1], _ptr(min_p, _DOUBLE),
-            _ptr(hist, _INT64), _ptr(stepdown, _INT64))
+            self.words.shape[1], NATIVE_TILE_RULES)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_args"}
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._bind()
+
+    def run_block(self, suite: _native.KernelSuite, labels: np.ndarray,
+                  min_p: np.ndarray, hist: np.ndarray,
+                  stepdown: np.ndarray) -> None:
+        """Score ``(B, n_records)`` labellings: write ``min_p`` (B),
+        add to ``hist`` (``n_rules + 1``) and ``stepdown``."""
+        n_batch = labels.shape[0]
+        if min_p.shape != (n_batch,) or not min_p.flags.c_contiguous:
+            raise ValueError("min-p slice does not match the block")
+        planes = np.empty((len(self.classes), self.words.shape[1],
+                           n_batch), dtype=np.uint64)
+        for plane, c in zip(planes, self.classes):
+            plane[...] = pack_indicators(labels == c).T
+        status = suite.permutation_pass(
+            *self._args, _ptr(planes, _UINT64), n_batch,
+            _ptr(min_p, _DOUBLE), _ptr(hist, _INT64),
+            _ptr(stepdown, _INT64))
         if status == -2:
-            raise MemoryError("permutation statistics scratch")
+            raise MemoryError("permutation pass scratch")
         if status:
             raise CorrectionError(
                 "a permutation support fell outside its p-value table")
@@ -578,6 +579,7 @@ class _NativeStats:
 _RANK_CHUNK = 1 << 16
 _INT32 = ctypes.POINTER(ctypes.c_int32)
 _INT64 = ctypes.POINTER(ctypes.c_int64)
+_UINT64 = ctypes.POINTER(ctypes.c_uint64)
 _DOUBLE = ctypes.POINTER(ctypes.c_double)
 
 

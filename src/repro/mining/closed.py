@@ -154,8 +154,7 @@ def _walk_native(
 
     A count pass sizes the outputs exactly and a fill pass writes
     them: one read-only tidset arena (row 0 is the root), int64
-    parent/depth/support and CSR int32 closure positions. The depth
-    column is not kept.
+    parent/support and CSR int32 closure positions.
     """
     matrix = np.ascontiguousarray(view.matrix, dtype=np.uint64)
     m, n_words = matrix.shape
@@ -168,18 +167,17 @@ def _walk_native(
               _ptr(root_tids.words, ctypes.c_uint64),
               _ptr(root, ctypes.c_int32), len(root))
     _check_walk(suite.lcm_mine(*inputs, None, None, None, None, None,
-                               None, 0, 0, _ptr(counts, ctypes.c_int64)))
+                               0, 0, _ptr(counts, ctypes.c_int64)))
     n_nodes, n_positions = int(counts[0]), int(counts[1])
     arena = np.empty((n_nodes, n_words), dtype=np.uint64)
     parent = np.empty(n_nodes, dtype=np.int64)
-    depth = np.empty(n_nodes, dtype=np.int64)
     support = np.empty(n_nodes, dtype=np.int64)
     positions = np.empty(n_positions, dtype=np.int32)
     offsets = np.empty(n_nodes + 1, dtype=np.int64)
     _check_walk(suite.lcm_mine(
         *inputs, _ptr(arena, ctypes.c_uint64),
-        _ptr(parent, ctypes.c_int64), _ptr(depth, ctypes.c_int64),
-        _ptr(support, ctypes.c_int64), _ptr(positions, ctypes.c_int32),
+        _ptr(parent, ctypes.c_int64), _ptr(support, ctypes.c_int64),
+        _ptr(positions, ctypes.c_int32),
         _ptr(offsets, ctypes.c_int64), n_nodes, n_positions,
         _ptr(counts, ctypes.c_int64)))
     arena.flags.writeable = False

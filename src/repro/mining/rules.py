@@ -16,7 +16,7 @@ Fisher p-value, read from one :class:`~repro.stats.pvalue_tables.
 PValueTables` store that holds one table per distinct ``(class,
 coverage)`` key, so repeated coverages cost one table lookup.
 Class supports come from one :func:`class_supports` call over
-:attr:`RuleSet.matrix`, the function the permutation pass and the
+:attr:`RuleSet.matrix`, the function the numpy permutation pass and the
 holdout evaluation half count theirs with.
 """
 
@@ -292,17 +292,15 @@ def class_supports(matrix: BitMatrix, coverages: np.ndarray,
     under each of ``B`` labellings (a ``(B, n_records)`` matrix).
 
     The one class-support count of Score (``B = 1``), the holdout
-    evaluation half and the permutation pass. Binary data counts class
+    evaluation half and the numpy permutation pass (the native pass
+    counts inside its kernel). Binary data counts class
     0 only, class 1 is ``coverages`` (each row's support) minus that;
     more classes share one kernel dispatch.
     """
-    classes = list(classes)
     if n_classes > 2:
         return matrix.class_supports_multi(
             np.stack([labels == c for c in classes]))
     counted = matrix.class_supports_batch(labels == 0)
-    if classes == [0]:
-        return counted[None]  # the native permutation pass, no copy
     return np.stack([counted if c == 0 else coverages - counted
                      for c in classes])
 

@@ -1,10 +1,10 @@
 """Scalar reference implementation of the permutation pass.
 
 :class:`repro.corrections.PermutationEngine` scores a shard's
-labellings in memory-bounded blocks: one batched class-support kernel
-call per block, then either the native statistics kernel or the numpy
-reductions. This module is the reference both must reproduce, one
-labelling and one rule at a time:
+labellings in memory-bounded blocks: one fused native pass per block,
+or, without the native suite, one batched class-support call and the
+numpy reductions. This module is the reference both must reproduce,
+one labelling and one rule at a time:
 
 * :func:`labellings` — labelling ``t`` is the original labels shuffled
   by a generator seeded with the ``t``-th child of

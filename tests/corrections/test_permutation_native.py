@@ -1,17 +1,19 @@
-"""The native permutation statistics ≡ the numpy reductions, bit for bit.
+"""The native permutation pass ≡ the numpy reductions, bit for bit.
 
 With the kernel suite loaded, :class:`repro.corrections.
-PermutationEngine` folds each scoring block's node supports into the
-min-p distribution, the pooled rank counts and the step-down counts in
-one ``repro_permutation_stats`` call. The numpy reductions are the
-fallback without a compiler and the oracle here: every property
-compares the public statistics of both paths exactly, over binary and
-multiclass data, tables with ties and p = 1.0 plateaus, permutation
-counts around the block size, both parallel backends and an empty
-rule set. A wide forest pins the sizing: the
-native path runs blocks of more than one labelling and stays within
-its memory budget, and the numpy path's tiled kernel stays within
-twice its budget.
+PermutationEngine` scores each block of labellings in one
+``repro_permutation_pass`` call: it counts every rule's supports tile
+by tile and folds them into the min-p distribution, the pooled rank
+counts and the step-down counts. The numpy path is the fallback
+without a compiler and the oracle here: every property compares the
+public statistics of both paths exactly, over binary and multiclass
+data (one class on no rule's right-hand side, every binary rule on
+class 1), tables with ties and p = 1.0 plateaus, rule counts around
+the tile size, permutation counts around the block size, both parallel
+backends and an empty rule set. A wide forest pins the sizing: the
+native path runs blocks of more than one labelling within its memory
+budget without a per-block support array, and the numpy path's tiled
+kernel stays within twice its budget.
 """
 
 from __future__ import annotations
@@ -29,14 +31,19 @@ from repro.corrections import PermutationEngine
 from repro.corrections.permutation import (
     DEFAULT_BATCH_BYTES,
     NATIVE_BATCH_ROWS,
+    NATIVE_TILE_RULES,
 )
 from repro.data import Dataset, make_mushroom
+from repro.errors import CorrectionError
 from repro.mining import mine_class_rules
+from repro.mining.rules import RuleSet
 
 from .permutation_oracle import reference
 
 PERMUTATION_COUNTS = (1, 5, NATIVE_BATCH_ROWS - 1, NATIVE_BATCH_ROWS,
-                      2 * NATIVE_BATCH_ROWS + 3)
+                      NATIVE_BATCH_ROWS + 1, 2 * NATIVE_BATCH_ROWS + 3)
+RULE_COUNTS = (NATIVE_TILE_RULES - 1, NATIVE_TILE_RULES,
+               NATIVE_TILE_RULES + 1, 2 * NATIVE_TILE_RULES + 3)
 
 
 def _require_native():
@@ -70,6 +77,14 @@ def _statistics(ruleset, native, **options):
         return (engine.min_p_distribution(),
                 engine.empirical_p_values(),
                 engine.stepdown_adjusted_p_values())
+
+
+def _with_rules(ruleset, rules):
+    """The rule set cut to ``rules``, on the same patterns and p-value
+    tables."""
+    return RuleSet(dataset=ruleset.dataset, patterns=ruleset.patterns,
+                   rules=rules, min_sup=ruleset.min_sup,
+                   scorer=ruleset.scorer, _tables=ruleset.tables)
 
 
 def _assert_identical(left, right):
@@ -114,6 +129,49 @@ class TestSeeded:
             options = dict(n_permutations=n_permutations, seed=3)
             _assert_identical(_statistics(ruleset, True, **options),
                               _statistics(ruleset, False, **options))
+
+    @pytest.mark.parametrize("n_rules", RULE_COUNTS)
+    def test_rule_counts_around_tile(self, n_rules):
+        """The step-down running minimum carries across tile edges."""
+        _require_native()
+        full = mine_class_rules(_dataset(13, 120, 5, 2, 0.5), 4)
+        assert len(full.rules) >= n_rules
+        ruleset = _with_rules(full, full.rules[:n_rules])
+        for n_permutations in (NATIVE_BATCH_ROWS - 1,
+                               NATIVE_BATCH_ROWS + 1):
+            options = dict(n_permutations=n_permutations, seed=5)
+            _assert_identical(_statistics(ruleset, True, **options),
+                              _statistics(ruleset, False, **options))
+
+    def test_binary_rules_all_on_class_one(self):
+        """Every rule is coverage minus the counted class-0 plane."""
+        _require_native()
+        ruleset = mine_class_rules(_dataset(17, 90, 4, 2, 0.6), 4,
+                                   rhs_class=1)
+        assert {rule.class_index for rule in ruleset.rules} == {1}
+        options = dict(n_permutations=NATIVE_BATCH_ROWS + 3, seed=6)
+        _assert_identical(_statistics(ruleset, True, **options),
+                          _statistics(ruleset, False, **options))
+
+    def test_class_on_no_rhs(self):
+        """Three classes, one on no rule's right-hand side: the pass
+        counts one plane per class that is."""
+        _require_native()
+        full = mine_class_rules(_dataset(19, 120, 4, 3, 0.6), 5)
+        ruleset = _with_rules(full, [rule for rule in full.rules
+                                     if rule.class_index != 1])
+        engine = PermutationEngine(ruleset, n_permutations=1)
+        assert engine._slot_classes == [0, 2]
+        options = dict(n_permutations=NATIVE_BATCH_ROWS + 3, seed=7)
+        _assert_identical(_statistics(ruleset, True, **options),
+                          _statistics(ruleset, False, **options))
+
+    def test_support_outside_table_raises(self, multiclass):
+        _require_native()
+        engine = PermutationEngine(multiclass, n_permutations=3, seed=0)
+        engine._offsets = engine._offsets + len(engine._flat)
+        with pytest.raises(CorrectionError, match="outside its p-value"):
+            engine.run()
 
     @pytest.mark.parametrize("backend", ("threads", "processes"))
     def test_backends(self, multiclass, backend):
@@ -167,7 +225,8 @@ class TestDispatchLog:
 
     def test_native_pass_logged(self, caplog, ruleset):
         _require_native()
-        engine = PermutationEngine(ruleset, n_permutations=40, seed=0)
+        engine = PermutationEngine(
+            ruleset, n_permutations=NATIVE_BATCH_ROWS + 1, seed=0)
         records = self._records(caplog, engine)
         assert len(records) == 1
         assert records[0].levelno == logging.DEBUG
@@ -199,22 +258,29 @@ def wide_ruleset():
 
 def test_wide_forest_resource_contract(wide_ruleset):
     """The wide forest's whole-matrix numpy broadcast (9 bytes per
-    word-cell) exceeds a 16 MiB budget. The native path must batch
-    and stay within the budget plus the forest it scores."""
+    word-cell) exceeds a 16 MiB budget. The native path must batch,
+    and the fused pass keeps no per-block support array: its peak
+    stays within the budget plus the pass's per-rule columns (the
+    observed order and p-values, each rule's node, slot and offset,
+    the three statistics), with no term in the forest's size."""
     _require_native()
     budget = 16 * 2 ** 20
     engine = PermutationEngine(wide_ruleset, n_permutations=40, seed=0,
                                batch_bytes=budget)
     matrix = engine._matrix
     assert matrix.n_rows * matrix.n_words * 9 > budget
-    assert engine._batch_rows() > 1
+    n_batch = engine._batch_rows()
+    assert n_batch > 1
+    columns = 10 * 8 * len(wide_ruleset.rules)
+    # A (B, n_nodes) int64 support block would not fit in the slack.
+    assert n_batch * matrix.n_rows * 8 > columns
     tracemalloc.start()
     try:
         engine.run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= budget + matrix.nbytes
+    assert peak <= budget + columns
 
 
 def test_wide_forest_numpy_memory(wide_ruleset):

@@ -176,20 +176,23 @@ class TestNativeKernel:
 
     def test_suite_exports(self):
         """One shared object, five entry points; the closure check
-        lives inside the closed walk, not in a kernel of its own."""
+        lives inside the closed walk and the permutation statistics
+        inside the fused pass, not in kernels of their own."""
         from repro import _native
 
         assert [symbol for symbol, _restype, _args
                 in _native._KERNEL_SIGNATURES] == [
             "repro_class_supports_batch", "repro_lcm_mine",
-            "repro_permutation_stats", "repro_pvalue_tables",
+            "repro_permutation_pass", "repro_pvalue_tables",
             "repro_pvalue_walk"]
-        for removed in ("repro_subset_mask", "repro_andnot_counts"):
+        for removed in ("repro_subset_mask", "repro_andnot_counts",
+                        "repro_permutation_stats"):
             assert removed not in _native._SOURCE
         suite = _native.load_suite()
         if suite is not None:
             assert not hasattr(suite, "subset_mask")
             assert not hasattr(suite, "andnot_counts")
+            assert not hasattr(suite, "permutation_stats")
 
     def test_kernel_unavailability_is_silent(self, monkeypatch):
         """REPRO_NATIVE=0 must disable compilation, not break."""

@@ -7,6 +7,8 @@ step-up cut-off is one of the observed p-values or zero.
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +54,42 @@ def test_bh_selected_satisfy_bound(p_values, alpha):
     # ``p == alpha`` with ``k == n``, where ``n * alpha / n != alpha``
     # in floats).
     assert ordered[k - 1] * n <= k * alpha
+
+
+def _bh_step_up_loop(p_values, alpha, n_tests=None):
+    """The one-p-value-at-a-time step-up that ``bh_step_up``
+    vectorises: the oracle of its cut-off."""
+    n = n_tests if n_tests is not None else len(p_values)
+    threshold = 0.0
+    for i, p in enumerate(sorted(p_values), start=1):
+        if p * n <= i * alpha:
+            threshold = p
+    return threshold
+
+
+@st.composite
+def _tied_p_lists(draw):
+    """P-values among which some sit exactly on a critical value
+    ``k * alpha / n`` (and its neighbouring doubles), plus n_tests."""
+    alpha = draw(alphas)
+    p_values = draw(p_lists)
+    n = len(p_values) + draw(st.integers(0, 5))
+    for _ in range(draw(st.integers(0, 6))):
+        k = draw(st.integers(1, max(1, n)))
+        tie = k * alpha / max(1, n)
+        p_values.append(draw(st.sampled_from(
+            (tie, math.nextafter(tie, 0.0), math.nextafter(tie, 1.0)))))
+        n = max(n, len(p_values))
+    return p_values, alpha, n
+
+
+@given(_tied_p_lists())
+def test_bh_equals_loop_oracle(case):
+    p_values, alpha, n = case
+    assert bh_step_up(p_values, alpha, n) == \
+        _bh_step_up_loop(p_values, alpha, n)
+    assert bh_step_up(p_values, alpha) == \
+        _bh_step_up_loop(p_values, alpha)
 
 
 @given(p_lists, alphas, alphas)
