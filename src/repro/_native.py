@@ -19,9 +19,10 @@ compiler) a small suite of fused loops and loads them through
 
 * ``repro_permutation_pass`` — one block of the permutation pass (see
   :mod:`repro.corrections.permutation`): the block's labellings as
-  transposed bit planes in, each rule tile's supports counted into an
-  L1 scratch and folded, worst observed rank first, into the min-p
-  per labelling, the pooled rank histogram and the step-down counts;
+  transposed bit planes in, each rule's supports counted into a
+  B-wide accumulator and folded at once, worst observed rank first,
+  into the min-p per labelling, the pooled rank histogram and the
+  step-down counts;
 
 * ``repro_lcm_mine`` — the whole closed-pattern walk (LCM
   prefix-preserving closure extension) over a vertical view's item
@@ -152,10 +153,7 @@ void repro_class_supports_batch(
      step-down  stepdown[i] += 1 when the running minimum rank over
                 ranks i..n_rules-1 is <= i, i.e. when the suffix
                 minimum p-value is <= obs[i].
-   The walk goes in tiles of `tile` rules from the worst rank down: a
-   tile's supports are counted into an L1 scratch, then folded in
-   reverse, so the running minima carry from one tile to the next.
-   While a tile is counted, the rows of the next one are prefetched.
+   While a rule is counted, the next one's row is prefetched.
    Returns 0, -1 when a support falls outside its rule's table, or -2
    when scratch memory cannot be allocated. */
 
@@ -165,12 +163,20 @@ void repro_class_supports_batch(
 #define PREFETCH(address) ((void)(address))
 #endif
 
-/* acc[b] = sum_w popcount(row[w] & plane[w][b]) over n_batch lanes. */
+/* acc[b] = sum_w popcount(row[w] & plane[w][b]) over n_batch lanes.
+   One lane is the plain word loop, which vectorises over the words. */
 static void pass_count(const uint64_t *restrict row,
                        const uint64_t *restrict plane,
                        int64_t *restrict acc,
                        int64_t n_words, int64_t n_batch)
 {
+    if (n_batch == 1) {
+        int64_t count = 0;
+        for (int64_t w = 0; w < n_words; ++w)
+            count += POPCOUNT64(row[w] & plane[w]);
+        acc[0] = count;
+        return;
+    }
     for (int64_t b = 0; b < n_batch; ++b) acc[b] = 0;
     for (int64_t w = 0; w < n_words; ++w) {
         const uint64_t word = row[w];
@@ -191,7 +197,6 @@ int64_t repro_permutation_pass(
     int64_t n_flat,
     int64_t n_rules,
     int64_t n_words,
-    int64_t tile,
     const uint64_t *planes,  /* (n_planes, n_words, n_batch) */
     int64_t n_batch,
     double *min_p,           /* (n_batch,) */
@@ -199,64 +204,56 @@ int64_t repro_permutation_pass(
     int64_t *stepdown)       /* (n_rules,), accumulated */
 {
     const int64_t lines = (n_words * 8 + 63) / 64;
-    int64_t *running, *counts;
-    if (tile < 1) tile = 1;
-    running = malloc((size_t)(n_batch ? n_batch : 1) * 8);
-    counts = malloc((size_t)(tile * (n_batch ? n_batch : 1)) * 8);
-    if (!running || !counts) {
+    const size_t lanes = (size_t)(n_batch ? n_batch : 1);
+    int64_t *running = malloc(lanes * 8), *acc = malloc(lanes * 8);
+    if (!running || !acc) {
         free(running);
-        free(counts);
+        free(acc);
         return -2;
     }
     for (int64_t b = 0; b < n_batch; ++b) {
         min_p[b] = HUGE_VAL;
         running[b] = n_rules;
     }
-    for (int64_t end = n_rules; end > 0; end -= tile) {
-        const int64_t start = end > tile ? end - tile : 0;
-        for (int64_t i = start; i < end; ++i) {
-            const int64_t slot = rule_slot[i] < 0 ? 0 : rule_slot[i];
-            if (i >= tile) {
-                const char *next =
-                    (const char *)(words + rule_node[i - tile] * n_words);
-                for (int64_t line = 0; line < lines; ++line)
-                    PREFETCH(next + line * 64);
-            }
-            pass_count(words + rule_node[i] * n_words,
-                       planes + slot * n_words * n_batch,
-                       counts + (i - start) * n_batch, n_words, n_batch);
+    for (int64_t i = n_rules - 1; i >= 0; --i) {
+        const int64_t cover = coverage[rule_node[i]];
+        const int64_t complement = rule_slot[i] < 0;
+        const int64_t offset = rule_offset[i];
+        int64_t below = 0;
+        if (i > 0) {
+            const char *next =
+                (const char *)(words + rule_node[i - 1] * n_words);
+            for (int64_t line = 0; line < lines; ++line)
+                PREFETCH(next + line * 64);
         }
-        for (int64_t i = end - 1; i >= start; --i) {
-            const int64_t *acc = counts + (i - start) * n_batch;
-            const int64_t cover = coverage[rule_node[i]];
-            const int64_t complement = rule_slot[i] < 0;
-            const int64_t offset = rule_offset[i];
-            int64_t below = 0;
-            for (int64_t b = 0; b < n_batch; ++b) {
-                const int64_t k =
-                    offset + (complement ? cover - acc[b] : acc[b]);
-                int64_t r;
-                if (k < 0 || k >= n_flat) {
-                    free(running);
-                    free(counts);
-                    return -1;
-                }
-                r = rank[k];
-                ++hist[r];
-                if (r <= running[b]) {
-                    /* A smaller rank means a smaller p-value, so only a
-                       lookup at the running minimum rank can lower
-                       min-p. */
-                    if (flat[k] < min_p[b]) min_p[b] = flat[k];
-                    running[b] = r;
-                }
-                below += running[b] <= i;
+        pass_count(words + rule_node[i] * n_words,
+                   planes + (complement ? 0 : rule_slot[i]) * n_words
+                       * n_batch,
+                   acc, n_words, n_batch);
+        for (int64_t b = 0; b < n_batch; ++b) {
+            const int64_t k =
+                offset + (complement ? cover - acc[b] : acc[b]);
+            int64_t r;
+            if (k < 0 || k >= n_flat) {
+                free(running);
+                free(acc);
+                return -1;
             }
-            stepdown[i] += below;
+            r = rank[k];
+            ++hist[r];
+            if (r <= running[b]) {
+                /* A smaller rank means a smaller p-value, so only a
+                   lookup at the running minimum rank can lower
+                   min-p. */
+                if (flat[k] < min_p[b]) min_p[b] = flat[k];
+                running[b] = r;
+            }
+            below += running[b] <= i;
         }
+        stepdown[i] += below;
     }
     free(running);
-    free(counts);
+    free(acc);
     return 0;
 }
 
@@ -629,7 +626,7 @@ _KERNEL_SIGNATURES = (
     ("repro_permutation_pass", ctypes.c_int64,
      [_UINT64_P, _INT64_P, _INT64_P, _INT64_P, _INT64_P,
       _DOUBLE_P, _INT32_P, ctypes.c_int64, ctypes.c_int64,
-      ctypes.c_int64, ctypes.c_int64, _UINT64_P, ctypes.c_int64,
+      ctypes.c_int64, _UINT64_P, ctypes.c_int64,
       _DOUBLE_P, _INT64_P, _INT64_P]),
     ("repro_pvalue_tables", ctypes.c_int64,
      [_DOUBLE_P, ctypes.c_int64, _INT64_P, _INT64_P, _INT64_P,

@@ -23,8 +23,8 @@ Engineering, following the paper:
   (:mod:`repro._native`), a block is one ``repro_permutation_pass``
   call: its labellings go in as transposed bit planes, one per
   counted class, and the rules are walked from the worst observed
-  rank down in tiles, each tile's supports counted into an L1 scratch
-  and folded at once into the three statistics (see
+  rank down, each rule's B supports counted and folded at once into
+  the three statistics (see
   :class:`_NativeStats`). Without it,
   :func:`~repro.mining.rules.class_supports` counts the block's node
   supports and all ``B × n_rules`` p-values are reduced by numpy —
@@ -99,14 +99,8 @@ __all__ = ["PermutationEngine", "permutation_fwer",
 
 _LOG = logging.getLogger("repro.corrections")
 
-#: Most labellings per native block, and most bytes of its transposed
-#: labelling planes (``planes × n_words × B × 8``): they stay in L1
-#: while the forest rows stream past them.
+#: Most labellings per native block.
 NATIVE_BATCH_ROWS = 64
-NATIVE_PLANE_BYTES = 32 * 1024
-
-#: Rules per tile of the native pass (scratch: ``tile × B`` int64).
-NATIVE_TILE_RULES = 64
 
 #: Default memory budget for one scoring block's intermediates.
 DEFAULT_BATCH_BYTES = 64 * 1024 * 1024
@@ -342,8 +336,7 @@ class PermutationEngine:
         * Native: one label row, and per counted class a bool
           indicator row and its packed and transposed words, after
           the pass's int32 rank table (one entry per p-value table
-          entry) — at most :data:`NATIVE_BATCH_ROWS`, with the planes
-          within :data:`NATIVE_PLANE_BYTES`.
+          entry) — at most :data:`NATIVE_BATCH_ROWS`.
         * NumPy: one label row, one ``n_nodes`` support row per class
           on a rule RHS (plus the counted class-0 row on binary data),
           several ``n_rules``-wide float intermediates
@@ -363,8 +356,7 @@ class PermutationEngine:
             per_row += planes * (self.n + 16 * n_words)
             # The pass's int32 rank table comes out of the same budget.
             spare = self.batch_bytes - 4 * len(self._flat)
-            resident = NATIVE_PLANE_BYTES // (8 * planes * max(1, n_words))
-            rows = min(NATIVE_BATCH_ROWS, resident, spare // per_row)
+            rows = min(NATIVE_BATCH_ROWS, spare // per_row)
             return max(1, min(rows, self.n_permutations))
         per_row += (n_slots + binary) * 8 * n_nodes
         per_row += 6 * 8 * n_rules
@@ -504,8 +496,7 @@ class _NativeStats:
     Because the observed p-values ascend,
     ``p <= observed_sorted[i]`` iff ``rank(p) <= i``: the pooled counts
     become a rank histogram and the step-down suffix minima a running
-    minimum of ranks, both exact integer counts. Their ctypes
-    pointers are bound once per process (again on unpickling).
+    minimum of ranks, both exact integer counts.
     """
 
     def __init__(self, engine: PermutationEngine, order: np.ndarray,
@@ -535,22 +526,6 @@ class _NativeStats:
             stop = start + _RANK_CHUNK
             self.rank[start:stop] = np.searchsorted(
                 observed_sorted, self.flat[start:stop], side="left")
-        self._bind()
-
-    def _bind(self) -> None:
-        self._args = (
-            _ptr(self.words, _UINT64), _ptr(self.coverage, _INT64),
-            _ptr(self.rule_node, _INT64), _ptr(self.rule_slot, _INT64),
-            _ptr(self.rule_offset, _INT64), _ptr(self.flat, _DOUBLE),
-            _ptr(self.rank, _INT32), len(self.flat), len(self.rule_node),
-            self.words.shape[1], NATIVE_TILE_RULES)
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_args"}
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._bind()
 
     def run_block(self, suite: _native.KernelSuite, labels: np.ndarray,
                   min_p: np.ndarray, hist: np.ndarray,
@@ -565,7 +540,11 @@ class _NativeStats:
         for plane, c in zip(planes, self.classes):
             plane[...] = pack_indicators(labels == c).T
         status = suite.permutation_pass(
-            *self._args, _ptr(planes, _UINT64), n_batch,
+            _ptr(self.words, _UINT64), _ptr(self.coverage, _INT64),
+            _ptr(self.rule_node, _INT64), _ptr(self.rule_slot, _INT64),
+            _ptr(self.rule_offset, _INT64), _ptr(self.flat, _DOUBLE),
+            _ptr(self.rank, _INT32), len(self.flat), len(self.rule_node),
+            self.words.shape[1], _ptr(planes, _UINT64), n_batch,
             _ptr(min_p, _DOUBLE), _ptr(hist, _INT64),
             _ptr(stepdown, _INT64))
         if status == -2:

@@ -2,15 +2,14 @@
 
 With the kernel suite loaded, :class:`repro.corrections.
 PermutationEngine` scores each block of labellings in one
-``repro_permutation_pass`` call: it counts every rule's supports tile
-by tile and folds them into the min-p distribution, the pooled rank
-counts and the step-down counts. The numpy path is the fallback
+``repro_permutation_pass`` call: it counts every rule's supports and
+folds them into the min-p distribution, the pooled rank counts and
+the step-down counts. The numpy path is the fallback
 without a compiler and the oracle here: every property compares the
 public statistics of both paths exactly, over binary and multiclass
 data (one class on no rule's right-hand side, every binary rule on
-class 1), tables with ties and p = 1.0 plateaus, rule counts around
-the tile size, permutation counts around the block size, both parallel
-backends and an empty rule set. A wide forest pins the sizing: the
+class 1), tables with ties and p = 1.0 plateaus, permutation counts
+around the block size, both parallel backends and an empty rule set. A wide forest pins the sizing: the
 native path runs blocks of more than one labelling within its memory
 budget without a per-block support array, and the numpy path's tiled
 kernel stays within twice its budget.
@@ -31,7 +30,6 @@ from repro.corrections import PermutationEngine
 from repro.corrections.permutation import (
     DEFAULT_BATCH_BYTES,
     NATIVE_BATCH_ROWS,
-    NATIVE_TILE_RULES,
 )
 from repro.data import Dataset, make_mushroom
 from repro.errors import CorrectionError
@@ -42,8 +40,6 @@ from .permutation_oracle import reference
 
 PERMUTATION_COUNTS = (1, 5, NATIVE_BATCH_ROWS - 1, NATIVE_BATCH_ROWS,
                       NATIVE_BATCH_ROWS + 1, 2 * NATIVE_BATCH_ROWS + 3)
-RULE_COUNTS = (NATIVE_TILE_RULES - 1, NATIVE_TILE_RULES,
-               NATIVE_TILE_RULES + 1, 2 * NATIVE_TILE_RULES + 3)
 
 
 def _require_native():
@@ -127,19 +123,6 @@ class TestSeeded:
         assert len(set(observed)) < len(observed)
         for n_permutations in PERMUTATION_COUNTS:
             options = dict(n_permutations=n_permutations, seed=3)
-            _assert_identical(_statistics(ruleset, True, **options),
-                              _statistics(ruleset, False, **options))
-
-    @pytest.mark.parametrize("n_rules", RULE_COUNTS)
-    def test_rule_counts_around_tile(self, n_rules):
-        """The step-down running minimum carries across tile edges."""
-        _require_native()
-        full = mine_class_rules(_dataset(13, 120, 5, 2, 0.5), 4)
-        assert len(full.rules) >= n_rules
-        ruleset = _with_rules(full, full.rules[:n_rules])
-        for n_permutations in (NATIVE_BATCH_ROWS - 1,
-                               NATIVE_BATCH_ROWS + 1):
-            options = dict(n_permutations=n_permutations, seed=5)
             _assert_identical(_statistics(ruleset, True, **options),
                               _statistics(ruleset, False, **options))
 
