@@ -80,7 +80,7 @@ def _timed_repeat(fn, repeats: int = 3):
 def test_permutation_kernel():
     patterns, indicator = _synthetic_forest(KERNEL_PATTERNS,
                                             KERNEL_RECORDS, SEED)
-    tidsets = [int(p.tidset) for p in patterns]
+    tidsets = [p.tidset.to_bigint() for p in patterns]
     packed_forest = BitMatrix.from_tidsets([p.tidset for p in patterns],
                                            KERNEL_RECORDS)
 

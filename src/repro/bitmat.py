@@ -137,37 +137,19 @@ class BitMatrix:
 
     @classmethod
     def from_tidsets(cls, tidsets: Sequence, n_records: int) -> "BitMatrix":
-        """Pack tidsets (one per row) into a :class:`BitMatrix`.
-
-        Rows may be :class:`~repro.tidvector.TidVector` values (the
-        native representation — adopted by stacking their words, no
-        conversion) or bigint bitsets (plugin/oracle interop). Every
-        tidset must only reference records in ``[0, n_records)``.
+        """Stack :class:`~repro.tidvector.TidVector` tidsets (one per
+        row, each over ``n_records``) into a :class:`BitMatrix`, by
+        stacking their words. Any other row is a ``TypeError``.
         """
         from .tidvector import TidVector, stack_tidvectors
 
         tidsets = list(tidsets)
-        if all(isinstance(t, TidVector) for t in tidsets):
-            return cls(stack_tidvectors(tidsets, n_records), n_records)
-        n_words = words_per_row(n_records)
-        stride = n_words * 8
-        buffer = bytearray(len(tidsets) * stride)
         for row, tidset in enumerate(tidsets):
-            tidset = int(tidset)
-            if tidset < 0:
-                raise ValueError(f"tidset of row {row} is negative")
-            if tidset >> n_records:
-                # Any bit at or above n_records is out of range,
-                # including the tail of a partially-filled last word.
-                raise ValueError(
-                    f"tidset of row {row} references records >= "
-                    f"{n_records}")
-            buffer[row * stride:(row + 1) * stride] = \
-                tidset.to_bytes(stride, "little")
-        words = (np.frombuffer(buffer, dtype=np.dtype("<u8"))
-                 .reshape(len(tidsets), n_words)
-                 .astype(np.uint64, copy=False))
-        return cls(words, n_records)
+            if not isinstance(tidset, TidVector):
+                raise TypeError(
+                    f"tidset of row {row} is a {type(tidset).__name__}, "
+                    f"not a TidVector")
+        return cls(stack_tidvectors(tidsets, n_records), n_records)
 
     def tidvector(self, row: int):
         """One row as a packed :class:`~repro.tidvector.TidVector` view."""

@@ -68,9 +68,9 @@ def majority_class(dataset: Dataset,
                    tidset: Optional[TidVector] = None) -> int:
     """Most frequent class among ``tidset`` records (whole data if None).
 
-    ``tidset`` may be a packed :class:`~repro.tidvector.TidVector` or a
-    bigint bitset (interop). Ties break toward the smaller class index
-    so the choice is deterministic.
+    ``tidset`` is a packed :class:`~repro.tidvector.TidVector`. Ties
+    break toward the smaller class index so the choice is
+    deterministic.
     """
     if dataset.n_records == 0:
         raise DataError("cannot take a majority over an empty dataset")

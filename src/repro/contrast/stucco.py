@@ -132,9 +132,9 @@ def group_contingency(tidset, dataset: Dataset,
                       ) -> Tuple[List[int], List[int]]:
     """Observed 2xG table of one pattern against the dataset's groups.
 
-    ``tidset`` is a packed :class:`~repro.tidvector.TidVector` (bigint
-    accepted for interop). Returns ``(containing, missing)``: per
-    group, the number of records with and without the pattern.
+    ``tidset`` is a packed :class:`~repro.tidvector.TidVector`.
+    Returns ``(containing, missing)``: per group, the number of
+    records with and without the pattern.
     """
     from ..tidvector import as_tidvector
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import CorrectionError
 from ..jsonio import json_safe
-from ..mining.rules import ClassRule
+from ..mining.rules import ClassRule, Rules
 
 __all__ = ["CorrectionResult", "RESULT_SCHEMA_VERSION", "validate_alpha",
            "FWER", "FDR", "NONE"]
@@ -131,10 +131,18 @@ class CorrectionResult:
         )
 
 
-def select_by_threshold(rules: List[ClassRule],
-                        threshold: float) -> List[ClassRule]:
-    """Rules with ``p <= threshold``, preserving input order."""
-    return [rule for rule in rules if rule.p_value <= threshold]
+def select_by_threshold(ruleset, threshold: float) -> List[ClassRule]:
+    """The rules of ``ruleset`` with ``p <= threshold``, in input order.
+
+    Reads ``ruleset.p_values()`` and indexes ``ruleset.rules`` at the
+    selected rows only (a :class:`~repro.mining.rules.RuleSet` builds
+    views of those alone); ``threshold`` may be one level per rule.
+    """
+    rows = np.flatnonzero(np.asarray(ruleset.p_values()) <= threshold)
+    rules = ruleset.rules
+    if isinstance(rules, Rules):
+        return rules[rows]
+    return [rules[i] for i in rows]
 
 
 def bh_step_up(p_values: List[float], alpha: float,
@@ -148,7 +156,7 @@ def bh_step_up(p_values: List[float], alpha: float,
     """
     validate_alpha(alpha)
     n = n_tests if n_tests is not None else len(p_values)
-    if n <= 0 or not p_values:
+    if n <= 0 or len(p_values) == 0:
         return 0.0
     if len(p_values) > n:
         raise CorrectionError(

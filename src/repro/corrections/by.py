@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..mining.rules import RuleSet
 from .base import FDR, CorrectionResult, select_by_threshold, validate_alpha
 
@@ -42,18 +44,12 @@ def benjamini_yekutieli(ruleset: RuleSet, alpha: float = 0.05,
     """
     validate_alpha(alpha)
     n = ruleset.n_tests
-    if n == 0:
-        return CorrectionResult(
-            method="BY", control=FDR, alpha=alpha, threshold=0.0,
-            significant=[], n_tests=0,
-            details={"harmonic_factor": 0.0})
     c_m = harmonic_number(n)
-    ordered = sorted(ruleset.p_values())
-    threshold = 0.0
-    for i, p in enumerate(ordered, start=1):
-        if p <= i * alpha / (n * c_m):
-            threshold = p
-    significant = select_by_threshold(ruleset.rules, threshold)
+    ordered = np.sort(np.asarray(ruleset.p_values(), dtype=np.float64))
+    passed = np.flatnonzero(
+        ordered <= np.arange(1, n + 1) * alpha / (n * c_m))
+    threshold = float(ordered[passed[-1]]) if len(passed) else 0.0
+    significant = select_by_threshold(ruleset, threshold)
     return CorrectionResult(
         method="BY", control=FDR, alpha=alpha, threshold=threshold,
         significant=significant, n_tests=n,

@@ -35,7 +35,7 @@ def no_correction(ruleset: RuleSet, alpha: float = 0.05,
                   ) -> CorrectionResult:
     """Declare every rule with raw ``p <= alpha`` significant."""
     validate_alpha(alpha)
-    significant = select_by_threshold(ruleset.rules, alpha)
+    significant = select_by_threshold(ruleset, alpha)
     return CorrectionResult(
         method="No correction", control=NONE, alpha=alpha, threshold=alpha,
         significant=significant, n_tests=ruleset.n_tests,
@@ -47,7 +47,7 @@ def bonferroni(ruleset: RuleSet, alpha: float = 0.05) -> CorrectionResult:
     validate_alpha(alpha)
     n_tests = ruleset.n_tests
     threshold = alpha / n_tests if n_tests else 0.0
-    significant = select_by_threshold(ruleset.rules, threshold)
+    significant = select_by_threshold(ruleset, threshold)
     return CorrectionResult(
         method="BC", control=FWER, alpha=alpha, threshold=threshold,
         significant=significant, n_tests=n_tests,
@@ -59,7 +59,7 @@ def benjamini_hochberg(ruleset: RuleSet, alpha: float = 0.05,
     """Benjamini–Hochberg step-up: FDR <= alpha."""
     validate_alpha(alpha)
     threshold = bh_step_up(ruleset.p_values(), alpha)
-    significant = select_by_threshold(ruleset.rules, threshold)
+    significant = select_by_threshold(ruleset, threshold)
     return CorrectionResult(
         method="BH", control=FDR, alpha=alpha, threshold=threshold,
         significant=significant, n_tests=ruleset.n_tests,

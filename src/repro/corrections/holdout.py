@@ -30,7 +30,13 @@ from ..bitmat import BitMatrix
 from ..data.dataset import Dataset
 from ..errors import CorrectionError
 from ..mining.registry import resolve_miner
-from ..mining.rules import ClassRule, RuleSet, class_supports, generate_rules
+from ..mining.rules import (
+    ClassRule,
+    Rules,
+    RuleSet,
+    class_supports,
+    generate_rules,
+)
 from ..stats.pvalue_tables import PValueTables, score_rules
 from .base import (
     FDR,
@@ -89,20 +95,23 @@ class HoldoutRun:
         patterns = resolve_miner(algorithm).mine(
             self.exploratory, exploratory_min_sup,
             max_length=max_length, **dict(miner_options or {}))
-        self.exploratory_rules: RuleSet = generate_rules(
+        explored = self.exploratory_rules = generate_rules(
             self.exploratory, patterns, exploratory_min_sup,
             min_conf=min_conf, scorer=scorer)
-        self.candidates: List[ClassRule] = [
-            rule for rule in self.exploratory_rules.rules
-            if rule.p_value <= alpha
-        ]
+        candidates = explored.take(
+            np.flatnonzero(explored.p_values() <= alpha))
+        #: The exploratory rules with ``p <= alpha``, as views.
+        self.candidates: Rules = candidates.rules
         #: The evaluation half's store (``None`` without candidates or
         #: under ``chi2``, which scores directly).
         self.evaluation_tables: Optional[PValueTables] = None
-        self.evaluated: List[Tuple[ClassRule, ClassRule]] = \
-            self._score_candidates()
+        #: Each candidate's coverage, support (int64) and p-value
+        #: (float64) on the evaluation half, in candidate order.
+        self.evaluated: Tuple[np.ndarray, np.ndarray, np.ndarray] = \
+            self._score_candidates(candidates)
 
-    def _score_candidates(self) -> List[Tuple[ClassRule, ClassRule]]:
+    def _score_candidates(self, candidates: RuleSet,
+                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Re-score every candidate on the evaluation half at once.
 
         A candidate's pattern need not be frequent (or closed) there;
@@ -115,40 +124,47 @@ class HoldoutRun:
         use the run's scorer, from one store built for the candidates'
         keys on this half.
         """
-        candidates = self.candidates
-        if not candidates:
-            return []
+        n_candidates = candidates.n_tests
+        # A candidate absent from this half is unobservable there:
+        # p = 1, never significant.
+        p_values = np.ones(n_candidates)
+        if not n_candidates:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, p_values
         evaluation = self.evaluation
+        item_ids = candidates.patterns.item_ids
+        offsets = candidates.patterns.item_offsets
         matrix = BitMatrix.from_tidsets(
-            [evaluation.pattern_tidset(rule.items)
-             for rule in candidates],
+            [evaluation.pattern_tidset(item_ids[offsets[i]:offsets[i + 1]])
+             for i in candidates.pattern_ids.tolist()],
             evaluation.n_records)
         coverages = matrix.row_popcounts()
         labels = np.asarray(evaluation.class_labels, dtype=np.int64)
-        classes = np.array([rule.class_index for rule in candidates],
-                           dtype=np.int64)
+        classes = candidates.classes
         present = np.unique(classes)
         per_class = class_supports(matrix, coverages, labels[None, :],
                                    present.tolist(),
                                    evaluation.n_classes)[:, 0]
         supports = per_class[np.searchsorted(present, classes),
-                             np.arange(len(candidates))]
-        # A candidate absent from this half is unobservable there:
-        # p = 1, never significant.
-        p_values = np.ones(len(candidates))
+                             np.arange(n_candidates)]
         seen = (coverages > 0).nonzero()[0]
         evaluation_n_c = [evaluation.class_support(c)
                           for c in range(evaluation.n_classes)]
-        scored, self.evaluation_tables = score_rules(
-            evaluation.n_records, evaluation_n_c, classes[seen].tolist(),
-            coverages[seen].tolist(), supports[seen].tolist(),
-            self.scorer)
-        p_values[seen] = scored
-        return [(rule, replace(rule, coverage=s, support=k,
-                               confidence=k / s if s else 0.0, p_value=p))
-                for rule, s, k, p in zip(candidates, coverages.tolist(),
-                                         supports.tolist(),
-                                         p_values.tolist())]
+        p_values[seen], self.evaluation_tables = score_rules(
+            evaluation.n_records, evaluation_n_c, classes[seen],
+            coverages[seen], supports[seen], self.scorer)
+        return coverages, supports, p_values
+
+    def _significant(self, threshold: float) -> List[ClassRule]:
+        """The candidates with evaluation ``p <= threshold``, each
+        carrying its evaluation-half statistics."""
+        coverages, supports, p_values = self.evaluated
+        rows = np.flatnonzero(p_values <= threshold)
+        return [replace(rule, coverage=s, support=k,
+                        confidence=k / s if s else 0.0, p_value=p)
+                for rule, s, k, p in zip(
+                    self.candidates[rows], coverages[rows].tolist(),
+                    supports[rows].tolist(), p_values[rows].tolist())]
 
     # ------------------------------------------------------------------
     # error control on the evaluation half
@@ -160,8 +176,7 @@ class HoldoutRun:
         validate_alpha(level)
         n_candidates = len(self.candidates)
         threshold = level / n_candidates if n_candidates else 0.0
-        significant = [scored for _, scored in self.evaluated
-                       if scored.p_value <= threshold]
+        significant = self._significant(threshold)
         prefix = "HD" if self.split == "structured" else "RH"
         return CorrectionResult(
             method=f"{prefix}_BC", control=FWER, alpha=level,
@@ -175,10 +190,8 @@ class HoldoutRun:
         """FDR control: BH over the candidates' evaluation p-values."""
         level = self.alpha if alpha is None else alpha
         validate_alpha(level)
-        eval_p = [scored.p_value for _, scored in self.evaluated]
-        threshold = bh_step_up(eval_p, level) if eval_p else 0.0
-        significant = [scored for _, scored in self.evaluated
-                       if scored.p_value <= threshold]
+        threshold = bh_step_up(self.evaluated[2], level)
+        significant = self._significant(threshold)
         prefix = "HD" if self.split == "structured" else "RH"
         return CorrectionResult(
             method=f"{prefix}_BH", control=FDR, alpha=level,

@@ -22,13 +22,26 @@ construction, and the union bound covers the rest.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import numpy as np
 
 from ..mining.rules import RuleSet
 from ..stats.fisher import min_attainable_p_value
-from .base import FWER, CorrectionResult, validate_alpha
+from .base import FWER, CorrectionResult, select_by_threshold, validate_alpha
 
-__all__ = ["lamp_bonferroni"]
+__all__ = ["attainable_floors", "lamp_bonferroni"]
+
+
+def attainable_floors(ruleset: RuleSet) -> np.ndarray:
+    """Each rule's minimum attainable p-value (float64, rule order),
+    computed once per distinct ``(class, coverage)`` key."""
+    n = ruleset.dataset.n_records
+    keys, inverse = np.unique(
+        ruleset.classes * (n + 1) + ruleset.coverages[ruleset.pattern_ids],
+        return_inverse=True)
+    floors = [min_attainable_p_value(
+        n, ruleset.dataset.class_support(c), s)
+        for c, s in (divmod(key, n + 1) for key in keys.tolist())]
+    return np.array(floors, dtype=np.float64)[inverse.reshape(-1)]
 
 
 def lamp_bonferroni(ruleset: RuleSet, alpha: float = 0.05,
@@ -41,53 +54,26 @@ def lamp_bonferroni(ruleset: RuleSet, alpha: float = 0.05,
     coverage, the gain is substantial.
     """
     validate_alpha(alpha)
-    dataset = ruleset.dataset
-    n = dataset.n_records
-    rules = ruleset.rules
-    if not rules:
-        return CorrectionResult(
-            method="LAMP", control=FWER, alpha=alpha, threshold=0.0,
-            significant=[], n_tests=0,
-            details={"sigma": None, "n_testable": 0})
-
-    min_attainable: Dict[Tuple[int, int], float] = {}
-
-    def attainable(rule) -> float:
-        key = (rule.class_index, rule.coverage)
-        value = min_attainable.get(key)
-        if value is None:
-            n_c = dataset.class_support(rule.class_index)
-            value = min_attainable_p_value(n, n_c, rule.coverage)
-            min_attainable[key] = value
-        return value
-
+    n_rules = ruleset.n_tests
     # Keep the k rules with the smallest attainable floors; all of them
     # must be individually testable against alpha/k, i.e. the k-th
     # smallest floor must satisfy f_(k) <= alpha/k. Pick the largest
     # such k: FWER <= k * (alpha/k) = alpha by the union bound over the
     # tested set, and every excluded rule is simply never reported.
-    floors = sorted(attainable(rule) for rule in rules)
-    n_testable = 0
-    for k, floor in enumerate(floors, start=1):
-        if floor <= alpha / k:
-            n_testable = k
-    if n_testable <= 0:
-        threshold = 0.0
-    else:
-        threshold = alpha / n_testable
-    significant = [rule for rule in rules
-                   if attainable(rule) <= threshold
-                   and rule.p_value <= threshold]
-    sigma = None
-    testable_coverages = [rule.coverage for rule in rules
-                          if attainable(rule) <= threshold]
-    if testable_coverages:
-        sigma = min(testable_coverages)
+    floors = attainable_floors(ruleset)
+    passed = np.flatnonzero(
+        np.sort(floors) <= alpha / np.arange(1, n_rules + 1))
+    n_testable = int(passed[-1]) + 1 if len(passed) else 0
+    threshold = alpha / n_testable if n_testable else 0.0
+    testable = floors <= threshold
+    significant = select_by_threshold(
+        ruleset, np.where(testable, threshold, -np.inf))
+    coverages = ruleset.coverages[ruleset.pattern_ids[testable]]
     return CorrectionResult(
         method="LAMP", control=FWER, alpha=alpha, threshold=threshold,
         significant=significant, n_tests=n_testable,
-        details={"sigma": sigma, "n_testable": n_testable,
-                 "n_total": len(rules)},
+        details={"sigma": int(coverages.min()) if len(coverages) else None,
+                 "n_testable": n_testable, "n_total": n_rules},
     )
 
 

@@ -28,7 +28,7 @@ from collections import defaultdict
 from typing import Dict, List
 
 from ..errors import CorrectionError
-from ..mining.rules import RuleSet
+from ..mining.rules import ClassRule, RuleSet
 from .base import FWER, CorrectionResult, validate_alpha
 
 __all__ = ["layered_critical_values"]
@@ -45,9 +45,9 @@ def layered_critical_values(ruleset: RuleSet, alpha: float = 0.05,
     validate_alpha(alpha)
     if budget not in ("uniform", "geometric"):
         raise CorrectionError(f"unknown budget scheme {budget!r}")
-    by_length: Dict[int, List[int]] = defaultdict(list)
-    for index, rule in enumerate(ruleset.rules):
-        by_length[rule.length].append(index)
+    by_length: Dict[int, List[ClassRule]] = defaultdict(list)
+    for rule in ruleset.rules:
+        by_length[rule.length].append(rule)
     if not by_length:
         return CorrectionResult(
             method="Layered", control=FWER, alpha=alpha, threshold=0.0,
@@ -60,10 +60,9 @@ def layered_critical_values(ruleset: RuleSet, alpha: float = 0.05,
     significant = []
     max_accepted = 0.0
     for length in lengths:
-        indices = by_length[length]
-        critical[length] = shares[length] / len(indices)
-        for index in indices:
-            rule = ruleset.rules[index]
+        rules = by_length[length]
+        critical[length] = shares[length] / len(rules)
+        for rule in rules:
             if rule.p_value <= critical[length]:
                 significant.append(rule)
                 max_accepted = max(max_accepted, rule.p_value)

@@ -92,7 +92,14 @@ from ..parallel import (
     slice_sequences,
     spawn_sequences,
 )
-from .base import FDR, FWER, CorrectionResult, bh_step_up, validate_alpha
+from .base import (
+    FDR,
+    FWER,
+    CorrectionResult,
+    bh_step_up,
+    select_by_threshold,
+    validate_alpha,
+)
 
 __all__ = ["PermutationEngine", "permutation_fwer",
            "permutation_fwer_stepdown", "permutation_fdr"]
@@ -169,14 +176,9 @@ class PermutationEngine:
         # Score's matrix: row ``pattern_id`` is a rule's pattern.
         self._matrix = ruleset.matrix
         self._node_coverage = ruleset.coverages
-        rules = ruleset.rules
-        self._node_ids = np.array([r.pattern_id for r in rules],
-                                  dtype=np.int64)
-        self._classes = np.array([r.class_index for r in rules],
-                                 dtype=np.int64)
-        self._coverages = np.array([r.coverage for r in rules],
-                                   dtype=np.int64)
-        self._observed_p = np.array([r.p_value for r in rules])
+        self._node_ids = ruleset.pattern_ids
+        self._classes = ruleset.classes
+        self._observed_p = ruleset.p_values()
         # One support slot per class on a rule RHS: rule i's support
         # under labelling b is supports[slot_i, b, node_i].
         self._n_classes = dataset.n_classes
@@ -189,7 +191,8 @@ class PermutationEngine:
         # Rule i's p-value for support k is flat[offsets[i] + k].
         tables = ruleset.tables
         self._flat = tables.flat
-        self._offsets = tables.offsets(self._classes, self._coverages)
+        self._offsets = tables.offsets(
+            self._classes, self._node_coverage[self._node_ids])
 
     # ------------------------------------------------------------------
     # the shared permutation pass
@@ -413,8 +416,7 @@ class PermutationEngine:
             # Too few permutations to estimate the alpha quantile of the
             # min-p distribution; be maximally conservative.
             threshold = 0.0
-        significant = [r for r in self.ruleset.rules
-                       if r.p_value <= threshold]
+        significant = select_by_threshold(self.ruleset, threshold)
         return CorrectionResult(
             method="Perm_FWER", control=FWER, alpha=alpha,
             threshold=threshold, significant=significant,
@@ -454,8 +456,7 @@ class PermutationEngine:
         k = int(np.count_nonzero(
             np.asarray(self.stepdown_adjusted_p_values()) <= alpha))
         threshold = float(self._observed_sorted[k - 1]) if k else 0.0
-        rules = self.ruleset.rules
-        significant = [rules[int(i)] for i in self._order[:k]]
+        significant = self.ruleset.rules[self._order[:k]]
         return CorrectionResult(
             method="Perm_FWER_SD", control=FWER, alpha=alpha,
             threshold=threshold, significant=significant,
@@ -469,12 +470,11 @@ class PermutationEngine:
     def fdr(self, alpha: float = 0.05) -> CorrectionResult:
         """Empirical-p re-calibration followed by BH at level ``alpha``."""
         validate_alpha(alpha)
-        empirical = self.empirical_p_values()
+        empirical = np.asarray(self.empirical_p_values())
         cut = bh_step_up(empirical, alpha)
-        significant = [rule for rule, p_emp
-                       in zip(self.ruleset.rules, empirical) if p_emp <= cut]
-        raw_threshold = max((rule.p_value for rule in significant),
-                            default=0.0)
+        rows = np.flatnonzero(empirical <= cut)
+        significant = self.ruleset.rules[rows]
+        raw_threshold = float(self._observed_p[rows].max(initial=0.0))
         return CorrectionResult(
             method="Perm_FDR", control=FDR, alpha=alpha,
             threshold=raw_threshold, significant=significant,

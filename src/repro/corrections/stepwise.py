@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..mining.rules import RuleSet
 from .base import (
     FWER,
@@ -54,14 +56,12 @@ def holm(ruleset: RuleSet, alpha: float = 0.05) -> CorrectionResult:
     """
     validate_alpha(alpha)
     n_tests = ruleset.n_tests
-    ordered = sorted(ruleset.p_values())
-    threshold = 0.0
-    for i, p in enumerate(ordered, start=1):
-        # Cross-multiplied ``p > alpha / (n - i + 1)``; see bh_step_up.
-        if p * (n_tests - i + 1) > alpha:
-            break
-        threshold = p
-    significant = select_by_threshold(ruleset.rules, threshold)
+    ordered = np.sort(np.asarray(ruleset.p_values(), dtype=np.float64))
+    # Cross-multiplied ``p <= alpha / (n - i + 1)``; see bh_step_up.
+    passed = ordered * (n_tests - np.arange(len(ordered))) <= alpha
+    k = len(passed) if passed.all() else int(np.argmin(passed))
+    threshold = float(ordered[k - 1]) if k else 0.0
+    significant = select_by_threshold(ruleset, threshold)
     return CorrectionResult(
         method="Holm", control=FWER, alpha=alpha, threshold=threshold,
         significant=significant, n_tests=n_tests,
@@ -78,14 +78,12 @@ def hochberg(ruleset: RuleSet, alpha: float = 0.05) -> CorrectionResult:
     """
     validate_alpha(alpha)
     n_tests = ruleset.n_tests
-    ordered = sorted(ruleset.p_values())
-    threshold = 0.0
-    for i in range(len(ordered), 0, -1):
-        # Cross-multiplied ``p <= alpha / (n - i + 1)``; see bh_step_up.
-        if ordered[i - 1] * (n_tests - i + 1) <= alpha:
-            threshold = ordered[i - 1]
-            break
-    significant = select_by_threshold(ruleset.rules, threshold)
+    ordered = np.sort(np.asarray(ruleset.p_values(), dtype=np.float64))
+    # Cross-multiplied ``p <= alpha / (n - i + 1)``; see bh_step_up.
+    passed = np.flatnonzero(
+        ordered * (n_tests - np.arange(len(ordered))) <= alpha)
+    threshold = float(ordered[passed[-1]]) if len(passed) else 0.0
+    significant = select_by_threshold(ruleset, threshold)
     return CorrectionResult(
         method="Hochberg", control=FWER, alpha=alpha, threshold=threshold,
         significant=significant, n_tests=n_tests,
@@ -103,7 +101,7 @@ def sidak(ruleset: RuleSet, alpha: float = 0.05) -> CorrectionResult:
     validate_alpha(alpha)
     n_tests = ruleset.n_tests
     threshold = sidak_threshold(alpha, n_tests)
-    significant = select_by_threshold(ruleset.rules, threshold)
+    significant = select_by_threshold(ruleset, threshold)
     return CorrectionResult(
         method="Sidak", control=FWER, alpha=alpha, threshold=threshold,
         significant=significant, n_tests=n_tests,

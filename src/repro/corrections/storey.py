@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+import numpy as np
+
 from ..errors import CorrectionError
 from ..mining.rules import RuleSet
 from .base import (
@@ -64,7 +66,7 @@ def estimate_pi0(p_values: Sequence[float], lam: float = 0.5) -> float:
     m = len(p_values)
     if m == 0:
         return 1.0
-    above = sum(1 for p in p_values if p > lam)
+    above = int(np.count_nonzero(np.asarray(p_values) > lam))
     pi0 = above / ((1.0 - lam) * m)
     return min(1.0, max(pi0, 1.0 / m))
 
@@ -83,16 +85,12 @@ def q_values(p_values: Sequence[float], pi0: float = None,
     if not 0.0 < pi0 <= 1.0:
         raise CorrectionError(f"pi0 must be in (0, 1], got {pi0}")
     m = len(p_values)
-    if m == 0:
-        return []
-    order = sorted(range(m), key=lambda i: p_values[i])
-    out = [0.0] * m
-    running = 1.0
-    for rank in range(m, 0, -1):
-        index = order[rank - 1]
-        running = min(running, pi0 * m * p_values[index] / rank)
-        out[index] = running
-    return out
+    p = np.asarray(p_values, dtype=np.float64)
+    order = np.argsort(p, kind="stable")
+    scaled = np.minimum(pi0 * m * p[order] / np.arange(1, m + 1), 1.0)
+    out = np.empty(m)
+    out[order] = np.minimum.accumulate(scaled[::-1])[::-1]
+    return out.tolist()
 
 
 def storey_fdr(ruleset: RuleSet, alpha: float = 0.05,
@@ -103,14 +101,11 @@ def storey_fdr(ruleset: RuleSet, alpha: float = 0.05,
     ``pi0`` estimated at 1 the two procedures coincide exactly.
     """
     validate_alpha(alpha)
-    raw = ruleset.p_values()
+    raw = np.asarray(ruleset.p_values(), dtype=np.float64)
     pi0 = estimate_pi0(raw, lam)
-    qs = q_values(raw, pi0=pi0)
-    threshold = 0.0
-    for p, q in zip(raw, qs):
-        if q <= alpha:
-            threshold = max(threshold, p)
-    significant = select_by_threshold(ruleset.rules, threshold)
+    qs = np.asarray(q_values(raw, pi0=pi0))
+    threshold = float(raw[qs <= alpha].max(initial=0.0))
+    significant = select_by_threshold(ruleset, threshold)
     return CorrectionResult(
         method="Storey", control=FDR, alpha=alpha, threshold=threshold,
         significant=significant, n_tests=ruleset.n_tests,
@@ -128,19 +123,19 @@ def two_stage_bh(ruleset: RuleSet, alpha: float = 0.05) -> CorrectionResult:
     null count.
     """
     validate_alpha(alpha)
-    raw = ruleset.p_values()
+    raw = np.asarray(ruleset.p_values(), dtype=np.float64)
     n_tests = ruleset.n_tests
     alpha_prime = alpha / (1.0 + alpha)
     stage1_cut = bh_step_up(raw, alpha_prime)
-    r1 = sum(1 for p in raw if p <= stage1_cut)
+    r1 = int(np.count_nonzero(raw <= stage1_cut))
     if r1 == 0:
         threshold = 0.0
     elif r1 == n_tests:
-        threshold = max(raw) if raw else 0.0
+        threshold = float(raw.max())
     else:
         threshold = bh_step_up(
             raw, alpha_prime * n_tests / (n_tests - r1))
-    significant = select_by_threshold(ruleset.rules, threshold)
+    significant = select_by_threshold(ruleset, threshold)
     return CorrectionResult(
         method="BKY", control=FDR, alpha=alpha, threshold=threshold,
         significant=significant, n_tests=n_tests,

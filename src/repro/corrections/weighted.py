@@ -31,10 +31,18 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..errors import CorrectionError
 from ..mining.rules import RuleSet
-from ..stats.fisher import min_attainable_p_value
-from .base import FDR, FWER, CorrectionResult, validate_alpha
+from .base import (
+    FDR,
+    FWER,
+    CorrectionResult,
+    select_by_threshold,
+    validate_alpha,
+)
+from .lamp import attainable_floors
 
 __all__ = ["weighted_bonferroni", "weighted_bh", "testability_weights"]
 
@@ -63,19 +71,8 @@ def testability_weights(ruleset: RuleSet) -> List[float]:
     and the class margin — both fixed under the permutation null — so
     the weighting is ancillary and the error guarantees survive.
     """
-    dataset = ruleset.dataset
-    n = dataset.n_records
-    floors = {}
-    weights = []
-    for rule in ruleset.rules:
-        key = (rule.class_index, rule.coverage)
-        floor = floors.get(key)
-        if floor is None:
-            n_c = dataset.class_support(rule.class_index)
-            floor = min_attainable_p_value(n, n_c, rule.coverage)
-            floors[key] = floor
-        weights.append(max(-math.log10(max(floor, 1e-300)), 0.0))
-    return weights
+    return [max(-math.log10(max(floor, 1e-300)), 0.0)
+            for floor in attainable_floors(ruleset).tolist()]
 
 
 def weighted_bonferroni(ruleset: RuleSet, alpha: float = 0.05,
@@ -95,12 +92,9 @@ def weighted_bonferroni(ruleset: RuleSet, alpha: float = 0.05,
     if weights is None:
         weights = testability_weights(ruleset)
     normalised = _validate_weights(weights, n_tests)
-    significant = []
-    threshold = 0.0
-    for rule, w in zip(ruleset.rules, normalised):
-        if n_tests and rule.p_value <= w * alpha / n_tests:
-            significant.append(rule)
-            threshold = max(threshold, rule.p_value)
+    significant = select_by_threshold(
+        ruleset, np.asarray(normalised) * alpha / n_tests)
+    threshold = max((rule.p_value for rule in significant), default=0.0)
     return CorrectionResult(
         method="wBC", control=FWER, alpha=alpha, threshold=threshold,
         significant=significant, n_tests=n_tests,
@@ -122,22 +116,17 @@ def weighted_bh(ruleset: RuleSet, alpha: float = 0.05,
     default_weights = weights is None
     if weights is None:
         weights = testability_weights(ruleset)
-    normalised = _validate_weights(weights, n_tests)
-    reweighted = [
-        (rule.p_value / w) if w > 0 else math.inf
-        for rule, w in zip(ruleset.rules, normalised)
-    ]
-    ordered = sorted(reweighted)
-    cut = 0.0
-    for i, q in enumerate(ordered, start=1):
-        if q <= i * alpha / n_tests:
-            cut = q
-    significant = []
-    threshold = 0.0
-    for rule, q in zip(ruleset.rules, reweighted):
-        if cut > 0.0 and q <= cut:
-            significant.append(rule)
-            threshold = max(threshold, rule.p_value)
+    normalised = np.asarray(_validate_weights(weights, n_tests))
+    p_values = np.asarray(ruleset.p_values(), dtype=np.float64)
+    reweighted = np.full(n_tests, np.inf)
+    np.divide(p_values, normalised, out=reweighted, where=normalised > 0)
+    ordered = np.sort(reweighted)
+    passed = np.flatnonzero(
+        ordered <= np.arange(1, n_tests + 1) * alpha / n_tests)
+    cut = float(ordered[passed[-1]]) if len(passed) else 0.0
+    rows = np.flatnonzero(reweighted <= cut) if cut > 0.0 else []
+    significant = ruleset.rules[rows]
+    threshold = float(p_values[rows].max(initial=0.0))
     return CorrectionResult(
         method="wBH", control=FDR, alpha=alpha, threshold=threshold,
         significant=significant, n_tests=n_tests,

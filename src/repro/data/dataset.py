@@ -11,10 +11,6 @@ and statistics downstream consume only these packed sets plus a
 handful of integer counts, which is what enables the paper's "mine
 once, re-score per permutation" optimization (Section 4.2.1):
 permuting class labels leaves every item tidset untouched.
-
-For plugin/oracle interop the constructor also accepts bigint bitsets
-(the pre-packed-native representation); they are coerced once at
-construction and never reappear downstream.
 """
 
 from __future__ import annotations
@@ -61,9 +57,9 @@ class Dataset:
     catalog:
         The item catalog; item ids index into ``item_tidsets``.
     item_tidsets:
-        One tidset per item: :class:`~repro.tidvector.TidVector` values,
-        bigint bitsets (interop; coerced), or a ready
-        ``(n_items, ceil(n/64))`` uint64 arena (shared zero-copy).
+        One tidset per item: :class:`~repro.tidvector.TidVector` values
+        or a ready ``(n_items, ceil(n/64))`` uint64 arena (shared
+        zero-copy).
     class_labels:
         Per-record class index (length ``n_records``).
     class_names:
@@ -144,24 +140,18 @@ class Dataset:
                     "arena tidsets reference records >= n")
             return arena
         rows = list(item_tidsets)
-        if rows and all(isinstance(t, TidVector) for t in rows):
-            for i, tids in enumerate(rows):
-                if tids.n != n_records:
-                    raise DataError(
-                        f"tidset of item {i} covers {tids.n} records, "
-                        f"expected {n_records}")
-            # stack_tidvectors returns a zero-copy arena slice when the
-            # rows already share one contiguous arena in order.
-            return stack_tidvectors(rows, n_records)
-        arena = np.zeros((len(rows), n_words), dtype=np.uint64)
         for i, tids in enumerate(rows):
-            try:
-                arena[i] = TidVector.from_bigint(int(tids),
-                                                 n_records).words
-            except ValueError:
+            if not isinstance(tids, TidVector):
                 raise DataError(
-                    f"tidset of item {i} references records >= n")
-        return arena
+                    f"tidset of item {i} is a {type(tids).__name__}, "
+                    f"not a TidVector")
+            if tids.n != n_records:
+                raise DataError(
+                    f"tidset of item {i} covers {tids.n} records, "
+                    f"expected {n_records}")
+        # stack_tidvectors returns a zero-copy arena slice when the
+        # rows already share one contiguous arena in order.
+        return stack_tidvectors(rows, n_records)
 
     # ------------------------------------------------------------------
     # construction helpers

@@ -108,9 +108,8 @@ class EmbeddedRule:
     target_confidence: float
     record_ids: List[int] = field(default_factory=list)
     item_ids: frozenset = frozenset()
-    #: Packed record set in the final dataset (``0`` until resolved;
-    #: bigint interop accepted, both expose ``bit_count``).
-    tidset: object = 0
+    #: Packed record set in the final dataset (``None`` until resolved).
+    tidset: Optional[TidVector] = None
 
     @property
     def length(self) -> int:
@@ -120,7 +119,7 @@ class EmbeddedRule:
     @property
     def coverage(self) -> int:
         """Realized coverage ``supp(X_t)`` in the final dataset."""
-        return self.tidset.bit_count()
+        return self.tidset.count()
 
     def describe(self) -> str:
         """Human-readable ``{A=v, ...} => class`` rendering."""

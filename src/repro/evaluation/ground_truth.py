@@ -41,6 +41,7 @@ from ..errors import EvaluationError
 from ..mining.rules import ClassRule
 from ..stats.hypergeom import support_bounds
 from ..stats.pvalue_tables import PValueTables
+from ..tidvector import TidVector
 
 __all__ = [
     "RuleStatus",
@@ -75,8 +76,8 @@ class ClassifiedRule:
 
 
 def matches_embedded(rule: ClassRule, embedded: EmbeddedRule,
-                     dataset: Dataset, rule_tidset: Optional[int] = None,
-                     ) -> bool:
+                     dataset: Dataset,
+                     rule_tidset: Optional[TidVector] = None) -> bool:
     """Is this mined rule *the* embedded rule?
 
     Closed mining reports the closure of ``Xt``, which occurs in exactly
@@ -92,7 +93,8 @@ def matches_embedded(rule: ClassRule, embedded: EmbeddedRule,
 
 def adjusted_p_value(rule: ClassRule, embedded: EmbeddedRule,
                      dataset: Dataset, tables: PValueTables,
-                     rule_tidset: Optional[int] = None) -> Optional[float]:
+                     rule_tidset: Optional[TidVector] = None,
+                     ) -> Optional[float]:
     """``p(R|¬Rt)``: the rule's p-value discounting the embedded rule.
 
     ``tables`` must hold the exact Fisher table of the rule's class at
@@ -158,24 +160,26 @@ def classify_decisions(
         raise EvaluationError("threshold must be non-negative")
     embedded_tidsets = [dataset.pattern_tidset(e.item_ids)
                         for e in embedded]
-    # id(rule) -> (true positive?, most excusing adjusted p-value). A
-    # rule that matches no embedded rule is a false positive (on
-    # pure-noise data, Section 5.4, every significant rule is one)
-    # unless an overlapping embedded rule explains it away.
-    judged: Dict[int, Tuple[bool, Optional[float]]] = {}
+    # rule -> (true positive?, most excusing adjusted p-value). Rules
+    # are keyed by value, so equal rules from different decisions (each
+    # correction builds its own views) are judged once. A rule that
+    # matches no embedded rule is a false positive (on pure-noise data,
+    # Section 5.4, every significant rule is one) unless an
+    # overlapping embedded rule explains it away.
+    judged: Dict[ClassRule, Tuple[bool, Optional[float]]] = {}
     excusable = []
     for significant, _ in decisions:
         for rule in significant:
-            if id(rule) in judged:
+            if rule in judged:
                 continue
             tids_x = dataset.pattern_tidset(rule.items)
             matched = any(
                 rule.class_index == e.class_index and tids_x == tids_t
                 for e, tids_t in zip(embedded, embedded_tidsets))
-            judged[id(rule)] = (matched, None)
+            judged[rule] = (matched, None)
             overlapping = [] if matched else [
                 e for e, tids_t in zip(embedded, embedded_tidsets)
-                if tids_x & tids_t != 0]
+                if tids_x.intersects(tids_t)]
             if overlapping:
                 excusable.append((rule, tids_x, overlapping))
     if excusable:
@@ -188,11 +192,11 @@ def classify_decisions(
             # The *most excusing* adjustment (never None: the records
             # overlap): if any embedded rule explains the significance
             # away, the rule is a by-product.
-            judged[id(rule)] = (False, max(
+            judged[rule] = (False, max(
                 adjusted_p_value(rule, e, dataset, tables,
                                  rule_tidset=tids_x)
                 for e in overlapping))
-    return [[_verdict(rule, *judged[id(rule)], threshold)
+    return [[_verdict(rule, *judged[rule], threshold)
              for rule in significant]
             for significant, threshold in decisions]
 

@@ -51,9 +51,9 @@ def mine_apriori(
 ) -> List[FrequentPattern]:
     """Mine all frequent patterns level-wise.
 
-    ``item_tidsets`` entries may be packed
-    :class:`~repro.tidvector.TidVector` values or bigint bitsets
-    (interop; coerced once at entry). Returns patterns of length >= 1
+    ``item_tidsets`` entries are packed
+    :class:`~repro.tidvector.TidVector` values (checked once at
+    entry). Returns patterns of length >= 1
     ordered by (length, sorted items). Exponential in the worst case —
     intended for modest inputs (tests, ablations), not for the full
     benchmark datasets.
@@ -64,7 +64,7 @@ def mine_apriori(
         return []
     try:
         vectors = [as_tidvector(t, n_records) for t in item_tidsets]
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise MiningError(str(exc)) from exc
     frequent_items: List[Tuple[int, TidVector, int]] = []
     for item_id, tids in enumerate(vectors):

@@ -75,8 +75,7 @@ def mine_closed(
     item_tidsets:
         ``item_tidsets[i]`` is the packed record set
         (:class:`~repro.tidvector.TidVector`) of records containing
-        item ``i``, as stored by :class:`repro.data.Dataset`; bigint
-        bitsets are accepted for interop and coerced once.
+        item ``i``, as stored by :class:`repro.data.Dataset`.
     n_records:
         Number of records ``n``.
     min_sup:

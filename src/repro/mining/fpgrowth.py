@@ -137,8 +137,7 @@ def mine_fpgrowth(
     """Mine all frequent patterns by recursive pattern growth.
 
     Parameters mirror :func:`~repro.mining.apriori.mine_apriori`
-    (packed :class:`~repro.tidvector.TidVector` tidsets, bigints
-    accepted for interop); the result is the identical pattern set
+    (packed :class:`~repro.tidvector.TidVector` tidsets); the result is the identical pattern set
     ordered by (length, items). Tidsets are attached by intersecting
     the packed vertical rows at emission, so downstream rule scoring
     sees no difference between the two miners.
@@ -151,7 +150,7 @@ def mine_fpgrowth(
         return []
     try:
         vectors = [as_tidvector(t, n_records) for t in item_tidsets]
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise MiningError(str(exc)) from exc
     supports = {item: tids.count()
                 for item, tids in enumerate(vectors)}

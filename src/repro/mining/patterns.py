@@ -196,17 +196,17 @@ class PatternSet:
 
         Accepts anything with ``items`` / ``tidset`` / ``support``
         (:class:`Pattern` views, :class:`~repro.mining.apriori.
-        FrequentPattern`); tidsets may be
-        :class:`~repro.tidvector.TidVector` values or bigint bitsets.
-        ``parent`` fills the tree column; the objects' own
-        ``parent_id`` is not read. A tidset outside ``n_records``
-        raises :class:`MiningError`.
+        FrequentPattern`) whose tidsets are
+        :class:`~repro.tidvector.TidVector` values. ``parent`` fills the
+        tree column; the objects' own ``parent_id`` is not read. A
+        tidset of another type (a bigint bitset) or outside
+        ``n_records`` raises :class:`MiningError`.
         """
         patterns = list(patterns)
         try:
             matrix = BitMatrix.from_tidsets([p.tidset for p in patterns],
                                             n_records)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise MiningError(str(exc)) from exc
         items = [sorted(p.items) for p in patterns]
         offsets = np.zeros(len(patterns) + 1, dtype=np.int64)

@@ -11,19 +11,24 @@ and ``c`` a class label. Following Section 3:
   ``class=good``);
 * with ``m > 2`` classes, **m rules per pattern** are generated.
 
-Every rule carries coverage, support, confidence and its two-tailed
-Fisher p-value, read from one :class:`~repro.stats.pvalue_tables.
-PValueTables` store that holds one table per distinct ``(class,
-coverage)`` key, so repeated coverages cost one table lookup.
-Class supports come from one :func:`class_supports` call over
-:attr:`RuleSet.matrix`, the function the numpy permutation pass and the
-holdout evaluation half count theirs with.
+A :class:`RuleSet` holds its rules as columns: pattern id, class,
+support, confidence and the two-tailed Fisher p-value, read from one
+:class:`~repro.stats.pvalue_tables.PValueTables` store that holds one
+table per distinct ``(class, coverage)`` key, so repeated coverages
+cost one table lookup. Class supports come from one
+:func:`class_supports` call over :attr:`RuleSet.matrix`, the function
+the numpy permutation pass and the holdout evaluation half count
+theirs with. Score builds no rule objects: :attr:`RuleSet.rules`
+builds :class:`ClassRule` views on access, and the corrections select
+rows on the p-value column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, fields
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,17 +39,19 @@ from ..stats.pvalue_tables import SCORERS, PValueTables, score_rules
 from .closed import mine_closed
 from .patterns import PatternSet
 
-__all__ = ["ClassRule", "RuleSet", "class_supports", "generate_rules",
-           "mine_class_rules"]
+__all__ = ["ClassRule", "RuleSet", "Rules", "class_supports",
+           "generate_rules", "mine_class_rules"]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ClassRule:
     """One class association rule ``X => c`` with its statistics.
 
     ``pattern_id`` is the position of the rule's pattern in the owning
     :class:`RuleSet`'s pattern set (and its row in
-    :attr:`RuleSet.matrix`); ``items`` are catalog item ids.
+    :attr:`RuleSet.matrix`); ``items`` are catalog item ids. A rule
+    read from a :class:`RuleSet` is a view of its row, so it is frozen:
+    a write would not reach the columns. Equal rules hash alike.
     """
 
     pattern_id: int
@@ -100,33 +107,71 @@ class ClassRule:
         )
 
 
-@dataclass
 class RuleSet:
-    """The outcome of one mining run: rules plus shared context.
+    """The outcome of one mining run: rule columns plus shared context.
 
-    ``n_tests`` is the paper's ``Nt``: the number of hypotheses tested,
-    i.e. ``len(rules)`` (one per pattern for two classes, ``m`` per
-    pattern otherwise). Correction procedures consume this, not the
-    pattern count. A pattern sequence that is not a
-    :class:`~repro.mining.patterns.PatternSet` is packed into one.
+    Row ``i`` of every column is rule ``i``: ``pattern_ids`` (its
+    pattern's position in ``patterns``), ``classes``, ``supports``
+    (int64), ``confidences`` and the p-values (float64). A rule's
+    coverage is ``coverages[pattern_id]``, its items its pattern's.
+    ``n_tests`` is the paper's ``Nt``, the number of hypotheses tested
+    (one per pattern for two classes, ``m`` per pattern otherwise). A
+    pattern sequence that is not a :class:`PatternSet` is packed into
+    one. The constructor checks outside input: equal-length columns,
+    pattern ids and classes in range.
     """
 
-    dataset: Dataset
-    patterns: PatternSet
-    rules: List[ClassRule]
-    min_sup: int
-    scorer: str = "fisher"
-    _tables: Optional[PValueTables] = field(default=None, repr=False,
-                                            compare=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.patterns, PatternSet):
-            self.patterns = PatternSet.pack(
-                self.patterns, self.dataset.n_records, self.min_sup)
-        elif self.patterns.n_records != self.dataset.n_records:
+    def __init__(self, dataset: Dataset, patterns, pattern_ids,
+                 classes, supports, confidences, p_values,
+                 min_sup: int, scorer: str = "fisher",
+                 tables: Optional[PValueTables] = None) -> None:
+        if not isinstance(patterns, PatternSet):
+            patterns = PatternSet.pack(patterns, dataset.n_records,
+                                       min_sup)
+        elif patterns.n_records != dataset.n_records:
             raise MiningError(
-                f"patterns mined over {self.patterns.n_records} records "
-                f"cannot be scored on {self.dataset.n_records}")
+                f"patterns mined over {patterns.n_records} records "
+                f"cannot be scored on {dataset.n_records}")
+        columns = [np.asarray(column, dtype=dtype) for column, dtype in (
+            (pattern_ids, np.int64), (classes, np.int64),
+            (supports, np.int64), (confidences, np.float64),
+            (p_values, np.float64))]
+        n = columns[0].shape
+        if len(n) != 1 or any(c.shape != n for c in columns):
+            raise MiningError(
+                "rule columns differ in length: "
+                f"{[c.shape for c in columns]}")
+        for name, column, bound in (("pattern id", columns[0],
+                                     len(patterns)),
+                                    ("class", columns[1],
+                                     dataset.n_classes)):
+            bad = np.flatnonzero((column < 0) | (column >= bound))
+            if bad.size:
+                raise MiningError(
+                    f"rule {bad[0]} has {name} {column[bad[0]]} outside "
+                    f"[0, {bound})")
+        self.dataset = dataset
+        self.patterns = patterns
+        (self.pattern_ids, self.classes, self.supports, self.confidences,
+         self._p_values) = columns
+        self.min_sup = min_sup
+        self.scorer = scorer
+        self._tables = tables
+
+    def take(self, rows: Sequence[int]) -> "RuleSet":
+        """The rules at ``rows``, every column cut, on the same
+        patterns and p-value tables."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return RuleSet(self.dataset, self.patterns, self.pattern_ids[rows],
+                       self.classes[rows], self.supports[rows],
+                       self.confidences[rows], self._p_values[rows],
+                       self.min_sup, self.scorer, self._tables)
+
+    @property
+    def rules(self) -> "Rules":
+        """The rules as a read-only sequence of :class:`ClassRule`
+        views, built on access."""
+        return Rules(self)
 
     @property
     def matrix(self) -> BitMatrix:
@@ -154,32 +199,98 @@ class RuleSet:
                 dataset.n_records,
                 [dataset.class_support(c)
                  for c in range(dataset.n_classes)],
-                [rule.class_index for rule in self.rules],
-                [rule.coverage for rule in self.rules], self.scorer)
+                self.classes, self.coverages[self.pattern_ids],
+                self.scorer)
         return self._tables
 
     @property
     def n_tests(self) -> int:
         """The multiple-testing denominator ``Nt``."""
-        return len(self.rules)
+        return len(self.pattern_ids)
 
-    def p_values(self) -> List[float]:
-        """P-values of all rules, in rule order."""
-        return [rule.p_value for rule in self.rules]
+    def p_values(self) -> np.ndarray:
+        """P-values of all rules, in rule order (float64)."""
+        return self._p_values
 
     def sorted_by_p(self) -> List[ClassRule]:
         """Rules in ascending p-value order (stable)."""
-        return sorted(self.rules, key=lambda r: r.p_value)
+        return self.rules[np.argsort(self._p_values, kind="stable")]
 
     def describe(self, limit: int = 20) -> str:
         """Multi-line listing of the most significant rules."""
-        lines = [f"{len(self.rules)} rules (min_sup={self.min_sup}, "
+        lines = [f"{self.n_tests} rules (min_sup={self.min_sup}, "
                  f"scorer={self.scorer}) on {self.dataset.name}:"]
-        for rule in self.sorted_by_p()[:limit]:
+        top = np.argsort(self._p_values, kind="stable")[:limit]
+        for rule in self.rules[top]:
             lines.append("  " + rule.describe(self.dataset))
-        if len(self.rules) > limit:
-            lines.append(f"  ... and {len(self.rules) - limit} more")
+        if self.n_tests > limit:
+            lines.append(f"  ... and {self.n_tests - limit} more")
         return "\n".join(lines)
+
+
+class Rules(SequenceABC):
+    """A :class:`RuleSet`'s rules as a read-only sequence.
+
+    ``len``, iteration and indexing by an int, a slice, an integer
+    array or a boolean mask (a list of rules, in that order) build
+    :class:`ClassRule` views on access; their fields are plain
+    ``int``/``float``.
+    """
+
+    __slots__ = ("_ruleset",)
+
+    def __init__(self, ruleset: RuleSet) -> None:
+        self._ruleset = ruleset
+
+    def __len__(self) -> int:
+        return self._ruleset.n_tests
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._views(np.arange(len(self))[index])
+        if np.ndim(index) == 0:
+            return self._views([range(len(self))[index]])[0]
+        return self._views(index)
+
+    def __iter__(self) -> Iterator[ClassRule]:
+        return iter(self._views(np.arange(len(self))))
+
+    def _views(self, rows) -> List[ClassRule]:
+        ruleset = self._ruleset
+        rows = np.asarray(rows)
+        rows = (np.flatnonzero(rows) if rows.dtype == bool
+                else rows.astype(np.int64, copy=False))
+        ids = ruleset.pattern_ids[rows]
+        if not len(ids):
+            return []
+        # One list of the item ids the rows' patterns span.
+        first = int(ids.min())
+        offsets = ruleset.patterns.item_offsets
+        flat = ruleset.patterns.item_ids[
+            offsets[first]:offsets[int(ids.max()) + 1]].tolist()
+        starts = (offsets[ids] - offsets[first]).tolist()
+        stops = (offsets[ids + 1] - offsets[first]).tolist()
+        columns = (ids.tolist(),
+                   list(map(frozenset, map(flat.__getitem__,
+                                           map(slice, starts, stops)))),
+                   ruleset.classes[rows].tolist(),
+                   ruleset.coverages[ids].tolist(),
+                   ruleset.supports[rows].tolist(),
+                   ruleset.confidences[rows].tolist(),
+                   ruleset.p_values()[rows].tolist())
+        # Filled a field at a time through the slot descriptors: the
+        # frozen ``__init__``'s ``object.__setattr__`` per field costs
+        # more than the rest of a view.
+        views = [_new(ClassRule) for _ in range(len(ids))]
+        for setter, column in zip(_SLOT_SETTERS, columns):
+            deque(map(setter, views, column), maxlen=0)
+        return views
+
+
+#: Each :class:`ClassRule` field's slot setter, in field order.
+_SLOT_SETTERS = [getattr(ClassRule, f.name).__set__
+                 for f in fields(ClassRule)]
+_new = object.__new__
 
 
 def generate_rules(
@@ -218,57 +329,34 @@ def generate_rules(
         raise MiningError("min_conf must be within [0, 1]")
     if rhs_class is not None and not 0 <= rhs_class < dataset.n_classes:
         raise MiningError(f"rhs_class {rhs_class} out of range")
+    # An empty rule set packs and checks the patterns.
+    patterns = RuleSet(dataset, patterns, [], [], [], [], [],
+                       min_sup).patterns
     class_n = [dataset.class_support(c) for c in range(dataset.n_classes)]
-    ruleset = RuleSet(dataset=dataset, patterns=patterns, rules=[],
-                      min_sup=min_sup, scorer=scorer)
     ids, classes, coverages, supports, confidence = _rule_columns(
-        ruleset, class_n, min_conf, rhs_class)
-    p_values, ruleset._tables = score_rules(
-        dataset.n_records, class_n, classes.tolist(), coverages.tolist(),
-        supports.tolist(), scorer)
-    # Rules are built a chunk at a time, so the Python lists of their
-    # fields stay small next to the rules themselves. Rules on one
-    # pattern share its items.
-    item_ids = ruleset.patterns.item_ids
-    offsets = ruleset.patterns.item_offsets
-    for start in range(0, len(ids), _RULE_CHUNK):
-        chunk = slice(start, start + _RULE_CHUNK)
-        first, last = int(ids[start]), int(ids[chunk][-1]) + 1
-        flat = item_ids[offsets[first]:offsets[last]].tolist()
-        bounds = (offsets[first:last + 1] - offsets[first]).tolist()
-        items = [frozenset(flat[bounds[k]:bounds[k + 1]])
-                 for k in range(last - first)]
-        ruleset.rules.extend(
-            ClassRule(pattern_id=i, items=items[i - first],
-                      class_index=c, coverage=s, support=k,
-                      confidence=f, p_value=p)
-            for i, c, s, k, f, p in zip(
-                ids[chunk].tolist(), classes[chunk].tolist(),
-                coverages[chunk].tolist(), supports[chunk].tolist(),
-                confidence[chunk].tolist(), p_values[chunk]))
-    return ruleset
+        dataset, patterns, class_n, min_conf, rhs_class)
+    p_values, tables = score_rules(dataset.n_records, class_n, classes,
+                                   coverages, supports, scorer)
+    return RuleSet(dataset, patterns, ids, classes, supports, confidence,
+                   p_values, min_sup, scorer, tables)
 
 
-#: Rules built per chunk in :func:`generate_rules`.
-_RULE_CHUNK = 4096
-
-
-def _rule_columns(ruleset: RuleSet, class_n: List[int], min_conf: float,
+def _rule_columns(dataset: Dataset, patterns: PatternSet,
+                  class_n: List[int], min_conf: float,
                   rhs_class: Optional[int]) -> Tuple[np.ndarray, ...]:
     """Pattern id, class, coverage, support and confidence of every
     rule, in pattern order, then ascending class."""
-    dataset = ruleset.dataset
     n_classes = dataset.n_classes
     labels = np.asarray(dataset.class_labels, dtype=np.int64)
-    coverages = ruleset.coverages
-    supports = class_supports(ruleset.matrix, coverages, labels[None, :],
+    coverages = patterns.supports
+    supports = class_supports(patterns.matrix, coverages, labels[None, :],
                               range(n_classes), n_classes)[:, 0]
     confidence = np.divide(supports, coverages,
                            out=np.zeros(supports.shape),
                            where=coverages > 0)
     # keep[c, i]: pattern i bears a rule on class c. Roots (empty LHS)
     # bear none; binary data keeps one class per pattern.
-    keep = (ruleset.patterns.lengths > 0) & (confidence >= min_conf)
+    keep = (patterns.lengths > 0) & (confidence >= min_conf)
     if n_classes == 2:
         target = rhs_class
         if target is None:

@@ -99,9 +99,9 @@ def build_vertical_view(
 ) -> VerticalView:
     """Filter items by ``min_sup`` and order them for mining.
 
-    ``item_tidsets`` entries may be :class:`~repro.tidvector.TidVector`
-    values (native) or bigint bitsets (interop; coerced here, the
-    single entry point shared by all miners).
+    ``item_tidsets`` entries are :class:`~repro.tidvector.TidVector`
+    values, checked here: the single entry point shared by all
+    miners.
 
     Parameters
     ----------
@@ -116,7 +116,7 @@ def build_vertical_view(
         raise MiningError("n_records must be positive")
     try:
         vectors = [as_tidvector(t, n_records) for t in item_tidsets]
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise MiningError(str(exc)) from exc
     all_supports = [v.count() for v in vectors]
     frequent = [(item_id, all_supports[item_id])

@@ -30,7 +30,7 @@ from __future__ import annotations
 import ctypes
 import logging
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -234,8 +234,9 @@ class PValueTables:
 def score_rules(n: int, class_supports: Sequence[int],
                 classes: Sequence[int], coverages: Sequence[int],
                 supports: Sequence[int], scorer: str = "fisher",
-                ) -> Tuple[List[float], Optional[PValueTables]]:
-    """Rules' p-values under ``scorer``, and the store that served them.
+                ) -> Tuple[np.ndarray, Optional[PValueTables]]:
+    """Rules' p-values (float64) under ``scorer``, and the store that
+    served them.
 
     Fisher and mid-p rules read a store built for their keys with one
     fancy index. Chi-square rules are scored directly with
@@ -245,7 +246,9 @@ def score_rules(n: int, class_supports: Sequence[int],
     sequential tests).
     """
     if scorer == "chi2":
-        return [chi2_rule_p_value(k, n, class_supports[c], s)
-                for c, s, k in zip(classes, coverages, supports)], None
+        rows = zip(*(np.asarray(column, dtype=np.int64).tolist()
+                     for column in (classes, coverages, supports)))
+        return np.array([chi2_rule_p_value(k, n, class_supports[c], s)
+                         for c, s, k in rows], dtype=np.float64), None
     tables = PValueTables(n, class_supports, classes, coverages, scorer)
-    return tables.p_values(classes, coverages, supports).tolist(), tables
+    return tables.p_values(classes, coverages, supports), tables

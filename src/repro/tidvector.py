@@ -13,13 +13,9 @@ operations (``bitwise_and`` / ``bitwise_or`` / ``bitwise_count``, the
 POPCNT instruction on x86) instead of bigint arithmetic.
 
 The word layout is byte-identical to the little-endian bytes of a
-bigint bitset, so the two representations describe identical sets and
-convert losslessly (:meth:`TidVector.from_bigint` /
-:meth:`TidVector.to_bigint`). For interop with out-of-tree plugins and
-with the bigint property-test oracles, a :class:`TidVector` also quacks
-like the bigint it replaces: ``&``, ``|``, ``==`` accept ints,
-``bit_count()`` matches ``int.bit_count``, and ``__index__`` lets
-``bin()``/``int()`` observe the underlying set.
+bigint bitset; :meth:`TidVector.to_bigint` gives that bigint (the
+property-test oracles compare against it). Operands and inputs are
+TidVectors only: an int operand or tidset is a ``TypeError``.
 
 All operations treat a TidVector as immutable and return new vectors;
 row views never write through to their arena.
@@ -27,14 +23,13 @@ row views never write through to their arena.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "TidVector",
     "as_tidvector",
-    "as_tidvectors",
     "pack_id_lists",
     "pack_pairs",
     "pack_bool_matrix",
@@ -138,18 +133,6 @@ class TidVector:
         padded[:packed.shape[0]] = packed
         return cls(padded.view(_UINT64).astype(np.uint64, copy=False), n)
 
-    @classmethod
-    def from_bigint(cls, bits: int, n: int) -> "TidVector":
-        """Pack a bigint bitset (plugin/oracle interop)."""
-        bits = int(bits)
-        if bits < 0:
-            raise ValueError("bitsets are non-negative")
-        if bits >> n:
-            raise ValueError(f"bitset references records >= {n}")
-        raw = bits.to_bytes(words_for(n) * 8, "little")
-        words = np.frombuffer(raw, dtype=_UINT64)
-        return cls(words.astype(np.uint64, copy=False), n)
-
     def copy(self) -> "TidVector":
         """An owned copy (detached from any shared arena)."""
         return TidVector(self.words.copy(), self.n)
@@ -159,35 +142,19 @@ class TidVector:
     # ------------------------------------------------------------------
 
     def _coerced(self, other) -> "TidVector":
-        if isinstance(other, TidVector):
-            if other.n != self.n:
-                raise ValueError(
-                    f"universe mismatch: {self.n} vs {other.n} records")
-            return other
-        if isinstance(other, (int, np.integer)):
-            # Bigint interop: bits outside the universe are masked off,
-            # so expressions like ``tids & ~universe`` (two's-complement
-            # ints carry infinitely many high bits) keep their set
-            # meaning within [0, n).
-            return TidVector.from_bigint(
-                int(other) & ((1 << self.n) - 1), self.n)
-        return NotImplemented  # type: ignore[return-value]
+        if not isinstance(other, TidVector):
+            raise TypeError(
+                f"expected a TidVector, got {type(other).__name__}")
+        if other.n != self.n:
+            raise ValueError(
+                f"universe mismatch: {self.n} vs {other.n} records")
+        return other
 
     def __and__(self, other) -> "TidVector":
-        other = self._coerced(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return TidVector(self.words & other.words, self.n)
-
-    __rand__ = __and__
+        return TidVector(self.words & self._coerced(other).words, self.n)
 
     def __or__(self, other) -> "TidVector":
-        other = self._coerced(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return TidVector(self.words | other.words, self.n)
-
-    __ror__ = __or__
+        return TidVector(self.words | self._coerced(other).words, self.n)
 
     def andnot(self, other) -> "TidVector":
         """Set difference ``self \\ other`` (the bigint ``a & ~b``)."""
@@ -223,10 +190,6 @@ class TidVector:
         """Cardinality of the set (hardware popcount)."""
         return int(np.bitwise_count(self.words).sum())
 
-    #: Bigint-compatible spelling (``int.bit_count``), so bigint-era
-    #: ``popcount`` helpers accept either representation.
-    bit_count = count
-
     def intersection_count(self, other) -> int:
         """``|self ∩ other|`` without materializing the intersection."""
         other = self._coerced(other)
@@ -251,18 +214,10 @@ class TidVector:
         return bool(np.any(self.words))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, TidVector):
-            return self.n == other.n and bool(
-                np.array_equal(self.words, other.words))
-        if isinstance(other, (int, np.integer)):
-            return self.to_bigint() == int(other)
-        return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
+        if not isinstance(other, TidVector):
+            return NotImplemented
+        return self.n == other.n and bool(
+            np.array_equal(self.words, other.words))
 
     def __hash__(self) -> int:
         return hash((self.n, self.words.tobytes()))
@@ -288,47 +243,30 @@ class TidVector:
                              bitorder="little")[:self.n].astype(bool)
 
     def to_bigint(self) -> int:
-        """The equivalent bigint bitset (interop / oracle checks)."""
+        """The equivalent bigint bitset (oracle checks)."""
         return int.from_bytes(
             np.ascontiguousarray(self.words).astype(_UINT64,
                                                     copy=False).tobytes(),
             "little")
 
-    def __index__(self) -> int:
-        # Lets bigint-era call sites (``bin(tids)``, ``int(tids)``,
-        # format strings) observe the set without an explicit convert.
-        return self.to_bigint()
-
-    def __rshift__(self, k: int) -> int:
-        # Bigint-compatible probing (``tids >> r & 1``).
-        return self.to_bigint() >> int(k)
-
     def __repr__(self) -> str:
         return f"TidVector(n={self.n}, count={self.count()})"
 
 
-TidsetLike = Union[TidVector, int]
+def as_tidvector(value: TidVector, n: int) -> TidVector:
+    """Check a tidset argument: a :class:`TidVector` over ``n`` records.
 
-
-def as_tidvector(value: TidsetLike, n: int) -> TidVector:
-    """Coerce a tidset in either representation to a :class:`TidVector`.
-
-    Accepts a TidVector (checked against ``n``) or a bigint bitset
-    (plugin/oracle interop). This is the single normalization point
-    every mining and scoring entry path funnels through.
+    The single check every mining and scoring entry path runs on its
+    tidset inputs; anything else is a ``TypeError``.
     """
-    if isinstance(value, TidVector):
-        if value.n != n:
-            raise ValueError(
-                f"TidVector over {value.n} records used where {n} "
-                f"records are expected")
-        return value
-    return TidVector.from_bigint(int(value), n)
-
-
-def as_tidvectors(values: Sequence[TidsetLike], n: int) -> List[TidVector]:
-    """Coerce a whole sequence of tidsets (see :func:`as_tidvector`)."""
-    return [as_tidvector(value, n) for value in values]
+    if not isinstance(value, TidVector):
+        raise TypeError(
+            f"expected a TidVector tidset, got {type(value).__name__}")
+    if value.n != n:
+        raise ValueError(
+            f"TidVector over {value.n} records used where {n} "
+            f"records are expected")
+    return value
 
 
 def pack_bool_matrix(flags: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ when bit ``i`` is set): independent implementations of the set algebra,
 popcounts and word packing that the packed
 :class:`repro.tidvector.TidVector` kernels are checked against, byte
 for byte. :func:`popcount` and :func:`is_subset` accept either
-representation.
+representation. :func:`to_tidvector` / :func:`to_tidvectors` are the
+one way a bigint becomes a library tidset: the library itself accepts
+:class:`~repro.tidvector.TidVector` values only.
 
 All functions treat a bitset as immutable; operations return new ints.
 """
@@ -14,7 +16,11 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Sequence
 
+from repro.tidvector import TidVector
+
 __all__ = [
+    "to_tidvector",
+    "to_tidvectors",
     "bitset_from_indices",
     "bitset_to_indices",
     "iter_indices",
@@ -30,19 +36,22 @@ __all__ = [
 def popcount(bits) -> int:
     """Return the number of set bits (the cardinality of the set).
 
-    Accepts a bigint or a :class:`~repro.tidvector.TidVector` (both
-    expose ``bit_count``), so interop call sites need no dispatch.
+    Accepts a bigint or a :class:`~repro.tidvector.TidVector`.
     """
+    if isinstance(bits, TidVector):
+        return bits.count()
     return bits.bit_count()
 
 
-if not hasattr(int, "bit_count"):  # pragma: no cover - Python < 3.10 fallback
+def to_tidvector(bits: int, n: int) -> TidVector:
+    """The bigint bitset ``bits`` as a :class:`TidVector` over ``n``
+    records (a bit at or above ``n`` is a ``ValueError``)."""
+    return TidVector(to_uint64_words(bits, n), n)
 
-    def popcount(bits) -> int:  # noqa: F811
-        """Return the number of set bits (the cardinality of the set)."""
-        if hasattr(bits, "bit_count"):
-            return bits.bit_count()
-        return bin(bits).count("1")
+
+def to_tidvectors(bitsets: Iterable[int], n: int) -> List[TidVector]:
+    """:func:`to_tidvector` of every bitset."""
+    return [to_tidvector(bits, n) for bits in bitsets]
 
 
 def bitset_from_indices(indices: Iterable[int], n: int | None = None) -> int:

@@ -11,6 +11,7 @@ from repro.classify.base import (
     rule_matches,
 )
 from repro.mining.rules import ClassRule
+from repro.tidvector import TidVector
 
 from .. import bigint_oracle as bs
 
@@ -27,7 +28,7 @@ class TestRecordItemSets:
         assert len(sets) == tiny_dataset.n_records
         for item_id, tids in enumerate(tiny_dataset.item_tidsets):
             for r in range(tiny_dataset.n_records):
-                contains = bool(tids >> r & 1)
+                contains = bool(tids.to_bigint() >> r & 1)
                 assert (item_id in sets[r]) == contains
 
     def test_every_record_has_one_item_per_attribute(self, tiny_dataset):
@@ -61,14 +62,16 @@ class TestMajorityClass:
 
     def test_majority_within_tidset(self, tiny_dataset):
         # records 0..2 are all pos
-        tidset = bs.bitset_from_indices([0, 1, 2])
+        n = tiny_dataset.n_records
+        tidset = bs.to_tidvector(bs.bitset_from_indices([0, 1, 2]), n)
         assert majority_class(tiny_dataset, tidset) == 0
         # records 4..6 are all neg
-        tidset = bs.bitset_from_indices([4, 5, 6])
+        tidset = bs.to_tidvector(bs.bitset_from_indices([4, 5, 6]), n)
         assert majority_class(tiny_dataset, tidset) == 1
 
     def test_empty_tidset_falls_back_to_tie_break(self, tiny_dataset):
-        assert majority_class(tiny_dataset, 0) == 0
+        empty = TidVector.empty(tiny_dataset.n_records)
+        assert majority_class(tiny_dataset, empty) == 0
 
 
 class TestPrediction:

@@ -66,7 +66,7 @@ class TestFit:
     def test_rule_statistics_consistent(self, fitted, tiny_dataset):
         for rule in fitted.rules:
             tidset = tiny_dataset.pattern_tidset(rule.items)
-            assert rule.coverage == bin(tidset).count("1")
+            assert rule.coverage == tidset.count()
 
     def test_rules_for_both_classes(self, fitted):
         classes = {rule.class_index for rule in fitted.rules}

@@ -13,6 +13,7 @@ from repro.contrast import (
 )
 from repro.data import Dataset, GeneratorConfig, generate
 from repro.errors import MiningError, StatsError
+from repro.tidvector import TidVector
 
 
 @pytest.fixture
@@ -65,7 +66,8 @@ class TestGroupContingency:
 
     def test_empty_pattern_tidset(self, contrasting_dataset):
         containing, missing = group_contingency(
-            0, contrasting_dataset)
+            TidVector.empty(contrasting_dataset.n_records),
+            contrasting_dataset)
         assert containing == [0, 0]
         assert sum(missing) == contrasting_dataset.n_records
 

@@ -76,7 +76,7 @@ def rule_supports(ruleset, labels: np.ndarray) -> List[int]:
         c = rule.class_index
         if c not in class_bits:
             class_bits[c] = bs.from_numpy_bool(labels == c)
-        tidset = int(ruleset.patterns[rule.pattern_id].tidset)
+        tidset = ruleset.patterns[rule.pattern_id].tidset.to_bigint()
         supports.append(bs.popcount(tidset & class_bits[c]))
     return supports
 

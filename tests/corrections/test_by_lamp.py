@@ -15,6 +15,7 @@ from repro.corrections import (
 )
 from repro.data import GeneratorConfig, generate
 from repro.mining import mine_class_rules
+from repro.stats.fisher import min_attainable_p_value
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +84,8 @@ class TestLampBonferroni:
         lamp = lamp_bonferroni(random_ruleset, 0.05)
         if lamp.n_tests > 0:
             assert lamp.threshold >= bc.threshold
-        bc_set = {id(r) for r in bc.significant}
-        lamp_set = {id(r) for r in lamp.significant}
+        bc_set = set(bc.significant)
+        lamp_set = set(lamp.significant)
         assert bc_set <= lamp_set
 
     def test_testable_count_not_exceeding_total(self, random_ruleset):
@@ -134,3 +135,48 @@ class TestLampBonferroni:
         lamp = lamp_bonferroni(random_ruleset, 0.05)
         if lamp.details["n_testable"]:
             assert lamp.details["sigma"] >= random_ruleset.min_sup
+
+
+def _lamp_loop(ruleset, alpha):
+    """The rule-at-a-time LAMP the column form replaced:
+    ``(n_testable, significant, sigma)``."""
+    dataset = ruleset.dataset
+
+    def floor(rule):
+        return min_attainable_p_value(
+            dataset.n_records, dataset.class_support(rule.class_index),
+            rule.coverage)
+
+    n_testable = 0
+    for k, f in enumerate(sorted(floor(r) for r in ruleset.rules),
+                          start=1):
+        if f <= alpha / k:
+            n_testable = k
+    threshold = alpha / n_testable if n_testable else 0.0
+    significant = [r for r in ruleset.rules
+                   if floor(r) <= threshold and r.p_value <= threshold]
+    testable = [r.coverage for r in ruleset.rules if floor(r) <= threshold]
+    return n_testable, significant, min(testable, default=None)
+
+
+@pytest.mark.parametrize("fixture", ("random_ruleset", "planted_ruleset"))
+@pytest.mark.parametrize("alpha", (0.01, 0.05, 0.3))
+def test_lamp_equals_the_rule_loop(request, fixture, alpha):
+    ruleset = request.getfixturevalue(fixture)
+    if fixture == "planted_ruleset":
+        ruleset = ruleset[1]
+    n_testable, significant, sigma = _lamp_loop(ruleset, alpha)
+    result = lamp_bonferroni(ruleset, alpha)
+    assert result.n_tests == n_testable
+    assert result.significant == significant
+    assert result.details["sigma"] == sigma
+
+
+def test_empty_rule_sets_decide_nothing(random_ruleset):
+    empty = random_ruleset.take([])
+    by = benjamini_yekutieli(empty)
+    assert (by.significant, by.threshold, by.details) == \
+        ([], 0.0, {"harmonic_factor": 0.0})
+    lamp = lamp_bonferroni(empty)
+    assert (lamp.significant, lamp.threshold, lamp.n_tests) == ([], 0.0, 0)
+    assert lamp.details == {"sigma": None, "n_testable": 0, "n_total": 0}

@@ -61,18 +61,37 @@ class TestCandidates:
     def test_evaluated_statistics_from_evaluation_half(self, paired_data):
         run = HoldoutRun(paired_data.dataset, min_sup=40,
                          boundary=paired_data.half_boundary)
-        for candidate, scored in run.evaluated:
-            assert scored.items == candidate.items
-            assert scored.coverage == run.evaluation.pattern_support(
+        coverages, supports, _ = run.evaluated
+        assert len(coverages) == len(run.candidates) > 0
+        for candidate, coverage, support in zip(run.candidates, coverages,
+                                                supports):
+            assert coverage == run.evaluation.pattern_support(
                 candidate.items)
+            assert support == run.evaluation.rule_support(
+                candidate.items, candidate.class_index)
+
+    def test_significant_rules_carry_evaluation_statistics(
+            self, paired_data):
+        run = HoldoutRun(paired_data.dataset, min_sup=40,
+                         boundary=paired_data.half_boundary)
+        significant = run.benjamini_hochberg().significant
+        assert significant
+        by_key = {(c.pattern_id, c.class_index): i
+                  for i, c in enumerate(run.candidates)}
+        coverages, supports, p_values = run.evaluated
+        for rule in significant:
+            i = by_key[(rule.pattern_id, rule.class_index)]
+            assert rule.items == run.candidates[i].items
+            assert (rule.coverage, rule.support, rule.p_value) == (
+                coverages[i], supports[i], p_values[i])
+            assert rule.confidence == supports[i] / coverages[i]
 
     def test_unobservable_pattern_gets_p_one(self, paired_data):
         # A pattern absent from the evaluation half can never validate.
         run = HoldoutRun(paired_data.dataset, min_sup=40,
                          boundary=paired_data.half_boundary)
-        for _, scored in run.evaluated:
-            if scored.coverage == 0:
-                assert scored.p_value == 1.0
+        coverages, _, p_values = run.evaluated
+        assert all(p_values[coverages == 0] == 1.0)
 
     @pytest.mark.parametrize("scorer", ("fisher", "fisher-midp", "chi2"))
     def test_evaluation_half_uses_the_run_scorer(self, scorer):
@@ -86,13 +105,15 @@ class TestCandidates:
         run = HoldoutRun(make_german(seed=0, n_records=600), min_sup=30,
                          seed=1, scorer=scorer)
         evaluation = run.evaluation
-        assert run.evaluated
-        for _, scored in run.evaluated[:300]:
-            if scored.coverage:
-                assert scored.p_value == scalar(
-                    scored.support, evaluation.n_records,
-                    evaluation.class_support(scored.class_index),
-                    scored.coverage)
+        coverages, supports, p_values = run.evaluated
+        assert len(p_values)
+        for candidate, s, k, p in list(zip(run.candidates, coverages,
+                                           supports, p_values))[:300]:
+            if s:
+                assert p == scalar(
+                    int(k), evaluation.n_records,
+                    evaluation.class_support(candidate.class_index),
+                    int(s))
 
 
 class TestErrorControl:

@@ -34,7 +34,6 @@ from repro.corrections.permutation import (
 from repro.data import Dataset, make_mushroom
 from repro.errors import CorrectionError
 from repro.mining import mine_class_rules
-from repro.mining.rules import RuleSet
 
 from .permutation_oracle import reference
 
@@ -73,14 +72,6 @@ def _statistics(ruleset, native, **options):
         return (engine.min_p_distribution(),
                 engine.empirical_p_values(),
                 engine.stepdown_adjusted_p_values())
-
-
-def _with_rules(ruleset, rules):
-    """The rule set cut to ``rules``, on the same patterns and p-value
-    tables."""
-    return RuleSet(dataset=ruleset.dataset, patterns=ruleset.patterns,
-                   rules=rules, min_sup=ruleset.min_sup,
-                   scorer=ruleset.scorer, _tables=ruleset.tables)
 
 
 def _assert_identical(left, right):
@@ -141,8 +132,7 @@ class TestSeeded:
         counts one plane per class that is."""
         _require_native()
         full = mine_class_rules(_dataset(19, 120, 4, 3, 0.6), 5)
-        ruleset = _with_rules(full, [rule for rule in full.rules
-                                     if rule.class_index != 1])
+        ruleset = full.take(np.flatnonzero(full.classes != 1))
         engine = PermutationEngine(ruleset, n_permutations=1)
         assert engine._slot_classes == [0, 2]
         options = dict(n_permutations=NATIVE_BATCH_ROWS + 3, seed=7)

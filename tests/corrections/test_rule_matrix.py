@@ -20,8 +20,9 @@ from repro.data import make_german
 from repro.errors import MiningError
 from repro.mining import mine_closed
 from repro.mining.patterns import Pattern
-from repro.mining.rules import ClassRule, RuleSet, generate_rules
+from repro.mining.rules import RuleSet, generate_rules
 from repro.stats.sequential import sequential_rule_p_value
+from repro.tidvector import TidVector, words_for
 
 MIN_SUP = 40
 N_PERMUTATIONS = 40
@@ -80,11 +81,14 @@ def test_pickled_ruleset_holds_the_arena_once():
         dataset, mine_closed(dataset.item_tidsets, dataset.n_records,
                              200), 200, scorer="chi2")
     assert ruleset._tables is None
-    payload = len(pickle.dumps(ruleset)) - len(pickle.dumps(ruleset.rules))
+    columns = sum(column.nbytes for column in (
+        ruleset.pattern_ids, ruleset.classes, ruleset.supports,
+        ruleset.confidences, ruleset.p_values()))
+    payload = len(pickle.dumps(ruleset)) - columns
     assert payload < 1.2 * ruleset.matrix.nbytes
     again = pickle.loads(pickle.dumps(ruleset))
     assert np.array_equal(again.matrix.words, ruleset.matrix.words)
-    assert again.rules == ruleset.rules
+    assert list(again.rules) == list(ruleset.rules)
 
 
 def test_matrix_is_a_view_of_the_native_arena(german):
@@ -136,8 +140,11 @@ def test_sequential_p_value_reads_the_rule_row(german, long_patterns):
 
 
 def _bad_pattern(n_records):
-    # A tidset referencing a record past the dataset's end.
-    return Pattern(items=frozenset({0}), tidset=1 << n_records, support=1)
+    # A tidset with a bit set past the dataset's last record.
+    words = np.zeros(words_for(n_records), dtype=np.uint64)
+    words[-1] = np.uint64(1) << np.uint64(n_records % 64)
+    return Pattern(items=frozenset({0}),
+                   tidset=TidVector(words, n_records), support=1)
 
 
 def test_score_rejects_a_bad_tidset(german):
@@ -146,11 +153,9 @@ def test_score_rejects_a_bad_tidset(german):
 
 
 def test_hand_built_ruleset_rejects_a_bad_tidset(german):
-    rule = ClassRule(pattern_id=0, items=frozenset({0}), class_index=0,
-                     coverage=1, support=1, confidence=1.0, p_value=0.5)
     with pytest.raises(MiningError, match="references records"):
-        RuleSet(dataset=german, patterns=[_bad_pattern(german.n_records)],
-                rules=[rule], min_sup=1)
+        RuleSet(german, [_bad_pattern(german.n_records)], [0], [0], [1],
+                [1.0], [0.5], min_sup=1)
 
 
 def test_ruleset_rejects_patterns_of_another_dataset(german):

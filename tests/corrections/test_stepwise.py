@@ -32,9 +32,9 @@ class TestHolm:
         bc = bonferroni(german_ruleset, 0.05)
         hl = holm(german_ruleset, 0.05)
         assert hl.n_significant >= bc.n_significant
-        bc_ids = {id(r) for r in bc.significant}
-        hl_ids = {id(r) for r in hl.significant}
-        assert bc_ids <= hl_ids
+        bc_rules = set(bc.significant)
+        hl_rules = set(hl.significant)
+        assert bc_rules <= hl_rules
 
     def test_stepdown_bound_holds_at_every_rank(self, german_ruleset):
         result = holm(german_ruleset, 0.05)
@@ -76,8 +76,8 @@ class TestHochberg:
         hl = holm(german_ruleset, 0.05)
         hb = hochberg(german_ruleset, 0.05)
         assert hb.n_significant >= hl.n_significant
-        assert {id(r) for r in hl.significant} \
-            <= {id(r) for r in hb.significant}
+        assert set(hl.significant) \
+            <= set(hb.significant)
 
     def test_threshold_is_observed_p_or_zero(self, german_ruleset):
         result = hochberg(german_ruleset, 0.05)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.corrections import benjamini_hochberg, bonferroni
@@ -9,6 +11,7 @@ from repro.corrections import testability_weights as coverage_weights
 from repro.corrections import weighted_bh, weighted_bonferroni
 from repro.errors import CorrectionError
 from repro.mining import mine_class_rules
+from repro.stats.fisher import min_attainable_p_value
 
 
 @pytest.fixture(scope="module")
@@ -70,9 +73,9 @@ class TestWeightedBonferroni:
         weights = [0.0] * ruleset.n_tests
         weights[0] = 1.0
         result = weighted_bonferroni(ruleset, 0.05, weights=weights)
-        rejected_ids = {id(r) for r in result.significant}
+        rejected = set(result.significant)
         for rule in ruleset.rules[1:]:
-            assert id(rule) not in rejected_ids
+            assert rule not in rejected
 
     def test_weight_validation(self, ruleset):
         with pytest.raises(CorrectionError):
@@ -115,3 +118,34 @@ class TestWeightedBH:
         result = weighted_bh(ruleset)
         assert result.method == "wBH"
         assert result.control == "fdr"
+
+
+def _weighted_loops(ruleset, alpha):
+    """The rule-at-a-time weighted procedures the column forms
+    replaced: ``(wBC significant, wBH significant, wBH cut)``."""
+    dataset, n = ruleset.dataset, ruleset.n_tests
+    weights = [max(-math.log10(max(min_attainable_p_value(
+        dataset.n_records, dataset.class_support(r.class_index),
+        r.coverage), 1e-300)), 0.0) for r in ruleset.rules]
+    total = sum(weights)
+    normalised = [w * n / total for w in weights]
+    bc = [r for r, w in zip(ruleset.rules, normalised)
+          if r.p_value <= w * alpha / n]
+    reweighted = [(r.p_value / w) if w > 0 else math.inf
+                  for r, w in zip(ruleset.rules, normalised)]
+    cut = 0.0
+    for i, q in enumerate(sorted(reweighted), start=1):
+        if q <= i * alpha / n:
+            cut = q
+    bh = [r for r, q in zip(ruleset.rules, reweighted)
+          if cut > 0.0 and q <= cut]
+    return bc, bh, cut
+
+
+@pytest.mark.parametrize("alpha", (0.001, 0.05, 0.3))
+def test_column_forms_equal_the_rule_loops(ruleset, alpha):
+    bc, bh, cut = _weighted_loops(ruleset, alpha)
+    assert weighted_bonferroni(ruleset, alpha).significant == bc
+    result = weighted_bh(ruleset, alpha)
+    assert result.significant == bh
+    assert result.details["reweighted_cut"] == cut

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.data import Dataset, Item
 from repro.errors import DataError
+from repro.tidvector import TidVector
 
 from .. import bigint_oracle as bs
 
@@ -129,8 +131,8 @@ class TestTransformations:
         tidsets = tiny_dataset.permuted_class_tidsets(
             np.random.default_rng(0xC0FFEE))
         assert [bs.popcount(t) for t in tidsets] == [4, 4]
-        assert tidsets[0] & tidsets[1] == 0
-        assert tidsets[0] | tidsets[1] == bs.universe(8)
+        assert not tidsets[0] & tidsets[1]
+        assert (tidsets[0] | tidsets[1]).to_bigint() == bs.universe(8)
 
     def test_subset_reindexes(self, tiny_dataset):
         sub = tiny_dataset.subset([4, 5, 6, 7])
@@ -198,15 +200,26 @@ class TestValidation:
         from repro.data import ItemCatalog
         catalog = ItemCatalog()
         catalog.add_pair("A", "x")
-        with pytest.raises(DataError):
-            Dataset(2, catalog, [0b100], [0, 1], ["a", "b"])
+        arena = np.array([[0b100]], dtype=np.uint64)  # record 2 of 2
+        with pytest.raises(DataError, match="records >= n"):
+            Dataset(2, catalog, arena, [0, 1], ["a", "b"])
+        with pytest.raises(DataError, match="covers 3 records"):
+            Dataset(2, catalog, [TidVector.empty(3)], [0, 1], ["a", "b"])
+
+    def test_bigint_tidset_rejected(self):
+        from repro.data import ItemCatalog
+        catalog = ItemCatalog()
+        catalog.add_pair("A", "x")
+        with pytest.raises(DataError, match="not a TidVector"):
+            Dataset(2, catalog, [0b01], [0, 1], ["a", "b"])
 
     def test_label_out_of_range_rejected(self):
         from repro.data import ItemCatalog
         catalog = ItemCatalog()
         catalog.add_pair("A", "x")
         with pytest.raises(DataError):
-            Dataset(2, catalog, [0b11], [0, 2], ["a", "b"])
+            Dataset(2, catalog, bs.to_tidvectors([0b11], 2), [0, 2],
+                    ["a", "b"])
 
     def test_tidset_count_mismatch_rejected(self):
         from repro.data import ItemCatalog

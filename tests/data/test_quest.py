@@ -113,7 +113,7 @@ class TestGenerateQuest:
         assert len(tidsets) == data.config.n_items
         for r, transaction in enumerate(data.transactions):
             for item in range(data.config.n_items):
-                contains = bool(tidsets[item] >> r & 1)
+                contains = bool(tidsets[item].to_bigint() >> r & 1)
                 assert contains == (item in transaction)
 
     def test_tidsets_cached(self):

@@ -42,7 +42,7 @@ class TestSummarize:
     def test_suggested_min_sup_kth_item(self, small_random_dataset):
         summary = summarize(small_random_dataset, target_items=3)
         supports = sorted(
-            (bin(t).count("1") for t in
+            (t.count() for t in
              small_random_dataset.item_tidsets), reverse=True)
         assert summary.suggested_min_sup == supports[2]
 

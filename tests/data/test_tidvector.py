@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.tidvector import (
     TidVector,
     as_tidvector,
-    as_tidvectors,
     pack_id_lists,
     arena_rows,
     stack_tidvectors,
@@ -43,10 +42,10 @@ def vector_pairs(draw):
 def test_roundtrip_bigint(pair):
     n, a, _ = pair
     bits = bs.bitset_from_indices(a, n)
-    vector = TidVector.from_bigint(bits, n)
+    vector = bs.to_tidvector(bits, n)
     assert vector.to_bigint() == bits
     assert list(vector.indices()) == sorted(a)
-    assert vector == bits  # int-compat equality
+    assert vector == TidVector.from_indices(a, n)
 
 
 @given(vector_pairs())
@@ -54,9 +53,8 @@ def test_count_and_bool_match_oracle(pair):
     n, a, _ = pair
     vector = TidVector.from_indices(a, n)
     assert vector.count() == len(a)
-    assert vector.bit_count() == len(a)
     assert bool(vector) == bool(a)
-    assert bs.popcount(vector) == len(a)  # shim accepts TidVector
+    assert bs.popcount(vector) == len(a)
 
 
 @given(vector_pairs())
@@ -92,15 +90,6 @@ def test_complement_partitions_universe(pair):
 
 
 @given(vector_pairs())
-def test_int_interop_masks_out_of_universe_bits(pair):
-    n, a, b = pair
-    va = TidVector.from_indices(a, n)
-    negated = ~bs.bitset_from_indices(b, n)  # infinite high bits
-    assert (va & negated).to_bigint() == \
-        bs.bitset_from_indices(a, n) & ~bs.bitset_from_indices(b, n)
-
-
-@given(vector_pairs())
 def test_bool_bridge_roundtrip(pair):
     n, a, _ = pair
     vector = TidVector.from_indices(a, n)
@@ -133,13 +122,13 @@ def test_stack_preserves_rows(pair):
 
 
 @given(vector_pairs())
-def test_coerce_accepts_both_representations(pair):
+def test_coerce_accepts_tidvectors_only(pair):
     n, a, _ = pair
     bits = bs.bitset_from_indices(a, n)
     vector = TidVector.from_indices(a, n)
-    assert as_tidvector(bits, n) == vector
     assert as_tidvector(vector, n) is vector
-    assert as_tidvectors([bits, vector], n) == [vector, vector]
+    with pytest.raises(TypeError, match="TidVector"):
+        as_tidvector(bits, n)
 
 
 class TestEdgeCases:
@@ -161,9 +150,16 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             TidVector.from_indices([-1], 5)
 
-    def test_out_of_range_bigint_rejected(self):
-        with pytest.raises(ValueError):
-            TidVector.from_bigint(1 << 70, 70)
+    def test_int_operands_rejected(self):
+        vector = TidVector.from_indices({0, 2}, 130)
+        for operation in (lambda: vector & 5, lambda: 5 | vector,
+                          lambda: vector.intersection_count(5),
+                          lambda: vector.is_subset(5),
+                          lambda: int(vector), lambda: vector >> 2):
+            with pytest.raises(TypeError):
+                operation()
+        # Equality with an int is no set comparison: never equal.
+        assert vector != 5 and vector != vector.to_bigint()
 
     def test_universe_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -183,12 +179,6 @@ class TestEdgeCases:
         assert set(cleared.indices()) == {0, 64}
         # The original is untouched (immutability contract).
         assert set(vector.indices()) == {0, 5, 64, 65}
-
-    def test_index_and_rshift_bigint_compat(self):
-        vector = TidVector.from_indices({0, 2}, 130)
-        assert bin(vector) == "0b101"
-        assert int(vector) == 5
-        assert vector >> 2 & 1 == 1
 
     def test_views_do_not_write_through(self):
         arena = pack_id_lists([[0, 1], [1]], 70)

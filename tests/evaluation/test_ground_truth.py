@@ -65,7 +65,8 @@ class TestAdjustedPValue:
         e = data.embedded_rules[0]
         target = data.dataset.pattern_tidset(e.item_ids)
         disjoint = [r for r in ruleset.rules
-                    if data.dataset.pattern_tidset(r.items) & target == 0]
+                    if not data.dataset.pattern_tidset(r.items).intersects(
+                        target)]
         if not disjoint:
             pytest.skip("no disjoint rule at this seed")
         rule = disjoint[0]
@@ -186,6 +187,36 @@ class TestClassification:
                                    threshold)
             assert [(c.rule, c.status, c.adjusted_p) for c in verdicts] \
                 == [(c.rule, c.status, c.adjusted_p) for c in alone]
+
+    def test_equal_rules_of_two_decisions_are_judged_once(
+            self, planted, monkeypatch):
+        """Each correction builds its own rule views: equal but
+        distinct rule objects are one rule to judge."""
+        from repro.evaluation import ground_truth
+
+        data, ruleset = planted
+        e = data.embedded_rules[0]
+        first = [r for r in ruleset.rules if r.p_value <= 1e-2]
+        second = [r for r in ruleset.rules if r.p_value <= 1e-2]
+        assert first == second
+        assert all(a is not b for a, b in zip(first, second))
+        calls = []
+        raw = ground_truth.adjusted_p_value
+
+        def counting(rule, *args, **kwargs):
+            calls.append(rule)
+            return raw(rule, *args, **kwargs)
+
+        monkeypatch.setattr(ground_truth, "adjusted_p_value", counting)
+        once = classify_decisions([(first, 1e-2)], [e], data.dataset)
+        n_once = len(calls)
+        assert n_once > 0
+        calls.clear()
+        twice = classify_decisions([(first, 1e-2), (second, 1e-2)], [e],
+                                   data.dataset)
+        assert len(calls) == n_once
+        assert [(c.status, c.adjusted_p) for c in twice[1]] == \
+            [(c.status, c.adjusted_p) for c in once[0]]
 
 
 class TestRestrictEmbedded:

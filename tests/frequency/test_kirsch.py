@@ -10,29 +10,36 @@ from repro.errors import StatsError
 from repro.frequency import find_support_threshold
 from repro.frequency.kirsch import _candidate_grid
 
+from .. import bigint_oracle as bs
 
-def _random_tidsets(n_records, n_items, frequency, rng):
-    tidsets = []
+
+def _random_bitsets(n_records, n_items, frequency, rng):
+    bitsets = []
     for __ in range(n_items):
         bits = 0
         for r in range(n_records):
             if rng.random() < frequency:
                 bits |= 1 << r
-        tidsets.append(bits)
-    return tidsets
+        bitsets.append(bits)
+    return bitsets
+
+
+def _random_tidsets(n_records, n_items, frequency, rng):
+    return bs.to_tidvectors(
+        _random_bitsets(n_records, n_items, frequency, rng), n_records)
 
 
 def _structured_tidsets(n_records, n_items, rng):
     """Half the items are near-copies of item 0 -> many heavy pairs."""
-    tidsets = _random_tidsets(n_records, n_items, 0.4, rng)
-    base = tidsets[0]
+    bitsets = _random_bitsets(n_records, n_items, 0.4, rng)
+    base = bitsets[0]
     for i in range(1, n_items // 2):
         noisy = base
         for r in range(n_records):
             if rng.random() < 0.05:
                 noisy ^= 1 << r
-        tidsets[i] = noisy
-    return tidsets
+        bitsets[i] = noisy
+    return bs.to_tidvectors(bitsets, n_records)
 
 
 class TestCandidateGrid:

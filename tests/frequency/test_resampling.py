@@ -13,6 +13,9 @@ from repro.frequency import (
     score_patterns,
     significant_frequent_patterns,
 )
+from repro.tidvector import TidVector
+
+from .. import bigint_oracle as bs
 
 
 def _random_tidsets(n_records, n_items, frequency, rng):
@@ -23,15 +26,13 @@ def _random_tidsets(n_records, n_items, frequency, rng):
             if rng.random() < frequency:
                 bits |= 1 << r
         tidsets.append(bits)
-    return tidsets
+    return bs.to_tidvectors(tidsets, n_records)
 
 
 def _planted_pair_tidsets(n_records, n_items, rng):
     """Random items plus a pair (0, 1) that co-occurs far above null."""
     tidsets = _random_tidsets(n_records, n_items, 0.4, rng)
-    together = 0
-    for r in range(0, n_records, 2):
-        together |= 1 << r
+    together = TidVector.from_indices(range(0, n_records, 2), n_records)
     tidsets[0] = together
     tidsets[1] = together
     return tidsets

@@ -41,20 +41,20 @@ class TestScoredPattern:
 class TestScorePatternsEdges:
     def test_no_frequent_patterns(self):
         # Two items that never co-occur at min_sup 5.
-        tidsets = [bs.bitset_from_indices([0]),
-                   bs.bitset_from_indices([1])]
+        tidsets = bs.to_tidvectors([bs.bitset_from_indices([0]),
+                                    bs.bitset_from_indices([1])], 4)
         assert score_patterns(tidsets, 4, min_sup=5) == []
 
     def test_max_length_respected(self):
         full = bs.universe(10)
-        tidsets = [full, full, full, full]
+        tidsets = bs.to_tidvectors([full, full, full, full], 10)
         scored = score_patterns(tidsets, 10, min_sup=2, max_length=2)
         assert all(s.length == 2 for s in scored)
 
     def test_explicit_null_model_reused(self):
         full = bs.universe(8)
         half = bs.bitset_from_indices([0, 1, 2, 3])
-        tidsets = [full, half, half]
+        tidsets = bs.to_tidvectors([full, half, half], 8)
         null = NullModel(tidsets, 8)
         scored = score_patterns(tidsets, 8, min_sup=2, null=null)
         by_items = {s.items: s for s in scored}
@@ -66,7 +66,7 @@ class TestScorePatternsEdges:
 
     def test_full_frequency_items_are_uninformative(self):
         full = bs.universe(8)
-        tidsets = [full, full]
+        tidsets = bs.to_tidvectors([full, full], 8)
         scored = score_patterns(tidsets, 8, min_sup=2)
         pair = scored[0]
         # Everything contains the pair; the null expects exactly that.

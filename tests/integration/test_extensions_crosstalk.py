@@ -126,8 +126,7 @@ class TestClassifierTrio:
             CMARClassifier().fit(ruleset),
         ]
         for embedded in planted.embedded_rules:
-            covered = [r for r in range(dataset.n_records)
-                       if embedded.tidset >> r & 1]
+            covered = embedded.tidset.indices().tolist()
             for classifier in classifiers:
                 hits = sum(
                     1 for r in covered

@@ -4,9 +4,10 @@ The multi-layer refactor retired bigint tidsets from every hot path;
 these tests pin the two guarantees that made that safe:
 
 * **representation identity** — a dataset ingested through the packed
-  arena and the *same* dataset reconstructed from bigint tidsets (the
-  interop path plugins use) produce byte-identical mine / holdout /
-  permutation CSV output for every registered miner;
+  arena and the *same* dataset rebuilt from the bigint oracle's
+  bitsets (converted row by row through ``tests/bigint_oracle.py``)
+  produce byte-identical mine / holdout / permutation CSV output for
+  every registered miner;
 * **native identity** — for every miner, a run with the native kernel
   suite and a ``REPRO_NATIVE=0`` run (the Python closed walk, numpy
   supports tiles and numpy statistics, sharing no kernel with the
@@ -26,6 +27,8 @@ from repro.core.pipeline import Pipeline
 from repro.data import Dataset, GeneratorConfig, generate, save_csv
 from repro.evaluation.export import rules_to_csv
 
+from .. import bigint_oracle as bs
+
 MINERS = ("closed", "apriori", "fpgrowth", "representative")
 
 
@@ -40,10 +43,12 @@ def data():
 
 @pytest.fixture(scope="module")
 def bigint_clone(data):
-    """The same dataset rebuilt from bigint tidsets (interop input)."""
+    """The same dataset rebuilt from bigint bitsets, one converted
+    row per item."""
     return Dataset(
         data.n_records, data.catalog,
-        [int(t) for t in data.item_tidsets],
+        bs.to_tidvectors([t.to_bigint() for t in data.item_tidsets],
+                         data.n_records),
         data.class_labels, data.class_names, name=data.name)
 
 

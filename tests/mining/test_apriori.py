@@ -43,15 +43,16 @@ class TestAgainstBruteForce:
             tidsets.append(bits)
         min_sup = rng.randint(1, 3)
         expected = _brute_force(tidsets, n_records, min_sup)
-        got = {fp.items: fp.tidset
-               for fp in mine_apriori(tidsets, n_records, min_sup)}
+        got = {fp.items: fp.tidset.to_bigint()
+               for fp in mine_apriori(bs.to_tidvectors(tidsets, n_records),
+                                      n_records, min_sup)}
         assert got == expected
 
 
 class TestBehaviour:
     def test_supports_correct(self):
         tidsets = [0b1110, 0b0111, 0b1010]
-        for fp in mine_apriori(tidsets, 4, 1):
+        for fp in mine_apriori(bs.to_tidvectors(tidsets, 4), 4, 1):
             expected = bs.universe(4)
             for item in fp.items:
                 expected &= tidsets[item]
@@ -59,11 +60,13 @@ class TestBehaviour:
 
     def test_max_length(self):
         tidsets = [0b111, 0b111, 0b111]
-        patterns = mine_apriori(tidsets, 3, 1, max_length=2)
+        patterns = mine_apriori(bs.to_tidvectors(tidsets, 3), 3, 1,
+                                max_length=2)
         assert max(fp.length for fp in patterns) == 2
 
     def test_max_length_zero(self):
-        assert mine_apriori([0b1], 1, 1, max_length=0) == []
+        assert mine_apriori(bs.to_tidvectors([0b1], 1), 1, 1,
+                            max_length=0) == []
 
     def test_antimonotone(self):
         rng = random.Random(77)
@@ -75,7 +78,8 @@ class TestBehaviour:
                     bits |= 1 << r
             tidsets.append(bits)
         patterns = {fp.items: fp.support
-                    for fp in mine_apriori(tidsets, 30, 3)}
+                    for fp in mine_apriori(bs.to_tidvectors(tidsets, 30),
+                                           30, 3)}
         for items, support in patterns.items():
             for item in items:
                 subset = items - {item}
@@ -84,12 +88,13 @@ class TestBehaviour:
 
     def test_invalid_min_sup(self):
         with pytest.raises(MiningError):
-            mine_apriori([0b1], 1, 0)
+            mine_apriori(bs.to_tidvectors([0b1], 1), 1, 0)
 
     def test_no_frequent_items(self):
-        assert mine_apriori([0b1], 4, 3) == []
+        assert mine_apriori(bs.to_tidvectors([0b1], 4), 4, 3) == []
 
     def test_level_order_output(self):
         tidsets = [0b1111, 0b1111, 0b1111]
-        lengths = [fp.length for fp in mine_apriori(tidsets, 4, 1)]
+        lengths = [fp.length for fp in
+                   mine_apriori(bs.to_tidvectors(tidsets, 4), 4, 1)]
         assert lengths == sorted(lengths)

@@ -10,6 +10,7 @@ import pytest
 from repro.data import GeneratorConfig, generate
 from repro.errors import MiningError
 from repro.mining import mine_apriori, mine_closed
+from repro.tidvector import TidVector
 
 from .. import bigint_oracle as bs
 
@@ -22,13 +23,13 @@ def _random_tidsets(rng, n_items, n_records, density=0.4):
             if rng.random() < density:
                 bits |= 1 << r
         out.append(bits)
-    return out
+    return bs.to_tidvectors(out, n_records)
 
 
 class TestSmallHandChecked:
     def test_two_identical_items_collapse(self):
         # Items 0 and 1 always co-occur: only the pair is closed.
-        tidsets = [0b0111, 0b0111, 0b1100]
+        tidsets = bs.to_tidvectors([0b0111, 0b0111, 0b1100], 4)
         patterns = mine_closed(tidsets, 4, min_sup=1)
         itemsets = {tuple(sorted(p.items)) for p in patterns
                     if p.items}
@@ -37,19 +38,19 @@ class TestSmallHandChecked:
         assert (1,) not in itemsets
 
     def test_root_is_universe(self):
-        patterns = mine_closed([0b01, 0b10], 2, min_sup=1)
+        patterns = mine_closed(bs.to_tidvectors([0b01, 0b10], 2), 2, min_sup=1)
         root = patterns[0]
         assert root.parent_id == -1
         assert root.support == 2
         assert root.items == frozenset()
 
     def test_full_support_item_joins_root(self):
-        patterns = mine_closed([0b11, 0b01], 2, min_sup=1)
+        patterns = mine_closed(bs.to_tidvectors([0b11, 0b01], 2), 2, min_sup=1)
         root = patterns[0]
         assert root.items == frozenset({0})
 
     def test_min_sup_prunes(self):
-        tidsets = [0b0001, 0b1111]
+        tidsets = bs.to_tidvectors([0b0001, 0b1111], 4)
         patterns = mine_closed(tidsets, 4, min_sup=2)
         for p in patterns:
             assert p.support >= 2
@@ -63,10 +64,10 @@ class TestSmallHandChecked:
 
     def test_invalid_max_length(self):
         with pytest.raises(MiningError):
-            mine_closed([0b1], 1, min_sup=1, max_length=-1)
+            mine_closed(bs.to_tidvectors([0b1], 1), 1, min_sup=1, max_length=-1)
 
     def test_min_sup_above_n_returns_empty(self):
-        assert len(mine_closed([0b11], 2, min_sup=3)) == 0
+        assert len(mine_closed(bs.to_tidvectors([0b11], 2), 2, min_sup=3)) == 0
 
 
 class TestAgainstApriori:
@@ -93,7 +94,7 @@ class TestAgainstApriori:
         got = {(p.tidset, p.items) for p in closed if p.items}
         # The root may add the full-universe tidset even when no single
         # item reaches full support; frequent patterns never include it.
-        got.discard((bs.universe(n_records), frozenset()))
+        got.discard((TidVector.universe(n_records), frozenset()))
         assert got == expected
 
     @pytest.mark.parametrize("seed", range(4))
@@ -103,8 +104,8 @@ class TestAgainstApriori:
         for p in mine_closed(tidsets, 25, min_sup=2):
             expected = bs.universe(25)
             for item in p.items:
-                expected &= tidsets[item]
-            assert p.tidset == expected
+                expected &= tidsets[item].to_bigint()
+            assert p.tidset.to_bigint() == expected
             assert p.support == bs.popcount(expected)
 
     def test_no_duplicate_tidsets(self):

@@ -12,12 +12,12 @@ from .. import bigint_oracle as bs
 
 
 def tidsets_from_transactions(transactions, n_items):
-    """Build per-item bitsets from a list of item-id lists."""
+    """Build per-item tidsets from a list of item-id lists."""
     tidsets = [0] * n_items
     for record, items in enumerate(transactions):
         for item in items:
             tidsets[item] |= 1 << record
-    return tidsets
+    return bs.to_tidvectors(tidsets, len(transactions))
 
 
 @pytest.fixture
@@ -103,8 +103,8 @@ class TestMineFPGrowth:
         for pattern in mine_fpgrowth(tidsets, 5, 2):
             expected = bs.universe(5)
             for item in pattern.items:
-                expected &= tidsets[item]
-            assert pattern.tidset == expected
+                expected &= tidsets[item].to_bigint()
+            assert pattern.tidset.to_bigint() == expected
             assert pattern.support == bs.popcount(expected)
 
     def test_max_length_truncates(self, classic_transactions):
@@ -129,7 +129,7 @@ class TestMineFPGrowth:
 
     def test_min_sup_validation(self):
         with pytest.raises(MiningError):
-            mine_fpgrowth([0b1], 1, 0)
+            mine_fpgrowth(bs.to_tidvectors([0b1], 1), 1, 0)
 
     def test_matches_apriori_on_dataset(self, small_random_dataset):
         ds = small_random_dataset

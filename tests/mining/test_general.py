@@ -20,7 +20,7 @@ def tidsets_from_transactions(transactions, n_items):
     for record, items in enumerate(transactions):
         for item in items:
             tidsets[item] |= 1 << record
-    return tidsets
+    return bs.to_tidvectors(tidsets, len(transactions))
 
 
 @pytest.fixture
@@ -46,10 +46,10 @@ class TestMineGeneralRules:
         for rule in mine_general_rules(tidsets, n, min_sup=20).rules:
             lhs_tids = bs.universe(n)
             for item in rule.antecedent:
-                lhs_tids &= tidsets[item]
+                lhs_tids &= tidsets[item].to_bigint()
             both_tids = lhs_tids
             for item in rule.consequent:
-                both_tids &= tidsets[item]
+                both_tids &= tidsets[item].to_bigint()
             assert rule.coverage == bs.popcount(lhs_tids)
             assert rule.support == bs.popcount(both_tids)
             assert rule.confidence == pytest.approx(

@@ -33,7 +33,8 @@ from .. import bigint_oracle as bs
 
 def _arena(tidsets, n_records):
     """Pack bigint tidsets into a ``(k, n_words)`` uint64 arena."""
-    return BitMatrix.from_tidsets(tidsets, n_records).words
+    return BitMatrix.from_tidsets(bs.to_tidvectors(tidsets, n_records),
+                                  n_records).words
 
 
 @st.composite
@@ -104,7 +105,8 @@ class TestClassSupportsMulti:
     def test_matches_per_class_calls(self, instance, n_batch,
                                      n_classes):
         rows, _query, n_records = instance
-        matrix = BitMatrix.from_tidsets(rows, n_records)
+        matrix = BitMatrix.from_tidsets(bs.to_tidvectors(rows, n_records),
+                                        n_records)
         rng = np.random.default_rng(n_records * 31 + n_batch)
         stacked = rng.random((n_classes, n_batch, n_records)) < 0.5
         native, fallback = _both_paths(
@@ -116,7 +118,7 @@ class TestClassSupportsMulti:
                 native[c], matrix.class_supports_batch(stacked[c]))
 
     def test_shape_validated(self):
-        matrix = BitMatrix.from_tidsets([1], 4)
+        matrix = BitMatrix.from_tidsets(bs.to_tidvectors([1], 4), 4)
         with pytest.raises(ValueError):
             matrix.class_supports_multi(np.ones((2, 4), dtype=bool))
         with pytest.raises(ValueError):

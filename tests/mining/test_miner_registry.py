@@ -28,6 +28,8 @@ from repro.mining import (
     resolve_miner,
     unregister_miner,
 )
+from repro.tidvector import TidVector
+
 from .. import bigint_oracle as bs
 
 BUILTINS = ("closed", "apriori", "fpgrowth", "representative",
@@ -226,8 +228,12 @@ class TestMinerMine:
         # shape checks: a parent that does not precede its child.
         def bad_mine(item_tidsets, n_records, min_sup, max_length,
                      **opts):
-            nodes = [Pattern(items=frozenset({0}), tidset=0b01, support=1),
-                     Pattern(items=frozenset({1}), tidset=0b10, support=1)]
+            nodes = [Pattern(items=frozenset({0}),
+                             tidset=bs.to_tidvector(0b01, n_records),
+                             support=1),
+                     Pattern(items=frozenset({1}),
+                             tidset=bs.to_tidvector(0b10, n_records),
+                             support=1)]
             return PatternSet.pack(nodes, n_records, min_sup,
                                    parent=[1, -1])
 
@@ -238,6 +244,23 @@ class TestMinerMine:
                 spec.mine(german, 5)
         finally:
             unregister_miner("broken-miner")
+
+    def test_bigint_plugin_tidsets_rejected(self, german):
+        # Tidsets are TidVectors only: a plugin still emitting bigint
+        # bitsets fails loudly where its patterns are packed.
+        def bigint_mine(item_tidsets, n_records, min_sup, max_length,
+                        **opts):
+            nodes = [Pattern(items=frozenset({0}), tidset=0b01,
+                             support=1)]
+            return PatternSet.pack(nodes, n_records, min_sup)
+
+        spec = register_miner(Miner(name="bigint-miner",
+                                    mine_fn=bigint_mine))
+        try:
+            with pytest.raises(MiningError, match="not a TidVector"):
+                spec.mine(german, 5)
+        finally:
+            unregister_miner("bigint-miner")
 
 
 class TestPatternSetColumns:
@@ -288,9 +311,10 @@ class TestPatternSetColumns:
         assert all(p.parent_id == -1 for p in pattern_set)
 
     def test_constructor_rejects_malformed_columns(self):
+        tids = bs.to_tidvector(0b01, 2)
         good = PatternSet.pack(
-            [Pattern(items=frozenset({0}), tidset=0b01, support=1),
-             Pattern(items=frozenset({0, 1}), tidset=0b01, support=1)],
+            [Pattern(items=frozenset({0}), tidset=tids, support=1),
+             Pattern(items=frozenset({0, 1}), tidset=tids, support=1)],
             2, 1, parent=[-1, 0])
         columns = dict(matrix=good.matrix, supports=good.supports,
                        item_ids=good.item_ids,
@@ -312,8 +336,8 @@ class TestPatternSetColumns:
         words[1, 0] = 0b100  # record 2 of a 2-record set
         with pytest.raises(MiningError, match="references records"):
             PatternSet(**dict(columns, matrix=type(good.matrix)(words, 2)))
-        with pytest.raises(MiningError, match="references records"):
-            PatternSet.pack([Pattern(items=frozenset(), tidset=0b100,
+        with pytest.raises(MiningError, match="not a TidVector"):
+            PatternSet.pack([Pattern(items=frozenset(), tidset=0b10,
                                      support=1)], 2, 1)
 
     def test_from_frequent_orders_by_length_then_items(self, german):
@@ -357,7 +381,8 @@ class TestPatternSetColumns:
 
     def test_take_remaps_parent_to_the_nearest_kept_ancestor(self):
         # A chain 0 -> 1 -> 2 -> 3 plus a second root 4 -> 5.
-        nodes = [Pattern(items=frozenset(range(k)), tidset=1, support=1)
+        nodes = [Pattern(items=frozenset(range(k)),
+                         tidset=TidVector.universe(1), support=1)
                  for k in range(6)]
         pattern_set = PatternSet.pack(nodes, 1, 1,
                                       parent=[-1, 0, 1, 2, -1, 4])
@@ -381,7 +406,7 @@ class TestPatternSetColumns:
         indicator = np.array(
             [label == 0 for label in german.class_labels], dtype=bool)
         class_bits = bs.from_numpy_bool(indicator)
-        reference = [bs.popcount(int(p.tidset) & class_bits)
+        reference = [bs.popcount(p.tidset.to_bigint() & class_bits)
                      for p in pattern_set]
         # The permutation engine packs the set's tidsets into its
         # forest matrix, one row per node.

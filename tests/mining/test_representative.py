@@ -12,14 +12,17 @@ from repro.mining import (
     select_representatives,
 )
 from repro.mining.patterns import Pattern, PatternSet
+from repro.tidvector import TidVector
 
 
 def make_chain(supports):
     """A root plus a single chain of patterns with given supports."""
+    n = supports[0]
     patterns = [Pattern(items=frozenset(range(depth)),
-                        tidset=(1 << support) - 1, support=support)
+                        tidset=TidVector.from_indices(range(support), n),
+                        support=support)
                 for depth, support in enumerate(supports)]
-    return PatternSet.pack(patterns, supports[0], 1,
+    return PatternSet.pack(patterns, n, 1,
                            parent=list(range(-1, len(supports) - 1)))
 
 
@@ -119,7 +122,7 @@ class TestSelectRepresentatives:
             rep = patterns[rep_id]
             # The representative is an ancestor-or-self, so its tidset
             # contains the member's and its support bounds it.
-            assert pattern.tidset & ~rep.tidset == 0
+            assert pattern.tidset.is_subset(rep.tidset)
             assert pattern.support <= rep.support
             # Non-representatives merged via their tree edge: the
             # per-edge support ratio clears 1 - delta.
@@ -151,7 +154,7 @@ class TestMineRepresentativeRules:
             assert -1 <= pattern.parent_id < index
             if pattern.parent_id >= 0:
                 parent = reduced.patterns[pattern.parent_id]
-                assert pattern.tidset & ~parent.tidset == 0
+                assert pattern.tidset.is_subset(parent.tidset)
 
     def test_permutation_engine_accepts_reduced_forest(
             self, small_random_dataset):

@@ -12,7 +12,7 @@ from .. import bigint_oracle as bs
 
 def _tidsets():
     # item 0: support 4, item 1: support 2, item 2: support 1, item 3: 0
-    return [0b1111, 0b0011, 0b0100, 0b0000]
+    return bs.to_tidvectors([0b1111, 0b0011, 0b0100, 0b0000], 4)
 
 
 class TestFiltering:
@@ -27,6 +27,10 @@ class TestFiltering:
     def test_invalid_min_sup(self):
         with pytest.raises(MiningError):
             build_vertical_view(_tidsets(), 4, min_sup=0)
+
+    def test_bigint_tidsets_rejected(self):
+        with pytest.raises(MiningError, match="TidVector"):
+            build_vertical_view([0b1111, 0b0011], 4, min_sup=1)
 
     def test_invalid_n_records(self):
         with pytest.raises(MiningError):
@@ -63,11 +67,11 @@ class TestPatternTidset:
         view = build_vertical_view(_tidsets(), 4, min_sup=1)
         p0 = view.order_of[0]
         p1 = view.order_of[1]
-        assert view.pattern_tidset([p0, p1]) == 0b0011
+        assert view.pattern_tidset([p0, p1]).to_bigint() == 0b0011
 
     def test_empty_pattern_is_universe(self):
         view = build_vertical_view(_tidsets(), 4, min_sup=1)
-        assert view.pattern_tidset([]) == bs.universe(4)
+        assert view.pattern_tidset([]).to_bigint() == bs.universe(4)
 
     def test_n_items(self):
         view = build_vertical_view(_tidsets(), 4, min_sup=2)

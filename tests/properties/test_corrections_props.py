@@ -8,11 +8,15 @@ step-up cut-off is one of the observed p-values or zero.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corrections import bh_step_up
+from repro.corrections.by import benjamini_yekutieli, harmonic_number
+from repro.corrections.stepwise import hochberg, holm
+from repro.corrections.storey import q_values
 
 p_lists = st.lists(
     st.floats(min_value=1e-12, max_value=1.0,
@@ -110,3 +114,74 @@ def test_bh_invariant_under_permutation(p_values, alpha):
 def test_bonferroni_threshold_scales(n_extra, n_tests, alpha):
     """Adding hypotheses can only lower the Bonferroni threshold."""
     assert alpha / (n_tests + n_extra) <= alpha / n_tests
+
+
+class _PValueSet:
+    """A duck-typed rule set of bare p-values."""
+
+    def __init__(self, p_values):
+        self._p_values = list(p_values)
+        self.rules = [SimpleNamespace(p_value=p) for p in self._p_values]
+        self.n_tests = len(self._p_values)
+
+    def p_values(self):
+        return self._p_values
+
+
+def _holm_loop(p_values, alpha):
+    n, threshold = len(p_values), 0.0
+    for i, p in enumerate(sorted(p_values), start=1):
+        if p * (n - i + 1) > alpha:
+            break
+        threshold = p
+    return threshold
+
+
+def _hochberg_loop(p_values, alpha):
+    n, ordered = len(p_values), sorted(p_values)
+    for i in range(n, 0, -1):
+        if ordered[i - 1] * (n - i + 1) <= alpha:
+            return ordered[i - 1]
+    return 0.0
+
+
+def _by_loop(p_values, alpha):
+    n, threshold = len(p_values), 0.0
+    c_m = harmonic_number(n)
+    for i, p in enumerate(sorted(p_values), start=1):
+        if p <= i * alpha / (n * c_m):
+            threshold = p
+    return threshold
+
+
+def _q_values_loop(p_values, pi0):
+    m = len(p_values)
+    order = sorted(range(m), key=lambda i: p_values[i])
+    out, running = [0.0] * m, 1.0
+    for rank in range(m, 0, -1):
+        index = order[rank - 1]
+        running = min(running, pi0 * m * p_values[index] / rank)
+        out[index] = running
+    return out
+
+
+@given(_tied_p_lists())
+def test_stepwise_thresholds_equal_loop_oracles(case):
+    """Holm, Hochberg and BY decide on the p-value column exactly as
+    the one-p-value-at-a-time loops they replaced."""
+    p_values, alpha, _ = case
+    if not p_values:
+        return
+    ruleset = _PValueSet(p_values)
+    for procedure, oracle in ((holm, _holm_loop),
+                              (hochberg, _hochberg_loop),
+                              (benjamini_yekutieli, _by_loop)):
+        result = procedure(ruleset, alpha)
+        assert result.threshold == oracle(p_values, alpha)
+        assert [r.p_value for r in result.significant] == \
+            [p for p in p_values if p <= result.threshold]
+
+
+@given(p_lists, st.floats(min_value=0.01, max_value=1.0))
+def test_q_values_equal_loop_oracle(p_values, pi0):
+    assert q_values(p_values, pi0=pi0) == _q_values_loop(p_values, pi0)

@@ -25,7 +25,7 @@ def transaction_databases(draw):
         draw(st.integers(min_value=0, max_value=(1 << n_records) - 1))
         for _ in range(n_items)
     ]
-    return tidsets, n_records
+    return bs.to_tidvectors(tidsets, n_records), n_records
 
 
 @given(transaction_databases(), st.integers(min_value=1, max_value=6))
@@ -75,5 +75,5 @@ def test_fpgrowth_supports_correct(database, min_sup):
     for pattern in mine_fpgrowth(tidsets, n_records, min_sup):
         tids = bs.universe(n_records)
         for item in pattern.items:
-            tids &= tidsets[item]
+            tids &= tidsets[item].to_bigint()
         assert pattern.support == bs.popcount(tids) >= min_sup

@@ -120,12 +120,12 @@ def test_null_sample_stays_in_universe(n_records, n_items, seed):
             if rng.random() < 0.5:
                 bits |= 1 << r
         tidsets.append(bits)
-    model = NullModel(tidsets, n_records)
+    model = NullModel(bs.to_tidvectors(tidsets, n_records), n_records)
     sampled = model.sample_tidsets(random.Random(seed + 1))
     limit = bs.universe(n_records)
     assert len(sampled) == n_items
     for bits in sampled:
-        assert bits & ~limit == 0
+        assert bits.to_bigint() & ~limit == 0
 
 
 @settings(max_examples=10, deadline=None)
@@ -142,7 +142,8 @@ def test_calibration_always_meets_budget(seed, n_resamples):
                 bits |= 1 << r
         tidsets.append(bits)
     calibration = calibrate_cutoff(
-        tidsets, n_records, min_sup=4, n_resamples=n_resamples,
+        bs.to_tidvectors(tidsets, n_records), n_records, min_sup=4,
+        n_resamples=n_resamples,
         seed=seed)
     assert calibration.expected_false_positives(
         calibration.threshold) <= calibration.false_positive_budget

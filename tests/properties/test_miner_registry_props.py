@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from repro.mining import mine_patterns, miner_names
 
+from repro.tidvector import TidVector
+
 from .. import bigint_oracle as bs
 
 
@@ -36,7 +38,7 @@ def views(draw):
         draw(st.integers(min_value=0, max_value=(1 << n_records) - 1))
         for _ in range(n_items)
     ]
-    return _View(tidsets, n_records)
+    return _View(bs.to_tidvectors(tidsets, n_records), n_records)
 
 
 min_sups = st.integers(min_value=1, max_value=6)
@@ -75,7 +77,7 @@ def test_closed_expansion_covers_support_maximal_frequent(view,
         best = longest_by_tidset.get(pattern.tidset)
         if best is None or len(pattern.items) > len(best):
             longest_by_tidset[pattern.tidset] = pattern.items
-    empty_closure = bs.universe(view.n_records)
+    empty_closure = TidVector.universe(view.n_records)
     for tidset, items in longest_by_tidset.items():
         # The closure of the empty pattern lives on the closed root.
         cover = (closed[0] if tidset == empty_closure
@@ -99,8 +101,8 @@ def test_every_miner_emits_exact_tidsets(view, min_sup, algorithm):
             assert pattern.tidset.is_subset(parent.tidset)
         expected = bs.universe(view.n_records)
         for item in pattern.items:
-            expected &= view.item_tidsets[item]
-        assert pattern.tidset == expected
+            expected &= view.item_tidsets[item].to_bigint()
+        assert pattern.tidset.to_bigint() == expected
         assert pattern.support == bs.popcount(pattern.tidset)
         if pattern.items:
             assert pattern.support >= min_sup
@@ -118,7 +120,7 @@ def test_frequent_sets_drive_the_packed_forest(view, min_sup,
         return
     indicator = np.array(label_flags[:view.n_records], dtype=bool)
     class_bits = bs.from_numpy_bool(indicator)
-    expected = [bs.popcount(int(p.tidset) & class_bits)
+    expected = [bs.popcount(p.tidset.to_bigint() & class_bits)
                 for p in pattern_set]
     assert pattern_set.matrix.class_supports(indicator).tolist() == \
         expected

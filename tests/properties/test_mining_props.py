@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from repro.bitmat import BitMatrix
 from repro.mining import mine_apriori, mine_closed
 
+from repro.tidvector import TidVector
+
 from .. import bigint_oracle as bs
 
 
@@ -25,7 +27,7 @@ def tidset_instances(draw):
         for _ in range(n_items)
     ]
     min_sup = draw(st.integers(min_value=1, max_value=4))
-    return tidsets, n_records, min_sup
+    return bs.to_tidvectors(tidsets, n_records), n_records, min_sup
 
 
 @given(tidset_instances())
@@ -40,7 +42,7 @@ def test_closed_are_support_maximal_frequent(instance):
         if best is None or len(fp.items) > len(best):
             by_tidset[fp.tidset] = fp.items
     got = {(p.tidset, p.items) for p in closed if p.items}
-    got.discard((bs.universe(n_records), frozenset()))
+    got.discard((TidVector.universe(n_records), frozenset()))
     expected = {(t, items) for t, items in by_tidset.items()}
     assert got == expected
 
@@ -53,8 +55,8 @@ def test_closed_supports_and_min_sup(instance):
         assert p.support >= min_sup
         expected = bs.universe(n_records)
         for item in p.items:
-            expected &= tidsets[item]
-        assert p.tidset == expected
+            expected &= tidsets[item].to_bigint()
+        assert p.tidset.to_bigint() == expected
 
 
 @given(tidset_instances())
@@ -80,7 +82,8 @@ def test_packed_forest_matches_bigint_popcount(instance, label_flags):
         return
     labels = np.array(label_flags[:n_records], dtype=bool)
     class_bits = bs.from_numpy_bool(labels)
-    expected = [bs.popcount(int(p.tidset) & class_bits) for p in patterns]
+    expected = [bs.popcount(p.tidset.to_bigint() & class_bits)
+                for p in patterns]
     forest = BitMatrix.from_tidsets([p.tidset for p in patterns],
                                     n_records)
     assert forest.class_supports(labels).tolist() == expected

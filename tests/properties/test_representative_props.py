@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.mining import mine_closed, select_representatives
 
+from .. import bigint_oracle as bs
+
 
 @st.composite
 def closed_forests(draw):
@@ -18,7 +20,8 @@ def closed_forests(draw):
         for _ in range(n_items)
     ]
     min_sup = draw(st.integers(min_value=1, max_value=4))
-    return mine_closed(tidsets, n_records, min_sup)
+    return mine_closed(bs.to_tidvectors(tidsets, n_records), n_records,
+                       min_sup)
 
 
 deltas = st.floats(min_value=0.0, max_value=0.95)
@@ -44,7 +47,7 @@ def test_every_pattern_assigned_to_retained_ancestor(patterns, delta):
         rep = patterns[rep_id]
         # Ancestor-or-self: the representative's record set contains
         # the member's.
-        assert pattern.tidset & ~rep.tidset == 0
+        assert pattern.tidset.is_subset(rep.tidset)
         assert pattern.support <= rep.support
 
 
