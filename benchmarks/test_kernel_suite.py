@@ -18,8 +18,9 @@ on German, and, per dataset shape:
 
 plus the **p-value table build** of the Score stage: the
 ``PValueTables`` store of every (class, coverage) key Mushroom reaches
-at min_sup 2000 (n = 8124, all in the log-space regime), built by the
-native kernel in one call against the scalar builder
+at min_sup 2000 (n = 8124, all in the log-space regime, so each table
+is built over its live window), built by the native kernel in one
+call against the scalar builder
 (:mod:`repro.stats.pvalue_scalar`, the no-compiler fallback and the
 kernel's oracle) building the same store with the suite unloaded.
 Every timed pair is asserted equal before any number counts. Results

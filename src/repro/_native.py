@@ -36,11 +36,13 @@ compiler) a small suite of fused loops and loads them through
 
 * ``repro_pvalue_tables`` — every Fisher (or mid-p) p-value table of
   a :class:`repro.stats.PValueTables` store in one call, written
-  straight into its flat array: per key the hypergeometric pmf (ratio
-  recurrence, or log space when the seed is not a normal double) and
-  Figure 2's two-ends walk with tie grouping, then the 1.0 clamp and
-  mid-p. ``repro_pvalue_walk`` runs the walk alone on a caller's
-  values. Scratch is one pmf buffer of the widest table.
+  straight into its flat array: per key the hypergeometric pmf over
+  the caller's window of supports (the whole table by the ratio
+  recurrence, or the live window in log space when the seed is not a
+  normal double) and Figure 2's two-ends walk with tie grouping, then
+  the 1.0 clamp and mid-p. ``repro_pvalue_walk`` runs the walk alone
+  on a caller's values. Scratch is one pmf buffer of the widest
+  window.
 
 Each call releases the GIL, so the kernels also scale on the
 ``threads`` backend. Everything here is best-effort: no compiler
@@ -153,8 +155,14 @@ void repro_class_supports_batch(
      step-down  stepdown[i] += 1 when the running minimum rank over
                 ranks i..n_rules-1 is <= i, i.e. when the suffix
                 minimum p-value is <= obs[i].
+   Each support is first clamped into its table's stored range
+   [first, last]: a log-space table keeps only its live window and a
+   0.0 pad on each side where it dropped entries, whose p-values are
+   0.0 as well.
    While a rule is counted, the next one's row is prefetched.
-   Returns 0, -1 when a support falls outside its rule's table, or -2
+   Returns 0, -1 when a rule's table is not one of the n_keys or its
+   stored range falls outside flat (checked before the rule's supports
+   are counted), or -2
    when scratch memory cannot be allocated. */
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -191,7 +199,10 @@ int64_t repro_permutation_pass(
     const int64_t *coverage, /* (n_nodes,) node supports */
     const int64_t *rule_node,    /* (n_rules,) rank order */
     const int64_t *rule_slot,    /* (n_rules,) -1: coverage - plane 0 */
-    const int64_t *rule_offset,  /* (n_rules,) table start - low */
+    const int64_t *rule_key,     /* (n_rules,) p-value table */
+    const int64_t *key_range,    /* (n_keys, 3): table start - first,
+                                    stored support range first, last */
+    int64_t n_keys,
     const double *flat,      /* (n_flat,) p-value tables */
     const int32_t *rank,     /* (n_flat,) */
     int64_t n_flat,
@@ -216,36 +227,59 @@ int64_t repro_permutation_pass(
         running[b] = n_rules;
     }
     for (int64_t i = n_rules - 1; i >= 0; --i) {
-        const int64_t cover = coverage[rule_node[i]];
         const int64_t complement = rule_slot[i] < 0;
-        const int64_t offset = rule_offset[i];
+        const int64_t key = rule_key[i];
+        int64_t offset, first, last, base;
+        uint64_t span;
+        const int32_t *rank_row;
+        const double *flat_row;
         int64_t below = 0;
+        if (key < 0 || key >= n_keys) {
+            free(running);
+            free(acc);
+            return -1;
+        }
+        offset = key_range[3 * key];
+        first = key_range[3 * key + 1];
+        last = key_range[3 * key + 2];
+        if (first > last || offset + first < 0
+                || offset + last >= n_flat) {
+            free(running);
+            free(acc);
+            return -1;
+        }
+        span = (uint64_t)(last - first);
+        /* Support k is stored at row[k - first], k in [first, last];
+           a complement rule's k is its coverage minus the count. */
+        base = coverage[rule_node[i]] - first;
+        rank_row = rank + (offset + first);
+        flat_row = flat + (offset + first);
         if (i > 0) {
             const char *next =
                 (const char *)(words + rule_node[i - 1] * n_words);
             for (int64_t line = 0; line < lines; ++line)
                 PREFETCH(next + line * 64);
+            if (rule_key[i - 1] >= 0 && rule_key[i - 1] < n_keys)
+                PREFETCH(key_range + 3 * rule_key[i - 1]);
         }
         pass_count(words + rule_node[i] * n_words,
                    planes + (complement ? 0 : rule_slot[i]) * n_words
                        * n_batch,
                    acc, n_words, n_batch);
         for (int64_t b = 0; b < n_batch; ++b) {
-            const int64_t k =
-                offset + (complement ? cover - acc[b] : acc[b]);
+            int64_t j = complement ? base - acc[b] : acc[b] - first;
             int64_t r;
-            if (k < 0 || k >= n_flat) {
-                free(running);
-                free(acc);
-                return -1;
-            }
-            r = rank[k];
+            /* Outside a live window only in the far tails: a branch
+               that is all but never taken. */
+            if ((uint64_t)j > span)
+                j = j < 0 ? 0 : (int64_t)span;
+            r = rank_row[j];
             ++hist[r];
             if (r <= running[b]) {
                 /* A smaller rank means a smaller p-value, so only a
                    lookup at the running minimum rank can lower
                    min-p. */
-                if (flat[k] < min_p[b]) min_p[b] = flat[k];
+                if (flat_row[j] < min_p[b]) min_p[b] = flat_row[j];
                 running[b] = r;
             }
             below += running[b] <= i;
@@ -528,19 +562,36 @@ int64_t repro_pvalue_walk(const double *pmf, int64_t m, double tolerance,
     return pv_walk(pmf, m, tolerance, midp, out);
 }
 
-/* Key i's table over [L, U] = [max(0, n_c + s - n), min(n_c, s)] goes
-   to out[start[i] ..]. The pmf comes from the ratio recurrence seeded
-   with H(L), or entry by entry in log space when that seed is not a
-   normal double. Returns 0, -1 when a walk meets an empty group, -2
-   when the pmf scratch (one table of the widest key) cannot be
-   allocated, or -3, before writing anything, when a key is outside
-   [0, n] or its table outside out. */
+/* Key i's table over [L, U] = [max(0, n_c + s - n), min(n_c, s)] is
+   filled over its window [low[i], high[i]] within [L, U]: the window's
+   p-values go to out[start[i] ..]. The pmf comes from the ratio
+   recurrence seeded with H(L), whose window must be all of [L, U], or
+   entry by entry in log space when that seed is not a normal double.
+   There the caller's window is the live one: every entry outside it
+   has pmf exp(x < -745.13) == 0.0, and those zeros are the first group
+   Figure 2's walk takes from the full table, so the walk over the
+   window alone gives every window entry the full table's bits (and
+   the full table's p-value outside it is 0.0). Returns 0, -1 when a
+   walk meets an empty group, -2 when the pmf scratch (one window of
+   the widest key) cannot be allocated, or -3, before writing anything,
+   when a key is outside [0, n], a window outside [L, U] (or short of
+   it on the ratio path) or outside out. */
+static double pv_seed(const double *lf, int64_t n, int64_t c, int64_t s,
+                      int64_t low)
+{
+    return pv_log_binomial(lf, c, low)
+           + pv_log_binomial(lf, n - c, s - low)
+           - pv_log_binomial(lf, n, s);
+}
+
 int64_t repro_pvalue_tables(
     const double *lf,        /* (n + 1,) ln(k!) */
     int64_t n,
     const int64_t *n_c,      /* (n_keys,) class supports */
     const int64_t *supp_x,   /* (n_keys,) coverages */
-    const int64_t *start,    /* (n_keys,) table offsets in out */
+    const int64_t *low,      /* (n_keys,) window of each key */
+    const int64_t *high,     /* (n_keys,) */
+    const int64_t *start,    /* (n_keys,) window offsets in out */
     int64_t n_keys,
     double tolerance,
     int64_t midp,
@@ -550,40 +601,44 @@ int64_t repro_pvalue_tables(
     int64_t width = 1, status = 0;
     double *pmf;
     for (int64_t i = 0; i < n_keys; ++i) {
-        int64_t low, high;
+        int64_t first, last;
+        double seed;
         if (n_c[i] < 0 || n_c[i] > n || supp_x[i] < 0 || supp_x[i] > n)
             return -3;
-        low = n_c[i] + supp_x[i] - n > 0 ? n_c[i] + supp_x[i] - n : 0;
-        high = n_c[i] < supp_x[i] ? n_c[i] : supp_x[i];
-        if (start[i] < 0 || start[i] > n_out - (high - low + 1))
+        first = n_c[i] + supp_x[i] - n > 0 ? n_c[i] + supp_x[i] - n : 0;
+        last = n_c[i] < supp_x[i] ? n_c[i] : supp_x[i];
+        if (low[i] < first || high[i] > last || low[i] > high[i])
             return -3;
-        if (high - low + 1 > width) width = high - low + 1;
+        seed = pv_seed(lf, n, n_c[i], supp_x[i], first);
+        if ((low[i] != first || high[i] != last)
+                && (seed > -HUGE_VAL ? exp(seed) : 0.0) >= DBL_MIN)
+            return -3;
+        if (start[i] < 0 || start[i] > n_out - (high[i] - low[i] + 1))
+            return -3;
+        if (high[i] - low[i] + 1 > width) width = high[i] - low[i] + 1;
     }
     pmf = malloc((size_t)width * sizeof(double));
     if (!pmf) return -2;
     for (int64_t i = 0; i < n_keys && status == 0; ++i) {
         const int64_t c = n_c[i], s = supp_x[i], rest = n - c;
-        const int64_t low = c + s - n > 0 ? c + s - n : 0;
-        const int64_t high = c < s ? c : s;
+        const int64_t first = c + s - n > 0 ? c + s - n : 0;
         const double denominator = pv_log_binomial(lf, n, s);
-        const double seed = pv_log_binomial(lf, c, low)
-                            + pv_log_binomial(lf, rest, s - low)
-                            - denominator;
+        const double seed = pv_seed(lf, n, c, s, first);
         double value = seed > -HUGE_VAL ? exp(seed) : 0.0;
         if (value < DBL_MIN) {
-            for (int64_t k = low; k <= high; ++k)
-                pmf[k - low] = exp(pv_log_binomial(lf, c, k)
-                                   + pv_log_binomial(lf, rest, s - k)
-                                   - denominator);
+            for (int64_t k = low[i]; k <= high[i]; ++k)
+                pmf[k - low[i]] = exp(pv_log_binomial(lf, c, k)
+                                      + pv_log_binomial(lf, rest, s - k)
+                                      - denominator);
         } else {
             pmf[0] = value;
-            for (int64_t k = low; k < high; ++k) {
+            for (int64_t k = first; k < high[i]; ++k) {
                 value = value * (double)((c - k) * (s - k))
                         / (double)((k + 1) * (rest - s + k + 1));
-                pmf[k - low + 1] = value;
+                pmf[k - first + 1] = value;
             }
         }
-        status = pv_walk(pmf, high - low + 1, tolerance, midp,
+        status = pv_walk(pmf, high[i] - low[i] + 1, tolerance, midp,
                          out + start[i]);
     }
     free(pmf);
@@ -625,13 +680,13 @@ _KERNEL_SIGNATURES = (
       ctypes.c_int64, ctypes.c_int64, _INT64_P]),
     ("repro_permutation_pass", ctypes.c_int64,
      [_UINT64_P, _INT64_P, _INT64_P, _INT64_P, _INT64_P,
-      _DOUBLE_P, _INT32_P, ctypes.c_int64, ctypes.c_int64,
+      _INT64_P, ctypes.c_int64, _DOUBLE_P, _INT32_P, ctypes.c_int64, ctypes.c_int64,
       ctypes.c_int64, _UINT64_P, ctypes.c_int64,
       _DOUBLE_P, _INT64_P, _INT64_P]),
     ("repro_pvalue_tables", ctypes.c_int64,
      [_DOUBLE_P, ctypes.c_int64, _INT64_P, _INT64_P, _INT64_P,
-      ctypes.c_int64, ctypes.c_double, ctypes.c_int64, _DOUBLE_P,
-      ctypes.c_int64]),
+      _INT64_P, _INT64_P, ctypes.c_int64, ctypes.c_double,
+      ctypes.c_int64, _DOUBLE_P, ctypes.c_int64]),
     ("repro_pvalue_walk", ctypes.c_int64,
      [_DOUBLE_P, ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
       _DOUBLE_P]),

@@ -116,13 +116,14 @@ class HoldoutRun:
 
         A candidate's pattern need not be frequent (or closed) there;
         its tidset is re-derived from the evaluation half's item
-        tidsets. All candidate tidsets are packed into one
+        arena, every candidate at once
+        (:meth:`~repro.data.Dataset.pattern_arena`, one
+        ``bitwise_and.reduceat``). The tidsets form one
         :class:`~repro.bitmat.BitMatrix`, so coverages are one
         hardware-popcount pass and per-class supports one
         :func:`~repro.mining.rules.class_supports` call for the classes
-        on a candidate RHS — no per-candidate bigint walks. P-values
-        use the run's scorer, from one store built for the candidates'
-        keys on this half.
+        on a candidate RHS. P-values use the run's scorer, from one
+        store built for the candidates' keys on this half.
         """
         n_candidates = candidates.n_tests
         # A candidate absent from this half is unobservable there:
@@ -132,11 +133,9 @@ class HoldoutRun:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, p_values
         evaluation = self.evaluation
-        item_ids = candidates.patterns.item_ids
-        offsets = candidates.patterns.item_offsets
-        matrix = BitMatrix.from_tidsets(
-            [evaluation.pattern_tidset(item_ids[offsets[i]:offsets[i + 1]])
-             for i in candidates.pattern_ids.tolist()],
+        matrix = BitMatrix(
+            evaluation.pattern_arena(
+                *candidates.patterns.items_of(candidates.pattern_ids)),
             evaluation.n_records)
         coverages = matrix.row_popcounts()
         labels = np.asarray(evaluation.class_labels, dtype=np.int64)

@@ -188,10 +188,12 @@ class PermutationEngine:
         # Sizing below charges the path chosen here.
         self._native = _native.load_suite() is not None
         self._native_stats: Optional[_NativeStats] = None
-        # Rule i's p-value for support k is flat[offsets[i] + k].
-        tables = ruleset.tables
-        self._flat = tables.flat
-        self._offsets = tables.offsets(
+        # Rule i reads the table of key keys[i]: its p-value for
+        # support k is flat[offsets[key] + clip(k, first[key],
+        # last[key])] (see PValueTables).
+        self._tables = ruleset.tables
+        self._flat = self._tables.flat
+        self._keys = self._tables.index(
             self._classes, self._node_coverage[self._node_ids])
 
     # ------------------------------------------------------------------
@@ -295,6 +297,10 @@ class PermutationEngine:
         suite = _native.load_suite() if self._native else None
         stats = self._native_stats if suite is not None else None
         hist = np.zeros(n_rules + 1, dtype=np.int64)
+        if stats is None:
+            tables, keys = self._tables, self._keys
+            offsets = tables.offsets[keys]
+            first, last = tables.first[keys], tables.last[keys]
         block = self._batch_rows()
         # One label buffer for the shard: no block's labels outlive it.
         buffer = np.empty((min(block, n_shard), self.n),
@@ -314,7 +320,8 @@ class PermutationEngine:
                                 stepdown)
                 continue
             supports = self._rule_supports_batch(labels)
-            perm_p = self._flat[self._offsets[None, :] + supports]
+            np.clip(supports, first, last, out=supports)
+            perm_p = self._flat[offsets[None, :] + supports]
             min_p[start:start + len(batch)] = perm_p.min(axis=1)
             pooled += np.searchsorted(np.sort(perm_p, axis=None),
                                       observed_sorted, side="right")
@@ -335,35 +342,44 @@ class PermutationEngine:
 
         Sized by what the dispatched path allocates per labelling,
         within ``batch_bytes`` and never above ``n_permutations``.
+        What a pass allocates whatever ``B`` is comes out of the
+        budget first: each permutation's seed sequence and min-p, and
+        the pass's per-rule int64/float64 columns (the observed order
+        and sorted p-values, the pooled and step-down counts and the
+        rank histogram, plus each rule's table offset and stored range
+        under numpy, or the rules' node, plane and table and the
+        histogram's cumulative sum natively).
 
-        * Native: one label row, and per counted class a bool
-          indicator row and its packed and transposed words, after
-          the pass's int32 rank table (one entry per p-value table
-          entry) — at most :data:`NATIVE_BATCH_ROWS`.
-        * NumPy: one label row, one ``n_nodes`` support row per class
-          on a rule RHS (plus the counted class-0 row on binary data),
-          several ``n_rules``-wide float intermediates
-          (supports, p-values, the pooled sort, the ranked copy and
-          its suffix minima); the supports kernel's one scratch tile
-          (:data:`repro.bitmat.TILE_BYTES`) comes out of the budget
-          first, whatever ``B`` is.
+        * Native: after the int32 rank table (one entry per stored
+          p-value) and the scratch of its chunked fill, one label row
+          and per counted class a bool indicator row and its packed
+          and transposed words — at most :data:`NATIVE_BATCH_ROWS`.
+        * NumPy: after the supports kernel's one scratch tile
+          (:data:`repro.bitmat.TILE_BYTES`), one label row, one
+          ``n_nodes`` support row per class on a rule RHS (plus the
+          counted class-0 row on binary data) and several
+          ``n_rules``-wide float intermediates (supports, p-values,
+          the pooled sort, the ranked copy and its suffix minima).
         """
         n_rules = len(self._node_ids)
         n_nodes = len(self._node_coverage)
         n_slots = len(self._slot_classes)
         binary = self._n_classes == 2
         per_row = 8 * self.n
+        fixed = _PERMUTATION_BYTES * self.n_permutations
         if self._native:
             n_words = (self.n + 63) // 64
             planes = 1 if binary else max(1, n_slots)
             per_row += planes * (self.n + 16 * n_words)
-            # The pass's int32 rank table comes out of the same budget.
-            spare = self.batch_bytes - 4 * len(self._flat)
-            rows = min(NATIVE_BATCH_ROWS, spare // per_row)
+            fixed += (4 * len(self._flat) + 8 * _RANK_CHUNK
+                      + 9 * 8 * n_rules)
+            rows = min(NATIVE_BATCH_ROWS,
+                       (self.batch_bytes - fixed) // per_row)
             return max(1, min(rows, self.n_permutations))
         per_row += (n_slots + binary) * 8 * n_nodes
         per_row += 6 * 8 * n_rules
-        rows = (self.batch_bytes - TILE_BYTES) // per_row
+        fixed += TILE_BYTES + 8 * 8 * n_rules
+        rows = (self.batch_bytes - fixed) // per_row
         return max(1, min(rows, self.n_permutations))
 
     def _rule_supports_batch(self, labels: np.ndarray) -> np.ndarray:
@@ -490,9 +506,10 @@ class _NativeStats:
     """The ``repro_permutation_pass`` kernel bound to one pass.
 
     Holds the forest's rows and coverages, the rules' node, plane and
-    flat-table offset in observed-rank order, and ``rank =
-    searchsorted(observed_sorted, flat, side="left")`` —
-    ``#{observed < p}`` for every table entry, built once per pass.
+    p-value table in observed-rank order, each table's offset and
+    stored support range, and ``rank = searchsorted(observed_sorted,
+    flat, side="left")`` — ``#{observed < p}`` for every stored table
+    entry, built once per pass.
     Because the observed p-values ascend,
     ``p <= observed_sorted[i]`` iff ``rank(p) <= i``: the pooled counts
     become a rank histogram and the step-down suffix minima a running
@@ -514,7 +531,12 @@ class _NativeStats:
             rule_slot = engine._rule_slots
         self.rule_slot = np.ascontiguousarray(rule_slot[order],
                                               dtype=np.int64)
-        self.rule_offset = np.ascontiguousarray(engine._offsets[order])
+        self.rule_key = np.ascontiguousarray(engine._keys[order])
+        tables = engine._tables
+        # Per table: offset, first and last stored support, adjacent.
+        self.key_range = np.ascontiguousarray(
+            np.stack([tables.offsets, tables.first, tables.last], axis=1),
+            dtype=np.int64)
         # The rule set's own array: already C-contiguous float64, so
         # this checks the kernel's contract without copying.
         self.flat = np.ascontiguousarray(engine._flat, dtype=np.float64)
@@ -542,7 +564,8 @@ class _NativeStats:
         status = suite.permutation_pass(
             _ptr(self.words, _UINT64), _ptr(self.coverage, _INT64),
             _ptr(self.rule_node, _INT64), _ptr(self.rule_slot, _INT64),
-            _ptr(self.rule_offset, _INT64), _ptr(self.flat, _DOUBLE),
+            _ptr(self.rule_key, _INT64), _ptr(self.key_range, _INT64),
+            len(self.key_range), _ptr(self.flat, _DOUBLE),
             _ptr(self.rank, _INT32), len(self.flat), len(self.rule_node),
             self.words.shape[1], _ptr(planes, _UINT64), n_batch,
             _ptr(min_p, _DOUBLE), _ptr(hist, _INT64),
@@ -551,11 +574,14 @@ class _NativeStats:
             raise MemoryError("permutation pass scratch")
         if status:
             raise CorrectionError(
-                "a permutation support fell outside its p-value table")
+                "a rule's p-value table lies outside its p-value store")
 
 
 #: Table entries ranked per ``searchsorted`` call.
 _RANK_CHUNK = 1 << 16
+#: A pass's bytes per permutation: its spawned ``SeedSequence``
+#: (~0.3 KiB under ``tracemalloc``) and its min-p entry.
+_PERMUTATION_BYTES = 512
 _INT32 = ctypes.POINTER(ctypes.c_int32)
 _INT64 = ctypes.POINTER(ctypes.c_int64)
 _UINT64 = ctypes.POINTER(ctypes.c_uint64)

@@ -36,6 +36,9 @@ from .items import Item, ItemCatalog
 
 __all__ = ["Dataset", "ClassSummary"]
 
+#: Bytes of item rows :meth:`Dataset.pattern_arena` gathers at once.
+GATHER_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class ClassSummary:
@@ -347,6 +350,49 @@ class Dataset:
             if not words.any():
                 break
         return TidVector(words, self.n_records)
+
+    def pattern_arena(self, item_ids: Sequence[int],
+                      item_offsets: Sequence[int]) -> np.ndarray:
+        """The tidsets of many patterns as one ``(n_patterns,
+        n_words)`` packed arena: row ``i`` holds
+        :meth:`pattern_tidset` of ``item_ids[item_offsets[i]:
+        item_offsets[i + 1]]``.
+
+        ``item_offsets`` rises from 0 to ``len(item_ids)`` (CSR). Each
+        run of patterns whose item rows fit in :data:`GATHER_BYTES`
+        gathers them once, and every pattern's intersection is one
+        segment of a single ``np.bitwise_and.reduceat``; the empty
+        pattern covers every record.
+        """
+        item_ids = np.asarray(item_ids, dtype=np.int64)
+        item_offsets = np.asarray(item_offsets, dtype=np.int64)
+        if (item_offsets.ndim != 1 or not len(item_offsets)
+                or item_offsets[0] != 0
+                or item_offsets[-1] != len(item_ids)
+                or (np.diff(item_offsets) < 0).any()):
+            raise DataError("item_offsets must rise from 0 to "
+                            "len(item_ids)")
+        n_words = words_for(self.n_records)
+        words = np.empty((len(item_offsets) - 1, n_words),
+                         dtype=np.uint64)
+        words[:] = TidVector.universe(self.n_records).words
+        rows = max(1, GATHER_BYTES // (8 * n_words))
+        low = 0
+        while low < len(words):
+            # The patterns low..high-1 hold at most ``rows`` items (or
+            # are the one pattern at low).
+            high = max(low + 1, int(np.searchsorted(
+                item_offsets, item_offsets[low] + rows, "right")) - 1)
+            starts = item_offsets[low:high] - item_offsets[low]
+            items = item_offsets[low + 1:high + 1] - item_offsets[low] \
+                > starts
+            if items.any():
+                words[low:high][items] = np.bitwise_and.reduceat(
+                    self._item_arena[item_ids[item_offsets[low]:
+                                              item_offsets[high]]],
+                    starts[items], axis=0)
+            low = high
+        return words
 
     def pattern_support(self, item_ids: Iterable[int]) -> int:
         """Support (coverage) of a pattern."""

@@ -161,8 +161,9 @@ def classify_decisions(
     embedded_tidsets = [dataset.pattern_tidset(e.item_ids)
                         for e in embedded]
     # rule -> (true positive?, most excusing adjusted p-value). Rules
-    # are keyed by value, so equal rules from different decisions (each
-    # correction builds its own views) are judged once. A rule that
+    # are keyed by value, so equal rules from different decisions
+    # (views of different rule sets, or holdout copies) are judged
+    # once. A rule that
     # matches no embedded rule is a false positive (on pure-noise data,
     # Section 5.4, every significant rule is one) unless an
     # overlapping embedded rule explains it away.

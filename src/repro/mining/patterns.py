@@ -30,7 +30,7 @@ parents that precede their children.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional, Sequence
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -228,12 +228,7 @@ class PatternSet:
         forest.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        starts = self.item_offsets[rows]
-        lengths = self.item_offsets[rows + 1] - starts
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        gather = (np.repeat(starts - offsets[:-1], lengths)
-                  + np.arange(offsets[-1]))
+        item_ids, offsets = self.items_of(rows)
         parent = None
         if self.parent is not None:
             n = len(self)
@@ -247,10 +242,23 @@ class PatternSet:
             parent = position[ancestor[up[rows]]]
         return PatternSet(
             matrix=BitMatrix(self.matrix.words[rows], self.n_records),
-            supports=self.supports[rows], item_ids=self.item_ids[gather],
+            supports=self.supports[rows], item_ids=item_ids,
             item_offsets=offsets, n_records=self.n_records,
             min_sup=self.min_sup, parent=parent, algorithm=self.algorithm,
             provenance=dict(self.provenance))
+
+    def items_of(self, rows: Sequence[int],
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(item_ids, item_offsets)``: the CSR item columns of the
+        patterns at ``rows`` (any order, repeats allowed)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.item_offsets[rows]
+        lengths = self.item_offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        gather = (np.repeat(starts - offsets[:-1], lengths)
+                  + np.arange(offsets[-1]))
+        return self.item_ids[gather], offsets
 
     # -- sequence protocol: Pattern views built on access -------------
 

@@ -157,6 +157,12 @@ class RuleSet:
         self.min_sup = min_sup
         self.scorer = scorer
         self._tables = tables
+        # Each row's view once built (None until then).
+        self._view_cache: Optional[List[Optional[ClassRule]]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Views are rebuilt on access; a worker is sent the columns.
+        return dict(self.__dict__, _view_cache=None)
 
     def take(self, rows: Sequence[int]) -> "RuleSet":
         """The rules at ``rows``, every column cut, on the same
@@ -170,7 +176,9 @@ class RuleSet:
     @property
     def rules(self) -> "Rules":
         """The rules as a read-only sequence of :class:`ClassRule`
-        views, built on access."""
+        views, each built on its first access and shared from then
+        on (every correction that accepts a rule returns the same
+        object)."""
         return Rules(self)
 
     @property
@@ -232,9 +240,9 @@ class Rules(SequenceABC):
     """A :class:`RuleSet`'s rules as a read-only sequence.
 
     ``len``, iteration and indexing by an int, a slice, an integer
-    array or a boolean mask (a list of rules, in that order) build
-    :class:`ClassRule` views on access; their fields are plain
-    ``int``/``float``.
+    array or a boolean mask (a list of rules, in that order) return
+    :class:`ClassRule` views, built on a row's first access and kept
+    by the rule set; their fields are plain ``int``/``float``.
     """
 
     __slots__ = ("_ruleset",)
@@ -260,6 +268,19 @@ class Rules(SequenceABC):
         rows = np.asarray(rows)
         rows = (np.flatnonzero(rows) if rows.dtype == bool
                 else rows.astype(np.int64, copy=False))
+        if ruleset._view_cache is None:
+            ruleset._view_cache = [None] * len(self)
+        cache = ruleset._view_cache
+        rows = rows.tolist()
+        new = [row for row in rows if cache[row] is None]
+        for row, view in zip(new, self._build(np.array(new,
+                                                      dtype=np.int64))):
+            cache[row] = view
+        return [cache[row] for row in rows]
+
+    def _build(self, rows: np.ndarray) -> List[ClassRule]:
+        """New views of ``rows``."""
+        ruleset = self._ruleset
         ids = ruleset.pattern_ids[rows]
         if not len(ids):
             return []

@@ -61,7 +61,8 @@ def pmf(k: int, n: int, n_c: int, supp_x: int,
 
 
 def pmf_table(n: int, n_c: int, supp_x: int,
-              buffer: LogFactorialBuffer | None = None) -> List[float]:
+              buffer: LogFactorialBuffer | None = None,
+              window: Tuple[int, int] | None = None) -> List[float]:
     """Return ``[H(L), ..., H(U)]`` in O(U - L).
 
     Uses the recurrence
@@ -76,16 +77,23 @@ def pmf_table(n: int, n_c: int, supp_x: int,
     its order, so each entry equals :func:`pmf` bit for bit. A seed
     that underflowed to 0.0 would zero the whole table; a subnormal
     one carries too few significant bits, and the recurrence would
-    copy its relative error into every entry.
+    copy its relative error into every entry. Only there may
+    ``window = (low, high)`` narrow the table to ``[H(low), ...,
+    H(high)]``, each entry the same bits; the recurrence path raises
+    :class:`~repro.errors.StatsError` for any window but ``(L, U)``.
 
     This is the pmf stage of the scalar p-value table builder
     (:mod:`repro.stats.pvalue_scalar`); the native kernel repeats it
     operation for operation.
     """
     low, high = support_bounds(n, n_c, supp_x)
+    first, last = window if window is not None else (low, high)
+    if not low <= first <= last <= high:
+        raise StatsError(f"window [{first}, {last}] outside [{low}, "
+                         f"{high}]")
     buffer = buffer or default_buffer()
-    first = pmf(low, n, n_c, supp_x, buffer)
-    if first < sys.float_info.min:
+    seed = pmf(low, n, n_c, supp_x, buffer)
+    if seed < sys.float_info.min:
         lf = _log_factorials(buffer, n)
 
         def log_binomial(a: int, b: int) -> float:
@@ -95,9 +103,12 @@ def pmf_table(n: int, n_c: int, supp_x: int,
         return [math.exp(log_binomial(n_c, k)
                          + log_binomial(n - n_c, supp_x - k)
                          - denominator)
-                for k in range(low, high + 1)]
-    table = [first]
-    value = first
+                for k in range(first, last + 1)]
+    if (first, last) != (low, high):
+        raise StatsError(f"window [{first}, {last}] of a ratio-"
+                         f"recurrence table must be [{low}, {high}]")
+    table = [seed]
+    value = seed
     for k in range(low, high):
         numerator = (n_c - k) * (supp_x - k)
         denominator = (k + 1) * (n - n_c - supp_x + k + 1)

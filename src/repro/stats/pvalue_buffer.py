@@ -71,8 +71,8 @@ class PValueBuffer:
         self.midp = midp
         self.low, self.high = support_bounds(n, n_c, supp_x)
         pvalues = np.empty(self.high - self.low + 1)
-        fill_fisher_tables(n, [n_c], [supp_x], [0], pvalues, midp=midp,
-                           logfact=buffer)
+        fill_fisher_tables(n, [n_c], [supp_x], [self.low], [self.high],
+                           [0], pvalues, midp=midp, logfact=buffer)
         pvalues.flags.writeable = False
         self._pvalues = pvalues
 

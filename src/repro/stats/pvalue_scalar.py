@@ -20,7 +20,7 @@ for mining, and the oracle it is tested against bit for bit.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import StatsError
 from .hypergeom import pmf_table
@@ -82,8 +82,19 @@ def mid_p(pvalues: Sequence[float],
 
 def pvalue_table(n: int, n_c: int, supp_x: int,
                  buffer: Optional[LogFactorialBuffer] = None,
-                 midp: bool = False) -> List[float]:
-    """The exact (or mid-p) p-value of every ``supp(R)`` in ``[L, U]``."""
-    table = pmf_table(n, n_c, supp_x, buffer)
+                 midp: bool = False,
+                 window: Optional[Tuple[int, int]] = None) -> List[float]:
+    """The exact (or mid-p) p-value of every ``supp(R)`` in ``[L, U]``,
+    or in ``window``.
+
+    A log-space table's ``window`` must hold every support whose pmf
+    is not 0.0 (a live window of
+    :func:`~repro.stats.pvalue_tables.live_windows`): the zeros outside
+    it are the first group the walk takes, so the walk over the window
+    gives each of its supports the full table's bits. See
+    :func:`~repro.stats.hypergeom.pmf_table` for where a window may
+    narrow the table.
+    """
+    table = pmf_table(n, n_c, supp_x, buffer, window)
     pvalues = two_ends_sum_up(table)
     return mid_p(pvalues, table) if midp else pvalues

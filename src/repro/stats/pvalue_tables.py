@@ -4,12 +4,20 @@ For fixed ``n`` and class support ``n_c`` a rule's p-value depends only
 on its coverage ``supp(X)`` and support ``supp(R)``, so rules of the
 same class and coverage share one table of every reachable support
 ``[L, U]``. :class:`PValueTables` builds that table once per distinct
-``(class, coverage)`` key a rule set needs, into one float64 array
-preallocated from :func:`~repro.stats.hypergeom.support_bounds`. Each
-key has one offset that already absorbs its ``L``, so a rule's p-value
-is ``flat[offset + supp(R)]`` and any batch of rules — Score's
-observed supports, or every rule under a block of permutations —
-resolves with one fancy index.
+``(class, coverage)`` key a rule set needs, into one float64 array.
+
+It stores only what is not known to be 0.0. At large ``n`` the pmf is
+evaluated in log space, and far into either tail ``exp`` underflows to
+exactly 0.0 (on Mushroom, 38% of the full tables' entries); those
+zeros are the first group Figure 2's walk takes, so their p-values are
+0.0 too. Such a table is built and stored over its *live window*
+(:func:`live_windows`) plus one 0.0 pad on each side where entries
+were dropped. Each key keeps an offset and its stored support range
+``[first, last]``, so a rule's p-value is
+``flat[offset + clip(supp(R), first, last)]`` and any batch of rules —
+Score's observed supports, or every rule under a block of
+permutations — still resolves with one fancy index, after one
+:meth:`PValueTables.index` of the rules' keys.
 
 Fisher and mid-p tables (the hypergeometric pmf and Figure 2's
 two-ends walk) are built by :func:`fill_fisher_tables`: with the
@@ -29,6 +37,8 @@ from __future__ import annotations
 
 import ctypes
 import logging
+import math
+import sys
 import time
 from typing import Optional, Sequence, Tuple
 
@@ -40,41 +50,101 @@ from .chi2 import chi2_rule_p_value
 from .logfact import LogFactorialBuffer, default_buffer
 from .pvalue_scalar import RELATIVE_TIE_TOLERANCE, pvalue_table
 
-__all__ = ["PValueTables", "SCORERS", "fill_fisher_tables",
-           "score_rules"]
+__all__ = ["LOG_PMF_FLOOR", "PValueTables", "SCORERS",
+           "fill_fisher_tables", "live_windows", "score_rules"]
 
 _LOG = logging.getLogger("repro.stats")
 
 #: The rule scorers a store can tabulate.
 SCORERS = ("fisher", "fisher-midp", "chi2")
 
+#: A log-pmf at or above this is in a table's live window. exp(x) is
+#: exactly 0.0 below ln(2**-1075) ~ -745.13; the margin absorbs any
+#: rounding in the window search.
+LOG_PMF_FLOOR = -750.0
+
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 
 
+def live_windows(n: int, n_c: np.ndarray, coverages: np.ndarray,
+                 lf: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per key ``(n_c[i], coverages[i])``, the supports ``[low, high]``
+    its Fisher table is built over (int64 arrays).
+
+    A table on the ratio recurrence (its seed ``H(L)`` a normal double)
+    is built whole, ``[L, U]``. A log-space table is built over its
+    *live window*: the supports whose log-pmf is at least
+    :data:`LOG_PMF_FLOOR`. Everywhere else the pmf is ``exp(x)`` with
+    ``x`` below ``ln(2**-1075)``, which is exactly 0.0. The log-pmf is
+    concave in the support, so the window is found by two binary
+    searches from the mode, vectorized over the keys. ``lf`` holds
+    ``ln(k!)`` for ``k = 0..n``; the seeds repeat the builders'
+    operations, so the path each key takes here is the one its builder
+    takes.
+    """
+    low = np.maximum(0, n_c + coverages - n)
+    high = np.minimum(n_c, coverages)
+
+    def log_pmf(k, c, s):
+        return (lf[c] - lf[k] - lf[c - k]
+                + (lf[n - c] - lf[s - k] - lf[n - c - s + k])
+                - (lf[n] - lf[s] - lf[n - s]))
+
+    seeds = log_pmf(low, n_c, coverages).tolist()
+    keys = np.flatnonzero([math.exp(x) < sys.float_info.min
+                           for x in seeds])
+    first, last = low.copy(), high.copy()
+    c, s = n_c[keys], coverages[keys]
+    mode = np.clip((s + 1) * (c + 1) // (n + 2), low[keys], high[keys])
+    # The smallest live support at or below the mode ...
+    left, right = low[keys], mode
+    while (left < right).any():
+        middle = (left + right) // 2
+        live = log_pmf(middle, c, s) >= LOG_PMF_FLOOR
+        right = np.where(live, middle, right)
+        left = np.where(live, left, middle + 1)
+    first[keys] = left
+    # ... and the largest at or above it.
+    left, right = mode, high[keys]
+    while (left < right).any():
+        middle = (left + right + 1) // 2
+        live = log_pmf(middle, c, s) >= LOG_PMF_FLOOR
+        left = np.where(live, middle, left)
+        right = np.where(live, right, middle - 1)
+    last[keys] = left
+    return first, last
+
+
 def fill_fisher_tables(n: int, n_c: Sequence[int],
-                       coverages: Sequence[int], starts: Sequence[int],
+                       coverages: Sequence[int], lows: Sequence[int],
+                       highs: Sequence[int], starts: Sequence[int],
                        out: np.ndarray,
                        midp: bool = False,
                        logfact: Optional[LogFactorialBuffer] = None,
                        ) -> bool:
-    """Write the p-value table of every key ``(n_c[i], coverages[i])``
-    to ``out[starts[i]:]``; return whether the native kernel ran.
+    """Write the p-values of every key ``(n_c[i], coverages[i])`` over
+    its window ``[lows[i], highs[i]]`` to ``out[starts[i]:]``; return
+    whether the native kernel ran.
 
-    ``n_c``, ``coverages`` and ``starts`` are integer sequences of one
-    length and ``out`` a writable contiguous float64 array that holds
-    every table. Each table holds the exact (or, with ``midp``,
-    Lancaster mid-p) two-tailed p-value of every ``supp(R)`` in its
-    ``[L, U]``, equal bit for bit to
-    :func:`~repro.stats.pvalue_scalar.pvalue_table`. Keys or offsets
-    out of range, and a pmf with NaN, raise
+    ``n_c``, ``coverages``, ``lows``, ``highs`` and ``starts`` are
+    integer sequences of one length and ``out`` a writable contiguous
+    float64 array that holds every window. Each holds the exact (or,
+    with ``midp``, Lancaster mid-p) two-tailed p-value of every
+    ``supp(R)`` in its window, equal bit for bit to the full table of
+    :func:`~repro.stats.pvalue_scalar.pvalue_table`. A window is
+    ``[L, U]`` or, on the log-space path, any range holding every
+    support whose pmf is not 0.0 (:func:`live_windows`). Keys, windows
+    or offsets out of range, and a pmf with NaN, raise
     :class:`~repro.errors.StatsError`.
     """
-    n_c = np.ascontiguousarray(n_c, dtype=np.int64)
-    coverages = np.ascontiguousarray(coverages, dtype=np.int64)
-    starts = np.ascontiguousarray(starts, dtype=np.int64)
-    if n_c.ndim != 1 or not n_c.shape == coverages.shape == starts.shape:
-        raise StatsError("n_c, coverages and starts differ in shape")
+    n_c, coverages, lows, highs, starts = (
+        np.ascontiguousarray(column, dtype=np.int64)
+        for column in (n_c, coverages, lows, highs, starts))
+    if n_c.ndim != 1 or not (n_c.shape == coverages.shape == lows.shape
+                             == highs.shape == starts.shape):
+        raise StatsError("n_c, coverages, windows and starts differ in "
+                         "shape")
     if (out.dtype != np.float64 or out.ndim != 1
             or not out.flags.c_contiguous or not out.flags.writeable):
         raise StatsError("out must be a writable contiguous 1-d float64 "
@@ -82,9 +152,11 @@ def fill_fisher_tables(n: int, n_c: Sequence[int],
     buffer = logfact or default_buffer()
     suite = _native.load_suite()
     if suite is None:
-        for n_ci, coverage, start in zip(n_c.tolist(), coverages.tolist(),
-                                         starts.tolist()):
-            table = pvalue_table(n, n_ci, coverage, buffer, midp)
+        for n_ci, coverage, low, high, start in zip(
+                n_c.tolist(), coverages.tolist(), lows.tolist(),
+                highs.tolist(), starts.tolist()):
+            table = pvalue_table(n, n_ci, coverage, buffer, midp,
+                                 (low, high))
             if not 0 <= start <= len(out) - len(table):
                 raise StatsError("p-value table outside out")
             out[start:start + len(table)] = table
@@ -94,15 +166,15 @@ def fill_fisher_tables(n: int, n_c: Sequence[int],
     lf = buffer.as_array(n)
     status = suite.pvalue_tables(
         lf.ctypes.data_as(_DOUBLE_P), int(n), n_c.ctypes.data_as(_INT64_P),
-        coverages.ctypes.data_as(_INT64_P),
-        starts.ctypes.data_as(_INT64_P), len(n_c),
-        RELATIVE_TIE_TOLERANCE, int(midp), out.ctypes.data_as(_DOUBLE_P),
-        len(out))
+        coverages.ctypes.data_as(_INT64_P), lows.ctypes.data_as(_INT64_P),
+        highs.ctypes.data_as(_INT64_P), starts.ctypes.data_as(_INT64_P),
+        len(n_c), RELATIVE_TIE_TOLERANCE, int(midp),
+        out.ctypes.data_as(_DOUBLE_P), len(out))
     if status == -1:
         raise StatsError("pmf table is not unimodal or contains NaN")
     if status == -3:
-        raise StatsError("p-value table key out of [0, n] or table "
-                         "outside out")
+        raise StatsError("p-value table key out of [0, n], window "
+                         "outside its table, or table outside out")
     if status != 0:
         raise MemoryError("p-value tables: native scratch allocation "
                           "failed")
@@ -127,11 +199,23 @@ class PValueTables:
     Attributes
     ----------
     flat:
-        Every table, back to back, as one read-only float64 array.
+        Every stored table, back to back, as one read-only float64
+        array: a ratio-recurrence or chi-square table over its whole
+        ``[L, U]``, a log-space table over its live window (see
+        :func:`live_windows`) plus one 0.0 pad on each side where the
+        window dropped entries.
+    offsets, first, last:
+        Per key, in :meth:`index` order (int64): the key stores the
+        p-values of supports ``first..last`` at ``flat[offsets +
+        first]`` onward. A support ``k`` in its reachable range
+        ``[L, U]`` has p-value ``flat[offsets + clip(k, first,
+        last)]``: beyond a log-space table's live window every
+        p-value is 0.0, and so is the pad kept on each side where
+        entries were dropped.
     n_built:
         Number of tables built: the number of distinct keys.
     n_entries:
-        Number of p-values in all tables: ``len(flat)``.
+        Number of p-values stored: ``len(flat)``.
     """
 
     def __init__(self, n: int, class_supports: Sequence[int],
@@ -159,10 +243,23 @@ class PValueTables:
         key_n_c = n_c[key_class]
         self._low = np.maximum(0, key_n_c + key_coverage - n)
         self._high = np.minimum(key_n_c, key_coverage)
-        widths = self._high - self._low + 1
+        began = time.perf_counter()
+        buffer = logfact or default_buffer()
+        if scorer == "chi2":
+            live_low, live_high = self._low, self._high
+        else:
+            live_low, live_high = live_windows(
+                n, key_n_c, key_coverage, buffer.as_array(n))
+        # One 0.0 pad on each side where a window dropped entries.
+        left_pad = live_low > self._low
+        right_pad = live_high < self._high
+        self.first = live_low - left_pad
+        self.last = live_high + right_pad
+        widths = self.last - self.first + 1
         starts = np.cumsum(widths) - widths
         flat = np.empty(int(widths.sum()))
-        began = time.perf_counter()
+        flat[starts[left_pad]] = 0.0
+        flat[(starts + widths - 1)[right_pad]] = 0.0
         if scorer == "chi2":
             for n_ci, coverage, low, high, start in zip(
                     key_n_c.tolist(), key_coverage.tolist(),
@@ -172,22 +269,27 @@ class PValueTables:
                     chi2_rule_p_value(k, n, n_ci, coverage)
                     for k in range(low, high + 1)]
             builder = "chi2 scalar"
-        elif fill_fisher_tables(n, key_n_c, key_coverage, starts, flat,
+        elif fill_fisher_tables(n, key_n_c, key_coverage, live_low,
+                                live_high,
+                                starts + (live_low - self.first), flat,
                                 midp=scorer == "fisher-midp",
-                                logfact=logfact):
+                                logfact=buffer):
             builder = "native"
         else:
             builder = f"scalar (native kernels {_native.native_status()})"
         flat.flags.writeable = False
         self.flat = flat
-        self._offsets = starts - self._low
+        self.offsets = starts - self.first
         self.n_built = len(self._keys)
         self.n_entries = len(flat)
         _LOG.debug("p-value tables: %s, %d keys, %d entries, %s, %.6f s",
                    scorer, self.n_built, self.n_entries, builder,
                    time.perf_counter() - began)
 
-    def _index(self, classes, coverages) -> np.ndarray:
+    def index(self, classes, coverages) -> np.ndarray:
+        """Per rule, the position of its ``(class, coverage)`` key in
+        :attr:`offsets`, :attr:`first` and :attr:`last` (int64). A key
+        without a table raises :class:`~repro.errors.StatsError`."""
         keys = (np.asarray(classes, dtype=np.int64) * (self.n + 1)
                 + np.asarray(coverages, dtype=np.int64))
         index = np.searchsorted(self._keys, keys)
@@ -199,18 +301,13 @@ class PValueTables:
                              f"coverage {s}")
         return index
 
-    def offsets(self, classes, coverages) -> np.ndarray:
-        """Per rule, the offset with ``flat[offset + supp(R)]`` its
-        p-value (int64)."""
-        return self._offsets[self._index(classes, coverages)]
-
     def p_values(self, classes, coverages, supports) -> np.ndarray:
         """The p-values of rules given by class, coverage and support.
 
         A support outside its key's reachable range ``[L, U]`` is
         impossible and raises :class:`~repro.errors.StatsError`.
         """
-        index = self._index(classes, coverages)
+        index = self.index(classes, coverages)
         supports = np.asarray(supports, dtype=np.int64)
         outside = ((supports < self._low[index])
                    | (supports > self._high[index]))
@@ -222,7 +319,9 @@ class PValueTables:
                 f"[{int(self._low[index[i]])}, "
                 f"{int(self._high[index[i]])}] for class {c}, "
                 f"coverage {s}")
-        return self.flat[self._offsets[index] + supports]
+        return self.flat[self.offsets[index]
+                         + np.clip(supports, self.first[index],
+                                   self.last[index])]
 
     def p_value(self, class_index: int, coverage: int,
                 support: int) -> float:

@@ -9,10 +9,13 @@ without a compiler and the oracle here: every property compares the
 public statistics of both paths exactly, over binary and multiclass
 data (one class on no rule's right-hand side, every binary rule on
 class 1), tables with ties and p = 1.0 plateaus, permutation counts
-around the block size, both parallel backends and an empty rule set. A wide forest pins the sizing: the
-native path runs blocks of more than one labelling within its memory
-budget without a per-block support array, and the numpy path's tiled
-kernel stays within twice its budget.
+around the block size, both parallel backends and an empty rule set;
+supports past a log-space table's live window are checked against the
+full scalar tables. A wide forest pins the sizing: the native path
+runs blocks of more than one labelling within its memory budget
+without a per-block support array, and so does full Adult under the
+default budget; the numpy path's tiled kernel stays within twice its
+budget.
 """
 
 from __future__ import annotations
@@ -31,11 +34,13 @@ from repro.corrections.permutation import (
     DEFAULT_BATCH_BYTES,
     NATIVE_BATCH_ROWS,
 )
-from repro.data import Dataset, make_mushroom
+from repro.data import Dataset, make_adult, make_mushroom
 from repro.errors import CorrectionError
 from repro.mining import mine_class_rules
+from repro.stats import support_bounds
+from repro.stats.pvalue_scalar import pvalue_table
 
-from .permutation_oracle import reference
+from .permutation_oracle import reference, rule_supports, statistics
 
 PERMUTATION_COUNTS = (1, 5, NATIVE_BATCH_ROWS - 1, NATIVE_BATCH_ROWS,
                       NATIVE_BATCH_ROWS + 1, 2 * NATIVE_BATCH_ROWS + 3)
@@ -142,7 +147,7 @@ class TestSeeded:
     def test_support_outside_table_raises(self, multiclass):
         _require_native()
         engine = PermutationEngine(multiclass, n_permutations=3, seed=0)
-        engine._offsets = engine._offsets + len(engine._flat)
+        engine._keys = engine._keys + engine._tables.n_built
         with pytest.raises(CorrectionError, match="outside its p-value"):
             engine.run()
 
@@ -182,6 +187,64 @@ class TestSeeded:
         native = _statistics(ruleset, True, **options)
         _assert_identical(native, _statistics(ruleset, False, **options))
         assert np.array_equal(native[0], np.ones(NATIVE_BATCH_ROWS + 1))
+
+
+def test_supports_beyond_live_windows():
+    """Labellings that put rules' supports past their tables' live
+    windows (3,000 records, attribute 0 copies the class, so the
+    unshuffled labelling gives its rules the extreme support ``U``):
+    both paths clamp into the stored range and reproduce the
+    statistics of the full scalar tables."""
+    _require_native()
+    ruleset = mine_class_rules(_dataset(23, 3000, 3, 2, 1.0), 300)
+    tables = ruleset.tables
+    assert (tables.first > tables._low).any()
+    assert (tables.last < tables._high).any()
+    labels = np.array(ruleset.dataset.class_labels, dtype=np.int64)
+    rng = np.random.default_rng(0)
+    blocks = [labels, np.roll(labels, 1), rng.permutation(labels),
+              labels]
+    n = ruleset.dataset.n_records
+    full = {}
+    perm_p = []
+    for block in blocks:
+        row = []
+        for rule, k in zip(ruleset.rules, rule_supports(ruleset, block)):
+            n_c = ruleset.dataset.class_support(rule.class_index)
+            key = (n_c, rule.coverage)
+            if key not in full:
+                full[key] = pvalue_table(n, n_c, rule.coverage)
+            low = support_bounds(n, n_c, rule.coverage)[0]
+            row.append(full[key][k - low])
+        perm_p.append(row)
+    assert min(perm_p[0]) == 0.0
+    expected = statistics(ruleset.p_values().tolist(), perm_p)
+
+    class Replay:
+        """Stands in for the seeded generators: hands out
+        ``blocks`` in permutation order."""
+
+        def __init__(self, queue, seed):
+            self._queue = queue
+
+        def permutation(self, _labels):
+            return next(self._queue)
+
+    for native in (True, False):
+        queue = iter(blocks)
+        with pytest.MonkeyPatch.context() as patch:
+            if not native:
+                patch.setattr(_native, "load_suite", lambda: None)
+            patch.setattr(np.random, "default_rng",
+                          lambda seed: Replay(queue, seed))
+            engine = PermutationEngine(ruleset,
+                                       n_permutations=len(blocks),
+                                       seed=0)
+            engine.run()
+        assert engine._native is native
+        assert np.array_equal(engine._min_p, expected[0])
+        assert np.array_equal(engine._pooled_counts, expected[1])
+        assert np.array_equal(engine._stepdown_counts, expected[2])
 
 
 class TestDispatchLog:
@@ -231,29 +294,41 @@ def wide_ruleset():
 
 def test_wide_forest_resource_contract(wide_ruleset):
     """The wide forest's whole-matrix numpy broadcast (9 bytes per
-    word-cell) exceeds a 16 MiB budget. The native path must batch,
-    and the fused pass keeps no per-block support array: its peak
-    stays within the budget plus the pass's per-rule columns (the
-    observed order and p-values, each rule's node, slot and offset,
-    the three statistics), with no term in the forest's size."""
+    word-cell) exceeds a 14 MiB budget. The native path must batch,
+    and the fused pass keeps no per-block support array: its peak,
+    per-rule columns and rank table included, stays within the
+    budget, where a ``(B, n_nodes)`` support block would not fit."""
     _require_native()
-    budget = 16 * 2 ** 20
+    budget = 14 * 2 ** 20
     engine = PermutationEngine(wide_ruleset, n_permutations=40, seed=0,
                                batch_bytes=budget)
     matrix = engine._matrix
     assert matrix.n_rows * matrix.n_words * 9 > budget
     n_batch = engine._batch_rows()
-    assert n_batch > 1
-    columns = 10 * 8 * len(wide_ruleset.rules)
-    # A (B, n_nodes) int64 support block would not fit in the slack.
-    assert n_batch * matrix.n_rows * 8 > columns
+    # The budget, not the permutation count, bounds the block.
+    assert 1 < n_batch < 40
     tracemalloc.start()
     try:
         engine.run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= budget + columns
+    assert peak <= budget
+    assert peak + n_batch * matrix.n_rows * 8 > budget
+
+
+def test_full_adult_runs_blocks():
+    """Full ``make_adult`` at min_sup 1628 under the default budget:
+    its full p-value tables would need an int32 rank table larger
+    than the whole budget, which left one labelling per block. The
+    windowed store leaves room for blocks."""
+    _require_native()
+    ruleset = mine_class_rules(make_adult(seed=0), 1628)
+    tables = ruleset.tables
+    full = int((tables._high - tables._low + 1).sum())
+    assert 4 * full > DEFAULT_BATCH_BYTES
+    engine = PermutationEngine(ruleset, n_permutations=1000)
+    assert engine._batch_rows() > 1
 
 
 def test_wide_forest_numpy_memory(wide_ruleset):

@@ -102,6 +102,50 @@ class TestCounting:
         assert tiny_dataset.item_support(item_m) == 4
 
 
+class TestPatternArena:
+    """``pattern_arena`` against ``pattern_tidset``, row by row."""
+
+    @staticmethod
+    def _csr(patterns):
+        offsets = np.cumsum([0] + [len(p) for p in patterns])
+        item_ids = [i for p in patterns for i in p]
+        return item_ids, offsets
+
+    @pytest.mark.parametrize("gather_bytes", (1, 8 * 5, 1 << 18))
+    @pytest.mark.parametrize("n_records", (2, 63, 64, 65, 300))
+    def test_rows_equal_pattern_tidset(self, n_records, gather_bytes,
+                                       monkeypatch):
+        """Whether a gather holds one item row, a few or every one."""
+        from repro.data import dataset
+
+        monkeypatch.setattr(dataset, "GATHER_BYTES", gather_bytes)
+        rng = np.random.default_rng(n_records)
+        records = [[f"v{v}" for v in row]
+                   for row in rng.integers(0, 3, (n_records, 4))]
+        labels = rng.integers(0, 2, n_records)
+        labels[:2] = (0, 1)
+        ds = Dataset.from_records(records, [f"c{c}" for c in labels])
+        patterns = [[i % ds.n_items for i in p] for p in (
+            [], [0], [1, 4], [4, 1], [0, 1], [0, 0], [2, 5, 8, 11], [],
+            [3, 7], [])]
+        patterns += [rng.choice(ds.n_items, size=k, replace=False)
+                     .tolist() for k in (1, 2, 3, 4) for _ in range(5)]
+        words = ds.pattern_arena(*self._csr(patterns))
+        assert words.shape == (len(patterns), (n_records + 63) // 64)
+        for row, pattern in zip(words, patterns):
+            assert np.array_equal(row, ds.pattern_tidset(pattern).words)
+
+    def test_empty_and_edge_inputs(self, tiny_dataset):
+        words = tiny_dataset.pattern_arena([], [0])
+        assert words.shape == (0, 1)
+        words = tiny_dataset.pattern_arena([], [0, 0])
+        assert TidVector(words[0], 8) == TidVector.universe(8)
+        for item_ids, offsets in (([1], [0]), ([1], [1, 1]),
+                                  ([1, 2], [0, 2, 1]), ([], [])):
+            with pytest.raises(DataError):
+                tiny_dataset.pattern_arena(item_ids, offsets)
+
+
 class TestTransformations:
     def test_with_class_labels_shares_tidsets(self, tiny_dataset):
         flipped = tiny_dataset.with_class_labels(

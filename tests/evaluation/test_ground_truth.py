@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.data import GeneratorConfig, generate
@@ -190,14 +191,16 @@ class TestClassification:
 
     def test_equal_rules_of_two_decisions_are_judged_once(
             self, planted, monkeypatch):
-        """Each correction builds its own rule views: equal but
-        distinct rule objects are one rule to judge."""
+        """Views of two rule sets over the same rows (a cut of the
+        mined set, say) are equal but distinct rule objects: one rule
+        to judge."""
         from repro.evaluation import ground_truth
 
         data, ruleset = planted
         e = data.embedded_rules[0]
+        copy = ruleset.take(np.arange(ruleset.n_tests))
         first = [r for r in ruleset.rules if r.p_value <= 1e-2]
-        second = [r for r in ruleset.rules if r.p_value <= 1e-2]
+        second = [r for r in copy.rules if r.p_value <= 1e-2]
         assert first == second
         assert all(a is not b for a, b in zip(first, second))
         calls = []

@@ -84,11 +84,27 @@ class TestRulesSequence:
             ruleset.rules[n]
         assert list(ruleset.rules) == rules
 
+    def test_a_row_has_one_view(self, ruleset):
+        rules = ruleset.rules
+        first = rules[[4, 2, 4]]
+        assert first[0] is first[2] is rules[4] is ruleset.rules[4]
+        assert list(rules)[2] is first[1]
+        assert rules[np.arange(len(rules)) == 2][0] is first[1]
+
+    def test_pickled_rule_set_drops_its_views(self, ruleset):
+        import pickle
+
+        view = ruleset.rules[3]
+        clone = pickle.loads(pickle.dumps(ruleset))
+        assert clone._view_cache is None
+        assert clone.rules[3] == view and clone.rules[3] is not view
+
     def test_views_are_frozen_and_hashable(self, ruleset):
         rule = ruleset.rules[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             rule.p_value = 0.0
-        again = ruleset.rules[0]
+        # A cut rule set builds its own view of the same row.
+        again = ruleset.take([0]).rules[0]
         assert again is not rule
         assert again == rule and hash(again) == hash(rule)
 
@@ -135,7 +151,7 @@ def construction_count(monkeypatch):
     """Counts every :class:`ClassRule` built: the views of
     ``RuleSet.rules`` and every ``__init__`` (``replace`` too)."""
     built = []
-    views = Rules._views
+    views = Rules._build
     init = ClassRule.__init__
 
     def counting_views(self, rows):
@@ -147,7 +163,7 @@ def construction_count(monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Rules, "_views", counting_views)
+    monkeypatch.setattr(Rules, "_build", counting_views)
     monkeypatch.setattr(ClassRule, "__init__", counting_init)
     return built
 
@@ -165,3 +181,20 @@ def test_a_run_builds_views_of_decided_rules_only(construction_count,
         bound += len(run.candidates)
     assert 0 < decided.n_significant
     assert len(construction_count) <= bound
+
+
+def test_corrections_share_each_rule_view(construction_count):
+    """BC and BH accept nearly every Mushroom rule at min_sup 2000;
+    each accepted row's view is built once and both results hold the
+    same object."""
+    from repro.data import make_mushroom
+
+    result = Pipeline(min_sup=2000, corrections=("BC", "BH")).run(
+        make_mushroom(seed=0))
+    bc, bh = result["BC"].significant, result["BH"].significant
+    assert len(bc) > 3000 and len(bh) >= len(bc)
+    by_pattern = {(rule.pattern_id, rule.class_index): rule
+                  for rule in bh}
+    assert all(by_pattern[rule.pattern_id, rule.class_index] is rule
+               for rule in bc)
+    assert len(construction_count) == len(set(map(id, bc + bh)))

@@ -4,10 +4,13 @@ With the native suite loaded every Fisher and mid-p table is built by
 the C kernel ``repro_pvalue_tables``; without it (``REPRO_NATIVE=0``,
 no compiler) by the scalar builder in :mod:`repro.stats.pvalue_scalar`,
 which is also the oracle here. Every rule p-value the library reports
-comes from these tables, so the store's ``flat`` array must equal the
-oracle exactly — ``np.array_equal``, not a tolerance — on every table
-the paper workloads reach and on the shapes where the walk's tie
-grouping matters. Run this module with the suite on and off.
+comes from these tables. A log-space table is built and stored only
+over its live window, so the store's p-value of every ``supp(R)`` in
+``[L, U]`` must equal the oracle's *full* table in every bit, on every
+table the paper workloads reach and on the shapes where the walk's tie
+grouping matters. The Mushroom, Adult-shaped and log-space property
+tests build their stores with the suite loaded and hidden; run the
+rest of the module with the suite on and off.
 """
 
 from __future__ import annotations
@@ -38,12 +41,29 @@ from repro.stats import (
 from repro.stats.pvalue_scalar import mid_p, pvalue_table, two_ends_sum_up
 
 
+def _store_values(store, class_index, n, n_c, supp_x):
+    """The store's p-value of every ``supp(R)`` in ``[L, U]``."""
+    low, high = support_bounds(n, n_c, supp_x)
+    width = high - low + 1
+    return store.p_values([class_index] * width, [supp_x] * width,
+                          np.arange(low, high + 1))
+
+
+def _same_bits(got, expected):
+    return np.array_equal(np.asarray(got).view(np.uint64),
+                          np.asarray(expected, dtype=np.float64)
+                          .view(np.uint64))
+
+
 def _mismatches(tables):
     """``(n, n_c, supp_x)`` of every table whose exact or mid-p
-    :class:`PValueTables` entries differ from the oracle in any bit.
+    :class:`PValueTables` p-value of any ``supp(R)`` in ``[L, U]``
+    differs in any bit from the oracle's full table.
 
     The tables of one ``n`` are one store per scorer, one class per
-    distinct ``n_c``, as Score builds them.
+    distinct ``n_c``, as Score builds them. A log-space table stores
+    only its live window, so every value is read through
+    :meth:`PValueTables.p_values`, as the library reads it.
     """
     by_n = defaultdict(list)
     for n, n_c, supp_x in tables:
@@ -55,18 +75,28 @@ def _mismatches(tables):
         coverages = [supp_x for _, supp_x in keys]
         stores = [PValueTables(n, supports, classes, coverages, scorer)
                   for scorer in ("fisher", "fisher-midp")]
-        offsets = stores[0].offsets(classes, coverages).tolist()
-        for (n_c, supp_x), offset in zip(keys, offsets):
+        for (n_c, supp_x), class_index in zip(keys, classes):
             table = pmf_table(n, n_c, supp_x)
             exact = two_ends_sum_up(table)
-            start = offset + support_bounds(n, n_c, supp_x)[0]
             for store, expected in zip(stores,
                                        (exact, mid_p(exact, table))):
-                if not np.array_equal(
-                        store.flat[start:start + len(expected)],
-                        expected):
+                got = _store_values(store, class_index, n, n_c, supp_x)
+                if not _same_bits(got, expected):
                     bad.add((n, n_c, supp_x))
     return sorted(bad)
+
+
+@pytest.fixture(params=("native", "scalar"))
+def builder(request, monkeypatch):
+    """Build the stores with the native suite loaded, then hidden (as
+    with ``REPRO_NATIVE=0`` or no compiler)."""
+    if request.param == "native":
+        if _native.load_suite() is None:
+            pytest.skip(f"native kernel suite unavailable "
+                        f"({_native.native_status()})")
+    else:
+        monkeypatch.setattr(_native, "_kernel", None)
+    return request.param
 
 
 def _reached(dataset, min_sup):
@@ -85,12 +115,72 @@ def test_every_small_table():
     assert _mismatches(tables) == []
 
 
-def test_mushroom_tables():
+@pytest.fixture(scope="module")
+def mushroom_keys():
+    return _reached(make_mushroom(seed=0), 2000)
+
+
+def test_mushroom_tables(mushroom_keys, builder):
     # n = 8124: every table's recurrence seed underflows, so this is
-    # the log-space path.
-    tables = _reached(make_mushroom(seed=0), 2000)
-    assert len(tables) == 995
+    # the log-space path; most tables drop entries on both sides.
+    assert len(mushroom_keys) == 995
+    assert _mismatches(mushroom_keys) == []
+
+
+#: Adult's size and class supports (32,561 records, 7,841 ``>50K``).
+ADULT_N, ADULT_CLASSES = 32561, (24720, 7841)
+
+
+def test_adult_shaped_tables(builder):
+    """n = 32,561 at coverages from Adult's min_sup 1628 (5%) up: the
+    live windows are a few hundred supports of tables up to 7,842
+    wide."""
+    coverages = sorted({1, 2, 50, 1628, 1629, 2500, 7841, 7842, 9000,
+                        16280, 24720, 24721, 30000, ADULT_N - 1,
+                        ADULT_N})
+    tables = [(ADULT_N, n_c, supp_x) for n_c in ADULT_CLASSES
+              for supp_x in coverages]
     assert _mismatches(tables) == []
+
+
+def _log_space(key):
+    n, n_c, supp_x = key
+    low = support_bounds(n, n_c, supp_x)[0]
+    return pmf(low, n, n_c, supp_x) < sys.float_info.min
+
+
+@st.composite
+def _log_space_keys(draw):
+    """``(n, n_c, supp_x)`` whose recurrence seed ``H(L)`` is below
+    ``DBL_MIN``: class support and coverage away from 0 and ``n``,
+    where nearly every such table at ``n >= 2000`` is."""
+    n = draw(st.integers(2000, 40000))
+    margin = n // 10
+    return (n, draw(st.integers(margin, n - margin)),
+            draw(st.integers(margin, n - margin)))
+
+
+@given(_log_space_keys().filter(_log_space))
+@settings(max_examples=40, deadline=None)
+def test_log_space_tables_property(key):
+    """Any log-space key: its live window, built natively and by the
+    scalar builder, gives every ``supp(R)`` in ``[L, U]`` the full
+    oracle table's bits."""
+    n, n_c, supp_x = key
+    table = pmf_table(n, n_c, supp_x)
+    exact = two_ends_sum_up(table)
+    for native in (True, False):
+        if native and _native.load_suite() is None:
+            continue
+        with pytest.MonkeyPatch.context() as patch:
+            if not native:
+                patch.setattr(_native, "_kernel", None)
+            for scorer, expected in (("fisher", exact),
+                                     ("fisher-midp",
+                                      mid_p(exact, table))):
+                store = PValueTables(n, [n_c], [0], [supp_x], scorer)
+                got = _store_values(store, 0, n, n_c, supp_x)
+                assert _same_bits(got, expected), (native, scorer)
 
 
 def test_german_tables():
@@ -239,8 +329,8 @@ def test_midp_is_not_contracted():
                and "-ffast-math" not in flags
                for flags in _native._FLAG_SETS)
     store = PValueTables(8124, (4208, 3916), [0], [2000], "fisher-midp")
-    assert np.array_equal(store.flat,
-                          pvalue_table(8124, 4208, 2000, midp=True))
+    assert _same_bits(_store_values(store, 0, 8124, 4208, 2000),
+                      pvalue_table(8124, 4208, 2000, midp=True))
 
 
 def test_subnormal_seed_table_is_accurate():

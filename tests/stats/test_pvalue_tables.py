@@ -13,8 +13,11 @@ from repro.stats import (
     PValueBuffer,
     PValueTables,
     chi2_rule_p_value,
+    log_pmf,
     support_bounds,
 )
+from repro.stats.pvalue_scalar import pvalue_table
+from repro.stats.pvalue_tables import LOG_PMF_FLOOR
 
 from ..corrections.permutation_oracle import SCALAR_SCORERS
 
@@ -63,7 +66,7 @@ class TestLookups:
         for c, s in set(KEYS):
             buffer = PValueBuffer(N, CLASS_SUPPORTS[c], s, midp=midp)
             supports = np.arange(buffer.low, buffer.high + 1)
-            offset = store.offsets([c], [s])[0]
+            offset = store.offsets[store.index([c], [s])[0]]
             assert np.array_equal(store.flat[offset + supports],
                                   buffer.array)
 
@@ -74,12 +77,49 @@ class TestKeys:
         assert store.n_built == len(set(KEYS))
 
     def test_flat_is_sized_by_support_bounds(self):
+        """At n = 100 every table is on the ratio recurrence and is
+        stored whole."""
         bounds = [support_bounds(N, CLASS_SUPPORTS[c], s)
                   for c, s in set(KEYS)]
         store = _store()
         assert len(store.flat) == sum(high - low + 1
                                       for low, high in bounds)
         assert not store.flat.flags.writeable
+
+    @pytest.mark.parametrize("scorer", ("fisher", "fisher-midp"))
+    def test_flat_is_sized_by_live_windows(self, scorer):
+        """A log-space table stores exactly its live window — every
+        support whose scalar log-pmf is at least ``LOG_PMF_FLOOR`` —
+        plus one pad on each side where it dropped supports. The
+        window holds the scalar oracle's whole nonzero span, and the
+        oracle's full table is 0.0 at every support stored as a pad
+        or not at all."""
+        n, class_supports = 8124, (4208, 3916)
+        keys = [(0, 1), (1, 2000), (0, 2000), (1, 4062), (0, 7000),
+                (1, 8124)]
+        store = PValueTables(n, class_supports, [c for c, _ in keys],
+                             [s for _, s in keys], scorer)
+        expected_size = 0
+        for c, s in keys:
+            n_c = class_supports[c]
+            low, high = support_bounds(n, n_c, s)
+            live = [k for k in range(low, high + 1)
+                    if log_pmf(k, n, n_c, s) >= LOG_PMF_FLOOR]
+            first, last = live[0] - (live[0] > low), \
+                live[-1] + (live[-1] < high)
+            key = store.index([c], [s])[0]
+            assert (store.first[key], store.last[key]) == (first, last)
+            expected_size += last - first + 1
+            full = pvalue_table(n, n_c, s, midp=scorer == "fisher-midp")
+            nonzero = [k for k, p in zip(range(low, high + 1), full) if p]
+            assert live[0] <= nonzero[0] and nonzero[-1] <= live[-1]
+            outside = [p for k, p in zip(range(low, high + 1), full)
+                       if not live[0] <= k <= live[-1]]
+            assert outside == [0.0] * len(outside)
+        assert store.n_entries == len(store.flat) == expected_size
+        assert expected_size < sum(
+            np.diff(support_bounds(n, class_supports[c], s))[0] + 1
+            for c, s in keys)
 
     def test_empty_store(self):
         store = PValueTables(N, CLASS_SUPPORTS, [], [])
@@ -177,29 +217,54 @@ class TestErrors:
         with pytest.raises(StatsError, match="no p-value table"):
             store.p_value(0, 17, 5)
         with pytest.raises(StatsError, match="no p-value table"):
-            store.offsets([1], [N + 1])
+            store.index([1], [N + 1])
 
     def test_fill_refuses_what_does_not_fit(self):
-        """Keys and offsets are checked before any pointer reaches the
-        kernel."""
+        """Keys, windows and offsets are checked before any pointer
+        reaches the kernel."""
         from repro.stats.pvalue_tables import fill_fisher_tables
 
-        width = support_bounds(N, 40, 17)[1] + 1
-        for n_c, coverage, start, out in (
-                (40, 17, 0, np.empty(width - 1)),
-                (40, 17, 1, np.empty(width)),
-                (40, 17, -1, np.empty(width)),
-                (40, N + 1, 0, np.empty(2 * N)),
-                (-1, 17, 0, np.empty(width)),
-                (40, 17, 0, np.empty(width, dtype=np.float32))):
+        high = support_bounds(N, 40, 17)[1]
+        width = high + 1
+        for n_c, coverage, low_k, high_k, start, out in (
+                (40, 17, 0, high, 0, np.empty(width - 1)),
+                (40, 17, 0, high, 1, np.empty(width)),
+                (40, 17, 0, high, -1, np.empty(width)),
+                (40, N + 1, 0, high, 0, np.empty(2 * N)),
+                (-1, 17, 0, high, 0, np.empty(width)),
+                (40, 17, 0, high, 0, np.empty(width, dtype=np.float32)),
+                (40, 17, -1, high, 0, np.empty(width + 1)),
+                (40, 17, 0, high + 1, 0, np.empty(width + 1)),
+                (40, 17, 5, 4, 0, np.empty(width)),
+                # A ratio-recurrence table is built whole.
+                (40, 17, 1, high, 0, np.empty(width))):
             with pytest.raises(StatsError):
-                fill_fisher_tables(N, [n_c], [coverage], [start], out)
+                fill_fisher_tables(N, [n_c], [coverage], [low_k],
+                                   [high_k], [start], out)
         with pytest.raises(StatsError):
-            fill_fisher_tables(N, [40, 40], [17], [0], np.empty(width))
+            fill_fisher_tables(N, [40, 40], [17], [0], [high], [0],
+                               np.empty(width))
         out = np.empty(width)
-        native = fill_fisher_tables(N, [40], [17], [0], out)
+        native = fill_fisher_tables(N, [40], [17], [0], [high], [0], out)
         assert native is (_native.load_suite() is not None)
         assert np.array_equal(out, PValueBuffer(N, 40, 17).array)
+
+    def test_log_space_window_must_be_in_range(self):
+        """A log-space window may narrow the table, but not leave
+        ``[L, U]``."""
+        from repro.stats.pvalue_tables import fill_fisher_tables
+
+        n, n_c, s = 8124, 3916, 2000
+        low, high = support_bounds(n, n_c, s)
+        out = np.empty(high - low + 2)
+        for window in ((low - 1, high), (low, high + 1)):
+            with pytest.raises(StatsError):
+                fill_fisher_tables(n, [n_c], [s], [window[0]],
+                                   [window[1]], [0], out)
+        fill_fisher_tables(n, [n_c], [s], [low + 10], [high - 10], [0],
+                           out)
+        assert out[:high - low - 19].tolist() == pvalue_table(
+            n, n_c, s, window=(low + 10, high - 10))
 
     def test_invalid_construction(self):
         with pytest.raises(StatsError):
