@@ -1,10 +1,11 @@
-"""Ablation: the three miners (closed / Apriori / FP-growth).
+"""Ablation: closed mining vs Apriori vs the FP-growth oracle.
 
 The paper's pipeline mines *closed* patterns (Section 3) for two
 reasons: fewer hypotheses (duplicates removed) and the enumeration-tree
 structure the paper's Diffsets storage needs. This ablation quantifies the
-first reason against the two all-frequent-pattern miners and
-cross-checks all three for agreement:
+first reason against the all-frequent pattern set, mined by Apriori
+(the library's all-frequent miner) and by the FP-growth oracle of
+``tests/fpgrowth_oracle.py``, and cross-checks all three for agreement:
 
 * FP-growth and Apriori must emit identical pattern sets (two
   independent implementations, one answer);
@@ -17,12 +18,18 @@ cross-checks all three for agreement:
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 from _scale import banner, current_scale
 from repro.data import GeneratorConfig, generate
 from repro.evaluation import format_table
-from repro.mining import mine_apriori, mine_closed, mine_fpgrowth
+from repro.mining import mine_apriori, mine_closed
+
+# The FP-growth oracle lives with the tests, under the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.fpgrowth_oracle import mine_fpgrowth  # noqa: E402
 
 
 def _workloads():

@@ -23,6 +23,7 @@ from repro.corrections import (
     storey_fdr,
 )
 from repro.mining import mine_general_rules
+from repro.tidvector import TidVector
 
 PRODUCTS = [
     "bread", "butter", "milk", "coffee", "tea", "sugar", "pasta",
@@ -51,10 +52,12 @@ def simulate_transactions(n_baskets: int, seed: int = 0):
             if index[trigger] in basket and rng.random() < 0.8:
                 basket.add(index[companion])
         baskets.append(sorted(basket))
-    tidsets = [0] * len(PRODUCTS)
+    records = [[] for _ in PRODUCTS]
     for record, basket in enumerate(baskets):
         for item in basket:
-            tidsets[item] |= 1 << record
+            records[item].append(record)
+    tidsets = [TidVector.from_indices(item_records, n_baskets)
+               for item_records in records]
     return tidsets, n_baskets
 
 

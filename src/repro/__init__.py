@@ -36,7 +36,7 @@ The mining side is pluggable too: the pipeline's Mine stage resolves
 hypothesis-count ablation (Section 7) is one keyword away:
 
 >>> pipe = Pipeline(min_sup=60, corrections=("bonferroni",),
-...                 algorithm="fpgrowth")
+...                 algorithm="apriori")
 >>> all_patterns = pipe.run(make_german())
 >>> from repro import available_miners
 >>> "closed" in {m.name for m in available_miners()}
@@ -63,7 +63,7 @@ Subpackages
     Datasets, item encoding, loaders, discretization, synthetic and
     simulated-UCI generators.
 ``repro.mining``
-    Closed frequent pattern mining, Apriori and FP-growth baselines,
+    Closed frequent pattern mining, the Apriori all-frequent baseline,
     rule generation.
 ``repro.stats``
     Log-factorial buffer, hypergeometric distribution, Fisher exact and

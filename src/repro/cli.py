@@ -36,8 +36,8 @@ Commands
 Correction names (``--correction``, ``experiment --methods``) are
 resolved through the correction registry and mining algorithms
 (``--algorithm``) through the miner registry: canonical identifiers
-(``bh``, ``fpgrowth``), Table 3 abbreviations (``BH``) and aliases
-(``fp-growth``) all work, and unknown names get a did-you-mean
+(``bh``, ``apriori``), Table 3 abbreviations (``BH``) and aliases
+(``levelwise``) all work, and unknown names get a did-you-mean
 suggestion. Out-of-tree corrections *and miners* registered via
 :func:`repro.corrections.register_correction` /
 :func:`repro.mining.register_miner` are usable without editing this
@@ -51,7 +51,7 @@ Examples
 ::
 
     python -m repro mine data.csv --min-sup 60 --correction bh
-    python -m repro mine data.csv --min-sup 60 --algorithm fpgrowth
+    python -m repro mine data.csv --min-sup 60 --algorithm apriori
     python -m repro --list-algorithms
     python -m repro mine builtin:german --min-sup 60 \\
         --correction permutation-fwer --permutations 1000 --seed 0

@@ -254,7 +254,7 @@ class Pipeline:
         The registered miner (:mod:`repro.mining.registry`) the Mine
         stage enumerates hypotheses with, in any accepted spelling.
         The default ``"closed"`` is the paper's hypothesis set;
-        ``"apriori"``/``"fpgrowth"`` run the same corrections over
+        ``"apriori"`` runs the same corrections over
         *all* frequent patterns — the Section 7 hypothesis-count
         ablation. Stored as given and resolved at Mine-stage time, so
         miners registered after construction still work.

@@ -152,7 +152,7 @@ class ExperimentRunner:
         enumerating each replicate's hypothesis set, in any accepted
         spelling (default ``"closed"``). Holdout methods mine their
         exploratory halves with the same algorithm, so the ablation
-        grid (e.g. closed vs ``"fpgrowth"`` hypothesis counts) spans
+        grid (e.g. closed vs ``"apriori"`` hypothesis counts) spans
         the whole method panel.
     n_jobs / backend:
         Fan the replicate grid (dataset × correction cells) out across

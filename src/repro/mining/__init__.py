@@ -8,7 +8,6 @@ resolve algorithms by name through :func:`resolve_miner` — see
 """
 
 from .apriori import FrequentPattern, mine_apriori
-from .fpgrowth import FPNode, FPTree, mine_fpgrowth
 from .general import (
     GeneralRule,
     GeneralRuleSet,
@@ -38,9 +37,6 @@ from .tidsets import VerticalView, build_vertical_view
 __all__ = [
     "FrequentPattern",
     "mine_apriori",
-    "FPNode",
-    "FPTree",
-    "mine_fpgrowth",
     "Miner",
     "Pattern",
     "PatternSet",

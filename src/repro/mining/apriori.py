@@ -2,7 +2,8 @@
 
 The paper's pipeline uses closed patterns; this classic horizontal
 baseline (Agrawal et al., SIGMOD 1993) enumerates every frequent
-pattern. It serves two purposes here:
+pattern. It is the library's one all-frequent miner (the ``apriori``
+and ``general-rules`` registry entries) and serves two purposes:
 
 * a cross-check oracle for the closed miner — every frequent pattern's
   support must equal the support of some closed superset, and the

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..errors import MiningError
-from ..stats.fisher import fisher_two_tailed
-from ..stats.logfact import default_buffer
-from .apriori import FrequentPattern
-from .fpgrowth import mine_fpgrowth
+from ..stats.pvalue_tables import score_rules
+from .apriori import FrequentPattern, mine_apriori
 
 __all__ = ["GeneralRule", "GeneralRuleSet", "mine_general_rules",
            "rules_from_patterns"]
@@ -138,7 +138,7 @@ def mine_general_rules(
 ) -> GeneralRuleSet:
     """Mine and score all general association rules.
 
-    Frequent patterns come from FP-growth; every frequent pattern
+    Frequent patterns come from Apriori; every frequent pattern
     ``Z`` with at least two items is split into ``Z \\ Y => Y`` for
     every consequent ``Y`` of size up to ``max_consequent``. Both
     sides of an emitted rule are frequent by anti-monotonicity.
@@ -160,8 +160,8 @@ def mine_general_rules(
         raise MiningError("min_conf must be within [0, 1]")
     if max_consequent < 1:
         raise MiningError("max_consequent must be >= 1")
-    patterns = mine_fpgrowth(item_tidsets, n_records, min_sup,
-                             max_length=max_length)
+    patterns = mine_apriori(item_tidsets, n_records, min_sup,
+                            max_length=max_length)
     return rules_from_patterns(patterns, n_records, min_sup,
                                min_conf=min_conf,
                                max_consequent=max_consequent)
@@ -178,25 +178,13 @@ def rules_from_patterns(
 
     Exposed separately so callers who already hold a pattern set (for
     instance from :func:`~repro.mining.apriori.mine_apriori`) do not
-    mine twice.
+    mine twice. Every rule is scored from one
+    :func:`~repro.stats.pvalue_tables.score_rules` store, with the
+    distinct consequent supports as its margins.
     """
     support_of: Dict[frozenset, int] = {p.items: p.support
                                         for p in patterns}
-    logfact = default_buffer()
-    # Fisher p-values repeat heavily across rules sharing margins;
-    # memoise on the (support, supp_y, supp_x) triple.
-    p_cache: Dict[tuple, float] = {}
-
-    def p_value(support: int, supp_y: int, supp_x: int) -> float:
-        key = (support, supp_y, supp_x)
-        cached = p_cache.get(key)
-        if cached is None:
-            cached = fisher_two_tailed(support, n_records, supp_y,
-                                       supp_x, logfact)
-            p_cache[key] = cached
-        return cached
-
-    rules: List[GeneralRule] = []
+    rows: List[tuple] = []
     for pattern in patterns:
         if pattern.length < 2:
             continue
@@ -206,20 +194,20 @@ def rules_from_patterns(
                 consequent = frozenset(consequent_items)
                 antecedent = pattern.items - consequent
                 coverage = support_of[antecedent]
-                consequent_support = support_of[consequent]
                 confidence = (pattern.support / coverage
                               if coverage else 0.0)
-                if confidence < min_conf:
-                    continue
-                rules.append(GeneralRule(
-                    antecedent=antecedent,
-                    consequent=consequent,
-                    coverage=coverage,
-                    consequent_support=consequent_support,
-                    support=pattern.support,
-                    confidence=confidence,
-                    p_value=p_value(pattern.support,
-                                    consequent_support, coverage),
-                ))
+                if confidence >= min_conf:
+                    rows.append((antecedent, consequent, coverage,
+                                 support_of[consequent], pattern.support,
+                                 confidence))
+    p_values: List[float] = []
+    if rows:
+        _, _, coverages, consequent_supports, supports, _ = zip(*rows)
+        margins, margin_index = np.unique(consequent_supports,
+                                          return_inverse=True)
+        p_values = score_rules(n_records, margins, margin_index,
+                               coverages, supports)[0].tolist()
+    rules = [GeneralRule(*row, p_value=p_value)
+             for row, p_value in zip(rows, p_values)]
     return GeneralRuleSet(rules=rules, n_records=n_records,
                           min_sup=min_sup)

@@ -20,9 +20,9 @@ Score (:func:`~repro.mining.rules.generate_rules`), the permutation
 engine and STUCCO read the columns directly. ``PatternSet[i]`` and
 iteration build a :class:`Pattern` view on access — the edge for
 tests, plugins and the CLI. :meth:`PatternSet.pack` is the one way
-pattern objects become a set (Apriori and FP-growth output, hand-built
-lists, custom pipeline stages); :meth:`PatternSet.take` slices every
-column at once. The constructor checks the shape of outside input:
+pattern objects become a set (Apriori output, hand-built lists,
+custom pipeline stages); :meth:`PatternSet.take` slices every column
+at once. The constructor checks the shape of outside input:
 equal-length columns, tidset rows of exactly ``n_records`` bits and
 parents that precede their children.
 """
@@ -368,7 +368,7 @@ def patternset_from_frequent(
     Accepts anything with ``items`` / ``tidset`` / ``support`` (e.g.
     :class:`~repro.mining.apriori.FrequentPattern`). The empty root
     comes first, then the patterns by (length, sorted items) — the
-    order both Apriori and FP-growth emit. An explicit empty pattern
+    order Apriori emits. An explicit empty pattern
     collapses into the root. The set has no ``parent`` column.
     """
     root = Pattern(items=frozenset(), tidset=TidVector.universe(n_records),

@@ -24,8 +24,8 @@ enumerates and resolves miners exclusively through it:
 ...     name="pairs-only", capabilities=("all-frequent",),
 ...     mine_fn=mine_pairs))
 
-Name resolution accepts the canonical identifier (``"fpgrowth"``),
-any registered alias (``"fp-growth"``), and case-insensitive variants
+Name resolution accepts the canonical identifier (``"apriori"``),
+any registered alias (``"levelwise"``), and case-insensitive variants
 of both; unknown names get the full valid list plus a did-you-mean
 suggestion — the same ergonomics as the correction registry, so
 ``--algorithm`` behaves exactly like ``--correction`` at the CLI.
@@ -50,7 +50,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..errors import MiningError
 from .apriori import mine_apriori
 from .closed import mine_closed
-from .fpgrowth import mine_fpgrowth
 from .general import rules_from_patterns
 from .patterns import PatternSet, patternset_from_frequent
 from .representative import reduce_patterns
@@ -279,13 +278,6 @@ def _mine_apriori_set(item_tidsets, n_records, min_sup,
     return patternset_from_frequent(patterns, n_records, min_sup)
 
 
-def _mine_fpgrowth_set(item_tidsets, n_records, min_sup,
-                       max_length) -> PatternSet:
-    patterns = mine_fpgrowth(item_tidsets, n_records, min_sup,
-                             max_length=max_length)
-    return patternset_from_frequent(patterns, n_records, min_sup)
-
-
 def _mine_representative_set(item_tidsets, n_records, min_sup,
                              max_length, delta: float = 0.1,
                              ) -> PatternSet:
@@ -299,8 +291,8 @@ def _mine_representative_set(item_tidsets, n_records, min_sup,
 def _mine_general_set(item_tidsets, n_records, min_sup, max_length,
                       min_conf: float = 0.0,
                       max_consequent: int = 1) -> PatternSet:
-    frequent = mine_fpgrowth(item_tidsets, n_records, min_sup,
-                             max_length=max_length)
+    frequent = mine_apriori(item_tidsets, n_records, min_sup,
+                            max_length=max_length)
     pattern_set = patternset_from_frequent(frequent, n_records, min_sup)
     pattern_set.provenance["general_rules"] = rules_from_patterns(
         frequent, n_records, min_sup, min_conf=min_conf,
@@ -325,14 +317,6 @@ register_miner(Miner(
                 "arm of the Section 7 hypothesis-count ablation)"))
 
 register_miner(Miner(
-    name="fpgrowth",
-    mine_fn=_mine_fpgrowth_set,
-    aliases=("fp-growth", "fp"),
-    capabilities=("all-frequent",),
-    description="pattern-growth all-frequent miner (same pattern set "
-                "as apriori, FP-tree enumeration)"))
-
-register_miner(Miner(
     name="representative",
     mine_fn=_mine_representative_set,
     aliases=("reduced",),
@@ -345,6 +329,6 @@ register_miner(Miner(
     mine_fn=_mine_general_set,
     aliases=("general", "market-basket"),
     capabilities=("all-frequent", "emits-rules"),
-    description="FP-growth patterns plus scored X => Y association "
+    description="Apriori patterns plus scored X => Y association "
                 "rules in provenance['general_rules'] (opts: "
                 "min_conf, max_consequent)"))

@@ -2,14 +2,9 @@
 
 from .chi2 import chi2_rule_p_value, chi2_sf, chi2_statistic, chi2_test
 from .fisher import (
-    fisher_from_contingency,
-    fisher_left_tailed,
-    fisher_right_tailed,
     fisher_two_tailed,
     fisher_two_tailed_midp,
-    log_odds_ratio,
     min_attainable_p_value,
-    rule_p_value,
 )
 from .hypergeom import log_pmf, mean, mode, pmf, pmf_table, support_bounds
 from .logfact import LogFactorialBuffer, default_buffer, log_binomial
@@ -35,14 +30,9 @@ __all__ = [
     "chi2_sf",
     "chi2_statistic",
     "chi2_test",
-    "fisher_from_contingency",
-    "fisher_left_tailed",
-    "fisher_right_tailed",
     "fisher_two_tailed",
     "fisher_two_tailed_midp",
-    "log_odds_ratio",
     "min_attainable_p_value",
-    "rule_p_value",
     "log_pmf",
     "mean",
     "mode",

@@ -7,32 +7,22 @@ observed ``supp(R)``::
     p(R) = sum_{k in E} H(k; n, n_c, supp(X)),
     E = {k : H(k) <= H(supp(R))}
 
-— i.e. the *two-tailed* test. One-tailed variants (over- and
-under-representation) are provided as well because the holdout
-literature (Webb 2007) sometimes uses them; the paper's experiments all
-use the two-tailed form.
+— i.e. the *two-tailed* test, the form all of the paper's experiments
+use.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
-import numpy as np
-
 from ..errors import StatsError
-from .hypergeom import pmf_table, support_bounds
+from .hypergeom import support_bounds
 from .logfact import LogFactorialBuffer
 from .pvalue_buffer import PValueBuffer
 
 __all__ = [
     "fisher_two_tailed",
-    "fisher_right_tailed",
-    "fisher_left_tailed",
-    "fisher_from_contingency",
     "fisher_two_tailed_midp",
-    "rule_p_value",
-    "log_odds_ratio",
     "min_attainable_p_value",
 ]
 
@@ -56,67 +46,6 @@ def fisher_two_tailed(supp_r: int, n: int, n_c: int, supp_x: int,
     return PValueBuffer(n, n_c, supp_x, buffer).p_value(supp_r)
 
 
-def fisher_right_tailed(supp_r: int, n: int, n_c: int, supp_x: int,
-                        buffer: Optional[LogFactorialBuffer] = None,
-                        ) -> float:
-    """P(supp >= supp_r): over-representation (positive association)."""
-    _check_support(supp_r, n, n_c, supp_x)
-    low, _high = support_bounds(n, n_c, supp_x)
-    table = np.array(pmf_table(n, n_c, supp_x, buffer))
-    # Reversed cumulative sum: entry k accumulates from the far (upper)
-    # tail inward, so small terms add first — the same summation order
-    # (and therefore the exact same float result) as the scalar loop
-    # this replaces.
-    tails = np.cumsum(table[::-1])[::-1]
-    return min(float(tails[supp_r - low]), 1.0)
-
-
-def fisher_left_tailed(supp_r: int, n: int, n_c: int, supp_x: int,
-                       buffer: Optional[LogFactorialBuffer] = None) -> float:
-    """P(supp <= supp_r): under-representation (negative association)."""
-    _check_support(supp_r, n, n_c, supp_x)
-    low, _high = support_bounds(n, n_c, supp_x)
-    table = np.array(pmf_table(n, n_c, supp_x, buffer))
-    # Cumulative sum from the lower tail upward: small terms first,
-    # identical order (and float result) to the scalar loop.
-    tails = np.cumsum(table)
-    return min(float(tails[supp_r - low]), 1.0)
-
-
-def fisher_from_contingency(a: int, b: int, c: int, d: int,
-                            alternative: str = "two-sided") -> float:
-    """Fisher exact test on a 2x2 table ``[[a, b], [c, d]]``.
-
-    ``a`` counts records containing both X and c, ``b`` those with X but
-    not c, ``c`` those with c but not X, ``d`` the rest. Provided so
-    users with pre-tabulated contingency data can reuse the machinery.
-    """
-    for value, label in ((a, "a"), (b, "b"), (c, "c"), (d, "d")):
-        if value < 0:
-            raise StatsError(f"contingency cell {label} is negative")
-    n = a + b + c + d
-    n_c = a + c
-    supp_x = a + b
-    if n == 0:
-        raise StatsError("empty contingency table")
-    if alternative == "two-sided":
-        return fisher_two_tailed(a, n, n_c, supp_x)
-    if alternative == "greater":
-        return fisher_right_tailed(a, n, n_c, supp_x)
-    if alternative == "less":
-        return fisher_left_tailed(a, n, n_c, supp_x)
-    raise StatsError(f"unknown alternative {alternative!r}")
-
-
-def rule_p_value(supp_r: int, n: int, n_c: int, supp_x: int,
-                 buffer: Optional[LogFactorialBuffer] = None) -> float:
-    """Alias of :func:`fisher_two_tailed` under the paper's notation.
-
-    ``p(R) = p(supp(R); n, n_c, supp(X))`` — Section 2.2, Equation (1).
-    """
-    return fisher_two_tailed(supp_r, n, n_c, supp_x, buffer)
-
-
 def fisher_two_tailed_midp(supp_r: int, n: int, n_c: int, supp_x: int,
                            buffer: Optional[LogFactorialBuffer] = None,
                            ) -> float:
@@ -131,22 +60,6 @@ def fisher_two_tailed_midp(supp_r: int, n: int, n_c: int, supp_x: int,
     """
     _check_support(supp_r, n, n_c, supp_x)
     return PValueBuffer(n, n_c, supp_x, buffer, midp=True).p_value(supp_r)
-
-
-def log_odds_ratio(supp_r: int, n: int, n_c: int, supp_x: int) -> float:
-    """Sample log odds ratio of the rule's 2x2 table (Haldane corrected).
-
-    Not used by the correction machinery; exposed as a convenience
-    effect-size measure for reporting alongside p-values.
-    """
-    a = supp_r
-    b = supp_x - supp_r
-    c = n_c - supp_r
-    d = n - n_c - b
-    if min(a, b, c, d) < 0:
-        raise StatsError("inconsistent rule counts")
-    return (math.log(a + 0.5) - math.log(b + 0.5)
-            - math.log(c + 0.5) + math.log(d + 0.5))
 
 
 def min_attainable_p_value(n: int, n_c: int, supp_x: int,

@@ -36,8 +36,8 @@ class TestAlgorithmFlag:
     def test_alias_canonicalised(self):
         args = build_parser().parse_args(
             ["mine", "x.csv", "--min-sup", "10",
-             "--algorithm", "FP-Growth"])
-        assert args.algorithm == "fpgrowth"
+             "--algorithm", "LevelWise"])
+        assert args.algorithm == "apriori"
 
     def test_mine_runs_with_every_builtin(self, csv_path):
         from repro.mining import miner_names
@@ -59,22 +59,22 @@ class TestAlgorithmFlag:
             text = out.getvalue()
             return int(text.split("n_tests=")[1].split(")")[0])
 
-        assert n_tests("fpgrowth") >= n_tests("closed")
+        assert n_tests("apriori") >= n_tests("closed")
 
     def test_typo_gets_did_you_mean(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
                 ["mine", "x.csv", "--min-sup", "10",
-                 "--algorithm", "fpgorwth"])
+                 "--algorithm", "apirori"])
         assert excinfo.value.code == 2
-        assert "did you mean 'fpgrowth'" in capsys.readouterr().err
+        assert "did you mean 'apriori'" in capsys.readouterr().err
 
     def test_jobs_do_not_change_csv_output(self, csv_path, tmp_path):
         outputs = []
         for jobs, backend in (("1", "serial"), ("4", "processes")):
             csv_out = tmp_path / f"rules_j{jobs}.csv"
             assert main(["mine", csv_path, "--min-sup", "25",
-                         "--algorithm", "fpgrowth",
+                         "--algorithm", "apriori",
                          "--correction", "Perm_FWER",
                          "--permutations", "50", "--seed", "0",
                          "--jobs", jobs, "--backend", backend,
@@ -90,8 +90,8 @@ class TestListAlgorithms:
             main(["--list-algorithms"])
         assert excinfo.value.code == 0
         captured = capsys.readouterr().out
-        for name in ("closed", "apriori", "fpgrowth",
-                     "representative", "general-rules"):
+        for name in ("closed", "apriori", "representative",
+                     "general-rules"):
             assert name in captured
         assert "all-frequent" in captured
 
@@ -141,7 +141,7 @@ class TestPluginMiners:
         module.write_text(textwrap.dedent("""\
             from repro.mining import (
                 Miner,
-                mine_fpgrowth,
+                mine_apriori,
                 patternset_from_frequent,
                 register_miner,
             )
@@ -150,7 +150,7 @@ class TestPluginMiners:
                 name="env-miner",
                 mine_fn=lambda t, n, s, m, **o:
                     patternset_from_frequent(
-                        mine_fpgrowth(t, n, s, max_length=m), n, s),
+                        mine_apriori(t, n, s, max_length=m), n, s),
                 capabilities=("all-frequent",)))
         """))
         monkeypatch.syspath_prepend(str(tmp_path))

@@ -49,9 +49,9 @@ class TestDefaultAlgorithm:
 
     def test_algorithm_survives_config_roundtrip(self, german):
         pipe = Pipeline(min_sup=MIN_SUP, corrections=("bh",),
-                        algorithm="fpgrowth")
+                        algorithm="apriori")
         rebuilt = Pipeline(**pipe._config())
-        assert rebuilt.algorithm == "fpgrowth"
+        assert rebuilt.algorithm == "apriori"
         assert rule_keys(pipe.run(german).ruleset.rules) == \
             rule_keys(rebuilt.run(german).ruleset.rules)
 
@@ -101,12 +101,12 @@ class TestEveryRegisteredMiner:
                             algorithm=algorithm,
                             ).run(german).ruleset.n_tests
         closed = n_tested("closed")
-        assert n_tested("apriori") == n_tested("fpgrowth") >= closed
+        assert n_tested("apriori") == n_tested("general-rules") >= closed
         assert n_tested("representative") <= closed
 
 
 class TestDeterminismAcrossBackends:
-    @pytest.mark.parametrize("algorithm", ["closed", "fpgrowth"])
+    @pytest.mark.parametrize("algorithm", ["closed", "apriori"])
     def test_jobs_do_not_change_results(self, german, algorithm):
         def run(n_jobs, backend):
             pipe = Pipeline(
@@ -135,10 +135,10 @@ class TestLateRegistration:
 
         def mine_fn(item_tidsets, n_records, min_sup, max_length,
                     **opts):
-            from repro.mining import mine_fpgrowth
+            from repro.mining import mine_apriori
             return patternset_from_frequent(
-                mine_fpgrowth(item_tidsets, n_records, min_sup,
-                              max_length=max_length),
+                mine_apriori(item_tidsets, n_records, min_sup,
+                             max_length=max_length),
                 n_records, min_sup)
 
         register_miner(Miner(name="late-miner", mine_fn=mine_fn,
@@ -184,7 +184,7 @@ class TestOversizedMinSupStillRejected:
 class TestExperimentRunnerAlgorithm:
     def test_unknown_algorithm_fails_fast(self):
         with pytest.raises(EvaluationError, match="did you mean"):
-            ExperimentRunner(methods=("BH",), algorithm="fpgorwth")
+            ExperimentRunner(methods=("BH",), algorithm="apirori")
 
     def test_ablation_grid_counts_more_hypotheses(self):
         from repro.data import GeneratorConfig
@@ -202,7 +202,7 @@ class TestExperimentRunnerAlgorithm:
                                 seed=0)
             return result.mean_tested["whole dataset"]
 
-        assert mean_tested("fpgrowth") >= mean_tested("closed")
+        assert mean_tested("apriori") >= mean_tested("closed")
 
     def test_process_workers_honor_the_algorithm(self):
         from repro.data import GeneratorConfig
@@ -215,7 +215,7 @@ class TestExperimentRunnerAlgorithm:
         def aggregates(n_jobs, backend):
             runner = ExperimentRunner(
                 methods=("BC", "BH"), n_permutations=10,
-                algorithm="fpgrowth", n_jobs=n_jobs, backend=backend)
+                algorithm="apriori", n_jobs=n_jobs, backend=backend)
             result = runner.run(config, min_sup=40, n_replicates=3,
                                 seed=0)
             return {m: result.aggregates[m].row()

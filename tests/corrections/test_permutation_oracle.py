@@ -3,8 +3,7 @@
 The engine's min-p distribution, pooled counts and step-down counts
 must equal the reference's exactly — on binary and multiclass rule
 sets over the forest of every registered miner (the closed LCM tree,
-the Apriori and FP-growth prefix trees, the representative
-reduction), with the native kernel suite loaded and hidden, and for
+the Apriori prefix tree, the representative reduction), with the native kernel suite loaded and hidden, and for
 permutation counts below, at and above one native block. The
 reference's ``fisher_two_tailed`` p-values (the paper's unbuffered
 arm) must agree with its table lookups within rel 1e-9. Under the
@@ -33,7 +32,7 @@ from .permutation_oracle import (
 PERMUTATION_COUNTS = (1, NATIVE_BATCH_ROWS, NATIVE_BATCH_ROWS + 3)
 
 
-MINERS = ("closed", "apriori", "fpgrowth", "representative")
+MINERS = ("closed", "apriori", "representative")
 CLASS_COUNTS = {"binary": 2, "3-class": 3}
 
 

@@ -1,18 +1,19 @@
-"""FP-growth: pattern-growth mining of all frequent patterns.
+"""FP-growth oracle: pattern-growth mining of all frequent patterns.
 
-A second full-pattern miner (Han, Pei & Yin, SIGMOD 2000) alongside the
-level-wise Apriori baseline. FP-growth compresses the database into a
-prefix tree (the *FP-tree*) whose paths share common prefixes, then
-recursively mines *conditional* trees — one per suffix item — without
-candidate generation. On dense attribute-valued data the tree is far
-smaller than the record list, which is why pattern-growth miners
-superseded Apriori in practice.
+An independent implementation of the all-frequent pattern set (Han,
+Pei & Yin, SIGMOD 2000) that the library's only all-frequent miner,
+:func:`repro.mining.apriori.mine_apriori`, and the closed miner are
+checked against. FP-growth compresses the database into a prefix tree
+(the *FP-tree*) whose paths share common prefixes, then recursively
+mines *conditional* trees — one per suffix item — without candidate
+generation.
 
-The miner returns the same :class:`~repro.mining.apriori.FrequentPattern`
-records as :func:`~repro.mining.apriori.mine_apriori` (including exact
-tidsets, reconstructed from the vertical bitsets at emission time), so
-the two serve as independent cross-check oracles for each other and for
-the closed miner: three implementations, one answer.
+:func:`mine_fpgrowth` returns the same
+:class:`~repro.mining.apriori.FrequentPattern` records as
+:func:`~repro.mining.apriori.mine_apriori` (including exact tidsets,
+reconstructed from the vertical bitsets at emission time), in the same
+(length, items) order, so the two miners and the closed miner give
+three implementations of one answer.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import MiningError
-from ..tidvector import TidVector, as_tidvector
-from .apriori import FrequentPattern
+from repro.errors import MiningError
+from repro.mining.apriori import FrequentPattern
+from repro.tidvector import TidVector, as_tidvector
 
 __all__ = ["FPTree", "FPNode", "mine_fpgrowth"]
 

@@ -4,6 +4,8 @@ Importing an example executes only its module top level (every example
 guards execution behind ``main()``), so this verifies that each
 example's imports resolve against the current public API and that the
 documented entry point exists — without paying for the full runs.
+The market-basket example, which takes well under a second, is also
+run end to end.
 """
 
 from __future__ import annotations
@@ -44,3 +46,10 @@ def test_example_is_main_guarded(path):
     source = path.read_text()
     assert 'if __name__ == "__main__":' in source, \
         f"{path.name} must guard execution behind __main__"
+
+
+def test_market_basket_runs(capsys):
+    _load(EXAMPLES_DIR / "market_basket.py").main()
+    out = capsys.readouterr().out
+    assert "rules tested (Nt): 164" in out
+    assert "Bonferroni-significant rules" in out

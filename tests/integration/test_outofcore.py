@@ -43,7 +43,7 @@ from repro.data import (
 )
 from repro.evaluation.export import rules_to_csv
 
-MINERS = ("closed", "apriori", "fpgrowth", "representative")
+MINERS = ("closed", "apriori", "representative")
 
 
 def _fork_available() -> bool:
@@ -112,7 +112,7 @@ class TestCliMemmapIdentity:
 
 class TestNativeToggleIdentity:
     @pytest.mark.parametrize("native", ["0", "1"])
-    @pytest.mark.parametrize("algorithm", ["closed", "fpgrowth"])
+    @pytest.mark.parametrize("algorithm", ["closed", "apriori"])
     def test_arena_identity_with_and_without_kernels(
             self, dataset_csv, dataset_arena, tmp_path, monkeypatch,
             algorithm, native):

@@ -29,7 +29,7 @@ from repro.evaluation.export import rules_to_csv
 
 from .. import bigint_oracle as bs
 
-MINERS = ("closed", "apriori", "fpgrowth", "representative")
+MINERS = ("closed", "apriori", "representative")
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,14 @@
-"""Unit tests for the FP-growth miner and FP-tree structure."""
+"""Unit tests for the FP-growth oracle and its FP-tree structure."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import MiningError
-from repro.mining import mine_apriori, mine_fpgrowth
-from repro.mining.fpgrowth import FPTree
+from repro.mining import mine_apriori
 
 from .. import bigint_oracle as bs
+from ..fpgrowth_oracle import FPTree, mine_fpgrowth
 
 
 def tidsets_from_transactions(transactions, n_items):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
@@ -11,6 +12,8 @@ from repro.mining import (
     mine_general_rules,
     rules_from_patterns,
 )
+from repro.stats import fisher_two_tailed
+from repro.tidvector import TidVector
 
 from .. import bigint_oracle as bs
 
@@ -66,6 +69,27 @@ class TestMineGeneralRules:
             _odds, expected = scipy_stats.fisher_exact(
                 [[a, b], [c, d]], alternative="two-sided")
             assert rule.p_value == pytest.approx(expected, rel=1e-6)
+
+    def test_pvalues_equal_the_scalar_test_bit_for_bit(self):
+        """All rules are scored from one table store; each p-value is
+        the one fisher_two_tailed gives, on the ratio-recurrence and
+        the log-space table paths alike (n = 3000, dense items)."""
+        rng = np.random.default_rng(5)
+        n = 3000
+        items = rng.random((n, 6)) < [0.3, 0.3, 0.2, 0.5, 0.4, 0.25]
+        items[:, 1] |= items[:, 0] & (rng.random(n) < 0.8)
+        tidsets = [TidVector.from_indices(np.flatnonzero(column), n)
+                   for column in items.T]
+        ruleset = mine_general_rules(tidsets, n, min_sup=50,
+                                     max_consequent=2)
+        assert ruleset.n_tests > 50
+        for rule in ruleset.rules:
+            assert rule.p_value == fisher_two_tailed(
+                rule.support, n, rule.consequent_support, rule.coverage)
+
+    def test_no_rules_scores_nothing(self, basket):
+        tidsets, n = basket
+        assert mine_general_rules(tidsets, n, min_sup=n).rules == []
 
     def test_symmetric_pair_has_same_pvalue(self, basket):
         """Fisher's test is symmetric in the margins: X=>Y and Y=>X

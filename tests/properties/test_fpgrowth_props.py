@@ -1,5 +1,5 @@
-"""Property-based cross-checks: FP-growth vs Apriori vs the closed
-miner on random transaction databases.
+"""Property-based cross-checks: the FP-growth oracle vs Apriori vs the
+closed miner on random transaction databases.
 
 Three independently written miners over the same database must agree:
 FP-growth and Apriori on the full frequent-pattern set, and every
@@ -11,9 +11,10 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mining import mine_apriori, mine_closed, mine_fpgrowth
+from repro.mining import mine_apriori, mine_closed
 
 from .. import bigint_oracle as bs
+from ..fpgrowth_oracle import mine_fpgrowth
 
 
 @st.composite

@@ -1,12 +1,12 @@
 """Property-based cross-checks at the registry/PatternSet level.
 
 The registry's contract is that miners are interchangeable behind one
-result model, so the invariants are stated *on the model*: the two
-all-frequent miners produce the identical PatternSet (not just the
-same pattern list — the same prefix-tree), expanding the closed set
-recovers exactly the support-maximal frequent patterns, and every
-miner's forest satisfies the structural contract the permutation
-engine relies on.
+result model, so the invariants are stated *on the model*: the
+all-frequent miner and the FP-growth oracle produce the identical
+PatternSet (not just the same pattern list — the same prefix-tree),
+expanding the closed set recovers exactly the support-maximal
+frequent patterns, and every miner's forest satisfies the structural
+contract the permutation engine relies on.
 """
 
 from __future__ import annotations
@@ -15,11 +15,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mining import mine_patterns, miner_names
+from repro.mining import (
+    mine_patterns,
+    miner_names,
+    patternset_from_frequent,
+)
 
 from repro.tidvector import TidVector
 
 from .. import bigint_oracle as bs
+from ..fpgrowth_oracle import mine_fpgrowth
 
 
 class _View:
@@ -54,7 +59,9 @@ def _forest_key(pattern_set):
 @settings(max_examples=60, deadline=None)
 def test_apriori_and_fpgrowth_patternsets_identical(view, min_sup):
     apriori = mine_patterns(view, min_sup, algorithm="apriori")
-    fpgrowth = mine_patterns(view, min_sup, algorithm="fpgrowth")
+    fpgrowth = patternset_from_frequent(
+        mine_fpgrowth(view.item_tidsets, view.n_records, min_sup),
+        view.n_records, min_sup)
     assert _forest_key(apriori) == _forest_key(fpgrowth)
     assert apriori.n_hypotheses == fpgrowth.n_hypotheses
 
@@ -115,7 +122,7 @@ def test_frequent_sets_drive_the_packed_forest(view, min_sup,
                                               label_flags):
     """The pattern set's matrix counts exact class supports on
     all-frequent sets, exactly as it does on closed ones."""
-    pattern_set = mine_patterns(view, min_sup, algorithm="fpgrowth")
+    pattern_set = mine_patterns(view, min_sup, algorithm="apriori")
     if not len(pattern_set):
         return
     indicator = np.array(label_flags[:view.n_records], dtype=bool)

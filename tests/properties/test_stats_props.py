@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 from repro.stats import (
     PValueBuffer,
     chi2_sf,
-    fisher_left_tailed,
-    fisher_right_tailed,
     fisher_two_tailed,
     pmf_table,
     support_bounds,
@@ -45,9 +43,11 @@ def test_pvalue_is_probability(params):
 def test_two_tailed_at_least_each_tail_mass_beyond(params):
     """p_two >= P(more extreme on the observed side)."""
     n, n_c, supp_x, k = params
+    low, _ = support_bounds(n, n_c, supp_x)
+    table = pmf_table(n, n_c, supp_x)
     p_two = fisher_two_tailed(k, n, n_c, supp_x)
-    right = fisher_right_tailed(k, n, n_c, supp_x)
-    left = fisher_left_tailed(k, n, n_c, supp_x)
+    right = sum(table[k - low:])
+    left = sum(table[:k - low + 1])
     assert p_two >= min(left, right) - 1e-12
 
 

@@ -77,9 +77,9 @@ class TestValidation:
 
     def test_spellings_canonicalised(self, manager):
         job = _submit_mine(manager, correction="BH",
-                           algorithm="fp-growth")
+                           algorithm="levelwise")
         assert job.params["correction"] == "bh"
-        assert job.params["algorithm"] == "fpgrowth"
+        assert job.params["algorithm"] == "apriori"
 
     def test_override_spelling_kept(self, manager):
         job = manager.submit("holdout", {"dataset": "small",

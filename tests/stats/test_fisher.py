@@ -9,15 +9,7 @@ import pytest
 scipy_stats = pytest.importorskip("scipy.stats")
 
 from repro.errors import StatsError
-from repro.stats import (
-    fisher_from_contingency,
-    fisher_left_tailed,
-    fisher_right_tailed,
-    fisher_two_tailed,
-    log_odds_ratio,
-    min_attainable_p_value,
-    rule_p_value,
-)
+from repro.stats import fisher_two_tailed, min_attainable_p_value
 
 
 class TestTwoTailed:
@@ -60,83 +52,16 @@ class TestTwoTailed:
         with pytest.raises(StatsError):
             fisher_two_tailed(0, 10, 8, 7)  # lower bound is 5
 
-    def test_rule_p_value_alias(self):
-        assert rule_p_value(4, 20, 11, 6) == fisher_two_tailed(4, 20, 11, 6)
-
-
-class TestOneTailed:
-    def test_right_tail_matches_scipy(self):
-        rng = random.Random(41)
-        for _ in range(100):
-            n = rng.randint(4, 200)
-            n_c = rng.randint(0, n)
-            sx = rng.randint(0, n)
-            low = max(0, n_c + sx - n)
-            high = min(n_c, sx)
-            k = rng.randint(low, high)
-            table = [[k, sx - k], [n_c - k, n - n_c - sx + k]]
-            ours = fisher_right_tailed(k, n, n_c, sx)
-            theirs = scipy_stats.fisher_exact(table,
-                                              alternative="greater")[1]
-            assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-12)
-
-    def test_left_tail_matches_scipy(self):
-        rng = random.Random(42)
-        for _ in range(100):
-            n = rng.randint(4, 200)
-            n_c = rng.randint(0, n)
-            sx = rng.randint(0, n)
-            low = max(0, n_c + sx - n)
-            high = min(n_c, sx)
-            k = rng.randint(low, high)
-            table = [[k, sx - k], [n_c - k, n - n_c - sx + k]]
-            ours = fisher_left_tailed(k, n, n_c, sx)
-            theirs = scipy_stats.fisher_exact(table, alternative="less")[1]
-            assert ours == pytest.approx(theirs, rel=1e-9, abs=1e-12)
-
-    def test_tails_cover_everything(self):
-        n, n_c, sx = 60, 25, 18
-        for k in range(0, 19):
-            right = fisher_right_tailed(k, n, n_c, sx)
-            left = fisher_left_tailed(k, n, n_c, sx)
-            # They overlap in exactly pmf(k).
-            from repro.stats import pmf
-            assert left + right == pytest.approx(1.0 + pmf(k, n, n_c, sx),
-                                                 rel=1e-9)
-
 
 class TestContingency:
     def test_equivalent_parametrizations(self):
-        assert fisher_from_contingency(8, 2, 3, 7) == pytest.approx(
-            fisher_two_tailed(8, 20, 11, 10))
-
-    def test_alternatives(self):
-        p_two = fisher_from_contingency(8, 2, 3, 7, "two-sided")
-        p_greater = fisher_from_contingency(8, 2, 3, 7, "greater")
-        assert 0 < p_greater <= p_two <= 1
-
-    def test_negative_cell_rejected(self):
-        with pytest.raises(StatsError):
-            fisher_from_contingency(-1, 2, 3, 4)
-
-    def test_empty_table_rejected(self):
-        with pytest.raises(StatsError):
-            fisher_from_contingency(0, 0, 0, 0)
-
-    def test_unknown_alternative_rejected(self):
-        with pytest.raises(StatsError):
-            fisher_from_contingency(1, 2, 3, 4, "sideways")
+        # The 2x2 table [[8, 2], [3, 7]] is the rule n=20, n_c=11,
+        # supp(X)=10, supp(R)=8.
+        assert fisher_two_tailed(8, 20, 11, 10) == pytest.approx(
+            scipy_stats.fisher_exact([[8, 2], [3, 7]])[1])
 
 
-class TestEffectSizeAndBounds:
-    def test_log_odds_ratio_sign(self):
-        assert log_odds_ratio(40, 100, 50, 50) > 0
-        assert log_odds_ratio(10, 100, 50, 50) < 0
-
-    def test_log_odds_inconsistent_counts(self):
-        with pytest.raises(StatsError):
-            log_odds_ratio(10, 20, 5, 8)
-
+class TestBounds:
     def test_min_attainable_decreases_with_coverage(self):
         values = [min_attainable_p_value(1000, 500, sx)
                   for sx in (5, 10, 20, 40, 70, 100)]

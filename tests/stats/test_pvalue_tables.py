@@ -158,6 +158,9 @@ class TestKeys:
 
         logfact = LogFactorialBuffer(8124)
         logfact.as_array(8124)
+        # One small store first, so first-use imports and the scalar
+        # builder's cached log-factorial list fall outside the window.
+        PValueTables(8124, (4208, 3916), [1], [2000], logfact=logfact)
         coverages = list(range(2000, 2400))
         tracemalloc.start()
         try:
