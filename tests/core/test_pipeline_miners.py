@@ -18,11 +18,22 @@ from repro.mining import (
     unregister_miner,
 )
 
+from ..fpgrowth_oracle import registered_fpgrowth
+
 N_PERMUTATIONS = 30
 SEED = 5
 MIN_SUP = 40
 
-MINERS = [m.name for m in available_miners()]
+# Every built-in miner, and the FP-growth oracle as a plugin.
+MINERS = [m.name for m in available_miners()] + ["fpgrowth"]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def fpgrowth_plugin():
+    """The FP-growth oracle, registered as the plugin miner
+    ``"fpgrowth"`` while this module runs."""
+    with registered_fpgrowth():
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +117,8 @@ class TestEveryRegisteredMiner:
 
 
 class TestDeterminismAcrossBackends:
-    @pytest.mark.parametrize("algorithm", ["closed", "apriori"])
+    @pytest.mark.parametrize("algorithm",
+                             ["closed", "apriori", "fpgrowth"])
     def test_jobs_do_not_change_results(self, german, algorithm):
         def run(n_jobs, backend):
             pipe = Pipeline(

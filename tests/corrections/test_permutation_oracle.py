@@ -3,8 +3,10 @@
 The engine's min-p distribution, pooled counts and step-down counts
 must equal the reference's exactly — on binary and multiclass rule
 sets over the forest of every registered miner (the closed LCM tree,
-the Apriori prefix tree, the representative reduction), with the native kernel suite loaded and hidden, and for
-permutation counts below, at and above one native block. The
+the Apriori prefix tree, the representative reduction, and the
+FP-growth oracle registered as a plugin miner), with the native
+kernel suite loaded and hidden, and for permutation counts below, at
+and above one native block. The
 reference's ``fisher_two_tailed`` p-values (the paper's unbuffered
 arm) must agree with its table lookups within rel 1e-9. Under the
 chi2 scorer the engine must equal the reference driven by
@@ -28,12 +30,21 @@ from .permutation_oracle import (
     rule_supports,
     statistics,
 )
+from ..fpgrowth_oracle import registered_fpgrowth
 
 PERMUTATION_COUNTS = (1, NATIVE_BATCH_ROWS, NATIVE_BATCH_ROWS + 3)
 
 
-MINERS = ("closed", "apriori", "representative")
+MINERS = ("closed", "apriori", "fpgrowth", "representative")
 CLASS_COUNTS = {"binary": 2, "3-class": 3}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def fpgrowth_plugin():
+    """The FP-growth oracle, registered as the plugin miner
+    ``"fpgrowth"`` while this module runs."""
+    with registered_fpgrowth():
+        yield
 
 
 @pytest.fixture(scope="module",

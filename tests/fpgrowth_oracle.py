@@ -14,18 +14,31 @@ generation.
 reconstructed from the vertical bitsets at emission time), in the same
 (length, items) order, so the two miners and the closed miner give
 three implementations of one answer.
+
+:func:`registered_fpgrowth` registers the oracle as the out-of-tree
+all-frequent miner ``"fpgrowth"`` for the duration of a ``with`` block,
+so the end-to-end suites (pipeline, CLI, arenas, permutation engine)
+also run a miner that comes through the plugin path.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import MiningError
+from repro.mining import (
+    Miner,
+    PatternSet,
+    patternset_from_frequent,
+    register_miner,
+    unregister_miner,
+)
 from repro.mining.apriori import FrequentPattern
 from repro.tidvector import TidVector, as_tidvector
 
-__all__ = ["FPTree", "FPNode", "mine_fpgrowth"]
+__all__ = ["FPTree", "FPNode", "mine_fpgrowth", "registered_fpgrowth"]
 
 
 @dataclass
@@ -236,3 +249,23 @@ def _intersect_tidsets(items: Sequence[int],
     for item in items:
         tids &= item_tidsets[item]
     return tids
+
+
+def _mine_fpgrowth_set(item_tidsets, n_records, min_sup,
+                       max_length) -> PatternSet:
+    patterns = mine_fpgrowth(item_tidsets, n_records, min_sup,
+                             max_length=max_length)
+    return patternset_from_frequent(patterns, n_records, min_sup)
+
+
+@contextmanager
+def registered_fpgrowth() -> Iterator[Miner]:
+    """Register the oracle as the plugin miner ``"fpgrowth"`` while the
+    block runs, and unregister it on exit."""
+    spec = register_miner(Miner(name="fpgrowth",
+                                mine_fn=_mine_fpgrowth_set,
+                                capabilities=("all-frequent",)))
+    try:
+        yield spec
+    finally:
+        unregister_miner(spec.name)

@@ -43,7 +43,18 @@ from repro.data import (
 )
 from repro.evaluation.export import rules_to_csv
 
-MINERS = ("closed", "apriori", "representative")
+from ..fpgrowth_oracle import registered_fpgrowth
+
+# The built-in miners, and the FP-growth oracle as a plugin.
+MINERS = ("closed", "apriori", "fpgrowth", "representative")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def fpgrowth_plugin():
+    """The FP-growth oracle, registered as the plugin miner
+    ``"fpgrowth"`` while this module runs."""
+    with registered_fpgrowth():
+        yield
 
 
 def _fork_available() -> bool:
@@ -112,7 +123,8 @@ class TestCliMemmapIdentity:
 
 class TestNativeToggleIdentity:
     @pytest.mark.parametrize("native", ["0", "1"])
-    @pytest.mark.parametrize("algorithm", ["closed", "apriori"])
+    @pytest.mark.parametrize("algorithm",
+                             ["closed", "apriori", "fpgrowth"])
     def test_arena_identity_with_and_without_kernels(
             self, dataset_csv, dataset_arena, tmp_path, monkeypatch,
             algorithm, native):

@@ -28,8 +28,18 @@ from repro.data import Dataset, GeneratorConfig, generate, save_csv
 from repro.evaluation.export import rules_to_csv
 
 from .. import bigint_oracle as bs
+from ..fpgrowth_oracle import registered_fpgrowth
 
-MINERS = ("closed", "apriori", "representative")
+# The built-in miners, and the FP-growth oracle as a plugin.
+MINERS = ("closed", "apriori", "fpgrowth", "representative")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def fpgrowth_plugin():
+    """The FP-growth oracle, registered as the plugin miner
+    ``"fpgrowth"`` while this module runs."""
+    with registered_fpgrowth():
+        yield
 
 
 @pytest.fixture(scope="module")

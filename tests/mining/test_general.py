@@ -70,22 +70,45 @@ class TestMineGeneralRules:
                 [[a, b], [c, d]], alternative="two-sided")
             assert rule.p_value == pytest.approx(expected, rel=1e-6)
 
-    def test_pvalues_equal_the_scalar_test_bit_for_bit(self):
-        """All rules are scored from one table store; each p-value is
-        the one fisher_two_tailed gives, on the ratio-recurrence and
-        the log-space table paths alike (n = 3000, dense items)."""
+    @staticmethod
+    def _dense_tidsets(n):
         rng = np.random.default_rng(5)
-        n = 3000
         items = rng.random((n, 6)) < [0.3, 0.3, 0.2, 0.5, 0.4, 0.25]
         items[:, 1] |= items[:, 0] & (rng.random(n) < 0.8)
-        tidsets = [TidVector.from_indices(np.flatnonzero(column), n)
-                   for column in items.T]
-        ruleset = mine_general_rules(tidsets, n, min_sup=50,
-                                     max_consequent=2)
+        return [TidVector.from_indices(np.flatnonzero(column), n)
+                for column in items.T]
+
+    @pytest.mark.parametrize("max_consequent", (1, 2, 3))
+    @pytest.mark.parametrize("n", (200, 3000))
+    def test_pvalues_equal_the_scalar_test_bit_for_bit(
+            self, n, max_consequent):
+        """All rules are scored from one table store; each p-value is
+        the one fisher_two_tailed gives, on the ratio-recurrence and
+        the log-space table paths alike (dense items; multi-item
+        consequents add margins)."""
+        ruleset = mine_general_rules(self._dense_tidsets(n), n,
+                                     min_sup=n // 60,
+                                     max_consequent=max_consequent)
         assert ruleset.n_tests > 50
         for rule in ruleset.rules:
             assert rule.p_value == fisher_two_tailed(
                 rule.support, n, rule.consequent_support, rule.coverage)
+
+    def test_min_conf_keeps_the_pvalues_of_surviving_rules(self):
+        """Filtering by confidence drops rules, and with them margins,
+        before scoring; the rules that stay keep their p-values."""
+        n = 3000
+        tidsets = self._dense_tidsets(n)
+        everything = mine_general_rules(tidsets, n, min_sup=50,
+                                        max_consequent=2)
+        confident = mine_general_rules(tidsets, n, min_sup=50,
+                                       min_conf=0.6, max_consequent=2)
+        assert 0 < confident.n_tests < everything.n_tests
+        p_value_of = {(r.antecedent, r.consequent): r.p_value
+                      for r in everything.rules}
+        for rule in confident.rules:
+            assert rule.p_value == \
+                p_value_of[(rule.antecedent, rule.consequent)]
 
     def test_no_rules_scores_nothing(self, basket):
         tidsets, n = basket

@@ -31,6 +31,7 @@ from repro.mining import (
 from repro.tidvector import TidVector
 
 from .. import bigint_oracle as bs
+from ..fpgrowth_oracle import registered_fpgrowth
 
 BUILTINS = ("closed", "apriori", "representative", "general-rules")
 
@@ -38,6 +39,17 @@ BUILTINS = ("closed", "apriori", "representative", "general-rules")
 @pytest.fixture(scope="module")
 def german():
     return make_german(seed=7, n_records=300)
+
+
+@pytest.fixture
+def plugin_algorithm(algorithm):
+    """``algorithm``, with the FP-growth oracle registered as the
+    plugin miner ``"fpgrowth"`` while an ``"fpgrowth"`` case runs."""
+    if algorithm != "fpgrowth":
+        yield algorithm
+        return
+    with registered_fpgrowth():
+        yield algorithm
 
 
 class TestResolution:
@@ -310,9 +322,11 @@ class TestPatternSetColumns:
                 assert pattern.tidset.is_subset(parent.tidset)
 
     @pytest.mark.parametrize("algorithm",
-                             ("apriori", "general-rules"))
-    def test_flat_producers_leave_parent_empty(self, german, algorithm):
-        pattern_set = mine_patterns(german, 60, algorithm=algorithm)
+                             ("apriori", "fpgrowth", "general-rules"))
+    def test_flat_producers_leave_parent_empty(self, german,
+                                               plugin_algorithm):
+        pattern_set = mine_patterns(german, 60,
+                                    algorithm=plugin_algorithm)
         assert pattern_set.parent is None
         assert all(p.parent_id == -1 for p in pattern_set)
 
@@ -358,10 +372,12 @@ class TestPatternSetColumns:
         assert keys == sorted(keys)
         assert len(keys) == len(frequent)
 
-    @pytest.mark.parametrize("algorithm", ("apriori", "general-rules"))
+    @pytest.mark.parametrize("algorithm",
+                             ("apriori", "fpgrowth", "general-rules"))
     def test_all_frequent_miners_pack_in_length_item_order(
-            self, german, algorithm):
-        pattern_set = mine_patterns(german, 60, algorithm=algorithm)
+            self, german, plugin_algorithm):
+        pattern_set = mine_patterns(german, 60,
+                                    algorithm=plugin_algorithm)
         assert pattern_set[0].items == frozenset()
         keys = [(len(p.items), tuple(sorted(p.items)))
                 for p in pattern_set[1:]]
